@@ -58,6 +58,8 @@ from .contour import (
     verify_identity,
 )
 from .mesh import (
+    CornerKernel,
+    MeshTopology,
     StarEntry,
     TriMesh,
     VertexStar,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryVertexError
-from .mesh import TriMesh, build_star
+from .mesh import TriMesh, build_star, row_norms, star_corners
 
 __all__ = [
     "CurvatureSample",
@@ -61,14 +61,18 @@ class CurvatureSample:
     near_minimal: bool
 
 
+def _sample(vec: np.ndarray, magnitude: float, scale: float,
+            tol_direction: float) -> CurvatureSample:
+    if magnitude < tol_direction * scale:
+        return CurvatureSample(vec, magnitude, None, True)
+    return CurvatureSample(vec, magnitude, vec / magnitude, False)
+
+
 def star_sum(mesh: TriMesh, v: int) -> np.ndarray:
     """sum(a_i n_i) over the one-ring of v (no area division); defined for
     boundary vertices too."""
-    star = build_star(mesh, v)
-    out = np.zeros(3)
-    for e in star.entries:
-        out += e.edge_length * e.normal
-    return out
+    star_corners(mesh, v)
+    return mesh.corner_kernel().star_sums[v].copy()
 
 
 def vector_mean_curvature(mesh: TriMesh, v: int, tol_direction: float = 1e-8,
@@ -78,18 +82,14 @@ def vector_mean_curvature(mesh: TriMesh, v: int, tol_direction: float = 1e-8,
     Boundary vertices are refused unless allow_boundary is set (the
     half-ring value is not meaningful as a curvature).
     """
-    star = build_star(mesh, v)
-    if star.is_boundary and not allow_boundary:
+    star_corners(mesh, v)
+    if not allow_boundary and not mesh.topology.closed_stars[v]:
         raise BoundaryVertexError(f"vertex {v} lies on the mesh boundary")
-    num = np.zeros(3)
-    for e in star.entries:
-        num += e.edge_length * e.normal
-    vec = num / star.ring_area
-    magnitude = float(np.linalg.norm(vec))
-    scale = star.total_edge_length / star.ring_area
-    if magnitude < tol_direction * scale:
-        return CurvatureSample(vec, magnitude, None, True)
-    return CurvatureSample(vec, magnitude, vec / magnitude, False)
+    kernel = mesh.corner_kernel()
+    ring_area = kernel.ring_areas[v]
+    vec = kernel.star_sums[v] / ring_area
+    return _sample(vec, float(np.linalg.norm(vec)),
+                   float(kernel.edge_lengths[v] / ring_area), tol_direction)
 
 
 def area_gradient(mesh: TriMesh, v: int) -> np.ndarray:
@@ -144,20 +144,32 @@ def laplacian(mesh: TriMesh, v: int, values) -> float:
 
 
 def curvature_field(mesh: TriMesh, tol_direction: float = 1e-8) -> list[CurvatureSample | None]:
-    """vector_mean_curvature at every vertex; boundary vertices yield None."""
+    """vector_mean_curvature at every vertex; boundary vertices yield None.
+
+    Raises what vector_mean_curvature raises at the first other vertex it
+    refuses (isolated, with a degenerate incident face, or whose star is
+    not one closed loop)."""
     boundary = mesh.boundary_vertices()
-    out: list[CurvatureSample | None] = []
-    for v in range(mesh.n_vertices):
-        if boundary[v]:
-            out.append(None)
-        else:
-            out.append(vector_mean_curvature(mesh, v, tol_direction))
-    return out
+    kernel = mesh.corner_kernel()
+    refused = ~boundary & (kernel.degenerate | ~mesh.topology.closed_stars)
+    if refused.any():
+        vector_mean_curvature(mesh, int(np.argmax(refused)))  # raises
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vec = kernel.star_sums / kernel.ring_areas[:, None]
+        scale = kernel.edge_lengths / kernel.ring_areas
+    magnitude = row_norms(vec)
+    return [None if boundary[v] else
+            _sample(vec[v], float(magnitude[v]), float(scale[v]), tol_direction)
+            for v in range(mesh.n_vertices)]
 
 
 # ---------------------------------------------------------------------------
-# whole-mesh vectorized paths (used by the flow; agree with the per-vertex
-# functions to roundoff)
+# whole-mesh paths over face arrays, used by the flow and by
+# laplacian_field. The one-ring quantities above all come from one cached
+# corner kernel per mesh (so curvature_field equals vector_mean_curvature
+# bitwise); these sums use other arithmetic and agree with them to
+# roundoff. Neither rebuilds connectivity: TriMesh.with_positions shares
+# the MeshTopology (boundary mask, incidence, closed stars).
 
 
 def _corner_contributions(mesh: TriMesh):

@@ -50,6 +50,19 @@ def _require_closed(mesh: TriMesh):
         raise BoundaryVertexError("mean curvature flow requires a closed mesh")
 
 
+def _advance(mesh: TriMesh, dt: float, curvature: np.ndarray) -> TriMesh:
+    if dt == 0:
+        return mesh
+    candidate = mesh.with_positions(mesh.positions + dt * curvature, allow_degenerate=True)
+    areas = candidate.face_areas()
+    worst = int(np.argmin(areas))
+    if areas[worst] < MIN_FACE_AREA:
+        raise CollapseError(
+            f"face {worst} collapsed to area {areas[worst]:.3e}",
+            face=worst, area=float(areas[worst]))
+    return candidate
+
+
 def mcf_step(mesh: TriMesh, dt: float) -> TriMesh:
     """Displace every vertex by dt * B and revalidate the mesh.
 
@@ -59,17 +72,7 @@ def mcf_step(mesh: TriMesh, dt: float) -> TriMesh:
     if dt < 0:
         raise ValueError("time step must be nonnegative")
     _require_closed(mesh)
-    if dt == 0:
-        return mesh
-    moved = mesh.positions + dt * _curvatures(mesh)
-    candidate = mesh.with_positions(moved, allow_degenerate=True)
-    areas = candidate.face_areas()
-    worst = int(np.argmin(areas))
-    if areas[worst] < MIN_FACE_AREA:
-        raise CollapseError(
-            f"face {worst} collapsed to area {areas[worst]:.3e}",
-            face=worst, area=float(areas[worst]))
-    return mesh.with_positions(moved)
+    return _advance(mesh, dt, _curvatures(mesh))
 
 
 def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh]:
@@ -80,7 +83,8 @@ def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh
     Stops early, with the reason recorded in the trace rather than
     raised, when a face collapses or when a step fails to decrease total
     area (a sign that dt is too large); the offending step is not
-    accepted.
+    accepted. B is computed once per state, for its trace row and for
+    the step that leaves it.
     """
     if dt < 0:
         raise ValueError("time step must be nonnegative")
@@ -88,24 +92,25 @@ def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh
         raise ValueError("step count must be nonnegative")
     _require_closed(mesh)
 
-    def record(index: int, m: TriMesh) -> FlowStep:
-        b = np.linalg.norm(_curvatures(m), axis=1)
+    def record(index: int, m: TriMesh, curvature: np.ndarray) -> FlowStep:
+        b = np.linalg.norm(curvature, axis=1)
         return FlowStep(index, float(m.face_areas().sum()), float(b.max()),
                         float(m.face_areas().min()))
 
-    steps = [record(0, mesh)]
-    current = mesh
+    current, curvature = mesh, _curvatures(mesh)
+    steps = [record(0, current, curvature)]
     stop_reason = None
     for k in range(1, n_steps + 1):
         try:
-            stepped = mcf_step(current, dt)
+            stepped = _advance(current, dt, curvature)
         except CollapseError as exc:
             stop_reason = f"collapse at step {k}: {exc}"
             break
-        entry = record(k, stepped)
+        stepped_curvature = _curvatures(stepped)
+        entry = record(k, stepped, stepped_curvature)
         if dt > 0 and entry.area >= steps[-1].area:
             stop_reason = f"area did not decrease at step {k} (dt too large)"
             break
-        current = stepped
+        current, curvature = stepped, stepped_curvature
         steps.append(entry)
     return FlowTrace(dt, tuple(steps), stop_reason), current

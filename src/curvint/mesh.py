@@ -1,11 +1,13 @@
-"""Indexed triangle meshes: data model, OBJ/OFF input/output, stock
-primitives, and one-ring (vertex star) extraction."""
+"""Indexed triangle meshes: data model, shared connectivity (topology),
+the per-corner one-ring kernel, OBJ/OFF input/output, stock primitives,
+and one-ring (vertex star) extraction."""
 
 from __future__ import annotations
 
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,8 @@ from .errors import (
 
 __all__ = [
     "TriMesh",
+    "MeshTopology",
+    "CornerKernel",
     "StarEntry",
     "VertexStar",
     "load_mesh",
@@ -35,37 +39,141 @@ __all__ = [
 MIN_FACE_AREA = 1e-14
 
 
-class TriMesh:
-    """Immutable triangle mesh: float64 positions (V, 3) and int face
-    index triples (F, 3)."""
+class MeshTopology:
+    """Connectivity of one validated face array (F, 3) over n_vertices
+    vertices. Meshes that differ only in positions share one instance
+    (see TriMesh.with_positions); each part is computed on first use."""
 
-    def __init__(self, positions, faces, allow_degenerate: bool = False):
-        positions = np.array(positions, dtype=float)
+    def __init__(self, faces, n_vertices: int):
         faces = np.array(faces, dtype=np.int64)
-        if positions.ndim != 2 or positions.shape[1] != 3:
-            raise MeshValidationError("positions must have shape (V, 3)")
         if faces.size == 0:
             faces = faces.reshape(0, 3)
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise MeshValidationError("faces must have shape (F, 3)")
-        if not np.all(np.isfinite(positions)):
-            raise MeshValidationError("positions must be finite")
         if faces.size:
-            if faces.min() < 0 or faces.max() >= len(positions):
-                bad = int(np.argmax((faces < 0).any(axis=1) | (faces >= len(positions)).any(axis=1)))
+            if faces.min() < 0 or faces.max() >= n_vertices:
+                bad = int(np.argmax((faces < 0).any(axis=1) | (faces >= n_vertices).any(axis=1)))
                 raise MeshValidationError(f"face {bad} references a missing vertex", face=bad)
             same = (faces[:, 0] == faces[:, 1]) | (faces[:, 1] == faces[:, 2]) | (faces[:, 0] == faces[:, 2])
             if same.any():
                 bad = int(np.argmax(same))
                 raise MeshValidationError(f"face {bad} repeats a vertex", face=bad)
-        self.positions = positions
+        faces.setflags(write=False)
         self.faces = faces
+        self.n_vertices = n_vertices
+
+    @cached_property
+    def boundary(self) -> np.ndarray:
+        """Boolean mask of vertices touching an edge used by one face only."""
+        n = self.n_vertices
+        a = self.faces.ravel()
+        b = self.faces[:, [1, 2, 0]].ravel()
+        keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
+        open_edges = keys[counts == 1]
+        mask = np.zeros(n, dtype=bool)
+        mask[open_edges // n] = True
+        mask[open_edges % n] = True
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def _corner_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        # corner c is faces.ravel()[c]; a stable sort keeps each vertex's
+        # corners in incident-face order
+        flat = self.faces.ravel()
+        offsets = np.zeros(self.n_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=self.n_vertices), out=offsets[1:])
+        return np.argsort(flat, kind="stable"), offsets
+
+    @cached_property
+    def opposite(self) -> np.ndarray:
+        """(3F, 2): per corner, the next two vertices of its face, i.e. the
+        endpoints of the edge opposite it."""
+        out = np.column_stack([self.faces[:, [1, 2, 0]].ravel(),
+                               self.faces[:, [2, 0, 1]].ravel()])
+        out.setflags(write=False)
+        return out
+
+    def vertex_corners(self, v: int) -> np.ndarray:
+        """Corners (indices into faces.ravel()) at vertex v, in
+        incident-face order."""
+        if not 0 <= v < self.n_vertices:
+            raise MeshValidationError(f"vertex {v} out of range")
+        order, offsets = self._corner_csr
+        return order[offsets[v]:offsets[v + 1]]
+
+    @cached_property
+    def closed_stars(self) -> np.ndarray:
+        """Per vertex: do the edges opposite it in its incident faces form
+        one closed loop? False for isolated vertices, for stars of fewer
+        than three faces, and when a ring vertex is not met by exactly two
+        opposite edges (which also rules out double edges)."""
+        n = self.n_vertices
+        flat = self.faces.ravel()
+        ok = np.bincount(flat, minlength=n) >= 3
+        if len(flat):
+            ok &= self._one_loop(flat)
+        ok.setflags(write=False)
+        return ok
+
+    def _one_loop(self, flat: np.ndarray) -> np.ndarray:
+        # end 2c + k is endpoint k of the edge opposite corner c
+        n = self.n_vertices
+        ends = self.opposite.ravel()
+        keys = np.repeat(flat, 2) * n + ends
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        sizes = np.diff(np.r_[first, len(keys)])
+        ok = np.ones(n, dtype=bool)
+        ok[keys[first[sizes != 2]] // n] = False
+        # pair the two ends that meet at each ring vertex: leaving an edge
+        # through one end enters its partner's edge, which is left through
+        # that edge's other end
+        pairs = first[sizes == 2]
+        partner = np.arange(len(ends))
+        partner[order[pairs]] = order[pairs + 1]
+        partner[order[pairs + 1]] = order[pairs]
+        step = partner ^ 1
+        # pointer doubling: each end's label becomes the smallest corner
+        # on its loop
+        label = np.arange(len(ends)) >> 1
+        span, longest = 1, int(np.bincount(flat).max())
+        while span < longest:
+            label = np.minimum(label, label[step])
+            step = step[step]
+            span *= 2
+        # one loop <=> every corner of a vertex carries the label of its
+        # first corner
+        order, offsets = self._corner_csr
+        split = label[0::2] != order[offsets[flat]]
+        return ok & (np.bincount(flat, weights=split, minlength=n) == 0)
+
+
+class TriMesh:
+    """Immutable triangle mesh: float64 positions (V, 3) and int face
+    index triples (F, 3)."""
+
+    def __init__(self, positions, faces, allow_degenerate: bool = False):
+        """`faces` is an (F, 3) index array, or the MeshTopology of a mesh
+        with as many vertices, which is shared rather than rebuilt."""
+        positions = np.array(positions, dtype=float)
+        if positions.ndim != 2 or positions.shape[1] != 3:
+            raise MeshValidationError("positions must have shape (V, 3)")
+        if not np.all(np.isfinite(positions)):
+            raise MeshValidationError("positions must be finite")
+        if isinstance(faces, MeshTopology):
+            if faces.n_vertices != len(positions):
+                raise MeshValidationError(f"positions must have shape ({faces.n_vertices}, 3)")
+            self.topology = faces
+        else:
+            self.topology = MeshTopology(faces, len(positions))
+        self.positions = positions
+        self.faces = self.topology.faces
         self.positions.setflags(write=False)
-        self.faces.setflags(write=False)
         self._face_areas = None
-        self._vertex_faces = None
-        self._boundary = None
-        if not allow_degenerate and len(faces):
+        self._corner_kernel = None
+        if not allow_degenerate and len(self.faces):
             areas = self.face_areas()
             if areas.min() < MIN_FACE_AREA:
                 bad = int(np.argmin(areas))
@@ -95,38 +203,26 @@ class TriMesh:
         return self._face_areas
 
     def vertex_faces(self, v: int) -> np.ndarray:
-        """Indices of the faces incident to vertex v."""
-        if self._vertex_faces is None:
-            order = np.argsort(self.faces.ravel(), kind="stable")
-            counts = np.bincount(self.faces.ravel(), minlength=self.n_vertices)
-            splits = np.cumsum(counts)[:-1]
-            self._vertex_faces = [np.sort(part) for part in
-                                  np.split(order // 3, splits)]
-        if not 0 <= v < self.n_vertices:
-            raise MeshValidationError(f"vertex {v} out of range")
-        return self._vertex_faces[v]
+        """Indices of the faces incident to vertex v, ascending."""
+        return self.topology.vertex_corners(v) // 3
 
     def boundary_vertices(self) -> np.ndarray:
         """Boolean mask of vertices touching an edge used by one face only."""
-        if self._boundary is None:
-            mask = np.zeros(self.n_vertices, dtype=bool)
-            if len(self.faces):
-                e = np.concatenate([self.faces[:, [0, 1]], self.faces[:, [1, 2]],
-                                    self.faces[:, [2, 0]]])
-                e = np.sort(e, axis=1)
-                _, idx, counts = np.unique(e, axis=0, return_index=True, return_counts=True)
-                open_edges = e[idx[counts == 1]]
-                mask[open_edges.ravel()] = True
-            mask.setflags(write=False)
-            self._boundary = mask
-        return self._boundary
+        return self.topology.boundary
 
     def is_closed(self) -> bool:
         return not bool(self.boundary_vertices().any())
 
+    def corner_kernel(self) -> "CornerKernel":
+        """The one-ring terms of every corner and their per-vertex sums."""
+        if self._corner_kernel is None:
+            self._corner_kernel = CornerKernel(self)
+        return self._corner_kernel
+
     def with_positions(self, positions, allow_degenerate: bool = False) -> "TriMesh":
-        """Same connectivity with replaced coordinates (revalidated)."""
-        return TriMesh(positions, self.faces, allow_degenerate=allow_degenerate)
+        """Same connectivity (and topology) with replaced coordinates,
+        which are revalidated."""
+        return TriMesh(positions, self.topology, allow_degenerate=allow_degenerate)
 
 
 def total_area(mesh: TriMesh) -> float:
@@ -136,6 +232,47 @@ def total_area(mesh: TriMesh) -> float:
 
 # ---------------------------------------------------------------------------
 # vertex stars
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    # one BLAS dot per row, rounded exactly as np.linalg.norm of that row
+    # alone; norm(axis=1) and einsum round differently
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
+class CornerKernel:
+    """Per corner c (vertex O = faces.ravel()[c] of face c // 3, with P, Q
+    the next two vertices of that face): the star area A = |m| / 2 with
+    m = (P - O) x (Q - O), the opposite-edge length a = |Q - P| and the
+    unit in-plane normal n of that edge pointing away from O. Per vertex:
+    the sums of a n, A and a over its corners, added in incident-face
+    order, and whether any of its corners has A below MIN_FACE_AREA.
+    This is the arithmetic of a one-vertex star, done for all corners at
+    once, so the per-vertex and whole-mesh paths agree bitwise.
+    Degenerate corners hold nan normals; star_corners refuses them."""
+
+    def __init__(self, mesh: TriMesh):
+        flat = mesh.faces.ravel()
+        o = mesh.positions[flat]
+        p = mesh.positions[mesh.topology.opposite[:, 0]]
+        q = mesh.positions[mesh.topology.opposite[:, 1]]
+        m = np.cross(p - o, q - o)
+        e = q - p
+        n = np.cross(e, m)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            n /= row_norms(n)[:, None]
+        self.areas = 0.5 * row_norms(m)
+        self.lengths = row_norms(e)
+        self.normals = n
+        an = self.lengths[:, None] * n
+        nv = mesh.n_vertices
+        self.star_sums = np.column_stack(
+            [np.bincount(flat, weights=an[:, k], minlength=nv) for k in range(3)])
+        self.ring_areas = np.bincount(flat, weights=self.areas, minlength=nv)
+        self.edge_lengths = np.bincount(flat, weights=self.lengths, minlength=nv)
+        self.degenerate = np.bincount(flat, weights=self.areas < MIN_FACE_AREA, minlength=nv) > 0
+        for array in vars(self).values():
+            array.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -169,31 +306,18 @@ class VertexStar:
         return sum(e.edge_length for e in self.entries)
 
 
-def _opposite_edges_close(edges: list[tuple[int, int]]) -> bool:
-    # single closed loop <=> every ring vertex has degree 2 and the edge
-    # graph is connected with as many edges as vertices
-    adjacency: dict[int, list[int]] = {}
-    for a, b in edges:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    if len(edges) != len(adjacency):
-        return False
-    if any(len(nbrs) != 2 for nbrs in adjacency.values()):
-        return False
-    start = edges[0][0]
-    seen = {start}
-    prev, cur = None, start
-    while True:
-        nxt = [p for p in adjacency[cur] if p != prev]
-        if not nxt:
-            return False
-        prev, cur = cur, nxt[0]
-        if cur == start:
-            break
-        if cur in seen:
-            return False
-        seen.add(cur)
-    return len(seen) == len(adjacency)
+def star_corners(mesh: TriMesh, v: int) -> np.ndarray:
+    """Corners of vertex v in incident-face order. Raises
+    IsolatedVertexError when no face contains v, MeshValidationError on
+    the first degenerate incident face."""
+    corners = mesh.topology.vertex_corners(v)
+    if len(corners) == 0:
+        raise IsolatedVertexError(f"vertex {v} has no incident faces")
+    bad = corners[mesh.corner_kernel().areas[corners] < MIN_FACE_AREA]
+    if len(bad):
+        fi = int(bad[0] // 3)
+        raise MeshValidationError(f"face {fi} incident to vertex {v} is degenerate", face=fi)
+    return corners
 
 
 def build_star(mesh: TriMesh, v: int) -> VertexStar:
@@ -201,32 +325,18 @@ def build_star(mesh: TriMesh, v: int) -> VertexStar:
 
     Per incident triangle the entry holds the opposite-edge length a and
     the unit vector n in the triangle plane, perpendicular to that edge
-    and pointing from v toward it. Raises IsolatedVertexError when no
-    face contains v, MeshValidationError on a degenerate incident face.
+    and pointing from v toward it (read-only rows of the mesh's corner
+    kernel). Raises IsolatedVertexError when no face contains v,
+    MeshValidationError on a degenerate incident face.
     """
-    incident = mesh.vertex_faces(v)
-    if len(incident) == 0:
-        raise IsolatedVertexError(f"vertex {v} has no incident faces")
-    o = mesh.positions[v]
-    entries = []
-    edges = []
-    for fi in incident:
-        tri = mesh.faces[fi]
-        corner = int(np.argmax(tri == v))
-        p_idx, q_idx = int(tri[(corner + 1) % 3]), int(tri[(corner + 2) % 3])
-        p, q = mesh.positions[p_idx], mesh.positions[q_idx]
-        m = np.cross(p - o, q - o)
-        area = 0.5 * float(np.linalg.norm(m))
-        if area < MIN_FACE_AREA:
-            raise MeshValidationError(f"face {fi} incident to vertex {v} is degenerate",
-                                      face=int(fi))
-        e = q - p
-        edge_length = float(np.linalg.norm(e))
-        n = np.cross(e, m)
-        n /= np.linalg.norm(n)
-        entries.append(StarEntry(int(fi), area, (p_idx, q_idx), edge_length, n))
-        edges.append((p_idx, q_idx))
-    return VertexStar(v, tuple(entries), not _opposite_edges_close(edges))
+    corners = star_corners(mesh, v)
+    kernel = mesh.corner_kernel()
+    opposite = mesh.topology.opposite
+    entries = tuple(
+        StarEntry(int(c // 3), float(kernel.areas[c]), (int(opposite[c, 0]), int(opposite[c, 1])),
+                  float(kernel.lengths[c]), kernel.normals[c])
+        for c in corners)
+    return VertexStar(v, entries, not mesh.topology.closed_stars[v])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Shared helpers for the test suite: stock meshes, perturbed-mesh
-factories, parameter-domain sampling boxes, and malformed-file fixtures."""
+factories, parameter-domain sampling boxes, malformed-file fixtures, and
+the per-vertex one-ring loop kept as a reference for the corner kernel."""
 
 from __future__ import annotations
 
 import numpy as np
 
 import curvint as ci
+from curvint import BoundaryVertexError, IsolatedVertexError, MeshValidationError
+from curvint.mesh import MIN_FACE_AREA
 
 
 def interior_vertices(mesh: ci.TriMesh) -> np.ndarray:
@@ -101,3 +104,112 @@ MALFORMED_FIXTURES = [
     ("off_face_arity", "off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n", 6),
     ("off_polygon_too_small", "off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n2 0 1\n", 6),
 ]
+
+
+# ---------------------------------------------------------------------------
+# reference one-ring: one vertex at a time, one incident face at a time
+
+
+def reference_opposite_edges_close(edges: list[tuple[int, int]]) -> bool:
+    # single closed loop <=> every ring vertex has degree 2 and the edge
+    # graph is connected with as many edges as vertices
+    adjacency: dict[int, list[int]] = {}
+    for a, b in edges:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    if len(edges) != len(adjacency):
+        return False
+    if any(len(nbrs) != 2 for nbrs in adjacency.values()):
+        return False
+    start = edges[0][0]
+    seen = {start}
+    prev, cur = None, start
+    while True:
+        nxt = [p for p in adjacency[cur] if p != prev]
+        if not nxt:
+            return False
+        prev, cur = cur, nxt[0]
+        if cur == start:
+            break
+        if cur in seen:
+            return False
+        seen.add(cur)
+    return len(seen) == len(adjacency)
+
+
+def reference_boundary_vertices(mesh: ci.TriMesh) -> np.ndarray:
+    mask = np.zeros(mesh.n_vertices, dtype=bool)
+    if len(mesh.faces):
+        e = np.concatenate([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]],
+                            mesh.faces[:, [2, 0]]])
+        e = np.sort(e, axis=1)
+        _, idx, counts = np.unique(e, axis=0, return_index=True, return_counts=True)
+        mask[e[idx[counts == 1]].ravel()] = True
+    return mask
+
+
+def reference_build_star(mesh: ci.TriMesh, v: int) -> ci.VertexStar:
+    if not 0 <= v < mesh.n_vertices:
+        raise MeshValidationError(f"vertex {v} out of range")
+    incident = np.flatnonzero((mesh.faces == v).any(axis=1))
+    if len(incident) == 0:
+        raise IsolatedVertexError(f"vertex {v} has no incident faces")
+    o = mesh.positions[v]
+    entries = []
+    edges = []
+    for fi in incident:
+        tri = mesh.faces[fi]
+        corner = int(np.argmax(tri == v))
+        p_idx, q_idx = int(tri[(corner + 1) % 3]), int(tri[(corner + 2) % 3])
+        p, q = mesh.positions[p_idx], mesh.positions[q_idx]
+        m = np.cross(p - o, q - o)
+        area = 0.5 * float(np.linalg.norm(m))
+        if area < MIN_FACE_AREA:
+            raise MeshValidationError(f"face {fi} incident to vertex {v} is degenerate",
+                                      face=int(fi))
+        e = q - p
+        edge_length = float(np.linalg.norm(e))
+        n = np.cross(e, m)
+        n /= np.linalg.norm(n)
+        entries.append(ci.StarEntry(int(fi), area, (p_idx, q_idx), edge_length, n))
+        edges.append((p_idx, q_idx))
+    return ci.VertexStar(v, tuple(entries), not reference_opposite_edges_close(edges))
+
+
+def _ring_sums(star: ci.VertexStar) -> tuple[float, float]:
+    # left to right, as `sum` added floats before Python 3.12
+    ring_area = total_edge_length = 0.0
+    for e in star.entries:
+        ring_area += e.area
+        total_edge_length += e.edge_length
+    return ring_area, total_edge_length
+
+
+def reference_star_sum(mesh: ci.TriMesh, v: int) -> np.ndarray:
+    out = np.zeros(3)
+    for e in reference_build_star(mesh, v).entries:
+        out += e.edge_length * e.normal
+    return out
+
+
+def reference_vector_mean_curvature(mesh: ci.TriMesh, v: int, tol_direction: float = 1e-8,
+                                    allow_boundary: bool = False) -> ci.CurvatureSample:
+    star = reference_build_star(mesh, v)
+    if star.is_boundary and not allow_boundary:
+        raise BoundaryVertexError(f"vertex {v} lies on the mesh boundary")
+    num = np.zeros(3)
+    for e in star.entries:
+        num += e.edge_length * e.normal
+    ring_area, total_edge_length = _ring_sums(star)
+    vec = num / ring_area
+    magnitude = float(np.linalg.norm(vec))
+    scale = total_edge_length / ring_area
+    if magnitude < tol_direction * scale:
+        return ci.CurvatureSample(vec, magnitude, None, True)
+    return ci.CurvatureSample(vec, magnitude, vec / magnitude, False)
+
+
+def reference_curvature_field(mesh: ci.TriMesh, tol_direction: float = 1e-8):
+    boundary = reference_boundary_vertices(mesh)
+    return [None if boundary[v] else reference_vector_mean_curvature(mesh, v, tol_direction)
+            for v in range(mesh.n_vertices)]

@@ -1,0 +1,199 @@
+"""The shared topology and the corner kernel against the per-vertex
+reference loop in conftest: bitwise equal results, the same errors, and
+the same closed-star decision on random face sets."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import curvint as ci
+
+from conftest import (
+    bundled_meshes,
+    perturbed_meshes,
+    reference_boundary_vertices,
+    reference_build_star,
+    reference_curvature_field,
+    reference_opposite_edges_close,
+    reference_star_sum,
+    reference_vector_mean_curvature,
+)
+
+
+def jiggled_icosphere(level: int, seed: int) -> ci.TriMesh:
+    base = ci.make_icosphere(level, 1.0)
+    rng = np.random.default_rng(seed)
+    return base.with_positions(base.positions
+                               + (0.2 / 2 ** level) * rng.standard_normal(base.positions.shape))
+
+
+def bits(value):
+    """A comparable form of a result in which every float is its bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if isinstance(value, ci.CurvatureSample):
+        return (bits(value.vector), bits(value.magnitude), bits(value.direction),
+                value.near_minimal)
+    if isinstance(value, ci.VertexStar):
+        return value.center, value.is_boundary, [
+            (e.face, bits(e.area), e.opposite, bits(e.edge_length), bits(e.normal))
+            for e in value.entries]
+    if isinstance(value, list):
+        return [bits(x) for x in value]
+    return value
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", bits(fn(*args))
+    except ci.CurvintError as exc:
+        return type(exc), str(exc), getattr(exc, "face", None)
+
+
+PAIRS = [
+    (ci.build_star, reference_build_star),
+    (ci.star_sum, reference_star_sum),
+    (ci.vector_mean_curvature, reference_vector_mean_curvature),
+]
+
+
+def assert_matches_reference(mesh, vertices=None):
+    """Whole fields, and every per-vertex function at every vertex; or,
+    given a subset of vertices, the field's entries and the per-vertex
+    functions there."""
+    if vertices is None:
+        assert outcome(ci.curvature_field, mesh) == outcome(reference_curvature_field, mesh)
+        vertices = range(mesh.n_vertices)
+    else:
+        field = ci.curvature_field(mesh)
+        boundary = reference_boundary_vertices(mesh)
+        for v in vertices:
+            expected = None if boundary[v] else reference_vector_mean_curvature(mesh, v)
+            assert bits(field[v]) == bits(expected), v
+    for v in vertices:
+        for fn, ref in PAIRS:
+            assert outcome(fn, mesh, v) == outcome(ref, mesh, v), (fn.__name__, v)
+        assert (outcome(ci.vector_mean_curvature, mesh, v, 1e-8, True)
+                == outcome(reference_vector_mean_curvature, mesh, v, 1e-8, True))
+
+
+STOCK = ([(name, m) for name, m in bundled_meshes()]
+         + [(f"perturbed{k}", m) for k, m in enumerate(perturbed_meshes(10, 0.05))]
+         + [("jiggled_ico3", jiggled_icosphere(3, 3))])
+
+
+@pytest.mark.parametrize("name,mesh", STOCK, ids=[s[0] for s in STOCK])
+def test_bitwise_equal_to_reference(name, mesh):
+    np.testing.assert_array_equal(mesh.boundary_vertices(), reference_boundary_vertices(mesh))
+    assert_matches_reference(mesh)
+
+
+def test_bitwise_equal_to_reference_on_jiggled_ico5():
+    # the reference loop takes seconds per pass at this size: sample it
+    mesh = jiggled_icosphere(5, 5)
+    assert_matches_reference(mesh, range(0, mesh.n_vertices, 97))
+
+
+def test_topology_is_shared_and_kernel_is_not():
+    mesh = ci.make_icosphere(2, 1.0)
+    moved = mesh.with_positions(1.5 * mesh.positions)
+    assert moved.topology is mesh.topology
+    assert moved.faces is mesh.faces
+    assert moved.corner_kernel() is not mesh.corner_kernel()
+    assert moved.corner_kernel() is moved.corner_kernel()
+    with pytest.raises(ci.MeshValidationError):
+        mesh.with_positions(mesh.positions[:-1])
+
+
+def two_tetrahedra():
+    # closed by edge count, but vertex 0's opposite edges form two loops
+    positions = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 0, 1],
+                 [-1, 0, 0], [-1, 1, 0], [-1, 0, 1]]
+    faces = [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3],
+             [0, 4, 5], [0, 6, 4], [0, 5, 6], [4, 6, 5]]
+    return ci.TriMesh(positions, faces)
+
+
+def doubly_covered_triangle():
+    return ci.TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2], [0, 2, 1]])
+
+
+def isolated_vertex():
+    base = ci.make_icosphere(1, 1.0)
+    return ci.TriMesh(np.vstack([[5.0, 5.0, 5.0], base.positions]), base.faces + 1)
+
+
+def degenerate_closed():
+    base = ci.make_icosphere(1, 1.0)
+    a, b, _ = base.faces[7]
+    positions = base.positions.copy()
+    positions[a] = positions[b]
+    return ci.TriMesh(positions, base.faces, allow_degenerate=True)
+
+
+def degenerate_open():
+    grid = ci.make_grid(4)
+    positions = grid.positions.copy()
+    positions[6] = positions[7]  # both interior
+    return ci.TriMesh(positions, grid.faces, allow_degenerate=True)
+
+
+@pytest.mark.parametrize("make,error,first", [
+    (two_tetrahedra, ci.BoundaryVertexError, "vertex 0 lies on the mesh boundary"),
+    (doubly_covered_triangle, ci.BoundaryVertexError, "vertex 0 lies on the mesh boundary"),
+    (isolated_vertex, ci.IsolatedVertexError, "vertex 0 has no incident faces"),
+    (degenerate_closed, ci.MeshValidationError, None),
+    (degenerate_open, ci.MeshValidationError, None),
+])
+def test_refusals_match_reference(make, error, first):
+    mesh = make()
+    result = outcome(ci.curvature_field, mesh)
+    assert result[0] is error
+    if first is not None:
+        assert result[1] == first
+    assert_matches_reference(mesh)
+
+
+def test_vertex_out_of_range():
+    mesh = ci.make_grid(2)
+    for v in (-1, mesh.n_vertices):
+        for fn, ref in PAIRS:
+            assert outcome(fn, mesh, v) == outcome(ref, mesh, v)
+
+
+# ---------------------------------------------------------------------------
+# closed-star decision on random face sets
+
+
+@st.composite
+def face_sets(draw):
+    n = draw(st.integers(3, 12))
+    vertex = st.integers(0, n - 1)
+    faces = draw(st.lists(st.lists(vertex, min_size=3, max_size=3, unique=True), max_size=4))
+    # fans around a vertex, closed or not, with random orientation; two
+    # fans at one center make a non-manifold star
+    for _ in range(draw(st.integers(0, 3))):
+        center = draw(vertex)
+        ring = draw(st.lists(vertex.filter(lambda x: x != center), min_size=2,
+                             max_size=min(7, n - 1), unique=True))
+        closed = draw(st.booleans())
+        for i in range(len(ring) - (0 if closed else 1)):
+            a, b = ring[i], ring[(i + 1) % len(ring)]
+            faces.append([center, b, a] if draw(st.booleans()) else [center, a, b])
+    if faces:
+        faces += draw(st.lists(st.sampled_from(faces), max_size=3))  # duplicates
+    faces = draw(st.permutations(faces))
+    return n, [draw(st.permutations(f)) for f in faces]
+
+
+@settings(max_examples=400, deadline=None)
+@given(face_sets())
+def test_closed_star_flag_matches_reference_walk(case):
+    n, faces = case
+    topology = ci.MeshTopology(faces, n)
+    for v in range(n):
+        edges = [(f[(f.index(v) + 1) % 3], f[(f.index(v) + 2) % 3]) for f in faces if v in f]
+        expected = bool(edges) and reference_opposite_edges_close(edges)
+        assert bool(topology.closed_stars[v]) == expected, (v, edges)
