@@ -24,10 +24,7 @@ from .numerics import (
     central_gradient,
     default_rule,
     gauss_legendre,
-    integrate_interval,
-    integrate_rect,
     panel_nodes,
-    unitize,
 )
 from .surfaces import (
     Catenoid,

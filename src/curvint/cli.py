@@ -73,10 +73,6 @@ def _rule_from_args(args):
     return gauss_legendre(args.quad_n, panels=args.quad_panels)
 
 
-def _load_mesh_arg(path: str) -> mesh_mod.TriMesh:
-    return mesh_mod.load_mesh(path)
-
-
 def _read_field(path: str, n_vertices: int) -> np.ndarray:
     values = np.full(n_vertices, np.nan)
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -141,7 +137,7 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_curvature(args) -> int:
-    m = _load_mesh_arg(args.input)
+    m = mesh_mod.load_mesh(args.input)
     samples = discrete.curvature_field(m, tol_direction=args.tol_direction)
     lines = ["vertex,Bx,By,Bz,magnitude,near_minimal,boundary"]
     for v, sample in enumerate(samples):
@@ -157,7 +153,7 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    m = _load_mesh_arg(args.input)
+    m = mesh_mod.load_mesh(args.input)
     lines = ["vertex,analytic_x,analytic_y,analytic_z,fd_x,fd_y,fd_z,rel_err"]
     worst = 0.0
     base = m.positions
@@ -184,7 +180,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_laplacian(args) -> int:
-    m = _load_mesh_arg(args.input)
+    m = mesh_mod.load_mesh(args.input)
     values = _read_field(args.field, m.n_vertices)
     lap = discrete.laplacian_field(m, values)
     lines = ["vertex,L"]
@@ -207,7 +203,7 @@ def _cmd_make(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    m = _load_mesh_arg(args.input)
+    m = mesh_mod.load_mesh(args.input)
     trace, final = flow_mod.run_flow(m, args.dt, args.steps)
     lines = ["step,area,max_B,min_tri_area"]
     for s in trace.steps:

@@ -21,6 +21,11 @@ which shares its normalization.
 Replacing n_i by the in-plane normal derivative of a piecewise-linear
 vertex field along the opposite edge extends the formula to a surface
 Laplacian; applied to the three coordinate fields it reproduces B exactly.
+
+Each per-vertex operator is a slice of a whole-mesh result. laplacian is
+an entry of laplacian_field; the others read the mesh's cached corner
+kernel (`curvint.mesh.CornerKernel`). The per-face sums below
+curvature_field serve the flow; the comment there says why.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryVertexError
-from .mesh import TriMesh, build_star, row_norms, star_corners
+from .mesh import TriMesh, row_norms, star_corners
 
 __all__ = [
     "CurvatureSample",
@@ -95,52 +100,33 @@ def vector_mean_curvature(mesh: TriMesh, v: int, tol_direction: float = 1e-8,
 def area_gradient(mesh: TriMesh, v: int) -> np.ndarray:
     """Gradient of total mesh area with respect to the position of v.
 
-    Computed per incident triangle from d/dO [ |(P-O) x (Q-O)| / 2 ]
-    = -(Q-P) x m / (2 |m|) with m the face cross product; this is the
-    in-plane vector perpendicular to the opposite edge, magnitude a_i / 2,
-    pointing from the edge toward v. Boundary vertices are fine.
+    Triangle i contributes -(a_i / 2) n_i, so this is exactly
+    -star_sum(mesh, v) / 2, read from the corner kernel. Boundary
+    vertices are fine; an isolated vertex gives zeros.
     """
-    incident = mesh.vertex_faces(v)
-    o = mesh.positions[v]
-    grad = np.zeros(3)
-    for fi in incident:
-        tri = mesh.faces[fi]
-        corner = int(np.argmax(tri == v))
-        p = mesh.positions[tri[(corner + 1) % 3]]
-        q = mesh.positions[tri[(corner + 2) % 3]]
-        m = np.cross(p - o, q - o)
-        grad -= np.cross(q - p, m) / (2.0 * np.linalg.norm(m))
-    return grad
+    mesh.topology.vertex_corners(v)  # range check
+    # 0.0 - x: a vanishing sum gives +0.0, never -0.0
+    return 0.0 - 0.5 * mesh.corner_kernel().star_sums[v]
 
 
 def laplacian(mesh: TriMesh, v: int, values) -> float:
     """Surface Laplacian of a per-vertex scalar field at interior vertex v:
     sum(a_i (g_i . n_i)) / sum(A_i) with g_i the constant gradient of the
-    piecewise-linear interpolant on triangle i.
+    piecewise-linear interpolant on triangle i. Bitwise equal to entry v
+    of laplacian_field.
 
     Exact zero for fields that are affine in space over a flat star;
-    applied to a coordinate field it returns that component of B.
+    applied to a coordinate field it returns that component of B to
+    roundoff. Refuses v as vector_mean_curvature does.
     """
     values = _validated_field(mesh, values)
-    star = build_star(mesh, v)
-    if star.is_boundary:
+    star_corners(mesh, v)
+    if not mesh.topology.closed_stars[v]:
         raise BoundaryVertexError(f"vertex {v} lies on the mesh boundary")
-    o = mesh.positions[v]
-    fo = values[v]
-    num = 0.0
-    for e in star.entries:
-        p_idx, q_idx = e.opposite
-        p, q = mesh.positions[p_idx], mesh.positions[q_idx]
-        m = np.cross(p - o, q - o)
-        norm_m = float(np.linalg.norm(m))
-        mhat = m / norm_m
-        # gradient of the linear interpolant: sum of values times hat
-        # function gradients (mhat x opposite_edge) / |m|
-        g = (fo * np.cross(mhat, q - p)
-             + values[p_idx] * np.cross(mhat, o - q)
-             + values[q_idx] * np.cross(mhat, p - o)) / norm_m
-        num += e.edge_length * float(g @ e.normal)
-    return num / star.ring_area
+    # degenerate faces and isolated vertices elsewhere give nan entries
+    # that v does not read
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(laplacian_field(mesh, values)[v])
 
 
 def curvature_field(mesh: TriMesh, tol_direction: float = 1e-8) -> list[CurvatureSample | None]:
@@ -164,12 +150,11 @@ def curvature_field(mesh: TriMesh, tol_direction: float = 1e-8) -> list[Curvatur
 
 
 # ---------------------------------------------------------------------------
-# whole-mesh paths over face arrays, used by the flow and by
-# laplacian_field. The one-ring quantities above all come from one cached
-# corner kernel per mesh (so curvature_field equals vector_mean_curvature
-# bitwise); these sums use other arithmetic and agree with them to
-# roundoff. Neither rebuilds connectivity: TriMesh.with_positions shares
-# the MeshTopology (boundary mask, incidence, closed stars).
+# per-face sums over the whole mesh: star_sums and ring_areas for the
+# flow, laplacian_field for laplacian and the CLI. They agree with the
+# corner kernel to roundoff and are cheaper: a kernel per flow step holds
+# per-corner normals and costs the flow more memory and time. Neither
+# rebuilds connectivity: TriMesh.with_positions shares the MeshTopology.
 
 
 def _corner_contributions(mesh: TriMesh):

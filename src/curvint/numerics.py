@@ -20,10 +20,7 @@ __all__ = [
     "gauss_legendre",
     "default_rule",
     "panel_nodes",
-    "integrate_interval",
-    "integrate_rect",
     "central_gradient",
-    "unitize",
 ]
 
 
@@ -118,46 +115,6 @@ def panel_nodes(a: float, b: float, rule: QuadratureRule) -> tuple[np.ndarray, n
     return x, w
 
 
-def integrate_interval(f: Callable[[float], float], a: float, b: float,
-                       rule: QuadratureRule) -> float:
-    """Composite Gauss-Legendre estimate of the integral of f over [a, b].
-
-    Exact for polynomials of degree <= 2n - 1 on each panel. Raises
-    EvaluationError if f returns a non-finite value.
-    """
-    if not a < b:
-        raise ValueError("require a < b")
-    x, w = panel_nodes(a, b, rule)
-    total = 0.0
-    for xi, wi in zip(x, w):
-        fx = f(xi)
-        if not math.isfinite(fx):
-            raise EvaluationError("integrand is not finite", where=xi)
-        total += wi * fx
-    return total
-
-
-def integrate_rect(f: Callable[[float, float], float],
-                   u_span: tuple[float, float], v_span: tuple[float, float],
-                   rule: QuadratureRule) -> float:
-    """Tensor-product composite estimate of the integral of f(u, v) over
-    a rectangle given as two (lo, hi) spans."""
-    u0, u1 = u_span
-    v0, v1 = v_span
-    if not (u0 < u1 and v0 < v1):
-        raise ValueError("rectangle spans must be nonempty")
-    xu, wu = panel_nodes(u0, u1, rule)
-    xv, wv = panel_nodes(v0, v1, rule)
-    total = 0.0
-    for ui, wui in zip(xu, wu):
-        for vj, wvj in zip(xv, wv):
-            fx = f(ui, vj)
-            if not math.isfinite(fx):
-                raise EvaluationError("integrand is not finite", where=(ui, vj))
-            total += wui * wvj * fx
-    return total
-
-
 def central_gradient(f: Callable[[np.ndarray], float], x, h: float) -> np.ndarray:
     """Component-wise central difference (f(x + h e) - f(x - h e)) / 2h
     of a scalar function of a 3-vector."""
@@ -174,11 +131,3 @@ def central_gradient(f: Callable[[np.ndarray], float], x, h: float) -> np.ndarra
             raise EvaluationError("function is not finite near", where=tuple(x))
         out[k] = (fp - fm) / (2.0 * h)
     return out
-
-
-def unitize(v: np.ndarray, eps: float = 1e-300) -> np.ndarray:
-    """v / |v|; raises ValueError on (numerically) zero input."""
-    n = float(np.linalg.norm(v))
-    if n < eps:
-        raise ValueError("cannot normalize a zero vector")
-    return v / n

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: stock meshes, perturbed-mesh
 factories, parameter-domain sampling boxes, malformed-file fixtures, and
-the per-vertex one-ring loop kept as a reference for the corner kernel."""
+the per-vertex loops (one-ring, area gradient, Laplacian) kept as
+references for the whole-mesh results that replaced them."""
 
 from __future__ import annotations
 
@@ -213,3 +214,46 @@ def reference_curvature_field(mesh: ci.TriMesh, tol_direction: float = 1e-8):
     boundary = reference_boundary_vertices(mesh)
     return [None if boundary[v] else reference_vector_mean_curvature(mesh, v, tol_direction)
             for v in range(mesh.n_vertices)]
+
+
+def reference_area_gradient(mesh: ci.TriMesh, v: int) -> np.ndarray:
+    if not 0 <= v < mesh.n_vertices:
+        raise MeshValidationError(f"vertex {v} out of range")
+    o = mesh.positions[v]
+    grad = np.zeros(3)
+    for fi in np.flatnonzero((mesh.faces == v).any(axis=1)):
+        tri = mesh.faces[fi]
+        corner = int(np.argmax(tri == v))
+        p = mesh.positions[tri[(corner + 1) % 3]]
+        q = mesh.positions[tri[(corner + 2) % 3]]
+        m = np.cross(p - o, q - o)
+        grad -= np.cross(q - p, m) / (2.0 * np.linalg.norm(m))
+    return grad
+
+
+def reference_laplacian(mesh: ci.TriMesh, v: int, values) -> float:
+    values = np.asarray(values, dtype=float)
+    if values.shape != (mesh.n_vertices,):
+        raise ValueError(
+            f"field must have one value per vertex ({mesh.n_vertices}), got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field values must be finite")
+    star = reference_build_star(mesh, v)
+    if star.is_boundary:
+        raise BoundaryVertexError(f"vertex {v} lies on the mesh boundary")
+    o = mesh.positions[v]
+    fo = values[v]
+    num = 0.0
+    for e in star.entries:
+        p_idx, q_idx = e.opposite
+        p, q = mesh.positions[p_idx], mesh.positions[q_idx]
+        m = np.cross(p - o, q - o)
+        norm_m = float(np.linalg.norm(m))
+        mhat = m / norm_m
+        # gradient of the linear interpolant: sum of values times hat
+        # function gradients (mhat x opposite_edge) / |m|
+        g = (fo * np.cross(mhat, q - p)
+             + values[p_idx] * np.cross(mhat, o - q)
+             + values[q_idx] * np.cross(mhat, p - o)) / norm_m
+        num += e.edge_length * float(g @ e.normal)
+    return num / _ring_sums(star)[0]

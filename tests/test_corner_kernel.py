@@ -1,6 +1,9 @@
 """The shared topology and the corner kernel against the per-vertex
-reference loop in conftest: bitwise equal results, the same errors, and
-the same closed-star decision on random face sets."""
+reference loops in conftest: bitwise equal results, the same errors, and
+the same closed-star decision on random face sets. area_gradient and
+laplacian, now slices of whole-mesh results, against their old loops."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +13,13 @@ import curvint as ci
 
 from conftest import (
     bundled_meshes,
+    interior_vertices,
     perturbed_meshes,
+    reference_area_gradient,
     reference_boundary_vertices,
     reference_build_star,
     reference_curvature_field,
+    reference_laplacian,
     reference_opposite_edges_close,
     reference_star_sum,
     reference_vector_mean_curvature,
@@ -158,9 +164,117 @@ def test_refusals_match_reference(make, error, first):
 
 def test_vertex_out_of_range():
     mesh = ci.make_grid(2)
+    values = np.zeros(mesh.n_vertices)
     for v in (-1, mesh.n_vertices):
-        for fn, ref in PAIRS:
+        for fn, ref in PAIRS + [(ci.area_gradient, reference_area_gradient)]:
             assert outcome(fn, mesh, v) == outcome(ref, mesh, v)
+        assert outcome(ci.laplacian, mesh, v, values) == outcome(reference_laplacian, mesh, v, values)
+
+
+# ---------------------------------------------------------------------------
+# area_gradient and laplacian against their per-face loops: the arithmetic
+# changed, so values agree to a tolerance and refusals exactly
+
+
+def assert_close_to_reference(fn, ref, *args):
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.asarray(ref(*args))
+    except ci.CurvintError:
+        assert outcome(fn, *args) == outcome(ref, *args), (fn.__name__, args[1])
+        return
+    got = np.asarray(fn(*args))
+    # the loop divides by a degenerate face's zero area where the kernel
+    # holds nan normals
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    err = np.linalg.norm((got - expected)[~nan])
+    assert err <= 1e-12 * max(1.0, np.linalg.norm(expected[~nan])), (fn.__name__, args[1])
+
+
+def fields(mesh):
+    rng = np.random.default_rng(mesh.n_vertices)
+    return [mesh.positions[:, 2], rng.standard_normal(mesh.n_vertices)]
+
+
+def assert_slices_match_reference(mesh):
+    for v in range(mesh.n_vertices):
+        assert_close_to_reference(ci.area_gradient, reference_area_gradient, mesh, v)
+        for values in fields(mesh):
+            assert_close_to_reference(ci.laplacian, reference_laplacian, mesh, v, values)
+
+
+@pytest.mark.parametrize("name,mesh", STOCK, ids=[s[0] for s in STOCK])
+def test_slices_match_reference_loops(name, mesh):
+    assert_slices_match_reference(mesh)
+    for values in fields(mesh):
+        field = ci.laplacian_field(mesh, values)
+        for v in interior_vertices(mesh):
+            assert bits(ci.laplacian(mesh, int(v), values)) == bits(float(field[v]))
+
+
+@pytest.mark.parametrize("make,v,error", [
+    (isolated_vertex, 0, ci.IsolatedVertexError),
+    (two_tetrahedra, 0, ci.BoundaryVertexError),
+    (doubly_covered_triangle, 0, ci.BoundaryVertexError),
+    (lambda: ci.make_grid(4), 0, ci.BoundaryVertexError),
+    (degenerate_closed, int(ci.make_icosphere(1, 1.0).faces[7, 0]), ci.MeshValidationError),
+    (degenerate_open, 6, ci.MeshValidationError),
+])
+def test_slice_refusals_match_reference(make, v, error):
+    mesh = make()
+    values = mesh.positions[:, 0]
+    result = outcome(ci.laplacian, mesh, v, values)
+    assert result[0] is error
+    assert result == outcome(reference_laplacian, mesh, v, values)
+    assert_slices_match_reference(mesh)
+
+
+def test_isolated_vertex_gradient_is_positive_zero():
+    # a negative zero would print as -0 in the gradcheck CSV
+    assert bits(ci.area_gradient(isolated_vertex(), 0)) == bits(np.zeros(3))
+
+
+def test_laplacian_does_not_read_degenerate_face_elsewhere():
+    mesh = degenerate_open()
+    values = mesh.positions[:, 0] ** 2
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in interior_vertices(mesh):
+            try:
+                lap = ci.laplacian(mesh, int(v), values)
+            except ci.MeshValidationError:
+                continue  # incident to the degenerate faces
+            assert np.isfinite(lap)
+            checked += 1
+    assert checked == 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([lambda: ci.make_grid(4), lambda: ci.make_icosphere(1, 1.0),
+                        lambda: ci.make_tube(1.0, 2.0, 3, 8),
+                        lambda: ci.make_catenoid(1.0, 3, 8)]),
+       st.floats(0.0, 0.15), st.integers(0, 2 ** 32 - 1), st.data())
+def test_area_gradient_matches_finite_differences(make, jiggle, seed, data):
+    base = make()
+    edges = base.positions[base.faces] - base.positions[base.faces[:, [1, 2, 0]]]
+    scale = jiggle * np.linalg.norm(edges, axis=2).mean()
+    rng = np.random.default_rng(seed)
+    mesh = base.with_positions(base.positions + scale * rng.standard_normal(base.positions.shape))
+    v = data.draw(st.integers(0, mesh.n_vertices - 1))
+    positions = mesh.positions
+
+    def area_of(p):
+        moved = positions.copy()
+        moved[v] = p
+        return ci.total_area(mesh.with_positions(moved, allow_degenerate=True))
+
+    fd = ci.central_gradient(area_of, positions[v], 1e-5)
+    # relative to the sum of the per-face terms' sizes a_i / 2, which
+    # cancel to zero at an area-critical vertex
+    terms = 0.5 * sum(e.edge_length for e in reference_build_star(mesh, v).entries)
+    assert np.linalg.norm(ci.area_gradient(mesh, v) - fd) <= 1e-6 * terms
 
 
 # ---------------------------------------------------------------------------
