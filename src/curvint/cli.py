@@ -157,6 +157,10 @@ def _cmd_gradcheck(args) -> int:
     lines = ["vertex,analytic_x,analytic_y,analytic_z,fd_x,fd_y,fd_z,rel_err"]
     worst = 0.0
     base = m.positions
+    # floor of the relative error's denominator: where the gradient
+    # vanishes (area-critical vertices) both sides are roundoff of the
+    # star's terms, whose scale is sum(a_i) / 2
+    floor = 1e-8 * 0.5 * m.corner_kernel().edge_lengths
     for v in range(m.n_vertices):
         analytic = discrete.area_gradient(m, v)
 
@@ -167,7 +171,7 @@ def _cmd_gradcheck(args) -> int:
 
         fd = central_gradient(area_of, base[v], args.h)
         rel = float(np.linalg.norm(analytic - fd)) / max(
-            float(np.linalg.norm(analytic)), float(np.linalg.norm(fd)), 1e-30)
+            float(np.linalg.norm(analytic)), float(np.linalg.norm(fd)), float(floor[v]), 1e-30)
         worst = max(worst, rel)
         lines.append(",".join([str(v)] + [_fmt(x) for x in analytic]
                               + [_fmt(x) for x in fd] + [_fmt(rel)]))
@@ -181,6 +185,9 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_laplacian(args) -> int:
     m = mesh_mod.load_mesh(args.input)
+    isolated = np.bincount(m.faces.ravel(), minlength=m.n_vertices) == 0
+    if isolated.any():
+        mesh_mod.star_corners(m, int(np.argmax(isolated)))  # raises IsolatedVertexError
     values = _read_field(args.field, m.n_vertices)
     lap = discrete.laplacian_field(m, values)
     lines = ["vertex,L"]
@@ -332,3 +339,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

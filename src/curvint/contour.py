@@ -9,6 +9,14 @@ counterclockwise in parameter space, this module evaluates both sides of
 the contour) and the shrinking-patch limit of the right-hand side divided
 by patch area, which recovers N * H pointwise.
 
+Each region describes itself once. Its boundary is `pieces` curves (a
+rectangle's four edges, a disk's circle): piece(k, t) gives the points
+(u, v), velocities d(u, v)/dt and parameter-space outward normal at t in
+[0, 1]. interior(rule) gives the interior nodes (U, V), the weights along
+each node axis and the Jacobian of the map onto the region (1 on a
+rectangle's tensor grid, r on a disk's polar grid). The contour side is
+one pass over the pieces, the patch side one geometry evaluation.
+
 The exterior normal is computed as t x N from the curve tangent t; with
 counterclockwise parameter traversal this always points out of the patch
 (asserted by the test suite, not assumed).
@@ -44,8 +52,23 @@ _PERIOD = 2.0 * math.pi  # all periodic coordinates in this package
 _TANGENT_TOL = 1e-12
 
 
+class _Region:
+    """The boundary parameterization shared by the region types."""
+
+    def boundary_param(self, s: float):
+        """Point, velocity d(u, v)/ds and outward normal at s in [0, 1);
+        piece k covers s in [k, k + 1) / pieces."""
+        s = float(s) % 1.0
+        k = min(int(s * self.pieces), self.pieces - 1)
+        point, (du, dv), outward = self.piece(k, s * self.pieces - k)
+        return point, (self.pieces * du, self.pieces * dv), outward
+
+
+_RECT_OUTWARD = ((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
+
+
 @dataclass(frozen=True)
-class RectRegion:
+class RectRegion(_Region):
     """Axis-aligned rectangle [u0, u1] x [v0, v1] in parameter space,
     boundary traversed counterclockwise."""
 
@@ -53,6 +76,8 @@ class RectRegion:
     u1: float
     v0: float
     v1: float
+
+    pieces = 4  # bottom, right, top, left
 
     def __post_init__(self):
         if not (self.u1 > self.u0 and self.v1 > self.v0):
@@ -63,48 +88,40 @@ class RectRegion:
         # comma-free so the label stays one CSV field
         return f"rect[{self.u0:g}:{self.u1:g}]x[{self.v0:g}:{self.v1:g}]"
 
-    def _edges(self):
-        # counterclockwise: bottom, right, top, left
-        c = [(self.u0, self.v0), (self.u1, self.v0), (self.u1, self.v1), (self.u0, self.v1)]
-        out = [(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]
-        for k in range(4):
-            a, b = c[k], c[(k + 1) % 4]
-            yield a, (b[0] - a[0], b[1] - a[1]), out[k]
+    def piece(self, k: int, t):
+        c = ((self.u0, self.v0), (self.u1, self.v0), (self.u1, self.v1), (self.u0, self.v1))
+        (a0, a1), (b0, b1) = c[k], c[(k + 1) % 4]
+        du, dv = b0 - a0, b1 - a1
+        one = np.ones_like(t)
+        return (a0 + t * du, a1 + t * dv), (du * one, dv * one), _RECT_OUTWARD[k]
 
-    def segments(self):
-        for start, delta, _ in self._edges():
-            yield _Line(start, delta)
-
-    def boundary_param(self, s: float):
-        s = float(s) % 1.0
-        k = min(int(s * 4.0), 3)
-        tau = s * 4.0 - k
-        edges = list(self._edges())
-        start, delta, outward = edges[k]
-        point = (start[0] + tau * delta[0], start[1] + tau * delta[1])
-        velocity = (4.0 * delta[0], 4.0 * delta[1])  # d(u,v)/ds
-        return point, velocity, outward
+    def interior(self, rule: QuadratureRule):
+        """Tensor-product grid, Jacobian 1."""
+        xu, wu = panel_nodes(self.u0, self.u1, rule)
+        xv, wv = panel_nodes(self.v0, self.v1, rule)
+        U = np.broadcast_to(xu[:, None], (len(xu), len(xv)))
+        V = np.broadcast_to(xv[None, :], (len(xu), len(xv)))
+        return U, V, wu, wv, 1.0
 
     def validate_on(self, surface: ParametricSurface):
-        for span, periodic, rng in (
-            ((self.u0, self.u1), surface.u_periodic, surface.u_range),
-            ((self.v0, self.v1), surface.v_periodic, surface.v_range),
-        ):
-            if periodic:
-                if span[1] - span[0] > _PERIOD + 1e-12:
-                    raise DomainError("region spans more than one period")
+        for (lo, hi), periodic in (((self.u0, self.u1), surface.u_periodic),
+                                   ((self.v0, self.v1), surface.v_periodic)):
+            if periodic and hi - lo > _PERIOD + 1e-12:
+                raise DomainError("region spans more than one period")
         if not (surface.contains(self.u0, self.v0) and surface.contains(self.u1, self.v1)):
             raise DomainError(f"region not inside the domain of {surface.name}")
 
 
 @dataclass(frozen=True)
-class DiskRegion:
+class DiskRegion(_Region):
     """Disk of radius rho around (uc, vc) in parameter space, boundary
     traversed counterclockwise."""
 
     uc: float
     vc: float
     rho: float
+
+    pieces = 1
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -114,17 +131,19 @@ class DiskRegion:
     def label(self) -> str:
         return f"disk({self.uc:g}:{self.vc:g};{self.rho:g})"
 
-    def segments(self):
-        yield _Circle(self.uc, self.vc, self.rho)
+    def piece(self, k: int, t):
+        a = 2.0 * np.pi * t
+        cos, sin = np.cos(a), np.sin(a)
+        w = 2.0 * np.pi * self.rho
+        return (self.uc + self.rho * cos, self.vc + self.rho * sin), (-w * sin, w * cos), (cos, sin)
 
-    def boundary_param(self, s: float):
-        s = float(s) % 1.0
-        a = 2.0 * math.pi * s
-        point = (self.uc + self.rho * math.cos(a), self.vc + self.rho * math.sin(a))
-        velocity = (-2.0 * math.pi * self.rho * math.sin(a),
-                    2.0 * math.pi * self.rho * math.cos(a))
-        outward = (math.cos(a), math.sin(a))
-        return point, velocity, outward
+    def interior(self, rule: QuadratureRule):
+        """Polar grid (radius, angle), Jacobian r."""
+        xr, wr = panel_nodes(0.0, self.rho, rule)
+        xt, wt = panel_nodes(0.0, 2.0 * math.pi, rule)
+        U = self.uc + xr[:, None] * np.cos(xt)[None, :]
+        V = self.vc + xr[:, None] * np.sin(xt)[None, :]
+        return U, V, wr, wt, xr[:, None]
 
     def validate_on(self, surface: ParametricSurface):
         if (surface.u_periodic or surface.v_periodic) and self.rho > _PERIOD / 2:
@@ -134,33 +153,6 @@ class DiskRegion:
         for u, v in corners:
             if not surface.contains(u, v):
                 raise DomainError(f"region not inside the domain of {surface.name}")
-
-
-class _Line:
-    def __init__(self, start, delta):
-        self.start = start
-        self.delta = delta
-
-    def points(self, t):
-        return self.start[0] + t * self.delta[0], self.start[1] + t * self.delta[1]
-
-    def velocity(self, t):
-        one = np.ones_like(t)
-        return self.delta[0] * one, self.delta[1] * one
-
-
-class _Circle:
-    def __init__(self, uc, vc, rho):
-        self.uc, self.vc, self.rho = uc, vc, rho
-
-    def points(self, t):
-        a = 2.0 * np.pi * t
-        return self.uc + self.rho * np.cos(a), self.vc + self.rho * np.sin(a)
-
-    def velocity(self, t):
-        a = 2.0 * np.pi * t
-        w = 2.0 * np.pi * self.rho
-        return -w * np.sin(a), w * np.cos(a)
 
 
 @dataclass(frozen=True)
@@ -199,101 +191,74 @@ class LimitEstimate:
     observed_order: float
 
 
+def _frame(surface, u, v, du, dv):
+    """Image position, unit tangent t, unit exterior normal t x N and
+    speed of the contour through (u, v) with parameter velocity (du, dv);
+    scalars or arrays of one shape."""
+    pos, s1, s2, normal, _, _ = surface.geometry(u, v)
+    d = du[..., None] * s1 + dv[..., None] * s2
+    speed = np.linalg.norm(d, axis=-1)
+    if np.any(speed < _TANGENT_TOL):
+        raise ContourError("degenerate contour tangent")
+    tangent = d / speed[..., None]
+    n = np.cross(tangent, normal)
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    return pos, tangent, n, speed
+
+
 def boundary_point(surface: ParametricSurface, region, s: float) -> BoundaryPoint:
     """Evaluate the oriented boundary of `region` at parameter s in [0, 1)."""
     region.validate_on(surface)
     (u, v), (du, dv), _ = region.boundary_param(s)
-    pos, s1, s2, normal, _, _ = surface.geometry(u, v)
-    d = du * s1 + dv * s2
-    speed = float(np.linalg.norm(d))
-    if speed < _TANGENT_TOL:
-        raise ContourError(f"degenerate contour tangent at s={s}")
-    tangent = d / speed
-    n = np.cross(tangent, normal)
-    n /= np.linalg.norm(n)
-    return BoundaryPoint(pos, tangent, n, speed)
+    pos, tangent, n, speed = _frame(surface, u, v, du, dv)
+    return BoundaryPoint(pos, tangent, n, float(speed))
 
 
-def _boundary_quadrature(surface, region, rule, integrand):
-    """Accumulate integrand(n_ext, speed, weights) over all boundary
-    segments; integrand receives arrays and returns the weighted total."""
+def _contour(surface, region, rule):
+    """(contour integral of the exterior normal, arc length), one
+    composite rule per boundary piece."""
     region.validate_on(surface)
-    total = None
-    for seg in region.segments():
-        t, w = panel_nodes(0.0, 1.0, rule)
-        u, v = seg.points(t)
-        du, dv = seg.velocity(t)
-        _, s1, s2, normal, _, _ = surface.geometry(u, v)
-        d = du[:, None] * s1 + dv[:, None] * s2
-        speed = np.linalg.norm(d, axis=1)
-        if np.any(speed < _TANGENT_TOL):
-            raise ContourError("degenerate contour tangent")
-        tangent = d / speed[:, None]
-        n = np.cross(tangent, normal)
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        part = integrand(n, speed, w)
-        total = part if total is None else total + part
-    return total
+    t, w = panel_nodes(0.0, 1.0, rule)
+    rhs, length = None, 0.0
+    for k in range(region.pieces):
+        (u, v), (du, dv), _ = region.piece(k, t)
+        _, _, n, speed = _frame(surface, u, v, du, dv)
+        part = ((w * speed)[:, None] * n).sum(axis=0)
+        rhs = part if rhs is None else rhs + part  # a None start keeps -0.0
+        length += float(w @ speed)
+    return rhs, length
+
+
+def _patch(surface, region, rule):
+    """(patch integral of N * H, area) from one geometry evaluation on the
+    region's interior nodes; the caller validates the region."""
+    U, V, w1, w2, jac = region.interior(rule)
+    _, _, _, normal, sqrt_g, mean = surface.geometry(U, V)
+    field = normal * (mean * sqrt_g)[..., None] * np.expand_dims(jac, -1)
+    return (np.einsum("i,j,ijk->k", w1, w2, field),
+            float(np.einsum("i,j,ij->", w1, w2, sqrt_g * jac)))
 
 
 def rhs_integral(surface: ParametricSurface, region, rule: QuadratureRule | None = None) -> np.ndarray:
-    """Contour integral of the exterior in-surface normal, one composite
-    rule per edge (rectangles) or around the circle (disks)."""
-    rule = rule or default_rule()
-    return _boundary_quadrature(
-        surface, region, rule,
-        lambda n, speed, w: ((w * speed)[:, None] * n).sum(axis=0))
+    """Contour integral of the exterior in-surface normal."""
+    return _contour(surface, region, rule or default_rule())[0]
 
 
 def contour_length(surface: ParametricSurface, region, rule: QuadratureRule | None = None) -> float:
     """Arc length of the region boundary."""
-    rule = rule or default_rule()
-    return float(_boundary_quadrature(
-        surface, region, rule, lambda n, speed, w: float(w @ speed)))
-
-
-def _interior_quadrature(surface, region, rule, values):
-    """Tensor-product quadrature over the region of values(normal, H,
-    sqrt_g) -> array; disks are mapped through polar coordinates with the
-    analytic Jacobian."""
-    region.validate_on(surface)
-    if isinstance(region, RectRegion):
-        xu, wu = panel_nodes(region.u0, region.u1, rule)
-        xv, wv = panel_nodes(region.v0, region.v1, rule)
-        U = np.broadcast_to(xu[:, None], (len(xu), len(xv)))
-        V = np.broadcast_to(xv[None, :], (len(xu), len(xv)))
-        _, _, _, normal, sqrt_g, mean = surface.geometry(U, V)
-        field = values(normal, mean, sqrt_g)
-        if field.ndim == 2:
-            return float(np.einsum("i,j,ij->", wu, wv, field))
-        return np.einsum("i,j,ijk->k", wu, wv, field)
-    if isinstance(region, DiskRegion):
-        xr, wr = panel_nodes(0.0, region.rho, rule)
-        xt, wt = panel_nodes(0.0, 2.0 * math.pi, rule)
-        U = region.uc + xr[:, None] * np.cos(xt)[None, :]
-        V = region.vc + xr[:, None] * np.sin(xt)[None, :]
-        _, _, _, normal, sqrt_g, mean = surface.geometry(U, V)
-        field = values(normal, mean, sqrt_g)
-        jac = xr[:, None]
-        if field.ndim == 2:
-            return float(np.einsum("i,j,ij->", wr, wt, field * jac))
-        return np.einsum("i,j,ijk->k", wr, wt, field * jac[..., None])
-    raise TypeError(f"unsupported region type {type(region).__name__}")
+    return _contour(surface, region, rule or default_rule())[1]
 
 
 def lhs_integral(surface: ParametricSurface, region, rule: QuadratureRule | None = None) -> np.ndarray:
     """Patch integral of N * H over the region."""
-    rule = rule or default_rule()
-    return _interior_quadrature(
-        surface, region, rule,
-        lambda n, mean, sqrt_g: n * (mean * sqrt_g)[..., None])
+    region.validate_on(surface)
+    return _patch(surface, region, rule or default_rule())[0]
 
 
 def region_area(surface: ParametricSurface, region, rule: QuadratureRule | None = None) -> float:
     """Surface area of the region (quadrature of the area element)."""
-    rule = rule or default_rule()
-    return _interior_quadrature(
-        surface, region, rule, lambda n, mean, sqrt_g: sqrt_g)
+    region.validate_on(surface)
+    return _patch(surface, region, rule or default_rule())[1]
 
 
 def verify_identity(surface: ParametricSurface, region,
@@ -305,9 +270,8 @@ def verify_identity(surface: ParametricSurface, region,
     the contour integral against the contour length instead).
     """
     rule = rule or default_rule()
-    lhs = lhs_integral(surface, region, rule)
-    rhs = rhs_integral(surface, region, rule)
-    area = region_area(surface, region, rule)
+    rhs = rhs_integral(surface, region, rule)  # validates the region
+    lhs, area = _patch(surface, region, rule)
     abs_err = float(np.linalg.norm(lhs - rhs))
     rel_err = abs_err / max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)), 1e-30)
     return IdentityReport(lhs, rhs, abs_err, rel_err, area)

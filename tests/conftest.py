@@ -1,14 +1,19 @@
 """Shared helpers for the test suite: stock meshes, perturbed-mesh
 factories, parameter-domain sampling boxes, malformed-file fixtures, and
 the per-vertex loops (one-ring, area gradient, Laplacian) kept as
-references for the whole-mesh results that replaced them."""
+references for the whole-mesh results that replaced them, and the
+per-segment contour and per-region interior quadrature kept as references
+for the region pieces and one-pass integrals of `curvint.contour`."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 import curvint as ci
-from curvint import BoundaryVertexError, IsolatedVertexError, MeshValidationError
+from curvint import (BoundaryVertexError, ContourError, IsolatedVertexError,
+                     MeshValidationError)
 from curvint.mesh import MIN_FACE_AREA
 
 
@@ -257,3 +262,156 @@ def reference_laplacian(mesh: ci.TriMesh, v: int, values) -> float:
              + values[q_idx] * np.cross(mhat, p - o)) / norm_m
         num += e.edge_length * float(g @ e.normal)
     return num / _ring_sums(star)[0]
+
+
+# ---------------------------------------------------------------------------
+# reference contour integrals: segment objects, a scalar boundary
+# parameterization and one geometry evaluation per integral
+
+
+_TANGENT_TOL = 1e-12
+
+
+class _Line:
+    def __init__(self, start, delta):
+        self.start = start
+        self.delta = delta
+
+    def points(self, t):
+        return self.start[0] + t * self.delta[0], self.start[1] + t * self.delta[1]
+
+    def velocity(self, t):
+        one = np.ones_like(t)
+        return self.delta[0] * one, self.delta[1] * one
+
+
+class _Circle:
+    def __init__(self, uc, vc, rho):
+        self.uc, self.vc, self.rho = uc, vc, rho
+
+    def points(self, t):
+        a = 2.0 * np.pi * t
+        return self.uc + self.rho * np.cos(a), self.vc + self.rho * np.sin(a)
+
+    def velocity(self, t):
+        a = 2.0 * np.pi * t
+        w = 2.0 * np.pi * self.rho
+        return -w * np.sin(a), w * np.cos(a)
+
+
+def _rect_edges(region: ci.RectRegion):
+    # counterclockwise: bottom, right, top, left
+    c = [(region.u0, region.v0), (region.u1, region.v0),
+         (region.u1, region.v1), (region.u0, region.v1)]
+    out = [(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]
+    for k in range(4):
+        a, b = c[k], c[(k + 1) % 4]
+        yield a, (b[0] - a[0], b[1] - a[1]), out[k]
+
+
+def reference_segments(region):
+    if isinstance(region, ci.RectRegion):
+        return [_Line(start, delta) for start, delta, _ in _rect_edges(region)]
+    return [_Circle(region.uc, region.vc, region.rho)]
+
+
+def reference_boundary_param(region, s: float):
+    s = float(s) % 1.0
+    if isinstance(region, ci.RectRegion):
+        k = min(int(s * 4.0), 3)
+        tau = s * 4.0 - k
+        start, delta, outward = list(_rect_edges(region))[k]
+        point = (start[0] + tau * delta[0], start[1] + tau * delta[1])
+        return point, (4.0 * delta[0], 4.0 * delta[1]), outward
+    a = 2.0 * math.pi * s
+    point = (region.uc + region.rho * math.cos(a), region.vc + region.rho * math.sin(a))
+    velocity = (-2.0 * math.pi * region.rho * math.sin(a),
+                2.0 * math.pi * region.rho * math.cos(a))
+    return point, velocity, (math.cos(a), math.sin(a))
+
+
+def reference_boundary_point(surface, region, s: float) -> ci.BoundaryPoint:
+    region.validate_on(surface)
+    (u, v), (du, dv), _ = reference_boundary_param(region, s)
+    pos, s1, s2, normal, _, _ = surface.geometry(u, v)
+    d = du * s1 + dv * s2
+    speed = float(np.linalg.norm(d))
+    if speed < _TANGENT_TOL:
+        raise ContourError(f"degenerate contour tangent at s={s}")
+    tangent = d / speed
+    n = np.cross(tangent, normal)
+    n /= np.linalg.norm(n)
+    return ci.BoundaryPoint(pos, tangent, n, speed)
+
+
+def reference_boundary_quadrature(surface, region, rule, integrand):
+    region.validate_on(surface)
+    total = None
+    for seg in reference_segments(region):
+        t, w = ci.panel_nodes(0.0, 1.0, rule)
+        u, v = seg.points(t)
+        du, dv = seg.velocity(t)
+        _, s1, s2, normal, _, _ = surface.geometry(u, v)
+        d = du[:, None] * s1 + dv[:, None] * s2
+        speed = np.linalg.norm(d, axis=1)
+        if np.any(speed < _TANGENT_TOL):
+            raise ContourError("degenerate contour tangent")
+        tangent = d / speed[:, None]
+        n = np.cross(tangent, normal)
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        part = integrand(n, speed, w)
+        total = part if total is None else total + part
+    return total
+
+
+def reference_interior_quadrature(surface, region, rule, values):
+    region.validate_on(surface)
+    if isinstance(region, ci.RectRegion):
+        xu, wu = ci.panel_nodes(region.u0, region.u1, rule)
+        xv, wv = ci.panel_nodes(region.v0, region.v1, rule)
+        U = np.broadcast_to(xu[:, None], (len(xu), len(xv)))
+        V = np.broadcast_to(xv[None, :], (len(xu), len(xv)))
+        _, _, _, normal, sqrt_g, mean = surface.geometry(U, V)
+        field = values(normal, mean, sqrt_g)
+        if field.ndim == 2:
+            return float(np.einsum("i,j,ij->", wu, wv, field))
+        return np.einsum("i,j,ijk->k", wu, wv, field)
+    xr, wr = ci.panel_nodes(0.0, region.rho, rule)
+    xt, wt = ci.panel_nodes(0.0, 2.0 * math.pi, rule)
+    U = region.uc + xr[:, None] * np.cos(xt)[None, :]
+    V = region.vc + xr[:, None] * np.sin(xt)[None, :]
+    _, _, _, normal, sqrt_g, mean = surface.geometry(U, V)
+    field = values(normal, mean, sqrt_g)
+    jac = xr[:, None]
+    if field.ndim == 2:
+        return float(np.einsum("i,j,ij->", wr, wt, field * jac))
+    return np.einsum("i,j,ijk->k", wr, wt, field * jac[..., None])
+
+
+def reference_rhs_integral(surface, region, rule) -> np.ndarray:
+    return reference_boundary_quadrature(
+        surface, region, rule, lambda n, speed, w: ((w * speed)[:, None] * n).sum(axis=0))
+
+
+def reference_contour_length(surface, region, rule) -> float:
+    return float(reference_boundary_quadrature(
+        surface, region, rule, lambda n, speed, w: float(w @ speed)))
+
+
+def reference_lhs_integral(surface, region, rule) -> np.ndarray:
+    return reference_interior_quadrature(
+        surface, region, rule, lambda n, mean, sqrt_g: n * (mean * sqrt_g)[..., None])
+
+
+def reference_region_area(surface, region, rule) -> float:
+    return reference_interior_quadrature(
+        surface, region, rule, lambda n, mean, sqrt_g: sqrt_g)
+
+
+def reference_verify_identity(surface, region, rule) -> ci.IdentityReport:
+    lhs = reference_lhs_integral(surface, region, rule)
+    rhs = reference_rhs_integral(surface, region, rule)
+    area = reference_region_area(surface, region, rule)
+    abs_err = float(np.linalg.norm(lhs - rhs))
+    rel_err = abs_err / max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)), 1e-30)
+    return ci.IdentityReport(lhs, rhs, abs_err, rel_err, area)

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import curvint as ci
+from curvint import discrete
 from curvint.cli import run
 
 from conftest import MALFORMED_FIXTURES
@@ -113,6 +119,60 @@ def test_gradcheck_gate(tmp_path):
     # an impossible tolerance trips the gate
     assert run(["gradcheck", "--input", str(mesh_path), "--max-rel-err", "1e-15",
                 "--output", str(tmp_path / "g2.csv")]) == 2
+
+
+def test_gradcheck_area_critical_vertices(tmp_path, monkeypatch):
+    # on a flat grid every interior gradient is zero: analytic and FD are
+    # both roundoff there, which must not count as a relative error of 1
+    mesh_path = tmp_path / "grid.off"
+    assert run(["make", "--kind", "grid", "--n", "6", "--output", str(mesh_path)]) == 0
+    args = ["gradcheck", "--input", str(mesh_path), "--max-rel-err", "1e-6",
+            "--output", str(tmp_path / "g.csv")]
+    assert run(args) == 0
+    # a wrong gradient at exactly those vertices still trips the gate
+    exact = discrete.area_gradient
+
+    def wrong(mesh, v):
+        return exact(mesh, v) + (0.0 if mesh.boundary_vertices()[v] else 1e-7)
+
+    monkeypatch.setattr(discrete, "area_gradient", wrong)
+    assert run(args) == 2
+
+
+def test_laplacian_refuses_isolated_vertex(tmp_path, capsys):
+    ico = ci.make_icosphere(1, 1.0)
+    mesh = ci.TriMesh(np.vstack([[[0.0, 0.0, 0.0]], ico.positions]), ico.faces + 1)
+    mesh_path = tmp_path / "ico.off"
+    ci.save_mesh(mesh, mesh_path)
+    field_path = tmp_path / "field.csv"
+    field_path.write_text("".join(f"{v},1.0\n" for v in range(mesh.n_vertices)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["laplacian", "--input", str(mesh_path), "--field", str(field_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vertex 0 has no incident faces\n"
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = str(Path(ci.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+
+    def python_m(*args):
+        return subprocess.run([sys.executable, "-m", *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    done = python_m("curvint", "--help")
+    assert done.returncode == 0
+    assert "usage: curvint" in done.stdout
+    mesh_path = tmp_path / "ico.off"
+    done = python_m("curvint", "make", "--kind", "icosphere", "--level", "1",
+                    "--output", str(mesh_path))
+    assert done.returncode == 0, done.stderr
+    assert ci.load_mesh(mesh_path).n_vertices == 42
+    assert "usage: curvint" in python_m("curvint.cli", "--help").stdout
 
 
 def test_laplacian_subcommand(tmp_path):

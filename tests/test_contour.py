@@ -6,7 +6,17 @@ import pytest
 import curvint as ci
 from curvint import ContourError, DiskRegion, DomainError, RectRegion
 
-from conftest import random_disk, random_rect
+from conftest import (
+    random_disk,
+    random_rect,
+    reference_boundary_param,
+    reference_boundary_point,
+    reference_contour_length,
+    reference_lhs_integral,
+    reference_region_area,
+    reference_rhs_integral,
+    reference_verify_identity,
+)
 
 
 def cap_region(theta0: float) -> RectRegion:
@@ -185,3 +195,76 @@ def test_region_validation():
 def test_degenerate_contour_tangent():
     with pytest.raises(ContourError):
         ci.boundary_point(ci.Plane(), DiskRegion(0.0, 0.0, 1e-13), 0.25)
+
+
+# -- region pieces and one-pass integrals against the reference quadrature --
+
+
+def _oracle_cases():
+    cases = []
+    for i, surface in enumerate(ci.bundled_surfaces()):
+        rng = np.random.default_rng(700 + i)
+        for _ in range(2):
+            cases += [(surface, random_rect(surface, rng)), (surface, random_disk(surface, rng))]
+    # the README's cap and torus rect
+    cases.append((ci.Sphere(1.0), RectRegion(1e-6, 1.0472, 0.0, 2.0 * math.pi)))
+    cases.append((ci.Torus(2.0, 0.5), RectRegion(0.3, 1.1, 0.2, 0.9)))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+ORACLE_IDS = [f"{i}-{surface.name}-{region.label}" for i, (surface, region) in enumerate(ORACLE_CASES)]
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("rule", [ci.default_rule(), ci.gauss_legendre(5, panels=3)],
+                         ids=["default", "n5p3"])
+@pytest.mark.parametrize("surface,region", ORACLE_CASES, ids=ORACLE_IDS)
+def test_integrals_match_reference_bitwise(surface, region, rule):
+    assert _bits(ci.lhs_integral(surface, region, rule)) == \
+        _bits(reference_lhs_integral(surface, region, rule))
+    assert _bits(ci.rhs_integral(surface, region, rule)) == \
+        _bits(reference_rhs_integral(surface, region, rule))
+    assert _bits(ci.region_area(surface, region, rule)) == \
+        _bits(reference_region_area(surface, region, rule))
+    assert _bits(ci.contour_length(surface, region, rule)) == \
+        _bits(reference_contour_length(surface, region, rule))
+    got = ci.verify_identity(surface, region, rule)
+    ref = reference_verify_identity(surface, region, rule)
+    for field in ("lhs", "rhs", "abs_err", "rel_err", "area"):
+        assert _bits(getattr(got, field)) == _bits(getattr(ref, field)), field
+
+
+@pytest.mark.parametrize("surface,region", ORACLE_CASES, ids=ORACLE_IDS)
+def test_boundary_matches_reference(surface, region):
+    def close(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert np.all(np.abs(a - b) <= 1e-14 * np.maximum(1.0, np.abs(b)))
+
+    params = np.r_[np.linspace(0.0, 1.0, 41, endpoint=False), 0.25, 0.5, 0.75, 1.0 - 1e-12]
+    for s in params:
+        for got, ref in zip(region.boundary_param(s), reference_boundary_param(region, s)):
+            close(got, ref)
+        got, ref = ci.boundary_point(surface, region, s), reference_boundary_point(surface, region, s)
+        for field in ("position", "tangent", "normal", "speed"):
+            close(getattr(got, field), getattr(ref, field))
+
+
+@pytest.mark.parametrize("region,calls", [
+    (RectRegion(0.3, 1.1, 0.2, 0.9), 5),  # one per edge, one for the patch
+    (DiskRegion(1.0, 1.0, 0.3), 2),
+], ids=["rect", "disk"])
+def test_verify_identity_geometry_calls(monkeypatch, region, calls):
+    seen = []
+    geometry = ci.ParametricSurface.geometry
+
+    def counted(self, u, v):
+        seen.append(1)
+        return geometry(self, u, v)
+
+    monkeypatch.setattr(ci.ParametricSurface, "geometry", counted)
+    ci.verify_identity(ci.Torus(2.0, 0.5), region)
+    assert len(seen) == calls
