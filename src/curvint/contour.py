@@ -298,7 +298,8 @@ def shrinking_limit(surface: ParametricSurface, center: tuple[float, float],
     estimates = np.empty((len(radii), 3))
     for i, rho in enumerate(radii):
         disk = DiskRegion(uc, vc, float(rho))
-        estimates[i] = rhs_integral(surface, disk, rule) / region_area(surface, disk, rule)
+        # rhs_integral validates the disk for the area pass as well
+        estimates[i] = rhs_integral(surface, disk, rule) / _patch(surface, disk, rule)[1]
     errors = np.linalg.norm(estimates - target[None, :], axis=1)
     if np.all(errors > 1e-14):
         observed_order = float(np.polyfit(np.log(radii), np.log(errors), 1)[0])

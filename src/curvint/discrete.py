@@ -22,10 +22,10 @@ Replacing n_i by the in-plane normal derivative of a piecewise-linear
 vertex field along the opposite edge extends the formula to a surface
 Laplacian; applied to the three coordinate fields it reproduces B exactly.
 
-Each per-vertex operator is a slice of a whole-mesh result. laplacian is
-an entry of laplacian_field; the others read the mesh's cached corner
-kernel (`curvint.mesh.CornerKernel`). The per-face sums below
-curvature_field serve the flow; the comment there says why.
+Every sum here is one arithmetic, `curvint.mesh.corner_terms`, and each
+per-vertex operator is a slice of a whole-mesh result: laplacian is an
+entry of laplacian_field, the others read the mesh's cached per-vertex
+sums (`curvint.mesh.CornerKernel`), which the flow sums the same way.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryVertexError
-from .mesh import TriMesh, row_norms, star_corners
+from .mesh import TriMesh, corner_terms, star_corners
 
 __all__ = [
     "CurvatureSample",
@@ -64,6 +64,12 @@ class CurvatureSample:
     magnitude: float
     direction: np.ndarray | None
     near_minimal: bool
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    # one BLAS dot per row, rounded exactly as np.linalg.norm of that row
+    # alone; norm(axis=1) and einsum round differently
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
 def _sample(vec: np.ndarray, magnitude: float, scale: float,
@@ -149,57 +155,31 @@ def curvature_field(mesh: TriMesh, tol_direction: float = 1e-8) -> list[Curvatur
             for v in range(mesh.n_vertices)]
 
 
-# ---------------------------------------------------------------------------
-# per-face sums over the whole mesh: star_sums and ring_areas for the
-# flow, laplacian_field for laplacian and the CLI. They agree with the
-# corner kernel to roundoff and are cheaper: a kernel per flow step holds
-# per-corner normals and costs the flow more memory and time. Neither
-# rebuilds connectivity: TriMesh.with_positions shares the MeshTopology.
-
-
-def _corner_contributions(mesh: TriMesh):
-    p0, p1, p2 = mesh.corners()
-    m = np.cross(p1 - p0, p2 - p0)
-    norm_m = np.linalg.norm(m, axis=1, keepdims=True)
-    return (p0, p1, p2), m, norm_m
-
-
 def star_sums(mesh: TriMesh) -> np.ndarray:
-    """sum(a_i n_i) for every vertex at once: per corner the contribution
-    is (e x m) / |m| with e its opposite edge."""
-    corners, m, norm_m = _corner_contributions(mesh)
-    out = np.zeros((mesh.n_vertices, 3))
-    for c, (i, j) in enumerate([(1, 2), (2, 0), (0, 1)]):
-        e = corners[j] - corners[i]
-        np.add.at(out, mesh.faces[:, c], np.cross(e, m) / norm_m)
-    return out
+    """sum(a_i n_i) for every vertex at once (the corner kernel's)."""
+    return mesh.corner_kernel().star_sums.copy()
 
 
 def ring_areas(mesh: TriMesh) -> np.ndarray:
-    """sum(A_i) over the one-ring of every vertex."""
-    areas = mesh.face_areas()
-    out = np.zeros(mesh.n_vertices)
-    for c in range(3):
-        np.add.at(out, mesh.faces[:, c], areas)
-    return out
+    """sum(A_i) over the one-ring of every vertex (the corner kernel's)."""
+    return mesh.corner_kernel().ring_areas.copy()
 
 
 def laplacian_field(mesh: TriMesh, values) -> np.ndarray:
     """Surface Laplacian of a per-vertex field at every interior vertex;
     boundary entries are nan."""
     values = _validated_field(mesh, values)
-    corners, m, norm_m = _corner_contributions(mesh)
+    m, norm_m, slots = corner_terms(mesh.positions, mesh.faces)
+    slots = list(slots)
     mhat = m / norm_m
-    f = [values[mesh.faces[:, c]] for c in range(3)]
-    g = (f[0][:, None] * np.cross(mhat, corners[2] - corners[1])
-         + f[1][:, None] * np.cross(mhat, corners[0] - corners[2])
-         + f[2][:, None] * np.cross(mhat, corners[1] - corners[0])) / norm_m
+    # gradient of the linear interpolant: values times (mhat x e) / |m|
+    terms = [values[corner][:, None] * np.cross(mhat, e)
+             for corner, (e, _) in zip(mesh.faces.T, slots)]
+    g = (terms[0] + terms[1] + terms[2]) / norm_m
     num = np.zeros(mesh.n_vertices)
-    for c, (i, j) in enumerate([(1, 2), (2, 0), (0, 1)]):
-        e = corners[j] - corners[i]
-        an = np.cross(e, m) / norm_m  # a_i n_i
-        np.add.at(num, mesh.faces[:, c], np.einsum("ij,ij->i", g, an))
-    out = num / ring_areas(mesh)
+    for corner, (_, an) in zip(mesh.faces.T, slots):
+        np.add.at(num, corner, np.einsum("ij,ij->i", g, an))
+    out = num / mesh.corner_kernel().ring_areas
     out[mesh.boundary_vertices()] = np.nan
     return out
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryVertexError, CollapseError
-from .mesh import MIN_FACE_AREA, TriMesh
-from .discrete import ring_areas, star_sums
+from .mesh import MIN_FACE_AREA, CornerKernel, TriMesh
 
 __all__ = ["FlowStep", "FlowTrace", "mcf_step", "run_flow"]
 
@@ -42,7 +41,10 @@ class FlowTrace:
 
 
 def _curvatures(mesh: TriMesh) -> np.ndarray:
-    return star_sums(mesh) / ring_areas(mesh)[:, None]
+    # curvature_field's B; the kernel is read once, so it is not cached
+    # on the mesh, where one per live state would cost the flow memory
+    kernel = CornerKernel(mesh)
+    return kernel.star_sums / kernel.ring_areas[:, None]
 
 
 def _require_closed(mesh: TriMesh):

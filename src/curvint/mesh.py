@@ -1,11 +1,12 @@
 """Indexed triangle meshes: data model, shared connectivity (topology),
-the per-corner one-ring kernel, OBJ/OFF input/output, stock primitives,
-and one-ring (vertex star) extraction."""
+the one-ring arithmetic and its per-vertex sums, OBJ/OFF input/output,
+stock primitives, and one-ring (vertex star) extraction."""
 
 from __future__ import annotations
 
 import io
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -214,7 +215,7 @@ class TriMesh:
         return not bool(self.boundary_vertices().any())
 
     def corner_kernel(self) -> "CornerKernel":
-        """The one-ring terms of every corner and their per-vertex sums."""
+        """The per-vertex one-ring sums, computed on first use."""
         if self._corner_kernel is None:
             self._corner_kernel = CornerKernel(self)
         return self._corner_kernel
@@ -234,45 +235,49 @@ def total_area(mesh: TriMesh) -> float:
 # vertex stars
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    # one BLAS dot per row, rounded exactly as np.linalg.norm of that row
-    # alone; norm(axis=1) and einsum round differently
-    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+def corner_terms(positions: np.ndarray, faces: np.ndarray):
+    """(m, |m|, slots): per face p0, p1, p2, m = (p1 - p0) x (p2 - p0) and
+    its norm |m| (F, 1), twice the area; slots is a one-pass iterator over
+    c = 0, 1, 2 of (e, a n): the edge e = p[c+2] - p[c+1] opposite corner c
+    and a n = (e x m) / |m|, its length times its unit in-plane normal
+    pointing away from the corner (nan on a degenerate face). One slot at
+    a time keeps the temporaries of a large mesh small."""
+    p = [positions[faces[:, c]] for c in range(3)]
+    m = np.cross(p[1] - p[0], p[2] - p[0])
+    norm_m = np.linalg.norm(m, axis=1, keepdims=True)
+
+    def slots():
+        for c in range(3):
+            e = p[(c + 2) % 3] - p[(c + 1) % 3]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                an = np.cross(e, m) / norm_m
+            yield e, an
+
+    return m, norm_m, slots()
 
 
 class CornerKernel:
-    """Per corner c (vertex O = faces.ravel()[c] of face c // 3, with P, Q
-    the next two vertices of that face): the star area A = |m| / 2 with
-    m = (P - O) x (Q - O), the opposite-edge length a = |Q - P| and the
-    unit in-plane normal n of that edge pointing away from O. Per vertex:
-    the sums of a n, A and a over its corners, added in incident-face
-    order, and whether any of its corners has A below MIN_FACE_AREA.
-    This is the arithmetic of a one-vertex star, done for all corners at
-    once, so the per-vertex and whole-mesh paths agree bitwise.
-    Degenerate corners hold nan normals; star_corners refuses them."""
+    """Per-vertex sums over the corners of a mesh, from corner_terms:
+    star_sums (sum of a n), ring_areas (sum of the face areas A),
+    edge_lengths (sum of a), each added slot by slot in face order, and
+    degenerate (a vertex of a face with A below MIN_FACE_AREA; its
+    star_sums entry is nan, and star_corners refuses it)."""
 
     def __init__(self, mesh: TriMesh):
-        flat = mesh.faces.ravel()
-        o = mesh.positions[flat]
-        p = mesh.positions[mesh.topology.opposite[:, 0]]
-        q = mesh.positions[mesh.topology.opposite[:, 1]]
-        m = np.cross(p - o, q - o)
-        e = q - p
-        n = np.cross(e, m)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            n /= row_norms(n)[:, None]
-        self.areas = 0.5 * row_norms(m)
-        self.lengths = row_norms(e)
-        self.normals = n
-        an = self.lengths[:, None] * n
         nv = mesh.n_vertices
-        self.star_sums = np.column_stack(
-            [np.bincount(flat, weights=an[:, k], minlength=nv) for k in range(3)])
-        self.ring_areas = np.bincount(flat, weights=self.areas, minlength=nv)
-        self.edge_lengths = np.bincount(flat, weights=self.lengths, minlength=nv)
-        self.degenerate = np.bincount(flat, weights=self.areas < MIN_FACE_AREA, minlength=nv) > 0
-        for array in vars(self).values():
-            array.setflags(write=False)
+        areas = mesh.face_areas()
+        self.star_sums = np.zeros((nv, 3))
+        self.ring_areas = np.zeros(nv)
+        self.edge_lengths = np.zeros(nv)
+        _, _, slots = corner_terms(mesh.positions, mesh.faces)
+        for corner, (e, an) in zip(mesh.faces.T, slots):
+            for k in range(3):  # one column at a time: numpy's fast 1-D add.at
+                np.add.at(self.star_sums[:, k], corner, an[:, k])
+            np.add.at(self.ring_areas, corner, areas)
+            np.add.at(self.edge_lengths, corner, np.sqrt(np.einsum("ij,ij->i", e, e)))
+        self.degenerate = np.bincount(mesh.faces[areas < MIN_FACE_AREA].ravel(), minlength=nv) > 0
+        for sums in vars(self).values():
+            sums.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -313,7 +318,7 @@ def star_corners(mesh: TriMesh, v: int) -> np.ndarray:
     corners = mesh.topology.vertex_corners(v)
     if len(corners) == 0:
         raise IsolatedVertexError(f"vertex {v} has no incident faces")
-    bad = corners[mesh.corner_kernel().areas[corners] < MIN_FACE_AREA]
+    bad = corners[mesh.face_areas()[corners // 3] < MIN_FACE_AREA]
     if len(bad):
         fi = int(bad[0] // 3)
         raise MeshValidationError(f"face {fi} incident to vertex {v} is degenerate", face=fi)
@@ -325,17 +330,18 @@ def build_star(mesh: TriMesh, v: int) -> VertexStar:
 
     Per incident triangle the entry holds the opposite-edge length a and
     the unit vector n in the triangle plane, perpendicular to that edge
-    and pointing from v toward it (read-only rows of the mesh's corner
-    kernel). Raises IsolatedVertexError when no face contains v,
-    MeshValidationError on a degenerate incident face.
+    and pointing from v toward it, as corner_terms computes them. Raises
+    IsolatedVertexError when no face contains v, MeshValidationError on
+    a degenerate incident face.
     """
     corners = star_corners(mesh, v)
-    kernel = mesh.corner_kernel()
-    opposite = mesh.topology.opposite
-    entries = tuple(
-        StarEntry(int(c // 3), float(kernel.areas[c]), (int(opposite[c, 0]), int(opposite[c, 1])),
-                  float(kernel.lengths[c]), kernel.normals[c])
-        for c in corners)
+    faces, areas = corners // 3, mesh.face_areas()
+    _, _, slots = corner_terms(mesh.positions, mesh.faces[faces])
+    e, an = (np.stack(x)[corners % 3, np.arange(len(corners))] for x in zip(*slots))
+    lengths = np.sqrt(np.einsum("ij,ij->i", e, e))
+    entries = tuple(StarEntry(int(f), float(areas[f]), (int(p), int(q)), float(a), n)
+                    for f, (p, q), a, n in zip(faces, mesh.topology.opposite[corners],
+                                                lengths, an / lengths[:, None]))
     return VertexStar(v, entries, not mesh.topology.closed_stars[v])
 
 
@@ -347,9 +353,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_obj(lines, path) -> TriMesh:
+def _parse_obj(lines, path) -> tuple:
     positions = []
     faces = []
+    face_lines = array("q")  # 8 bytes per triangle, where a list holds int objects
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -381,11 +388,12 @@ def _parse_obj(lines, path) -> TriMesh:
                 idx.append(i - 1)
             for k in range(1, len(idx) - 1):  # fan triangulation
                 faces.append([idx[0], idx[k], idx[k + 1]])
+                face_lines.append(lineno)
         # vn/vt/o/g/s/usemtl/mtllib and anything else: ignored
-    return TriMesh(np.asarray(positions, float).reshape(-1, 3), faces)
+    return np.asarray(positions, float).reshape(-1, 3), faces, face_lines
 
 
-def _parse_off(lines, path) -> TriMesh:
+def _parse_off(lines, path) -> tuple:
     def significant(start):
         for lineno in range(start, len(lines)):
             line = lines[lineno].split("#", 1)[0].strip()
@@ -430,6 +438,7 @@ def _parse_off(lines, path) -> TriMesh:
                              lineno, path) from None
 
     faces = []
+    face_lines = array("q")
     for i in range(n_faces):
         try:
             lineno, line = next(stream)
@@ -453,7 +462,8 @@ def _parse_off(lines, path) -> TriMesh:
             raise ParseError("face line has a non-integer index", lineno, path) from None
         for k in range(1, sides - 1):  # fan triangulation
             faces.append([idx[0], idx[k], idx[k + 1]])
-    return TriMesh(positions, faces)
+            face_lines.append(lineno)
+    return positions, faces, face_lines
 
 
 def _infer_format(name: str | None, fmt: str | None) -> str:
@@ -473,7 +483,8 @@ def load_mesh(source, fmt: str | None = None) -> TriMesh:
     """Read an OBJ or OFF mesh from a path, text, or file-like object.
 
     The format is inferred from the file extension unless given. Parse
-    errors carry the 1-based line number.
+    errors, and validation errors of a face, carry its 1-based line
+    number.
     """
     path = None
     try:
@@ -491,11 +502,16 @@ def load_mesh(source, fmt: str | None = None) -> TriMesh:
             text = str(source)
     except UnicodeDecodeError:
         raise ParseError("not a text file", 1, path) from None
-    fmt = _infer_format(path, fmt)
-    lines = text.splitlines()
-    if fmt == "obj":
-        return _parse_obj(lines, path)
-    return _parse_off(lines, path)
+    parse = _parse_obj if _infer_format(path, fmt) == "obj" else _parse_off
+    positions, faces, face_lines = parse(text.splitlines(), path)
+    # validated once every vertex is known: OBJ `v` records may follow `f`
+    try:
+        return TriMesh(positions, faces)
+    except MeshValidationError as exc:
+        if exc.face is None:
+            raise
+        where = f"{path}:" if path else "line "
+        raise MeshValidationError(f"{where}{face_lines[exc.face]}: {exc}", face=exc.face) from None
 
 
 def mesh_to_text(mesh: TriMesh, fmt: str) -> str:

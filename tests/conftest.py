@@ -1,9 +1,11 @@
 """Shared helpers for the test suite: stock meshes, perturbed-mesh
 factories, parameter-domain sampling boxes, malformed-file fixtures, and
 the per-vertex loops (one-ring, area gradient, Laplacian) kept as
-references for the whole-mesh results that replaced them, and the
-per-segment contour and per-region interior quadrature kept as references
-for the region pieces and one-pass integrals of `curvint.contour`."""
+references for the whole-mesh results that replaced them, the per-face
+sums (star sums, ring areas, Laplacian field) kept as references for the
+corner kernel's, and the per-segment contour and per-region interior
+quadrature kept as references for the region pieces and one-pass
+integrals of `curvint.contour`."""
 
 from __future__ import annotations
 
@@ -111,6 +113,23 @@ MALFORMED_FIXTURES = [
     ("off_polygon_too_small", "off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n2 0 1\n", 6),
 ]
 
+
+# (label, format, text, 1-based line and index of the first invalid face,
+# and what is wrong with it)
+FACE_ERROR_FIXTURES = [
+    ("obj_after_quad", "obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n# quad\nf 1 2 3 5\n", 6, 2,
+     "references a missing vertex"),
+    ("obj_before_vertices", "obj", "f 1 2 3\nf 2 3 4\nv 0 0 0\nv 1 0 0\nv 0 1 0\n", 2, 1,
+     "references a missing vertex"),
+    ("obj_repeated", "obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 2\n", 5, 1,
+     "repeats a vertex"),
+    ("off_negative", "off", "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 2 -1\n", 7, 1,
+     "references a missing vertex"),
+    ("off_in_polygon", "off", "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n\n4 0 1 2 4\n", 8, 1,
+     "references a missing vertex"),
+    ("off_degenerate", "off", "OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n", 6, 0,
+     "is degenerate (area 0.000e+00)"),
+]
 
 # ---------------------------------------------------------------------------
 # reference one-ring: one vertex at a time, one incident face at a time
@@ -262,6 +281,53 @@ def reference_laplacian(mesh: ci.TriMesh, v: int, values) -> float:
              + values[q_idx] * np.cross(mhat, p - o)) / norm_m
         num += e.edge_length * float(g @ e.normal)
     return num / _ring_sums(star)[0]
+
+
+# ---------------------------------------------------------------------------
+# reference whole-mesh sums: the per-face passes that served the flow and
+# laplacian_field before every sum went through one corner kernel
+
+
+def _reference_corner_contributions(mesh: ci.TriMesh):
+    p0, p1, p2 = mesh.corners()
+    m = np.cross(p1 - p0, p2 - p0)
+    norm_m = np.linalg.norm(m, axis=1, keepdims=True)
+    return (p0, p1, p2), m, norm_m
+
+
+def reference_star_sums(mesh: ci.TriMesh) -> np.ndarray:
+    corners, m, norm_m = _reference_corner_contributions(mesh)
+    out = np.zeros((mesh.n_vertices, 3))
+    for c, (i, j) in enumerate([(1, 2), (2, 0), (0, 1)]):
+        e = corners[j] - corners[i]
+        np.add.at(out, mesh.faces[:, c], np.cross(e, m) / norm_m)
+    return out
+
+
+def reference_ring_areas(mesh: ci.TriMesh) -> np.ndarray:
+    areas = mesh.face_areas()
+    out = np.zeros(mesh.n_vertices)
+    for c in range(3):
+        np.add.at(out, mesh.faces[:, c], areas)
+    return out
+
+
+def reference_laplacian_field(mesh: ci.TriMesh, values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    corners, m, norm_m = _reference_corner_contributions(mesh)
+    mhat = m / norm_m
+    f = [values[mesh.faces[:, c]] for c in range(3)]
+    g = (f[0][:, None] * np.cross(mhat, corners[2] - corners[1])
+         + f[1][:, None] * np.cross(mhat, corners[0] - corners[2])
+         + f[2][:, None] * np.cross(mhat, corners[1] - corners[0])) / norm_m
+    num = np.zeros(mesh.n_vertices)
+    for c, (i, j) in enumerate([(1, 2), (2, 0), (0, 1)]):
+        e = corners[j] - corners[i]
+        an = np.cross(e, m) / norm_m  # a_i n_i
+        np.add.at(num, mesh.faces[:, c], np.einsum("ij,ij->i", g, an))
+    out = num / reference_ring_areas(mesh)
+    out[reference_boundary_vertices(mesh)] = np.nan
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import curvint as ci
 from curvint import discrete
 from curvint.cli import run
 
-from conftest import MALFORMED_FIXTURES
+from conftest import FACE_ERROR_FIXTURES, MALFORMED_FIXTURES
 
 
 def read_rows(path):
@@ -237,6 +237,17 @@ def test_malformed_mesh_exits_1(tmp_path, capsys):
         rc = run(["curvature", "--input", str(path)])
         assert rc == 1
         assert f"{line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label,fmt,text,line,face,what", FACE_ERROR_FIXTURES,
+                         ids=[f[0] for f in FACE_ERROR_FIXTURES])
+def test_face_error_exits_1_naming_the_line(label, fmt, text, line, face, what, tmp_path,
+                                            capsys):
+    path = tmp_path / f"{label}.{fmt}"
+    path.write_text(text)
+    assert run(["curvature", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:{line}: face {face} {what}" in err
 
 
 def test_usage_errors_exit_1(capsys):

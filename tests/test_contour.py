@@ -268,3 +268,22 @@ def test_verify_identity_geometry_calls(monkeypatch, region, calls):
     monkeypatch.setattr(ci.ParametricSurface, "geometry", counted)
     ci.verify_identity(ci.Torus(2.0, 0.5), region)
     assert len(seen) == calls
+
+
+def test_shrinking_limit_validates_each_disk_once(monkeypatch):
+    # each estimate is bitwise the quotient of the public integrals
+    radii = [0.2, 0.1, 0.05]
+    surface, center = ci.Torus(2.0, 0.5), (1.0, 1.0)
+    expected = [ci.rhs_integral(surface, DiskRegion(*center, r))
+                / ci.region_area(surface, DiskRegion(*center, r)) for r in radii]
+    seen = []
+    validate = DiskRegion.validate_on
+
+    def counted(self, s):
+        seen.append(self.rho)
+        return validate(self, s)
+
+    monkeypatch.setattr(DiskRegion, "validate_on", counted)
+    study = ci.shrinking_limit(surface, center, radii)
+    assert seen == radii
+    assert study.estimates.tobytes() == np.array(expected).tobytes()

@@ -1,7 +1,10 @@
-"""The shared topology and the corner kernel against the per-vertex
-reference loops in conftest: bitwise equal results, the same errors, and
-the same closed-star decision on random face sets. area_gradient and
-laplacian, now slices of whole-mesh results, against their old loops."""
+"""The shared topology and the corner kernel: the per-face sums that
+served the flow and laplacian_field, bitwise; the per-vertex reference
+loops in conftest to roundoff of the star's scale, with the same errors
+and flags; every per-vertex function as an exact slice of the
+whole-mesh sums; and the same closed-star decision on random face sets.
+area_gradient and laplacian, now slices of whole-mesh results, against
+their old loops."""
 
 import warnings
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import curvint as ci
+from curvint.flow import _curvatures
 
 from conftest import (
     bundled_meshes,
@@ -20,8 +24,11 @@ from conftest import (
     reference_build_star,
     reference_curvature_field,
     reference_laplacian,
+    reference_laplacian_field,
     reference_opposite_edges_close,
+    reference_ring_areas,
     reference_star_sum,
+    reference_star_sums,
     reference_vector_mean_curvature,
 )
 
@@ -42,20 +49,65 @@ def bits(value):
     if isinstance(value, ci.CurvatureSample):
         return (bits(value.vector), bits(value.magnitude), bits(value.direction),
                 value.near_minimal)
-    if isinstance(value, ci.VertexStar):
-        return value.center, value.is_boundary, [
-            (e.face, bits(e.area), e.opposite, bits(e.edge_length), bits(e.normal))
-            for e in value.entries]
     if isinstance(value, list):
         return [bits(x) for x in value]
     return value
 
 
-def outcome(fn, *args):
+def attempt(fn, *args):
+    """(result, None), or (None, (type, message, face)) of the
+    CurvintError that fn raises."""
     try:
-        return "ok", bits(fn(*args))
+        return fn(*args), None
     except ci.CurvintError as exc:
-        return type(exc), str(exc), getattr(exc, "face", None)
+        return None, (type(exc), str(exc), getattr(exc, "face", None))
+
+
+def outcome(fn, *args):
+    value, refused = attempt(fn, *args)
+    return refused or ("ok", bits(value))
+
+
+def refusal(fn, *args):
+    return attempt(fn, *args)[1]
+
+
+# the kernel sums slot by slot where the loops sum face by face
+TOL = 1e-14
+
+
+def assert_near(got, expected, ring_area, edge_length):
+    """A result against the reference loop's: flags and indices exactly,
+    values to TOL of the star's scale: sum(a) / sum(A) for B (and
+    |B| times that for its direction), sum(a) for a star sum, sum(A) and
+    sum(a) for a star's areas and edge lengths, 1 for its unit normals."""
+    if isinstance(expected, ci.VertexStar):
+        assert (got.center, got.is_boundary, [(e.face, e.opposite) for e in got.entries]) \
+            == (expected.center, expected.is_boundary,
+                [(e.face, e.opposite) for e in expected.entries])
+        for g, e in zip(got.entries, expected.entries):
+            assert abs(g.area - e.area) <= TOL * ring_area
+            assert abs(g.edge_length - e.edge_length) <= TOL * edge_length
+            assert np.abs(g.normal - e.normal).max() <= TOL
+    elif isinstance(expected, ci.CurvatureSample):
+        scale = edge_length / ring_area
+        assert got.near_minimal == expected.near_minimal
+        assert np.abs(got.vector - expected.vector).max() <= TOL * scale
+        assert abs(got.magnitude - expected.magnitude) <= TOL * scale
+        if expected.direction is not None:
+            err = np.abs(got.direction - expected.direction).max()
+            assert err <= 2 * TOL * scale / expected.magnitude
+    else:
+        assert np.abs(got - expected).max() <= TOL * edge_length
+
+
+def assert_near_reference(fn, ref, mesh, v, *args):
+    got, refused = attempt(fn, mesh, v, *args)
+    expected, expected_refusal = attempt(ref, mesh, v, *args)
+    assert refused == expected_refusal, (fn.__name__, v)
+    if expected_refusal is None:
+        star = reference_build_star(mesh, v)
+        assert_near(got, expected, star.ring_area, star.total_edge_length)
 
 
 PAIRS = [
@@ -66,23 +118,52 @@ PAIRS = [
 
 
 def assert_matches_reference(mesh, vertices=None):
-    """Whole fields, and every per-vertex function at every vertex; or,
-    given a subset of vertices, the field's entries and the per-vertex
-    functions there."""
+    """The curvature field's refusal and entries, and every per-vertex
+    function, at every vertex; or, given a subset of vertices, the field's
+    entries and the per-vertex functions there."""
+    boundary = reference_boundary_vertices(mesh)
     if vertices is None:
-        assert outcome(ci.curvature_field, mesh) == outcome(reference_curvature_field, mesh)
         vertices = range(mesh.n_vertices)
-    else:
+        assert refusal(ci.curvature_field, mesh) == refusal(reference_curvature_field, mesh)
+    if refusal(ci.curvature_field, mesh) is None:
         field = ci.curvature_field(mesh)
-        boundary = reference_boundary_vertices(mesh)
         for v in vertices:
-            expected = None if boundary[v] else reference_vector_mean_curvature(mesh, v)
-            assert bits(field[v]) == bits(expected), v
+            if boundary[v]:
+                assert field[v] is None
+            else:
+                assert_near_reference(lambda m, u: field[u], reference_vector_mean_curvature,
+                                      mesh, v)
     for v in vertices:
         for fn, ref in PAIRS:
-            assert outcome(fn, mesh, v) == outcome(ref, mesh, v), (fn.__name__, v)
-        assert (outcome(ci.vector_mean_curvature, mesh, v, 1e-8, True)
-                == outcome(reference_vector_mean_curvature, mesh, v, 1e-8, True))
+            assert_near_reference(fn, ref, mesh, v)
+        assert_near_reference(ci.vector_mean_curvature, reference_vector_mean_curvature,
+                              mesh, v, 1e-8, True)
+
+
+def assert_slices_are_exact(mesh):
+    """star_sum, vector_mean_curvature and the flow's B are rows of the
+    whole-mesh results, bit for bit."""
+    sums = ci.star_sums(mesh)
+    field = None if refusal(ci.curvature_field, mesh) else ci.curvature_field(mesh)
+    flow = _curvatures(mesh) if field is not None and mesh.is_closed() else None
+    for v in range(mesh.n_vertices):
+        if refusal(ci.star_sum, mesh, v) is None:
+            assert bits(ci.star_sum(mesh, v)) == bits(sums[v]), v
+        if field is not None and field[v] is not None:
+            vector = bits(ci.vector_mean_curvature(mesh, v).vector)
+            assert vector == bits(field[v].vector), v
+            if flow is not None:
+                assert vector == bits(flow[v]), v
+
+
+def assert_sums_match_reference(mesh):
+    for got, expected in [(ci.star_sums(mesh), reference_star_sums(mesh)),
+                          (ci.ring_areas(mesh), reference_ring_areas(mesh))]:
+        assert got.tobytes() == expected.tobytes()
+    rng = np.random.default_rng(mesh.n_vertices)
+    for values in (mesh.positions[:, 2], rng.standard_normal(mesh.n_vertices)):
+        assert (ci.laplacian_field(mesh, values).tobytes()
+                == reference_laplacian_field(mesh, values).tobytes())
 
 
 STOCK = ([(name, m) for name, m in bundled_meshes()]
@@ -91,14 +172,18 @@ STOCK = ([(name, m) for name, m in bundled_meshes()]
 
 
 @pytest.mark.parametrize("name,mesh", STOCK, ids=[s[0] for s in STOCK])
-def test_bitwise_equal_to_reference(name, mesh):
+def test_matches_reference(name, mesh):
     np.testing.assert_array_equal(mesh.boundary_vertices(), reference_boundary_vertices(mesh))
+    assert_sums_match_reference(mesh)
+    assert_slices_are_exact(mesh)
     assert_matches_reference(mesh)
 
 
-def test_bitwise_equal_to_reference_on_jiggled_ico5():
+def test_matches_reference_on_jiggled_ico5():
     # the reference loop takes seconds per pass at this size: sample it
     mesh = jiggled_icosphere(5, 5)
+    assert_sums_match_reference(mesh)
+    assert_slices_are_exact(mesh)
     assert_matches_reference(mesh, range(0, mesh.n_vertices, 97))
 
 
@@ -159,6 +244,7 @@ def test_refusals_match_reference(make, error, first):
     assert result[0] is error
     if first is not None:
         assert result[1] == first
+    assert_slices_are_exact(mesh)
     assert_matches_reference(mesh)
 
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 import curvint as ci
 from curvint import BoundaryVertexError
 
@@ -121,6 +123,73 @@ def test_scale_covariance():
         b = ci.vector_mean_curvature(mesh, v).vector
         bs = ci.vector_mean_curvature(scaled, v).vector
         assert rel_vec_err(bs, b / s) <= 1e-10
+
+
+# invariances on random jiggled meshes: B at every vertex (the half-ring
+# value on the boundary), to 1e-12 of the star scale sum(a) / sum(A)
+
+BASES = st.one_of(
+    st.builds(ci.make_grid, st.integers(2, 6)),
+    st.builds(ci.make_icosphere, st.integers(0, 2)),
+    st.builds(ci.make_tube, st.just(1.0), st.just(2.0), st.integers(1, 4), st.integers(3, 10)),
+    st.builds(ci.make_catenoid, st.just(1.0), st.integers(1, 4), st.integers(3, 10)),
+)
+
+
+@st.composite
+def jiggled_meshes(draw):
+    base = draw(BASES)
+    edges = base.positions[base.faces] - base.positions[base.faces[:, [1, 2, 0]]]
+    jiggle = draw(st.floats(0.0, 0.1)) * np.linalg.norm(edges, axis=2).min()
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return base.with_positions(base.positions
+                               + rng.uniform(-jiggle, jiggle, base.positions.shape))
+
+
+def curvature_and_scale(mesh):
+    kernel = mesh.corner_kernel()
+    return (kernel.star_sums / kernel.ring_areas[:, None],
+            kernel.edge_lengths / kernel.ring_areas)
+
+
+def assert_same_curvature(b, expected, scale):
+    err = np.linalg.norm(b - expected, axis=1)
+    assert np.all(err <= 1e-12 * scale), float((err / scale).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(jiggled_meshes(), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+def test_curvature_under_rigid_motion(mesh, seed, shift):
+    q = random_rotation(np.random.default_rng(seed))
+    moved = mesh.with_positions(mesh.positions @ q.T + shift)
+    b, scale = curvature_and_scale(mesh)
+    assert_same_curvature(curvature_and_scale(moved)[0], b @ q.T, scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(jiggled_meshes(), st.integers(0, 2 ** 32 - 1))
+def test_curvature_under_relabelling(mesh, seed):
+    # vertex v becomes label[v]; faces are shuffled and each is rotated
+    # cyclically, which keeps its orientation
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(mesh.n_vertices)
+    positions = np.empty_like(mesh.positions)
+    positions[label] = mesh.positions
+    faces = label[mesh.faces][rng.permutation(mesh.n_faces)]
+    shift = rng.integers(0, 3, mesh.n_faces)[:, None]
+    faces = np.take_along_axis(faces, (np.arange(3) + shift) % 3, axis=1)
+    relabelled = ci.TriMesh(positions, faces)
+    b, scale = curvature_and_scale(mesh)
+    assert_same_curvature(curvature_and_scale(relabelled)[0][label], b, scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(jiggled_meshes(), st.floats(0.01, 100.0))
+def test_curvature_scales_inversely(mesh, s):
+    scaled = mesh.with_positions(s * mesh.positions)
+    b, scale = curvature_and_scale(mesh)
+    assert_same_curvature(s * curvature_and_scale(scaled)[0], b, scale)
 
 
 def test_boundary_vertex_refused_unless_allowed():

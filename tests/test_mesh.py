@@ -7,7 +7,8 @@ import pytest
 import curvint as ci
 from curvint import IsolatedVertexError, MeshValidationError, ParseError
 
-from conftest import MALFORMED_FIXTURES, bundled_meshes, interior_vertices, perturbed_meshes
+from conftest import (FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, bundled_meshes,
+                      interior_vertices, perturbed_meshes)
 
 
 MINIMAL_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
@@ -89,6 +90,25 @@ def test_malformed_inputs_report_line(label, fmt, text, line):
 def test_face_index_out_of_range_is_validation_error():
     with pytest.raises(MeshValidationError):
         ci.load_mesh("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n", fmt="obj")
+
+
+@pytest.mark.parametrize("label,fmt,text,line,face,what", FACE_ERROR_FIXTURES,
+                         ids=[f[0] for f in FACE_ERROR_FIXTURES])
+def test_face_error_names_line_and_face(label, fmt, text, line, face, what, tmp_path):
+    message = f"face {face} {what}"
+    with pytest.raises(MeshValidationError) as err:
+        ci.load_mesh(text, fmt=fmt)
+    assert (str(err.value), err.value.face) == (f"line {line}: {message}", face)
+    path = tmp_path / f"{label}.{fmt}"
+    path.write_text(text)
+    with pytest.raises(MeshValidationError) as err:
+        ci.load_mesh(path)
+    assert (str(err.value), err.value.face) == (f"{path}:{line}: {message}", face)
+
+
+def test_obj_faces_may_precede_their_vertices():
+    m = ci.load_mesh("f 1 2 3\nv 0 0 0\nv 1 0 0\nv 0 1 0\n", fmt="obj")
+    np.testing.assert_array_equal(m.faces, [[0, 1, 2]])
 
 
 def test_constructor_validation():
