@@ -94,7 +94,7 @@ def vector_mean_curvature(mesh: TriMesh, v: int, tol_direction: float = 1e-8,
     half-ring value is not meaningful as a curvature).
     """
     star_corners(mesh, v)
-    if not allow_boundary and not mesh.topology.closed_stars[v]:
+    if not allow_boundary and mesh.topology.boundary[v]:
         raise BoundaryVertexError(f"vertex {v} lies on the mesh boundary")
     kernel = mesh.corner_kernel()
     ring_area = kernel.ring_areas[v]
@@ -127,7 +127,7 @@ def laplacian(mesh: TriMesh, v: int, values) -> float:
     """
     values = _validated_field(mesh, values)
     star_corners(mesh, v)
-    if not mesh.topology.closed_stars[v]:
+    if mesh.topology.boundary[v]:
         raise BoundaryVertexError(f"vertex {v} lies on the mesh boundary")
     # degenerate faces and isolated vertices elsewhere give nan entries
     # that v does not read
@@ -139,8 +139,7 @@ def curvature_field(mesh: TriMesh, tol_direction: float = 1e-8) -> list[Curvatur
     """vector_mean_curvature at every vertex; boundary vertices yield None.
 
     Raises what vector_mean_curvature raises at the first other vertex it
-    refuses (isolated, with a degenerate incident face, or whose star is
-    not one closed loop)."""
+    refuses: an isolated one, or one with a degenerate incident face."""
     boundary = mesh.boundary_vertices()
     kernel = mesh.corner_kernel()
     refused = ~boundary & (kernel.degenerate | ~mesh.topology.closed_stars)

@@ -48,7 +48,8 @@ class IsolatedVertexError(CurvintError):
 
 
 class BoundaryVertexError(CurvintError):
-    """Operation requires an interior vertex (closed one-ring)."""
+    """Operation requires an interior vertex, whose one-ring closes into
+    one loop (no open edge, manifold, in three faces or more)."""
 
 
 class CollapseError(CurvintError):

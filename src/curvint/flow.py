@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryVertexError, CollapseError
+from .errors import BoundaryVertexError, CollapseError, IsolatedVertexError
 from .mesh import MIN_FACE_AREA, CornerKernel, TriMesh
 
 __all__ = ["FlowStep", "FlowTrace", "mcf_step", "run_flow"]
@@ -49,7 +49,12 @@ def _curvatures(mesh: TriMesh) -> np.ndarray:
 
 def _require_closed(mesh: TriMesh):
     if not mesh.is_closed():
-        raise BoundaryVertexError("mean curvature flow requires a closed mesh")
+        v = int(np.argmax(mesh.boundary_vertices()))
+        raise BoundaryVertexError(
+            f"mean curvature flow requires a closed mesh: vertex {v} lies on the mesh boundary")
+    if not mesh.topology.closed_stars.all():  # left: vertices without faces
+        v = int(np.argmin(mesh.topology.closed_stars))
+        raise IsolatedVertexError(f"vertex {v} has no incident faces")
 
 
 def _advance(mesh: TriMesh, dt: float, curvature: np.ndarray) -> TriMesh:
@@ -69,7 +74,8 @@ def mcf_step(mesh: TriMesh, dt: float) -> TriMesh:
     """Displace every vertex by dt * B and revalidate the mesh.
 
     Raises CollapseError if the step produces a face below the minimum
-    area, BoundaryVertexError on an open mesh.
+    area; BoundaryVertexError or IsolatedVertexError, naming the vertex,
+    unless every one-ring closes into one loop.
     """
     if dt < 0:
         raise ValueError("time step must be nonnegative")
@@ -86,7 +92,7 @@ def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh
     raised, when a face collapses or when a step fails to decrease total
     area (a sign that dt is too large); the offending step is not
     accepted. B is computed once per state, for its trace row and for
-    the step that leaves it.
+    the step that leaves it. Refuses the mesh as mcf_step does.
     """
     if dt < 0:
         raise ValueError("time step must be nonnegative")

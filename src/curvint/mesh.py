@@ -9,6 +9,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,13 @@ class MeshTopology:
     (see TriMesh.with_positions); each part is computed on first use."""
 
     def __init__(self, faces, n_vertices: int):
-        faces = np.array(faces, dtype=np.int64)
+        try:
+            faces = np.array(faces, dtype=np.int64)
+        except OverflowError:
+            # an index beyond int64 names no vertex: mark it missing (on
+            # this path only) for the check below to name its face
+            faces = np.array([[i if 0 <= i < n_vertices else -1 for i in f] for f in faces],
+                             dtype=np.int64)
         if faces.size == 0:
             faces = faces.reshape(0, 3)
         if faces.ndim != 2 or faces.shape[1] != 3:
@@ -65,15 +72,10 @@ class MeshTopology:
 
     @cached_property
     def boundary(self) -> np.ndarray:
-        """Boolean mask of vertices touching an edge used by one face only."""
-        n = self.n_vertices
-        a = self.faces.ravel()
-        b = self.faces[:, [1, 2, 0]].ravel()
-        keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
-        open_edges = keys[counts == 1]
-        mask = np.zeros(n, dtype=bool)
-        mask[open_edges // n] = True
-        mask[open_edges % n] = True
+        """Boolean mask of the vertices with incident faces whose star is
+        not one closed loop (closed_stars): on an open edge, non-manifold,
+        or in fewer than three faces. B needs that loop."""
+        mask = (np.bincount(self.faces.ravel(), minlength=self.n_vertices) > 0) & ~self.closed_stars
         mask.setflags(write=False)
         return mask
 
@@ -86,14 +88,11 @@ class MeshTopology:
         np.cumsum(np.bincount(flat, minlength=self.n_vertices), out=offsets[1:])
         return np.argsort(flat, kind="stable"), offsets
 
-    @cached_property
+    @property
     def opposite(self) -> np.ndarray:
         """(3F, 2): per corner, the next two vertices of its face, i.e. the
         endpoints of the edge opposite it."""
-        out = np.column_stack([self.faces[:, [1, 2, 0]].ravel(),
-                               self.faces[:, [2, 0, 1]].ravel()])
-        out.setflags(write=False)
-        return out
+        return self.faces[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
 
     def vertex_corners(self, v: int) -> np.ndarray:
         """Corners (indices into faces.ravel()) at vertex v, in
@@ -118,37 +117,36 @@ class MeshTopology:
         return ok
 
     def _one_loop(self, flat: np.ndarray) -> np.ndarray:
-        # end 2c + k is endpoint k of the edge opposite corner c
+        # end 2c + k is endpoint k of the edge opposite corner c; each 6F
+        # temporary is dropped once used, so a large mesh stays lean
         n = self.n_vertices
-        ends = self.opposite.ravel()
-        keys = np.repeat(flat, 2) * n + ends
-        order = np.argsort(keys, kind="stable")
+        keys = np.repeat(flat, 2) * n
+        keys += self.opposite.ravel()
+        order = np.argsort(keys)
         keys = keys[order]
         first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        sizes = np.diff(np.r_[first, len(keys)])
+        sizes = np.diff(first, append=len(keys))
         ok = np.ones(n, dtype=bool)
         ok[keys[first[sizes != 2]] // n] = False
         # pair the two ends that meet at each ring vertex: leaving an edge
         # through one end enters its partner's edge, which is left through
         # that edge's other end
         pairs = first[sizes == 2]
-        partner = np.arange(len(ends))
-        partner[order[pairs]] = order[pairs + 1]
-        partner[order[pairs + 1]] = order[pairs]
-        step = partner ^ 1
+        del keys, first, sizes
+        a, b = order[pairs].astype(np.int32), order[pairs + 1].astype(np.int32)
+        del order, pairs
+        step = np.arange(2 * len(flat), dtype=np.int32) ^ 1
+        step[a], step[b] = b ^ 1, a ^ 1
         # pointer doubling: each end's label becomes the smallest corner
-        # on its loop
-        label = np.arange(len(ends)) >> 1
+        # on its loop, so each loop has one corner labelled with itself
+        label = np.arange(len(step), dtype=np.int32) >> 1
         span, longest = 1, int(np.bincount(flat).max())
         while span < longest:
-            label = np.minimum(label, label[step])
+            np.minimum(label, label[step], out=label)
             step = step[step]
             span *= 2
-        # one loop <=> every corner of a vertex carries the label of its
-        # first corner
-        order, offsets = self._corner_csr
-        split = label[0::2] != order[offsets[flat]]
-        return ok & (np.bincount(flat, weights=split, minlength=n) == 0)
+        loops = np.bincount(flat[label[0::2] == np.arange(len(flat))], minlength=n)
+        return ok & (loops == 1)
 
 
 class TriMesh:
@@ -208,10 +206,11 @@ class TriMesh:
         return self.topology.vertex_corners(v) // 3
 
     def boundary_vertices(self) -> np.ndarray:
-        """Boolean mask of vertices touching an edge used by one face only."""
+        """Mask of the vertices with faces whose one-ring is not one closed loop."""
         return self.topology.boundary
 
     def is_closed(self) -> bool:
+        """True when every vertex with faces has a one-ring that is one loop."""
         return not bool(self.boundary_vertices().any())
 
     def corner_kernel(self) -> "CornerKernel":
@@ -342,7 +341,7 @@ def build_star(mesh: TriMesh, v: int) -> VertexStar:
     entries = tuple(StarEntry(int(f), float(areas[f]), (int(p), int(q)), float(a), n)
                     for f, (p, q), a, n in zip(faces, mesh.topology.opposite[corners],
                                                 lengths, an / lengths[:, None]))
-    return VertexStar(v, entries, not mesh.topology.closed_stars[v])
+    return VertexStar(v, entries, bool(mesh.topology.boundary[v]))
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +350,18 @@ def build_star(mesh: TriMesh, v: int) -> VertexStar:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _finite(positions: np.ndarray, vertex_lines, path) -> np.ndarray:
+    """positions, or a ParseError at the line of the first vertex with a
+    non-finite coordinate; vertex_lines is an iterator over the line of
+    each vertex, in order, read only then."""
+    bad = ~np.isfinite(positions).all(axis=1)
+    if bad.any():
+        v = int(np.argmax(bad))
+        raise ParseError(f"vertex {v} has a non-finite coordinate",
+                         next(islice(vertex_lines, v, None)), path)
+    return positions
 
 
 def _parse_obj(lines, path) -> tuple:
@@ -390,7 +401,10 @@ def _parse_obj(lines, path) -> tuple:
                 faces.append([idx[0], idx[k], idx[k + 1]])
                 face_lines.append(lineno)
         # vn/vt/o/g/s/usemtl/mtllib and anything else: ignored
-    return np.asarray(positions, float).reshape(-1, 3), faces, face_lines
+    positions = np.asarray(positions, float).reshape(-1, 3)
+    vertex_lines = (lineno for lineno, raw in enumerate(lines, start=1)
+                    if raw.split("#", 1)[0].split()[:1] == ["v"])
+    return _finite(positions, vertex_lines, path), faces, face_lines
 
 
 def _parse_off(lines, path) -> tuple:
@@ -421,7 +435,8 @@ def _parse_off(lines, path) -> tuple:
     if n_vertices < 0 or n_faces < 0:
         raise ParseError("counts must be nonnegative", lineno, path)
 
-    positions = np.empty((n_vertices, 3))
+    # each vertex takes a line: a count beyond them ends at the last line
+    positions = np.empty((min(n_vertices, len(lines)), 3))
     for i in range(n_vertices):
         try:
             lineno, line = next(stream)
@@ -436,6 +451,7 @@ def _parse_off(lines, path) -> tuple:
         except ValueError:
             raise ParseError("vertex line has a non-numeric coordinate",
                              lineno, path) from None
+    _finite(positions, (lineno for lineno, _ in islice(significant(0), 2, None)), path)
 
     faces = []
     face_lines = array("q")

@@ -1,22 +1,30 @@
-"""Shared helpers for the test suite: stock meshes, perturbed-mesh
-factories, parameter-domain sampling boxes, malformed-file fixtures, and
-the per-vertex loops (one-ring, area gradient, Laplacian) kept as
-references for the whole-mesh results that replaced them, the per-face
-sums (star sums, ring areas, Laplacian field) kept as references for the
-corner kernel's, and the per-segment contour and per-region interior
-quadrature kept as references for the region pieces and one-pass
-integrals of `curvint.contour`."""
+"""Shared helpers for the test suite: a deterministic hypothesis profile,
+stock meshes, perturbed-mesh factories, parameter-domain sampling boxes,
+malformed-file fixtures, the face-by-face vertex classification (one-ring
+loop, and the open-edge set it contains), the per-vertex loops
+(one-ring, area gradient, Laplacian) kept as references for the
+whole-mesh results that replaced them, the per-face sums (star sums,
+ring areas, Laplacian field) kept as references for the corner
+kernel's, and the per-segment contour and per-region interior quadrature
+kept as references for the region pieces and one-pass integrals of
+`curvint.contour`."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from hypothesis import settings
 
 import curvint as ci
 from curvint import (BoundaryVertexError, ContourError, IsolatedVertexError,
                      MeshValidationError)
 from curvint.mesh import MIN_FACE_AREA
+
+# the same examples on every run: each test's draws are seeded from a hash
+# of the test (which also turns the example database off)
+settings.register_profile("curvint", derandomize=True, deadline=None)
+settings.load_profile("curvint")
 
 
 def interior_vertices(mesh: ci.TriMesh) -> np.ndarray:
@@ -113,6 +121,16 @@ MALFORMED_FIXTURES = [
     ("off_polygon_too_small", "off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n2 0 1\n", 6),
 ]
 
+# (label, format, text, 1-based line and index of the first vertex with a
+# non-finite coordinate)
+NON_FINITE_FIXTURES = [
+    ("obj_inf", "obj", "v 0 0 0\nv 1 inf 0\nv 0 1 0\nf 1 2 3\n", 2, 1),
+    ("obj_overflow_after_faces", "obj",
+     "v 0 0 0\nf 1 2 3\n# v 9 9 9\nvn 0 0 1\nv 1 0 0\n  v 0 1 1e999\n", 6, 2),
+    ("off_nan", "off", "OFF\n3 1 0\n0 0 0\n# comment\n\n1 0 0\n0 nan 0\n3 0 1 2\n", 7, 2),
+    ("off_negative_inf", "off", "OFF\n3 1 0\n-inf 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", 3, 0),
+]
+
 
 # (label, format, text, 1-based line and index of the first invalid face,
 # and what is wrong with it)
@@ -129,6 +147,12 @@ FACE_ERROR_FIXTURES = [
      "references a missing vertex"),
     ("off_degenerate", "off", "OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n", 6, 0,
      "is degenerate (area 0.000e+00)"),
+    ("obj_beyond_int64", "obj",
+     "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 99999999999999999999999\n", 5, 1,
+     "references a missing vertex"),
+    ("off_beyond_int64", "off",
+     "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1 99999999999999999999999\n", 7, 1,
+     "references a missing vertex"),
 ]
 
 # ---------------------------------------------------------------------------
@@ -162,7 +186,21 @@ def reference_opposite_edges_close(edges: list[tuple[int, int]]) -> bool:
     return len(seen) == len(adjacency)
 
 
+def reference_open_stars(mesh: ci.TriMesh) -> np.ndarray:
+    """Vertices with incident faces whose opposite edges do not close
+    into one loop, gathered face by face."""
+    stars: list[list[tuple[int, int]]] = [[] for _ in range(mesh.n_vertices)]
+    for a, b, c in mesh.faces.tolist():
+        stars[a].append((b, c))
+        stars[b].append((c, a))
+        stars[c].append((a, b))
+    return np.array([bool(edges) and not reference_opposite_edges_close(edges)
+                     for edges in stars], dtype=bool)
+
+
 def reference_boundary_vertices(mesh: ci.TriMesh) -> np.ndarray:
+    """Vertices on an edge used by one face only: on a manifold mesh,
+    the same set as reference_open_stars."""
     mask = np.zeros(mesh.n_vertices, dtype=bool)
     if len(mesh.faces):
         e = np.concatenate([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]],
@@ -235,7 +273,7 @@ def reference_vector_mean_curvature(mesh: ci.TriMesh, v: int, tol_direction: flo
 
 
 def reference_curvature_field(mesh: ci.TriMesh, tol_direction: float = 1e-8):
-    boundary = reference_boundary_vertices(mesh)
+    boundary = reference_open_stars(mesh)
     return [None if boundary[v] else reference_vector_mean_curvature(mesh, v, tol_direction)
             for v in range(mesh.n_vertices)]
 

@@ -12,7 +12,7 @@ import curvint as ci
 from curvint import discrete
 from curvint.cli import run
 
-from conftest import FACE_ERROR_FIXTURES, MALFORMED_FIXTURES
+from conftest import FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, NON_FINITE_FIXTURES
 
 
 def read_rows(path):
@@ -155,6 +155,35 @@ def test_laplacian_refuses_isolated_vertex(tmp_path, capsys):
     assert captured.err == "error: vertex 0 has no incident faces\n"
 
 
+def test_non_manifold_vertex_is_a_boundary_row(tmp_path, capsys):
+    # two tetrahedra sharing vertex 0: every edge has two faces, but the
+    # one-ring of vertex 0 is two loops
+    mesh = ci.TriMesh([[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 0, 1],
+                       [-1, 0, 0], [-1, 1, 0], [-1, 0, 1]],
+                      [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3],
+                       [0, 4, 5], [0, 6, 4], [0, 5, 6], [4, 6, 5]])
+    mesh_path = tmp_path / "tetrahedra.off"
+    ci.save_mesh(mesh, mesh_path)
+    out = tmp_path / "curv.csv"
+    assert run(["curvature", "--input", str(mesh_path), "--output", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert rows[0] == ["0", "", "", "", "", "", "1"]
+    assert [row[6] for row in rows[1:]] == ["0"] * 6
+    field_path = tmp_path / "field.csv"
+    field_path.write_text("".join(f"{v},{v * v}\n" for v in range(mesh.n_vertices)))
+    lap = tmp_path / "lap.csv"
+    assert run(["laplacian", "--input", str(mesh_path), "--field", str(field_path),
+                "--output", str(lap)]) == 0
+    assert [row[0] for row in read_rows(lap)[1]] == ["1", "2", "3", "4", "5", "6"]
+    capsys.readouterr()
+    trace = tmp_path / "trace.csv"
+    assert run(["flow", "--input", str(mesh_path), "--dt", "1e-3", "--steps", "2",
+                "--output", str(trace)]) == 1
+    assert capsys.readouterr().err == ("error: mean curvature flow requires a closed mesh: "
+                                       "vertex 0 lies on the mesh boundary\n")
+    assert not trace.exists()
+
+
 def test_python_m_runs_the_cli(tmp_path):
     src = str(Path(ci.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -248,6 +277,25 @@ def test_face_error_exits_1_naming_the_line(label, fmt, text, line, face, what, 
     assert run(["curvature", "--input", str(path)]) == 1
     err = capsys.readouterr().err
     assert f"{path}:{line}: face {face} {what}" in err
+
+
+@pytest.mark.parametrize("label,fmt,text,line,vertex", NON_FINITE_FIXTURES,
+                         ids=[f[0] for f in NON_FINITE_FIXTURES])
+def test_non_finite_coordinate_exits_1_naming_the_line(label, fmt, text, line, vertex,
+                                                       tmp_path, capsys):
+    path = tmp_path / f"{label}.{fmt}"
+    path.write_text(text)
+    assert run(["curvature", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:{line}: vertex {vertex} has a non-finite coordinate\n"
+
+
+def test_oversized_vertex_count_exits_1(tmp_path, capsys):
+    path = tmp_path / "huge.off"
+    path.write_text("OFF\n1000000000000 0 0\n")
+    assert run(["curvature", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:3: unexpected end of file, expected vertex 0\n"
 
 
 def test_usage_errors_exit_1(capsys):

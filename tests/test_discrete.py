@@ -157,7 +157,7 @@ def assert_same_curvature(b, expected, scale):
     assert np.all(err <= 1e-12 * scale), float((err / scale).max())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(jiggled_meshes(), st.integers(0, 2 ** 32 - 1),
        st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
 def test_curvature_under_rigid_motion(mesh, seed, shift):
@@ -167,7 +167,7 @@ def test_curvature_under_rigid_motion(mesh, seed, shift):
     assert_same_curvature(curvature_and_scale(moved)[0], b @ q.T, scale)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(jiggled_meshes(), st.integers(0, 2 ** 32 - 1))
 def test_curvature_under_relabelling(mesh, seed):
     # vertex v becomes label[v]; faces are shuffled and each is rotated
@@ -184,7 +184,7 @@ def test_curvature_under_relabelling(mesh, seed):
     assert_same_curvature(curvature_and_scale(relabelled)[0][label], b, scale)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(jiggled_meshes(), st.floats(0.01, 100.0))
 def test_curvature_scales_inversely(mesh, s):
     scaled = mesh.with_positions(s * mesh.positions)

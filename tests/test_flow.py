@@ -1,16 +1,31 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import curvint as ci
-from curvint import BoundaryVertexError, CollapseError
+from curvint import BoundaryVertexError, CollapseError, IsolatedVertexError
 
 
 def test_open_mesh_refused():
     g = ci.make_grid(4)
-    with pytest.raises(BoundaryVertexError):
+    message = "mean curvature flow requires a closed mesh: vertex 0 lies on the mesh boundary"
+    with pytest.raises(BoundaryVertexError, match=f"^{message}$"):
         ci.mcf_step(g, 1e-3)
-    with pytest.raises(BoundaryVertexError):
+    with pytest.raises(BoundaryVertexError, match=f"^{message}$"):
         ci.run_flow(g, 1e-3, 3)
+
+
+def test_isolated_vertex_refused():
+    base = ci.make_icosphere(1, 1.0)
+    mesh = ci.TriMesh(np.vstack([base.positions, [[5.0, 5.0, 5.0]]]), base.faces)
+    assert mesh.is_closed()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IsolatedVertexError, match="^vertex 42 has no incident faces$"):
+            ci.run_flow(mesh, 1e-3, 3)
+        with pytest.raises(IsolatedVertexError, match="^vertex 42 has no incident faces$"):
+            ci.mcf_step(mesh, 1e-3)
 
 
 def test_icosphere_moves_inward():

@@ -1,14 +1,16 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import curvint as ci
 from curvint import IsolatedVertexError, MeshValidationError, ParseError
 
-from conftest import (FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, bundled_meshes,
-                      interior_vertices, perturbed_meshes)
+from conftest import (FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, NON_FINITE_FIXTURES,
+                      bundled_meshes, interior_vertices, perturbed_meshes)
 
 
 MINIMAL_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
@@ -87,6 +89,48 @@ def test_malformed_inputs_report_line(label, fmt, text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("text,message", [
+    ("OFF\n1000000000000 0 0\n0 0 0\n", "line 4: unexpected end of file, expected vertex 1"),
+    ("OFF\n100000000000000000000 0 0\n", "line 3: unexpected end of file, expected vertex 0"),
+])
+def test_oversized_vertex_count_allocates_nothing(text, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            ci.load_mesh(text, fmt="off")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == message
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("label,fmt,text,line,vertex", NON_FINITE_FIXTURES,
+                         ids=[f[0] for f in NON_FINITE_FIXTURES])
+def test_non_finite_coordinate_names_its_line(label, fmt, text, line, vertex, tmp_path):
+    message = f"vertex {vertex} has a non-finite coordinate"
+    with pytest.raises(ParseError) as err:
+        ci.load_mesh(text, fmt=fmt)
+    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+    path = tmp_path / f"{label}.{fmt}"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        ci.load_mesh(path)
+    assert str(err.value) == f"{path}:{line}: {message}"
+
+
+def test_face_index_beyond_int64():
+    positions = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    for huge in (2 ** 63, 10 ** 23, -10 ** 23):
+        with pytest.raises(MeshValidationError) as err:
+            ci.TriMesh(positions, [[0, 1, 2], [0, 1, huge]])
+        assert (str(err.value), err.value.face) == ("face 1 references a missing vertex", 1)
+    # the first face that misses a vertex is named, whatever its index
+    with pytest.raises(MeshValidationError) as err:
+        ci.TriMesh(positions, [[0, 1, 2], [0, 1, 3], [0, 1, 10 ** 23]])
+    assert err.value.face == 1
+
+
 def test_face_index_out_of_range_is_validation_error():
     with pytest.raises(MeshValidationError):
         ci.load_mesh("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n", fmt="obj")
@@ -120,7 +164,7 @@ def test_constructor_validation():
     # explicitly permitted
     m = ci.TriMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]], allow_degenerate=True)
     assert m.n_faces == 1
-    with pytest.raises(MeshValidationError):
+    with pytest.raises(MeshValidationError, match="^positions must be finite$"):
         ci.TriMesh([[0, 0, float("nan")]], np.zeros((0, 3), dtype=int))
 
 
@@ -257,3 +301,72 @@ def test_interior_vertex_counts():
     g = ci.make_grid(8)
     assert len(interior_vertices(g)) == 7 * 7
     assert g.boundary_vertices().sum() == 4 * 8
+
+
+# ---------------------------------------------------------------------------
+# round trips and mutated files
+
+
+COORDINATES = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300,
+                     1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES), max_size=8),
+       st.sampled_from(["obj", "off"]), st.permutations(range(20)))
+def test_round_trip_is_bit_exact(extra, fmt, order):
+    # the extra vertices are in no face, so any finite value is a valid mesh
+    base = ci.make_icosphere(0, 1.0)
+    positions = np.vstack([base.positions, np.array(extra, dtype=float).reshape(-1, 3)])
+    mesh = ci.TriMesh(positions, base.faces[list(order)])
+    again = ci.load_mesh(ci.mesh_to_text(mesh, fmt), fmt=fmt)
+    assert again.positions.tobytes() == mesh.positions.tobytes()
+    np.testing.assert_array_equal(again.faces, mesh.faces)
+
+
+VALID_TEXTS = [
+    ("off", ci.mesh_to_text(ci.make_icosphere(0, 1.0), "off")),
+    ("obj", ci.mesh_to_text(ci.make_icosphere(0, 1.0), "obj")),
+    ("off", "OFF\n# square\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"),
+    ("obj", "# square\nv 0 0 0\nv 1 0 0\nv 1 1 0\nvn 0 0 1\nv 0 1 0\nf 1/1 2/2 3/3 4/4\n"),
+]
+TOKENS = ["99999999999999999999999", "-99999999999999999999999", "1000000000000", "-1",
+          "-7", "0", "3.5", "inf", "-inf", "nan", "1e999", "x", ""]
+
+
+@st.composite
+def mutated_texts(draw):
+    fmt, text = draw(st.sampled_from(VALID_TEXTS))
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["token", "drop", "repeat", "count"]))
+        if kind == "token" and lines[i].split():
+            tokens = lines[i].split()
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(TOKENS))
+            lines[i] = " ".join(tokens)
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "count" and fmt == "off":
+            counts = next(k for k, line in enumerate(lines)
+                          if k and not line.startswith("#"))
+            tokens = lines[counts].split()
+            tokens[draw(st.integers(0, len(tokens) - 1))] = str(10 ** 12)
+            lines[counts] = " ".join(tokens)
+    return fmt, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(mutated_texts())
+def test_mutated_file_loads_or_raises_a_mesh_error(case):
+    fmt, text = case
+    try:
+        mesh = ci.load_mesh(text, fmt=fmt)
+    except (ParseError, MeshValidationError):
+        return
+    assert isinstance(mesh, ci.TriMesh)
+    assert np.isfinite(mesh.positions).all()
