@@ -75,6 +75,7 @@ from .discrete import (
     CurvatureSample,
     area_gradient,
     curvature_field,
+    fd_area_gradient,
     laplacian,
     laplacian_field,
     ring_areas,

@@ -26,6 +26,11 @@ Every sum here is one arithmetic, `curvint.mesh.corner_terms`, and each
 per-vertex operator is a slice of a whole-mesh result: laplacian is an
 entry of laplacian_field, the others read the mesh's cached per-vertex
 sums (`curvint.mesh.CornerKernel`), which the flow sums the same way.
+
+fd_area_gradient is the finite-difference oracle of that gradient for
+the whole mesh in one pass: each probe moves one vertex, recomputes only
+the areas of its incident faces and sums all face areas as total_area
+does, so it equals a central difference over rebuilt meshes bit for bit.
 """
 
 from __future__ import annotations
@@ -34,14 +39,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryVertexError
-from .mesh import TriMesh, corner_terms, star_corners
+from .errors import BoundaryVertexError, EvaluationError
+from .mesh import TriMesh, corner_terms, star_corners, triangle_areas
+from .numerics import checked_step
 
 __all__ = [
     "CurvatureSample",
     "star_sum",
     "vector_mean_curvature",
     "area_gradient",
+    "fd_area_gradient",
     "laplacian",
     "curvature_field",
     "star_sums",
@@ -113,6 +120,58 @@ def area_gradient(mesh: TriMesh, v: int) -> np.ndarray:
     mesh.topology.vertex_corners(v)  # range check
     # 0.0 - x: a vanishing sum gives +0.0, never -0.0
     return 0.0 - 0.5 * mesh.corner_kernel().star_sums[v]
+
+
+# floats in one block of finite-difference probe rows (256 KB)
+FD_BLOCK = 1 << 15
+
+
+def fd_area_gradient(mesh: TriMesh, h: float) -> np.ndarray:
+    """Central difference of the total area with respect to every vertex
+    position, (V, 3): entry (v, k) is (A(x + h e_k) - A(x - h e_k)) / 2h
+    with only vertex v moved, bitwise equal to central_gradient of
+    total_area over meshes rebuilt with v moved.
+
+    A probe (v, k, +/-) is a row of the mesh's face areas with those of
+    the faces incident to v recomputed by triangle_areas, as the rebuilt
+    mesh's face_areas would; rows are summed whole, as total_area sums,
+    in C-contiguous blocks of at most FD_BLOCK floats (one row when a row
+    is longer). An isolated vertex gives zeros. Raises EvaluationError at
+    the first probe, in (v, k, +/-) order, whose total area is not
+    finite.
+    """
+    h = checked_step(h)
+    positions, faces = mesh.positions, mesh.faces
+    order, offsets = mesh.topology._corner_csr
+    steps = h * np.eye(3)
+    n_probes = 6 * mesh.n_vertices
+    rows = max(1, FD_BLOCK // max(len(faces), 1))
+    totals = np.empty(n_probes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = mesh.face_areas()
+        for start in range(0, n_probes, rows):
+            probe = np.arange(start, min(start + rows, n_probes))
+            v, step, minus = probe // 6, steps[probe % 6 // 2], probe % 2 == 1
+            x = positions[v]
+            moved = np.where(minus[:, None], x - step, x + step)
+            # every corner of each probe's vertex, probe by probe
+            count = offsets[v + 1] - offsets[v]
+            owner = np.repeat(np.arange(len(probe)), count)
+            corner = order[np.repeat(offsets[v] + count - np.cumsum(count), count)
+                           + np.arange(len(owner))]
+            face = corner // 3
+            p = positions[faces[face]]
+            p[np.arange(len(corner)), corner % 3] = moved[owner]
+            block = np.empty((len(probe), len(areas)))
+            block[:] = areas
+            block[owner, face] = triangle_areas(p[:, 0], p[:, 1], p[:, 2])
+            totals[probe] = block.sum(axis=1)
+    bad = ~np.isfinite(totals)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise EvaluationError("total area is not finite", where=(
+            f"vertex {first // 6} moved by {'+-'[first % 2]}h along {'xyz'[first % 6 // 2]}"))
+    return (totals[0::2] - totals[1::2]).reshape(-1, 3) / (2.0 * h)
 
 
 def laplacian(mesh: TriMesh, v: int, values) -> float:

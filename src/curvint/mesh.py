@@ -173,7 +173,15 @@ class TriMesh:
         self._face_areas = None
         self._corner_kernel = None
         if not allow_degenerate and len(self.faces):
-            areas = self.face_areas()
+            # finite coordinates whose products overflow (about 1e77 and
+            # up) give an inf or nan area, refused here
+            with np.errstate(over="ignore", invalid="ignore"):
+                areas = self.face_areas()
+            finite = np.isfinite(areas)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise MeshValidationError(
+                    f"face {bad} has a non-finite area ({areas[bad]})", face=bad)
             if areas.min() < MIN_FACE_AREA:
                 bad = int(np.argmin(areas))
                 raise MeshValidationError(
@@ -195,8 +203,7 @@ class TriMesh:
 
     def face_areas(self) -> np.ndarray:
         if self._face_areas is None:
-            p0, p1, p2 = self.corners()
-            areas = 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
+            areas = triangle_areas(*self.corners())
             areas.setflags(write=False)
             self._face_areas = areas
         return self._face_areas
@@ -223,6 +230,12 @@ class TriMesh:
         """Same connectivity (and topology) with replaced coordinates,
         which are revalidated."""
         return TriMesh(positions, self.topology, allow_degenerate=allow_degenerate)
+
+
+def triangle_areas(p0, p1, p2) -> np.ndarray:
+    """Areas of the triangles with corners p0, p1, p2, each (n, 3): half
+    the cross-product norms, row by row."""
+    return 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
 
 
 def total_area(mesh: TriMesh) -> float:

@@ -2,8 +2,9 @@
 stock meshes, perturbed-mesh factories, parameter-domain sampling boxes,
 malformed-file fixtures, the face-by-face vertex classification (one-ring
 loop, and the open-edge set it contains), the per-vertex loops
-(one-ring, area gradient, Laplacian) kept as references for the
-whole-mesh results that replaced them, the per-face sums (star sums,
+(one-ring, area gradient, Laplacian, the finite-difference area
+gradient over rebuilt meshes) kept as references for the whole-mesh
+results that replaced them, the per-face sums (star sums,
 ring areas, Laplacian field) kept as references for the corner
 kernel's, and the per-segment contour and per-region interior quadrature
 kept as references for the region pieces and one-pass integrals of
@@ -57,6 +58,25 @@ def perturbed_meshes(count: int = 20, scale: float = 0.02) -> list[ci.TriMesh]:
         jiggle = scale * rng.standard_normal(base.positions.shape)
         out.append(base.with_positions(base.positions + jiggle))
     return out
+
+
+def jiggled_icosphere(level: int, seed: int) -> ci.TriMesh:
+    base = ci.make_icosphere(level, 1.0)
+    rng = np.random.default_rng(seed)
+    return base.with_positions(base.positions
+                               + (0.2 / 2 ** level) * rng.standard_normal(base.positions.shape))
+
+
+def isolated_vertex() -> ci.TriMesh:
+    """An icosphere of level 1 after an extra vertex 0 in no face."""
+    base = ci.make_icosphere(1, 1.0)
+    return ci.TriMesh(np.vstack([[5.0, 5.0, 5.0], base.positions]), base.faces + 1)
+
+
+# (name, mesh): the bundled meshes, perturbed ones and a jiggled ico3
+STOCK = ([(name, m) for name, m in bundled_meshes()]
+         + [(f"perturbed{k}", m) for k, m in enumerate(perturbed_meshes(10, 0.05))]
+         + [("jiggled_ico3", jiggled_icosphere(3, 3))])
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -153,6 +173,16 @@ FACE_ERROR_FIXTURES = [
     ("off_beyond_int64", "off",
      "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1 99999999999999999999999\n", 7, 1,
      "references a missing vertex"),
+    # finite coordinates whose products overflow
+    ("off_overflowing_tetrahedron", "off",
+     "OFF\n4 4 0\n0 0 0\n1e200 0 0\n0 1e200 0\n0 0 1e200\n"
+     "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n", 7, 0, "has a non-finite area (inf)"),
+    ("obj_overflow_after_finite_face", "obj",
+     "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1e200\nf 1 2 3\nf 1 2 4\n", 6, 1,
+     "has a non-finite area (inf)"),
+    ("off_overflow_to_nan", "off",
+     "OFF\n3 1 0\n0 0 0\n1e200 1e200 0\n1e200 2e200 0\n3 0 1 2\n", 6, 0,
+     "has a non-finite area (nan)"),
 ]
 
 # ---------------------------------------------------------------------------
@@ -319,6 +349,24 @@ def reference_laplacian(mesh: ci.TriMesh, v: int, values) -> float:
              + values[q_idx] * np.cross(mhat, p - o)) / norm_m
         num += e.edge_length * float(g @ e.normal)
     return num / _ring_sums(star)[0]
+
+
+def reference_fd_area_gradient(mesh: ci.TriMesh, h: float, vertices=None) -> np.ndarray:
+    """Rows `vertices` (default all) of the central difference of the
+    total area, one central_gradient per vertex over meshes rebuilt with
+    that vertex moved, as gradcheck computed it before fd_area_gradient."""
+    base = mesh.positions
+    vertices = range(mesh.n_vertices) if vertices is None else vertices
+    out = np.empty((len(vertices), 3))
+    for row, v in enumerate(vertices):
+
+        def area_of(p, v=v):
+            moved = base.copy()
+            moved[v] = p
+            return ci.total_area(mesh.with_positions(moved, allow_degenerate=True))
+
+        out[row] = ci.central_gradient(area_of, base[v], h)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import curvint as ci
 from curvint import discrete
 from curvint.cli import run
 
-from conftest import FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, NON_FINITE_FIXTURES
+from conftest import (FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, NON_FINITE_FIXTURES,
+                      jiggled_icosphere, reference_fd_area_gradient)
 
 
 def read_rows(path):
@@ -137,6 +138,64 @@ def test_gradcheck_area_critical_vertices(tmp_path, monkeypatch):
 
     monkeypatch.setattr(discrete, "area_gradient", wrong)
     assert run(args) == 2
+
+
+def reference_gradcheck_csv(mesh, h):
+    """gradcheck's CSV, rendered from the per-vertex reference oracle."""
+    fd = reference_fd_area_gradient(mesh, h)
+    floor = 1e-8 * 0.5 * mesh.corner_kernel().edge_lengths
+    lines = ["vertex,analytic_x,analytic_y,analytic_z,fd_x,fd_y,fd_z,rel_err"]
+    for v in range(mesh.n_vertices):
+        analytic = discrete.area_gradient(mesh, v)
+        rel = float(np.linalg.norm(analytic - fd[v])) / max(
+            float(np.linalg.norm(analytic)), float(np.linalg.norm(fd[v])), float(floor[v]), 1e-30)
+        lines.append(",".join([str(v)] + [format(float(x), ".17g")
+                                          for x in [*analytic, *fd[v], rel]]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mesh,h", [(jiggled_icosphere(2, 2), "1e-5"),
+                                    (ci.make_catenoid(1.0, 4, 12), "0.001")],
+                         ids=["jiggled_ico2", "catenoid"])
+def test_gradcheck_csv_matches_reference_oracle(mesh, h, tmp_path):
+    mesh_path = tmp_path / "m.off"
+    ci.save_mesh(mesh, mesh_path)
+    out = tmp_path / "grad.csv"
+    assert run(["gradcheck", "--input", str(mesh_path), "--h", h, "--output", str(out)]) == 0
+    assert out.read_text() == reference_gradcheck_csv(ci.load_mesh(mesh_path), float(h))
+
+
+def test_gradcheck_builds_no_mesh_per_probe(tmp_path, monkeypatch):
+    mesh_path = tmp_path / "ico2.off"
+    ci.save_mesh(ci.make_icosphere(2, 1.0), mesh_path)
+    built = []
+    init = ci.TriMesh.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ci.TriMesh, "__init__", counting_init)
+    assert run(["gradcheck", "--input", str(mesh_path), "--output", str(tmp_path / "g.csv")]) == 0
+    assert 1 <= len(built) <= 2  # the loaded mesh, not 6 V + 1 = 973
+
+
+@pytest.mark.parametrize("h,message", [
+    ("nan", "step h must be finite, got nan"),
+    ("inf", "step h must be finite, got inf"),
+    ("0", "step h must be positive"),
+    ("1e308", "total area is not finite at vertex 0 moved by +h along x"),
+])
+def test_gradcheck_bad_or_overflowing_step_exits_1(h, message, tmp_path, capsys):
+    mesh_path = tmp_path / "ico2.off"
+    ci.save_mesh(ci.make_icosphere(2, 1.0), mesh_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["gradcheck", "--input", str(mesh_path), "--h", h])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_laplacian_refuses_isolated_vertex(tmp_path, capsys):

@@ -17,8 +17,11 @@ import curvint as ci
 from curvint.flow import _curvatures
 
 from conftest import (
+    STOCK,
     bundled_meshes,
     interior_vertices,
+    isolated_vertex,
+    jiggled_icosphere,
     perturbed_meshes,
     reference_area_gradient,
     reference_boundary_vertices,
@@ -33,13 +36,6 @@ from conftest import (
     reference_star_sums,
     reference_vector_mean_curvature,
 )
-
-
-def jiggled_icosphere(level: int, seed: int) -> ci.TriMesh:
-    base = ci.make_icosphere(level, 1.0)
-    rng = np.random.default_rng(seed)
-    return base.with_positions(base.positions
-                               + (0.2 / 2 ** level) * rng.standard_normal(base.positions.shape))
 
 
 def bits(value):
@@ -168,11 +164,6 @@ def assert_sums_match_reference(mesh):
                 == reference_laplacian_field(mesh, values).tobytes())
 
 
-STOCK = ([(name, m) for name, m in bundled_meshes()]
-         + [(f"perturbed{k}", m) for k, m in enumerate(perturbed_meshes(10, 0.05))]
-         + [("jiggled_ico3", jiggled_icosphere(3, 3))])
-
-
 @pytest.mark.parametrize("name,mesh", STOCK, ids=[s[0] for s in STOCK])
 def test_matches_reference(name, mesh):
     np.testing.assert_array_equal(mesh.boundary_vertices(), reference_boundary_vertices(mesh))
@@ -211,11 +202,6 @@ def two_tetrahedra():
 
 def doubly_covered_triangle():
     return ci.TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2], [0, 2, 1]])
-
-
-def isolated_vertex():
-    base = ci.make_icosphere(1, 1.0)
-    return ci.TriMesh(np.vstack([[5.0, 5.0, 5.0], base.positions]), base.faces + 1)
 
 
 def degenerate_closed():

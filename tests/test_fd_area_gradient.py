@@ -1,0 +1,109 @@
+"""The whole-mesh finite-difference oracle of the area gradient: bitwise
+equal to one central_gradient per vertex over rebuilt meshes (the loop
+gradcheck ran before), on closed, open and jiggled meshes, with an
+isolated vertex, at several steps and block sizes; blocks stay within
+FD_BLOCK floats; a bad or overflowing step is a typed error."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import curvint as ci
+from curvint import discrete
+
+from conftest import STOCK, isolated_vertex, jiggled_icosphere, reference_fd_area_gradient
+
+
+def assert_bitwise(mesh, h=1e-5, vertices=None):
+    got = ci.fd_area_gradient(mesh, h)
+    if vertices is not None:
+        got = got[list(vertices)]
+    expected = reference_fd_area_gradient(mesh, h, vertices)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name,mesh", STOCK, ids=[s[0] for s in STOCK])
+def test_matches_reference(name, mesh):
+    assert_bitwise(mesh)
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-7, 0.25])
+def test_matches_reference_at_other_steps(h):
+    assert_bitwise(jiggled_icosphere(2, 7), h)
+    assert_bitwise(ci.make_catenoid(1.0, 4, 12), h)
+
+
+def test_matches_reference_on_jiggled_ico4():
+    # many blocks of six probe rows; the reference loop takes about ten
+    # seconds for every vertex, so it is sampled
+    mesh = jiggled_icosphere(4, 4)
+    assert_bitwise(mesh, vertices=range(0, mesh.n_vertices, 41))
+
+
+def test_isolated_vertex_rows_are_positive_zero():
+    mesh = isolated_vertex()
+    got = ci.fd_area_gradient(mesh, 1e-5)
+    assert got[0].tobytes() == np.zeros(3).tobytes()
+    assert got.tobytes() == reference_fd_area_gradient(mesh, 1e-5).tobytes()
+
+
+class BlockRecorder:
+    """Stands in for numpy in `curvint.discrete`, recording the shape of
+    every 2-D array made with `empty`."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, *args, **kwargs):
+        if isinstance(shape, tuple) and len(shape) == 2:
+            self.blocks.append(shape)
+        return np.empty(shape, *args, **kwargs)
+
+
+@pytest.mark.parametrize("cap", [1, 500, 4096, discrete.FD_BLOCK])
+def test_blocks_stay_within_the_cap(cap, monkeypatch):
+    mesh = jiggled_icosphere(2, 2)
+    expected = reference_fd_area_gradient(mesh, 1e-5)
+    recorder = BlockRecorder()
+    monkeypatch.setattr(discrete, "FD_BLOCK", cap)
+    monkeypatch.setattr(discrete, "np", recorder)
+    got = ci.fd_area_gradient(mesh, 1e-5)
+    assert got.tobytes() == expected.tobytes()
+    rows = [r for r, _ in recorder.blocks]
+    assert {f for _, f in recorder.blocks} == {mesh.n_faces}
+    assert sum(rows) == 6 * mesh.n_vertices
+    # one row per block when a row alone is over the cap
+    assert max(rows) == max(1, cap // mesh.n_faces)
+    assert max(r * f for r, f in recorder.blocks) <= max(cap, mesh.n_faces)
+
+
+@pytest.mark.parametrize("h,message", [
+    (0.0, "step h must be positive"),
+    (-1e-5, "step h must be positive"),
+    (float("nan"), "step h must be finite, got nan"),
+    (float("inf"), "step h must be finite, got inf"),
+    (float("-inf"), "step h must be finite, got -inf"),
+])
+def test_bad_step_is_named(h, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ci.fd_area_gradient(ci.make_icosphere(1, 1.0), h)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ci.central_gradient(lambda x: 0.0, np.zeros(3), h)
+
+
+@pytest.mark.parametrize("make,vertex", [
+    (lambda: ci.make_icosphere(2, 1.0), 0),
+    (isolated_vertex, 1),  # moving vertex 0 changes no face
+])
+def test_overflowing_probe_names_the_first_vertex(make, vertex):
+    mesh = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ci.EvaluationError) as err:
+            ci.fd_area_gradient(mesh, 1e308)
+    assert str(err.value) == f"total area is not finite at vertex {vertex} moved by +h along x"
