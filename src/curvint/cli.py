@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import contour, discrete, flow as flow_mod, mesh as mesh_mod
-from .errors import CurvintError
+from .errors import CurvintError, EvaluationError
 from .numerics import gauss_legendre
 from .surfaces import surface_from_name
 
@@ -74,7 +74,7 @@ def _rule_from_args(args):
 
 
 def _read_field(path: str, n_vertices: int) -> np.ndarray:
-    values = np.full(n_vertices, np.nan)
+    values = [None] * n_vertices
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -91,11 +91,14 @@ def _read_field(path: str, n_vertices: int) -> np.ndarray:
             raise ValueError(f"{path}:{lineno}: expected 'vertex,value'") from None
         if not 0 <= v < n_vertices:
             raise ValueError(f"{path}:{lineno}: vertex {v} out of range")
+        if not math.isfinite(x):
+            raise ValueError(f"{path}:{lineno}: value must be finite")
+        if values[v] is not None:
+            raise ValueError(f"{path}:{lineno}: vertex {v} given twice")
         values[v] = x
-    missing = np.flatnonzero(~np.isfinite(values))
-    if len(missing):
-        raise ValueError(f"{path}: no value for vertex {missing[0]}")
-    return values
+    if None in values:
+        raise ValueError(f"{path}: no value for vertex {values.index(None)}")
+    return np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +186,11 @@ def _cmd_laplacian(args) -> int:
         mesh_mod.star_corners(m, int(np.argmax(isolated)))  # raises IsolatedVertexError
     values = _read_field(args.field, m.n_vertices)
     lap = discrete.laplacian_field(m, values)
-    lines = ["vertex,L"]
-    for v in range(m.n_vertices):
-        if np.isfinite(lap[v]):
-            lines.append(f"{v},{_fmt(lap[v])}")
+    interior = np.flatnonzero(~m.boundary_vertices())
+    bad = interior[~np.isfinite(lap[interior])]
+    if len(bad):
+        raise EvaluationError("Laplacian is not finite", where=f"vertex {bad[0]}")
+    lines = ["vertex,L"] + [f"{v},{_fmt(lap[v])}" for v in interior]
     _emit(lines, args.output)
     return 0
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import BoundaryVertexError, EvaluationError
 from .mesh import TriMesh, corner_terms, star_corners, triangle_areas
-from .numerics import checked_step
+from .numerics import checked_positive
 
 __all__ = [
     "CurvatureSample",
@@ -140,7 +140,7 @@ def fd_area_gradient(mesh: TriMesh, h: float) -> np.ndarray:
     the first probe, in (v, k, +/-) order, whose total area is not
     finite.
     """
-    h = checked_step(h)
+    h = checked_positive(h, "step h")
     positions, faces = mesh.positions, mesh.faces
     order, offsets = mesh.topology._corner_csr
     steps = h * np.eye(3)
@@ -188,10 +188,12 @@ def laplacian(mesh: TriMesh, v: int, values) -> float:
     star_corners(mesh, v)
     if mesh.topology.boundary[v]:
         raise BoundaryVertexError(f"vertex {v} lies on the mesh boundary")
-    # degenerate faces and isolated vertices elsewhere give nan entries
-    # that v does not read
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return float(laplacian_field(mesh, values)[v])
+    # non-finite entries elsewhere (degenerate faces, isolated vertices,
+    # overflow) are not v's
+    out = float(laplacian_field(mesh, values)[v])
+    if not np.isfinite(out):
+        raise EvaluationError("Laplacian is not finite", where=f"vertex {v}")
+    return out
 
 
 def curvature_field(mesh: TriMesh, tol_direction: float = 1e-8) -> list[CurvatureSample | None]:
@@ -225,19 +227,22 @@ def ring_areas(mesh: TriMesh) -> np.ndarray:
 
 def laplacian_field(mesh: TriMesh, values) -> np.ndarray:
     """Surface Laplacian of a per-vertex field at every interior vertex;
-    boundary entries are nan."""
+    boundary entries are nan. Entries are inf or nan, without a warning,
+    where the field's terms overflow, at an isolated vertex and next to
+    a degenerate face."""
     values = _validated_field(mesh, values)
     m, norm_m, slots = corner_terms(mesh.positions, mesh.faces)
     slots = list(slots)
-    mhat = m / norm_m
-    # gradient of the linear interpolant: values times (mhat x e) / |m|
-    terms = [values[corner][:, None] * np.cross(mhat, e)
-             for corner, (e, _) in zip(mesh.faces.T, slots)]
-    g = (terms[0] + terms[1] + terms[2]) / norm_m
-    num = np.zeros(mesh.n_vertices)
-    for corner, (_, an) in zip(mesh.faces.T, slots):
-        np.add.at(num, corner, np.einsum("ij,ij->i", g, an))
-    out = num / mesh.corner_kernel().ring_areas
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mhat = m / norm_m
+        # gradient of the linear interpolant: values times (mhat x e) / |m|
+        terms = [values[corner][:, None] * np.cross(mhat, e)
+                 for corner, (e, _) in zip(mesh.faces.T, slots)]
+        g = (terms[0] + terms[1] + terms[2]) / norm_m
+        num = np.zeros(mesh.n_vertices)
+        for corner, (_, an) in zip(mesh.faces.T, slots):
+            np.add.at(num, corner, np.einsum("ij,ij->i", g, an))
+        out = num / mesh.corner_kernel().ring_areas
     out[mesh.boundary_vertices()] = np.nan
     return out
 

@@ -1,6 +1,10 @@
 """Indexed triangle meshes: data model, shared connectivity (topology),
 the one-ring arithmetic and its per-vertex sums, OBJ/OFF input/output,
-stock primitives, and one-ring (vertex star) extraction."""
+stock primitives, and one-ring (vertex star) extraction.
+
+The grid, tube and catenoid primitives are samples of the plane, the
+cylinder and the catenoid of `curvint.surfaces` on a parameter grid, by
+one sampler; the icosphere is a subdivided icosahedron."""
 
 from __future__ import annotations
 
@@ -19,6 +23,8 @@ from .errors import (
     MeshValidationError,
     ParseError,
 )
+from .numerics import checked_positive
+from .surfaces import Catenoid, Cylinder, Plane
 
 __all__ = [
     "TriMesh",
@@ -578,24 +584,29 @@ def save_mesh(mesh: TriMesh, dest, fmt: str | None = None) -> None:
 # primitives
 
 
+def _sample_surface(surface, us, vs) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, faces) of surface sampled on the grid us x vs: vertex
+    i * len(vs) + j is surface.position(us[i], vs[j]), and each quad
+    (i, j)-(i+1, j+1) is split along that diagonal into [a, b, c],
+    [a, c, d], row by row; the column index wraps when v is periodic."""
+    cols = len(vs)
+    positions = surface.position(us[:, None], vs[None, :]).reshape(-1, 3)
+    i = np.arange(len(us) - 1)[:, None] * cols
+    j = np.arange(cols if surface.v_periodic else cols - 1)
+    a, b = i + j, i + (j + 1) % cols
+    faces = np.stack([a, b, b + cols, a, b + cols, a + cols], axis=-1).reshape(-1, 3)
+    return positions, faces
+
+
 def make_grid(n: int) -> TriMesh:
-    """Unit square [0, 1]^2 with (n+1)^2 vertices, each cell split along
+    """The plane z = 0 sampled on the unit square [0, 1]^2: (n+1)^2
+    vertices, vertex j * (n+1) + i at (i/n, j/n), each cell split along
     the (i, j) -> (i+1, j+1) diagonal."""
     if n < 1:
         raise ValueError("grid resolution must be >= 1")
     coords = np.linspace(0.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(coords, coords, indexing="xy")
-    positions = np.column_stack([xx.ravel(), yy.ravel(), np.zeros((n + 1) ** 2)])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    faces = []
-    for j in range(n):
-        for i in range(n):
-            faces.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
-            faces.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return TriMesh(positions, faces)
+    positions, faces = _sample_surface(Plane(), coords, coords)
+    return TriMesh(positions[:, [1, 0, 2]], faces)
 
 
 _ICO_VERTS = None
@@ -624,8 +635,7 @@ def make_icosphere(level: int, radius: float = 1.0) -> TriMesh:
     projected onto the sphere of the given radius. 20 * 4^level faces."""
     if not 0 <= level <= 6:
         raise ValueError("subdivision level must be between 0 and 6")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    radius = checked_positive(radius, "radius")
     verts, faces = _icosahedron()
     verts = list(verts)
     for _ in range(level):
@@ -648,45 +658,28 @@ def make_icosphere(level: int, radius: float = 1.0) -> TriMesh:
     return TriMesh(positions, faces)
 
 
-def _revolution_mesh(profile_r, profile_z, n_v: int) -> TriMesh:
-    rings = len(profile_r)
-    angles = np.linspace(0.0, 2.0 * math.pi, n_v, endpoint=False)
-    positions = np.empty((rings * n_v, 3))
-    for i in range(rings):
-        positions[i * n_v:(i + 1) * n_v, 0] = profile_r[i] * np.cos(angles)
-        positions[i * n_v:(i + 1) * n_v, 1] = profile_r[i] * np.sin(angles)
-        positions[i * n_v:(i + 1) * n_v, 2] = profile_z[i]
-    faces = []
-    for i in range(rings - 1):
-        for j in range(n_v):
-            a = i * n_v + j
-            b = i * n_v + (j + 1) % n_v
-            c = (i + 1) * n_v + (j + 1) % n_v
-            d = (i + 1) * n_v + j
-            faces.extend([[a, b, c], [a, c, d]])
-    return TriMesh(positions, faces)
-
-
 def make_tube(radius: float, length: float, n_u: int, n_v: int) -> TriMesh:
-    """Open cylinder of the given radius along z in [0, length]; n_u
-    segments along the axis, n_v around. Both rims are boundary."""
-    if radius <= 0 or length <= 0:
-        raise ValueError("radius and length must be positive")
+    """The cylinder of the given radius along z sampled on z in [0,
+    length] (n_u segments) times n_v angles from 0: an open tube whose
+    two rims are boundary."""
+    cylinder = Cylinder(radius)
+    length = checked_positive(length, "length")
     if n_u < 1 or n_v < 3:
         raise ValueError("need n_u >= 1 and n_v >= 3")
-    z = np.linspace(0.0, length, n_u + 1)
-    return _revolution_mesh(np.full(n_u + 1, float(radius)), z, n_v)
+    return TriMesh(*_sample_surface(cylinder, np.linspace(0.0, length, n_u + 1),
+                                    np.linspace(0.0, 2.0 * math.pi, n_v, endpoint=False)))
 
 
 def make_catenoid(waist: float, n_u: int, n_v: int) -> TriMesh:
-    """Open catenoid r(z) = c cosh(z / c) sampled on z in [-c, c]; a
-    near-minimal fixture (vertices lie on a minimal surface)."""
-    if waist <= 0:
-        raise ValueError("waist must be positive")
+    """The catenoid r(z) = c cosh(z / c) sampled on z in [-c, c] (n_u
+    segments) times n_v angles from 0; a near-minimal fixture (vertices
+    lie on a minimal surface). Sampled beyond Catenoid.u_range when c > 2."""
+    catenoid = Catenoid(waist)
     if n_u < 1 or n_v < 3:
         raise ValueError("need n_u >= 1 and n_v >= 3")
-    z = np.linspace(-waist, waist, n_u + 1)
-    return _revolution_mesh(waist * np.cosh(z / waist), z, n_v)
+    c = catenoid.waist
+    return TriMesh(*_sample_surface(catenoid, np.linspace(-c, c, n_u + 1),
+                                    np.linspace(0.0, 2.0 * math.pi, n_v, endpoint=False)))
 
 
 def make_primitive(kind: str, **params) -> TriMesh:

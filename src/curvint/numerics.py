@@ -115,21 +115,21 @@ def panel_nodes(a: float, b: float, rule: QuadratureRule) -> tuple[np.ndarray, n
     return x, w
 
 
-def checked_step(h: float) -> float:
-    """h as a float, or a ValueError naming it unless it is finite and
+def checked_positive(x: float, name: str) -> float:
+    """x as a float, or a ValueError naming it unless it is finite and
     positive."""
-    h = float(h)
-    if not math.isfinite(h):
-        raise ValueError(f"step h must be finite, got {h}")
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    return h
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    if x <= 0:
+        raise ValueError(f"{name} must be positive")
+    return x
 
 
 def central_gradient(f: Callable[[np.ndarray], float], x, h: float) -> np.ndarray:
     """Component-wise central difference (f(x + h e) - f(x - h e)) / 2h
     of a scalar function of a 3-vector."""
-    h = checked_step(h)
+    h = checked_positive(h, "step h")
     x = np.asarray(x, dtype=float)
     out = np.empty(3)
     for k in range(3):

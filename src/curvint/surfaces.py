@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
+from .numerics import checked_positive
 
 __all__ = [
     "SurfaceFrame",
@@ -207,9 +208,7 @@ class Sphere(ParametricSurface):
     margin = 1e-9
 
     def __init__(self, radius: float):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
+        self.radius = checked_positive(radius, "radius")
 
     def position(self, u, v):
         r = self.radius
@@ -241,9 +240,7 @@ class Cylinder(ParametricSurface):
     v_periodic = True
 
     def __init__(self, radius: float):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
+        self.radius = checked_positive(radius, "radius")
 
     def position(self, u, v):
         r = self.radius
@@ -307,9 +304,7 @@ class Catenoid(ParametricSurface):
     v_periodic = True
 
     def __init__(self, waist: float = 1.0):
-        if waist <= 0:
-            raise ValueError("waist must be positive")
-        self.waist = float(waist)
+        self.waist = checked_positive(waist, "waist")
 
     def _rho(self, u):
         c = self.waist

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: a deterministic hypothesis profile,
 stock meshes, perturbed-mesh factories, parameter-domain sampling boxes,
-malformed-file fixtures, the face-by-face vertex classification (one-ring
+malformed-file fixtures, the hand-built grid and surfaces of revolution
+kept as references for the surface sampler's primitives, the
+face-by-face vertex classification (one-ring
 loop, and the open-edge set it contains), the per-vertex loops
 (one-ring, area gradient, Laplacian, the finite-difference area
 gradient over rebuilt meshes) kept as references for the whole-mesh
@@ -184,6 +186,56 @@ FACE_ERROR_FIXTURES = [
      "OFF\n3 1 0\n0 0 0\n1e200 1e200 0\n1e200 2e200 0\n3 0 1 2\n", 6, 0,
      "has a non-finite area (nan)"),
 ]
+
+# ---------------------------------------------------------------------------
+# reference primitives: the face loops that built the grid, tube and
+# catenoid before they were samples of curvint.surfaces
+
+
+def reference_make_grid(n: int) -> ci.TriMesh:
+    coords = np.linspace(0.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(coords, coords, indexing="xy")
+    positions = np.column_stack([xx.ravel(), yy.ravel(), np.zeros((n + 1) ** 2)])
+
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    faces = []
+    for j in range(n):
+        for i in range(n):
+            faces.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
+            faces.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
+    return ci.TriMesh(positions, faces)
+
+
+def reference_revolution_mesh(profile_r, profile_z, n_v: int) -> ci.TriMesh:
+    rings = len(profile_r)
+    angles = np.linspace(0.0, 2.0 * math.pi, n_v, endpoint=False)
+    positions = np.empty((rings * n_v, 3))
+    for i in range(rings):
+        positions[i * n_v:(i + 1) * n_v, 0] = profile_r[i] * np.cos(angles)
+        positions[i * n_v:(i + 1) * n_v, 1] = profile_r[i] * np.sin(angles)
+        positions[i * n_v:(i + 1) * n_v, 2] = profile_z[i]
+    faces = []
+    for i in range(rings - 1):
+        for j in range(n_v):
+            a = i * n_v + j
+            b = i * n_v + (j + 1) % n_v
+            c = (i + 1) * n_v + (j + 1) % n_v
+            d = (i + 1) * n_v + j
+            faces.extend([[a, b, c], [a, c, d]])
+    return ci.TriMesh(positions, faces)
+
+
+def reference_make_tube(radius: float, length: float, n_u: int, n_v: int) -> ci.TriMesh:
+    z = np.linspace(0.0, length, n_u + 1)
+    return reference_revolution_mesh(np.full(n_u + 1, float(radius)), z, n_v)
+
+
+def reference_make_catenoid(waist: float, n_u: int, n_v: int) -> ci.TriMesh:
+    z = np.linspace(-waist, waist, n_u + 1)
+    return reference_revolution_mesh(waist * np.cosh(z / waist), z, n_v)
+
 
 # ---------------------------------------------------------------------------
 # reference one-ring: one vertex at a time, one incident face at a time

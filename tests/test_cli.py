@@ -1,5 +1,6 @@
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,8 @@ from curvint import discrete
 from curvint.cli import run
 
 from conftest import (FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, NON_FINITE_FIXTURES,
-                      jiggled_icosphere, reference_fd_area_gradient)
+                      jiggled_icosphere, reference_fd_area_gradient, reference_make_catenoid,
+                      reference_make_grid, reference_make_tube)
 
 
 def read_rows(path):
@@ -91,6 +93,35 @@ def test_make_and_curvature_roundtrip(tmp_path):
     assert header == ["vertex", "Bx", "By", "Bz", "magnitude", "near_minimal", "boundary"]
     assert len(rows) == 162
     assert all(row[6] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["obj", "off"])
+@pytest.mark.parametrize("args,reference", [
+    (["--kind", "grid", "--n", "7"], lambda: reference_make_grid(7)),
+    (["--kind", "tube", "--R", "0.5", "--L", "3", "--n-u", "5", "--n-v", "9"],
+     lambda: reference_make_tube(0.5, 3.0, 5, 9)),
+    (["--kind", "catenoid", "--c", "2.5", "--n-u", "19", "--n-v", "32"],
+     lambda: reference_make_catenoid(2.5, 19, 32)),
+], ids=["grid", "tube", "catenoid"])
+def test_make_writes_the_reference_primitive(args, reference, fmt, tmp_path):
+    out = tmp_path / f"mesh.{fmt}"
+    assert run(["make", *args, "--output", str(out)]) == 0
+    assert out.read_text() == ci.mesh_to_text(reference(), fmt)
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--kind", "tube", "--R", "nan"], "radius must be finite, got nan"),
+    (["--kind", "tube", "--L", "inf"], "length must be finite, got inf"),
+    (["--kind", "catenoid", "--c=-inf"], "waist must be finite, got -inf"),
+    (["--kind", "icosphere", "--R", "nan"], "radius must be finite, got nan"),
+])
+def test_make_refuses_non_finite_parameters(args, message, tmp_path, capsys):
+    out = tmp_path / "mesh.off"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["make", *args, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_curvature_marks_boundary_rows(tmp_path):
@@ -290,6 +321,67 @@ def test_laplacian_missing_field_value(tmp_path, capsys):
     rc = run(["laplacian", "--input", str(mesh_path), "--field", str(field_path)])
     assert rc == 1
     assert "no value" in capsys.readouterr().err
+
+
+def test_laplacian_overflow_exits_1_naming_the_vertex(tmp_path, capsys):
+    mesh = ci.make_icosphere(2, 1.0)
+    mesh_path = tmp_path / "ico.off"
+    ci.save_mesh(mesh, mesh_path)
+    values = np.where(np.arange(mesh.n_vertices) % 2 == 0, -1e308, 1e308)
+    field_path = tmp_path / "field.csv"
+    field_path.write_text("".join(f"{v},{float(x)!r}\n" for v, x in enumerate(values)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = int(np.argmax(~np.isfinite(ci.laplacian_field(mesh, values))))
+        rc = run(["laplacian", "--input", str(mesh_path), "--field", str(field_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: Laplacian is not finite at vertex {first}\n"
+
+
+@pytest.mark.parametrize("rows,line,message", [
+    (["0,1", "1,inf"], 3, "value must be finite"),
+    (["0,1", "1,nan"], 3, "value must be finite"),
+    (["0,-inf", "1,2"], 2, "value must be finite"),
+    (["0,1", "1,2", "0,1"], 4, "vertex 0 given twice"),
+    (["0,1", "1,2", "2,3", "1,2"], 5, "vertex 1 given twice"),
+])
+def test_laplacian_field_rows_are_checked(rows, line, message, tmp_path, capsys):
+    mesh_path = tmp_path / "grid.off"
+    ci.save_mesh(ci.make_grid(2), mesh_path)
+    field_path = tmp_path / "field.csv"
+    field_path.write_text("\n".join(["vertex,value"] + rows + [f"{v},0" for v in range(3, 9)]))
+    rc = run(["laplacian", "--input", str(mesh_path), "--field", str(field_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field_path}:{line}: {message}\n"
+
+
+def readme_commands():
+    """The commands of the README's "Command line" block, as argument
+    lists without the leading `curvint`."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.strip()]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    grid = ci.make_grid(8)
+    ci.save_mesh(grid, "grid.off")
+    x, y, _ = grid.positions.T
+    Path("field.csv").write_text("vertex,value\n" + "".join(
+        f"{v},{float(a * a + b * b)!r}\n" for v, (a, b) in enumerate(zip(x, y))))
+    commands = readme_commands()
+    assert [args[0] for args in commands] == [
+        "verify", "verify", "limit", "make", "curvature", "gradcheck", "laplacian", "flow"]
+    for args in commands:
+        assert run(args) == 0, (args, capsys.readouterr().err)
+    capsys.readouterr()
 
 
 def test_flow_subcommand(tmp_path):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import curvint as ci
 from curvint import BoundaryVertexError
 
-from conftest import bundled_meshes, interior_vertices, perturbed_meshes, random_rotation
+from conftest import (bundled_meshes, interior_vertices, isolated_vertex, perturbed_meshes,
+                      random_rotation)
 
 
 def rel_vec_err(a, b):
@@ -241,6 +242,29 @@ def test_field_validation():
         ci.laplacian(g, v, np.zeros(5))
     with pytest.raises(ValueError):
         ci.laplacian(g, v, np.full(g.n_vertices, np.nan))
+
+
+def test_overflowing_laplacian_is_refused_only_where_it_overflows():
+    # 1e308 at vertex 0 overflows the gradients of its faces; the rest of
+    # the field stays finite, and no RuntimeWarning is raised
+    mesh = ci.make_icosphere(2, 1.0)
+    values = np.zeros(mesh.n_vertices)
+    values[0] = 1e308
+    field = ci.laplacian_field(mesh, values)
+    bad = np.flatnonzero(~np.isfinite(field))
+    assert 0 in bad and len(bad) < mesh.n_vertices
+    for v in bad:
+        with pytest.raises(ci.EvaluationError, match=f"^Laplacian is not finite at vertex {v}$"):
+            ci.laplacian(mesh, int(v), values)
+    for v in np.flatnonzero(np.isfinite(field)):
+        assert ci.laplacian(mesh, int(v), values) == field[v]
+
+
+def test_laplacian_field_at_an_isolated_vertex_is_nan_without_a_warning():
+    mesh = isolated_vertex()
+    field = ci.laplacian_field(mesh, mesh.positions[:, 0])
+    assert np.isnan(field[0])
+    assert np.isfinite(field[1:]).all()
 
 
 def test_curvature_field_markers():

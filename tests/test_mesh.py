@@ -10,7 +10,8 @@ import curvint as ci
 from curvint import IsolatedVertexError, MeshValidationError, ParseError
 
 from conftest import (FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, NON_FINITE_FIXTURES,
-                      bundled_meshes, interior_vertices, perturbed_meshes)
+                      bundled_meshes, interior_vertices, perturbed_meshes,
+                      reference_make_catenoid, reference_make_grid, reference_make_tube)
 
 
 MINIMAL_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
@@ -228,6 +229,52 @@ def test_primitive_parameter_validation():
         ci.make_tube(1.0, 2.0, 1, 2)
     with pytest.raises(ValueError):
         ci.make_primitive("moebius")
+    # refused by name before any sampling, so without a RuntimeWarning
+    for bad in (math.nan, math.inf, -math.inf):
+        for make, name in [(lambda x: ci.make_tube(x, 2.0, 4, 8), "radius"),
+                           (lambda x: ci.make_tube(1.0, x, 4, 8), "length"),
+                           (lambda x: ci.make_catenoid(x, 4, 8), "waist"),
+                           (lambda x: ci.make_icosphere(1, x), "radius")]:
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+                make(bad)
+    for make, name in [(lambda: ci.make_tube(0.0, 2.0, 4, 8), "radius"),
+                       (lambda: ci.make_tube(1.0, -1.0, 4, 8), "length"),
+                       (lambda: ci.make_catenoid(0.0, 4, 8), "waist"),
+                       (lambda: ci.make_icosphere(1, -2.0), "radius")]:
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            make()
+
+
+def assert_same_mesh(got, expected):
+    assert got.positions.shape == expected.positions.shape
+    assert got.positions.dtype == expected.positions.dtype
+    assert got.positions.tobytes() == expected.positions.tobytes()
+    assert got.faces.shape == expected.faces.shape
+    assert got.faces.dtype == expected.faces.dtype
+    assert got.faces.tobytes() == expected.faces.tobytes()
+
+
+def test_grid_is_the_reference_grid():
+    for n in range(1, 65):
+        assert_same_mesh(ci.make_grid(n), reference_make_grid(n))
+
+
+@pytest.mark.parametrize("radius", [1e-3, 0.1, 1, 3.7, 1e3])
+def test_tube_is_the_reference_tube(radius):
+    for length in (0.5, 2.0, 100.0):
+        for n_u in (1, 2, 5, 16, 64):
+            for n_v in (3, 4, 7, 32, 64):
+                assert_same_mesh(ci.make_tube(radius, length, n_u, n_v),
+                                 reference_make_tube(radius, length, n_u, n_v))
+
+
+# c > 2 samples beyond Catenoid.u_range, as the hand-built catenoid did
+@pytest.mark.parametrize("waist", [1e-3, 0.1, 0.5, 1, 2.0, 2.5, 5.0])
+def test_catenoid_is_the_reference_catenoid(waist):
+    for n_u in (1, 2, 5, 16, 19, 64):
+        for n_v in (3, 4, 7, 32, 64):
+            assert_same_mesh(ci.make_catenoid(waist, n_u, n_v),
+                             reference_make_catenoid(waist, n_u, n_v))
 
 
 def test_star_on_grid_interior_and_corner():

@@ -108,6 +108,10 @@ def test_parameter_validation():
         ci.Torus(1.0, 1.5)  # minor must be below major
     with pytest.raises(ValueError):
         ci.Catenoid(-1.0)
+    for make, name in [(ci.Sphere, "radius"), (ci.Cylinder, "radius"), (ci.Catenoid, "waist")]:
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+                make(bad)
 
 
 def test_surface_factory():
