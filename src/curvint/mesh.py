@@ -8,12 +8,12 @@ one sampler; the icosphere is a subdivided icosahedron."""
 
 from __future__ import annotations
 
-import io
 import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -383,7 +383,70 @@ def _finite(positions: np.ndarray, vertex_lines, path) -> np.ndarray:
     return positions
 
 
-def _parse_obj(lines, path) -> tuple:
+def _block(lines, dtype, **kw):
+    """lines as one (rows, columns) array, or None when numpy refuses a
+    token or the column count changes."""
+    try:
+        return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2, **kw)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _off_block(lines) -> tuple | None:
+    """(positions, faces, face_lines) of a regular OFF body, or None: the
+    header `OFF`, the counts line, then exactly V lines of 3 finite
+    coordinates and F lines `3 a b c`, no blank lines. Never raises."""
+    if len(lines) < 4 or lines[0] != "OFF":
+        return None
+    try:
+        n_vertices, n_faces, _ = (int(t) for t in lines[1].split())
+    except ValueError:
+        return None
+    if min(n_vertices, n_faces) < 1 or len(lines) != 2 + n_vertices + n_faces:
+        return None
+    # numpy skips blank lines: a short block has fewer rows
+    positions = _block(lines[2:2 + n_vertices], float)
+    if positions is None or positions.shape != (n_vertices, 3) or not np.isfinite(positions).all():
+        return None
+    faces = _block(lines[2 + n_vertices:], np.int64)
+    if faces is None or faces.shape != (n_faces, 4) or (faces[:, 0] != 3).any():
+        return None
+    return positions, faces[:, 1:], range(3 + n_vertices, 3 + n_vertices + n_faces)
+
+
+def _obj_block(lines) -> tuple | None:
+    """(positions, faces, face_lines) of a regular OBJ body, or None: V
+    lines `v x y z` of finite coordinates (tokens after the third are
+    ignored, as by the line loop), then F lines `f a b c` of positive
+    indices, nothing else. Never raises."""
+    heads = list(map(itemgetter(slice(0, 2)), lines))
+    n_vertices = heads.count("v ")
+    n_faces = len(lines) - n_vertices
+    if (min(n_vertices, n_faces) < 1 or heads.count("f ") != n_faces
+            or heads.index("f ") != n_vertices):
+        return None
+    positions = _block(lines[:n_vertices], float, usecols=(1, 2, 3))
+    if positions is None or positions.shape != (n_vertices, 3) or not np.isfinite(positions).all():
+        return None
+    faces = _block(list(map(itemgetter(slice(2, None)), lines[n_vertices:])), np.int64)
+    if faces is None or faces.shape != (n_faces, 3) or (faces <= 0).any():
+        return None
+    return positions, faces - 1, range(n_vertices + 1, n_vertices + 1 + n_faces)
+
+
+def _parse_obj(text: str, path) -> tuple:
+    lines = text.splitlines()
+    block = None if "#" in text else _obj_block(lines)
+    return block or _obj_line_loop(lines, path)
+
+
+def _parse_off(text: str, path) -> tuple:
+    lines = text.splitlines()
+    block = None if "#" in text else _off_block(lines)
+    return block or _off_line_loop(lines, path)
+
+
+def _obj_line_loop(lines, path) -> tuple:
     positions = []
     faces = []
     face_lines = array("q")  # 8 bytes per triangle, where a list holds int objects
@@ -426,7 +489,7 @@ def _parse_obj(lines, path) -> tuple:
     return _finite(positions, vertex_lines, path), faces, face_lines
 
 
-def _parse_off(lines, path) -> tuple:
+def _off_line_loop(lines, path) -> tuple:
     def significant(start):
         for lineno in range(start, len(lines)):
             line = lines[lineno].split("#", 1)[0].strip()
@@ -517,7 +580,11 @@ def _infer_format(name: str | None, fmt: str | None) -> str:
 def load_mesh(source, fmt: str | None = None) -> TriMesh:
     """Read an OBJ or OFF mesh from a path, text, or file-like object.
 
-    The format is inferred from the file extension unless given. Parse
+    The format is inferred from the file extension unless given. A
+    regular body (OFF: header, counts, V coordinate lines, F lines
+    `3 a b c`; OBJ: `v x y z` lines, then `f a b c` lines; no comment,
+    no blank line) is converted as one numpy block; anything else goes
+    through the line loop, the only code that reports errors. Parse
     errors, and validation errors of a face, carry its 1-based line
     number.
     """
@@ -538,7 +605,7 @@ def load_mesh(source, fmt: str | None = None) -> TriMesh:
     except UnicodeDecodeError:
         raise ParseError("not a text file", 1, path) from None
     parse = _parse_obj if _infer_format(path, fmt) == "obj" else _parse_off
-    positions, faces, face_lines = parse(text.splitlines(), path)
+    positions, faces, face_lines = parse(text, path)
     # validated once every vertex is known: OBJ `v` records may follow `f`
     try:
         return TriMesh(positions, faces)
@@ -550,23 +617,17 @@ def load_mesh(source, fmt: str | None = None) -> TriMesh:
 
 
 def mesh_to_text(mesh: TriMesh, fmt: str) -> str:
-    """Serialize to OBJ or OFF text; coordinates keep 17 significant
-    digits so float64 values round-trip exactly."""
+    """Serialize to OBJ or OFF text, one %-format per block of lines;
+    coordinates keep 17 significant digits ("%.17g" rounds as
+    format(x, ".17g")) so float64 values round-trip exactly."""
     fmt = _infer_format(None, fmt)
-    out = io.StringIO()
+    coords = tuple(mesh.positions.ravel().tolist())
     if fmt == "obj":
-        for p in mesh.positions:
-            out.write(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        for f in mesh.faces:
-            out.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
-    else:
-        out.write("OFF\n")
-        out.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
-        for p in mesh.positions:
-            out.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        for f in mesh.faces:
-            out.write(f"3 {f[0]} {f[1]} {f[2]}\n")
-    return out.getvalue()
+        return (("v %.17g %.17g %.17g\n" * mesh.n_vertices) % coords
+                + ("f %d %d %d\n" * mesh.n_faces) % tuple((mesh.faces + 1).ravel().tolist()))
+    return (f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n"
+            + ("%.17g %.17g %.17g\n" * mesh.n_vertices) % coords
+            + ("3 %d %d %d\n" * mesh.n_faces) % tuple(mesh.faces.ravel().tolist()))
 
 
 def save_mesh(mesh: TriMesh, dest, fmt: str | None = None) -> None:
@@ -637,24 +698,21 @@ def make_icosphere(level: int, radius: float = 1.0) -> TriMesh:
         raise ValueError("subdivision level must be between 0 and 6")
     radius = checked_positive(radius, "radius")
     verts, faces = _icosahedron()
-    verts = list(verts)
     for _ in range(level):
-        cache: dict[tuple[int, int], int] = {}
-
-        def midpoint(a: int, b: int) -> int:
-            key = (a, b) if a < b else (b, a)
-            if key not in cache:
-                cache[key] = len(verts)
-                verts.append(0.5 * (verts[a] + verts[b]))
-            return cache[key]
-
-        next_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            next_faces.extend([[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]])
-        faces = np.array(next_faces)
-    positions = np.asarray(verts)
-    positions = positions * (radius / np.linalg.norm(positions, axis=1))[:, None]
+        # edges ab, bc, ca of each face in turn; each edge's midpoint is
+        # numbered in order of its first appearance
+        a, b = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+        keys = np.minimum(a, b) * len(verts) + np.maximum(a, b)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ab, bc, ca = (len(verts) + rank[inverse]).reshape(-1, 3).T
+        new = first[order]
+        verts = np.concatenate([verts, 0.5 * (verts[a[new]] + verts[b[new]])])
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
+    positions = verts * (radius / np.linalg.norm(verts, axis=1))[:, None]
     return TriMesh(positions, faces)
 
 

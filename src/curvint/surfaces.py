@@ -267,10 +267,11 @@ class Torus(ParametricSurface):
     v_periodic = True
 
     def __init__(self, major: float, minor: float):
+        major, minor = checked_positive(major, "R"), checked_positive(minor, "r")
         if not 0 < minor < major:
             raise ValueError("require 0 < minor < major radius")
-        self.major = float(major)
-        self.minor = float(minor)
+        self.major = major
+        self.minor = minor
 
     def position(self, u, v):
         w = self.major + self.minor * np.cos(u)

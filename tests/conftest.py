@@ -1,7 +1,9 @@
 """Shared helpers for the test suite: a deterministic hypothesis profile,
 stock meshes, perturbed-mesh factories, parameter-domain sampling boxes,
 malformed-file fixtures, the hand-built grid and surfaces of revolution
-kept as references for the surface sampler's primitives, the
+kept as references for the surface sampler's primitives, the icosphere's
+dict of edge midpoints and the row-by-row mesh writer kept as references
+for their numpy replacements, the
 face-by-face vertex classification (one-ring
 loop, and the open-edge set it contains), the per-vertex loops
 (one-ring, area gradient, Laplacian, the finite-difference area
@@ -14,6 +16,7 @@ kept as references for the region pieces and one-pass integrals of
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -22,7 +25,7 @@ from hypothesis import settings
 import curvint as ci
 from curvint import (BoundaryVertexError, ContourError, IsolatedVertexError,
                      MeshValidationError)
-from curvint.mesh import MIN_FACE_AREA
+from curvint.mesh import MIN_FACE_AREA, _fmt, _icosahedron
 
 # the same examples on every run: each test's draws are seeded from a hash
 # of the test (which also turns the example database off)
@@ -235,6 +238,53 @@ def reference_make_tube(radius: float, length: float, n_u: int, n_v: int) -> ci.
 def reference_make_catenoid(waist: float, n_u: int, n_v: int) -> ci.TriMesh:
     z = np.linspace(-waist, waist, n_u + 1)
     return reference_revolution_mesh(waist * np.cosh(z / waist), z, n_v)
+
+
+def reference_make_icosphere(level: int, radius: float = 1.0) -> ci.TriMesh:
+    """The icosphere with its edge midpoints numbered by a dict, one face
+    at a time, as make_icosphere built it before its edge keys."""
+    verts, faces = _icosahedron()
+    verts = list(verts)
+    for _ in range(level):
+        cache: dict[tuple[int, int], int] = {}
+
+        def midpoint(a: int, b: int) -> int:
+            key = (a, b) if a < b else (b, a)
+            if key not in cache:
+                cache[key] = len(verts)
+                verts.append(0.5 * (verts[a] + verts[b]))
+            return cache[key]
+
+        next_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            next_faces.extend([[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]])
+        faces = np.array(next_faces)
+    positions = np.asarray(verts)
+    positions = positions * (radius / np.linalg.norm(positions, axis=1))[:, None]
+    return ci.TriMesh(positions, faces)
+
+
+# ---------------------------------------------------------------------------
+# reference writer: one f-string per row into a StringIO, as mesh_to_text
+# wrote meshes before its one %-format per block
+
+
+def reference_mesh_to_text(mesh: ci.TriMesh, fmt: str) -> str:
+    out = io.StringIO()
+    if fmt == "obj":
+        for p in mesh.positions:
+            out.write(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+        for f in mesh.faces:
+            out.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+    else:
+        out.write("OFF\n")
+        out.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
+        for p in mesh.positions:
+            out.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+        for f in mesh.faces:
+            out.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -471,6 +471,17 @@ def test_bad_surface_parameters_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_infinite_torus_radius_exits_1_without_warnings(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["verify", "--surface", "torus", "--R", "inf", "--r", "0.5", "--region", "rect",
+                  "--u0", "0.3", "--u1", "1.1", "--v0", "0.2", "--v1", "0.9"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad parameters for surface 'torus': R must be finite, got inf\n"
+
+
 def test_stdout_output(capsys):
     rc = run(["verify", "--surface", "plane", "--region", "rect",
               "--u0", "0", "--u1", "1", "--v0", "0", "--v1", "1"])

@@ -1,6 +1,9 @@
 import io
 import math
 import tracemalloc
+import warnings
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 import curvint as ci
 from curvint import IsolatedVertexError, MeshValidationError, ParseError
+from curvint import mesh as mesh_mod
 
-from conftest import (FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, NON_FINITE_FIXTURES,
-                      bundled_meshes, interior_vertices, perturbed_meshes,
-                      reference_make_catenoid, reference_make_grid, reference_make_tube)
+from conftest import (FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, NON_FINITE_FIXTURES, STOCK,
+                      bundled_meshes, interior_vertices, jiggled_icosphere, perturbed_meshes,
+                      reference_make_catenoid, reference_make_grid, reference_make_icosphere,
+                      reference_make_tube, reference_mesh_to_text)
 
 
 MINIMAL_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
@@ -90,10 +95,13 @@ def test_malformed_inputs_report_line(label, fmt, text, line):
     assert err.value.line == line
 
 
-@pytest.mark.parametrize("text,message", [
+OVERSIZED_COUNTS = [
     ("OFF\n1000000000000 0 0\n0 0 0\n", "line 4: unexpected end of file, expected vertex 1"),
     ("OFF\n100000000000000000000 0 0\n", "line 3: unexpected end of file, expected vertex 0"),
-])
+]
+
+
+@pytest.mark.parametrize("text,message", OVERSIZED_COUNTS)
 def test_oversized_vertex_count_allocates_nothing(text, message):
     tracemalloc.start()
     try:
@@ -277,6 +285,12 @@ def test_catenoid_is_the_reference_catenoid(waist):
                              reference_make_catenoid(waist, n_u, n_v))
 
 
+@pytest.mark.parametrize("radius", [1e-3, 1, 1e3])
+def test_icosphere_is_the_reference_icosphere(radius):
+    for level in range(7):
+        assert_same_mesh(ci.make_icosphere(level, radius), reference_make_icosphere(level, radius))
+
+
 def test_star_on_grid_interior_and_corner():
     g = ci.make_grid(8)
     center = 4 * 9 + 4
@@ -368,9 +382,12 @@ def test_round_trip_is_bit_exact(extra, fmt, order):
     base = ci.make_icosphere(0, 1.0)
     positions = np.vstack([base.positions, np.array(extra, dtype=float).reshape(-1, 3)])
     mesh = ci.TriMesh(positions, base.faces[list(order)])
-    again = ci.load_mesh(ci.mesh_to_text(mesh, fmt), fmt=fmt)
+    text = ci.mesh_to_text(mesh, fmt)
+    assert text == reference_mesh_to_text(mesh, fmt)
+    again = ci.load_mesh(text, fmt=fmt)
     assert again.positions.tobytes() == mesh.positions.tobytes()
     np.testing.assert_array_equal(again.faces, mesh.faces)
+    assert_paths_agree(text, fmt)
 
 
 VALID_TEXTS = [
@@ -411,9 +428,173 @@ def mutated_texts(draw):
 @given(mutated_texts())
 def test_mutated_file_loads_or_raises_a_mesh_error(case):
     fmt, text = case
+    assert_paths_agree(text, fmt)
     try:
         mesh = ci.load_mesh(text, fmt=fmt)
     except (ParseError, MeshValidationError):
         return
     assert isinstance(mesh, ci.TriMesh)
     assert np.isfinite(mesh.positions).all()
+
+
+# ---------------------------------------------------------------------------
+# regular bodies as one block against the line loop
+
+
+@contextmanager
+def line_loop_only():
+    """load_mesh with every body sent through the line loop."""
+    with mock.patch.object(mesh_mod, "_off_block", lambda lines: None), \
+            mock.patch.object(mesh_mod, "_obj_block", lambda lines: None):
+        yield
+
+
+def load_outcome(text, fmt):
+    try:
+        mesh = ci.load_mesh(text, fmt=fmt)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return mesh.positions.tobytes(), mesh.faces.tobytes()
+
+
+def parse_outcome(parse, text):
+    try:
+        positions, faces, face_lines = parse(text, None)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (positions.shape, positions.tobytes(), [[int(i) for i in f] for f in faces],
+            list(face_lines))
+
+
+def assert_paths_agree(text, fmt):
+    """The parser and load_mesh give the line loop's result: equal
+    positions, faces and face lines, or the same error and message."""
+    parse, loop = ((mesh_mod._parse_obj, mesh_mod._obj_line_loop) if fmt == "obj"
+                   else (mesh_mod._parse_off, mesh_mod._off_line_loop))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (parse_outcome(parse, text)
+                == parse_outcome(lambda t, path: loop(t.splitlines(), path), text))
+        got = load_outcome(text, fmt)
+        with line_loop_only():
+            assert got == load_outcome(text, fmt)
+
+
+INLINE_TEXTS = [
+    ("off", MINIMAL_OFF),
+    ("off", "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"),
+    ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1/1 2/2/2 3/3/3\n"),
+    ("obj", "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n"),
+    ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n"),
+    ("obj", "f 1 2 3\nv 0 0 0\nv 1 0 0\nv 0 1 0\n"),
+    # a face line whose count is not 3, and a face before integral vertices
+    ("off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n"),
+    ("off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1 2\n"),
+    ("off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n+3 +0 1 0002\n"),
+    ("obj", "f 1 2 3\nv 1 2 3\nv 4 5 6\nv 7 8 10\n"),
+    ("obj", "v 0 0 0\nvn 0 0 1\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"),
+    # no faces, or no vertices
+    ("off", "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n"),
+    ("off", "OFF\n0 1 0\n3 0 1 2\n\n\n"),
+    ("obj", "v 0 0 0\nv 1 0 0\n"),
+    ("obj", "f 1 2 3\n"),
+]
+AGREEMENT_CASES = ([(f[1], f[2]) for f in MALFORMED_FIXTURES + NON_FINITE_FIXTURES
+                    + FACE_ERROR_FIXTURES]
+                   + [("off", text) for text, _ in OVERSIZED_COUNTS] + INLINE_TEXTS + VALID_TEXTS)
+
+
+@pytest.mark.parametrize("fmt,text", AGREEMENT_CASES)
+def test_block_and_line_loop_agree_on_fixtures(fmt, text):
+    assert_paths_agree(text, fmt)
+
+
+# tokens on which numpy's loadtxt must never be looser than float()/int()
+NUMBER_FORMS = ["3", "+3", "-3", ".5", "-0.0", "1e-400", "1e400", "nan", "inf", "-Infinity",
+                "3.0", "1e3", "0x10", "1d5", "1,5", "1_0", "\u0663", "\u0661.\u0665",
+                "0003", "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+                "1\x00", "1\u200b", "\xa01", "1\u2002"]
+
+
+@pytest.mark.parametrize("token", NUMBER_FORMS)
+def test_block_never_accepts_what_python_refuses(token):
+    for dtype, convert in [(float, float), (np.int64, int)]:
+        block = mesh_mod._block([f"{token} 1 1"], dtype)
+        if block is None:
+            continue
+        expected = convert(token)
+        assert block.shape == (1, 3)
+        assert np.array([expected], dtype=dtype).tobytes() == block[0, :1].tobytes()
+
+
+def test_regular_bodies_skip_the_line_loop(monkeypatch, tmp_path):
+    def refuse(lines, path):
+        raise AssertionError("the line loop was entered")
+
+    monkeypatch.setattr(mesh_mod, "_off_line_loop", refuse)
+    monkeypatch.setattr(mesh_mod, "_obj_line_loop", refuse)
+    for name, mesh in [("ico3.off", jiggled_icosphere(3, 3)),
+                       ("cat.obj", ci.make_catenoid(1.0, 19, 32))]:
+        ci.save_mesh(mesh, tmp_path / name)
+        assert_same_mesh(ci.load_mesh(tmp_path / name), mesh)
+
+
+EXTREMES = [-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("fmt", ["obj", "off"])
+def test_writer_is_the_reference_writer(fmt):
+    base = ci.make_icosphere(0, 1.0)
+    extremes = ci.TriMesh(np.vstack([base.positions, np.reshape(EXTREMES, (-1, 3))]), base.faces)
+    for name, mesh in STOCK + [("extremes", extremes)]:
+        assert ci.mesh_to_text(mesh, fmt) == reference_mesh_to_text(mesh, fmt), name
+
+
+PERTURBED_TOKENS = ["1_0", "\u0663", "+3", "3.0", "nan", "1e400", str(2 ** 63), "-1", "0"]
+
+
+@st.composite
+def perturbed_bodies(draw):
+    """A regular OFF or OBJ body with one token or line perturbed."""
+    fmt = draw(st.sampled_from(["obj", "off"]))
+    mesh = draw(st.sampled_from([ci.make_icosphere(0, 1.0), ci.make_grid(1)]))
+    lines = ci.mesh_to_text(mesh, fmt).splitlines()
+    first = 2 if fmt == "off" else 0
+    i = draw(st.integers(first, len(lines) - 1))
+    tokens = lines[i].split(" ")
+    vertex = i < first + mesh.n_vertices
+    kind = draw(st.sampled_from(["token", "tab", "trailing space", "crlf", "form feed", "blank",
+                                 "comment", "short", "long", "quad", "face first"]))
+    if kind == "token":
+        tokens[draw(st.integers(1 if fmt == "obj" else 0, len(tokens) - 1))] = \
+            draw(st.sampled_from(PERTURBED_TOKENS))
+        lines[i] = " ".join(tokens)
+    elif kind == "tab":
+        lines[i] = lines[i].replace(" ", "\t", 1)
+    elif kind == "trailing space":
+        lines[i] += " "
+    elif kind == "crlf":
+        return fmt, "\r\n".join(lines) + "\r\n"
+    elif kind == "form feed":
+        lines[i] = lines[i].replace(" ", draw(st.sampled_from([" \x0c", "\x0c"])), 1)
+    elif kind == "blank":
+        lines.insert(i, "")
+    elif kind == "comment":
+        lines[i] += " # c"
+    elif kind == "short" and vertex:
+        lines[i] = " ".join(tokens[:-1])
+    elif kind == "long" and vertex:
+        lines[i] += " 1"
+    elif kind == "quad" and not vertex:
+        base = int(fmt == "obj")
+        extra = next(str(k) for k in range(base, base + mesh.n_vertices) if str(k) not in tokens)
+        lines[i] = ("f " if fmt == "obj" else "4 ") + " ".join(tokens[1:] + [extra])
+    elif kind == "face first" and fmt == "obj" and not vertex:
+        lines.insert(0, lines.pop(i))
+    return fmt, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400)
+@given(perturbed_bodies())
+def test_block_and_line_loop_agree_on_perturbed_bodies(case):
+    assert_paths_agree(*case)

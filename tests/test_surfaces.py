@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,17 @@ def test_parameter_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
                 make(bad)
+
+
+def test_torus_refuses_non_finite_radii():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.inf, math.nan):
+            for major, minor, name in [(bad, 0.5, "R"), (2.0, bad, "r")]:
+                with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+                    ci.Torus(major, minor)
+        with pytest.raises(ValueError, match="^require 0 < minor < major radius$"):
+            ci.Torus(1.0, 1.5)
 
 
 def test_surface_factory():
