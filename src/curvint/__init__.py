@@ -34,9 +34,7 @@ from .surfaces import (
     ParametricSurface,
     Plane,
     Sphere,
-    SurfaceFrame,
     Torus,
-    bundled_surfaces,
     saddle,
     surface_from_name,
 )

@@ -6,7 +6,8 @@ finite-difference oracle), laplacian (per-vertex field Laplacian), make
 (primitive generation) and flow (mean-curvature-flow trace).
 
 Exit codes: 0 success, 1 bad input or usage, 2 a requested check exceeded
-its tolerance. All numeric output is printed with 17 significant digits.
+its tolerance. Every table is one %-format over whole-mesh (or whole-study)
+arrays; numbers are printed with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -28,36 +29,32 @@ __all__ = ["build_parser", "run", "main"]
 _CAP_POLE_MARGIN = 1e-6
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _emit(lines: list[str], output: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(output: str | None, header: str, rows: str, values) -> None:
+    """Write a CSV table to output (default stdout): the header line, then
+    rows, the template of every line, filled from values row-major by one
+    %-format ("%.17g" rounds as format(x, ".17g"))."""
+    text = header + "\n" + rows % tuple(np.ravel(values).tolist())
     if output:
         Path(output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
+def _given(args, keys) -> dict:
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
 def _surface_from_args(args) -> object:
-    params = {}
-    for key in ("R", "r", "c"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    return surface_from_name(args.surface, **params)
+    return surface_from_name(args.surface, **_given(args, ("R", "r", "c")))
 
 
 def _region_from_args(args, surface) -> object:
     if args.region == "rect":
-        need = [args.u0, args.u1, args.v0, args.v1]
-        if any(x is None for x in need):
+        if None in (args.u0, args.u1, args.v0, args.v1):
             raise ValueError("rect region needs --u0 --u1 --v0 --v1")
         return contour.RectRegion(args.u0, args.u1, args.v0, args.v1)
     if args.region == "disk":
-        need = [args.uc, args.vc, args.rho]
-        if any(x is None for x in need):
+        if None in (args.uc, args.vc, args.rho):
             raise ValueError("disk region needs --uc --vc --rho")
         return contour.DiskRegion(args.uc, args.vc, args.rho)
     if args.region == "cap":
@@ -105,16 +102,20 @@ def _read_field(path: str, n_vertices: int) -> np.ndarray:
 # subcommand handlers
 
 
+def _check_bound(bound: float | None) -> None:
+    if bound is not None and not bound >= 0:  # nan too
+        raise ValueError(f"--max-rel-err must be nonnegative, got {bound}")
+
+
 def _cmd_verify(args) -> int:
+    _check_bound(args.max_rel_err)
     surface = _surface_from_args(args)
     region = _region_from_args(args, surface)
     report = contour.verify_identity(surface, region, _rule_from_args(args))
-    lines = ["surface,region,lhs_x,lhs_y,lhs_z,rhs_x,rhs_y,rhs_z,abs_err,rel_err,area"]
-    lines.append(",".join(
-        [surface.name, region.label]
-        + [_fmt(x) for x in report.lhs] + [_fmt(x) for x in report.rhs]
-        + [_fmt(report.abs_err), _fmt(report.rel_err), _fmt(report.area)]))
-    _emit(lines, args.output)
+    literal = f"{surface.name},{region.label},".replace("%", "%%")
+    _emit(args.output, "surface,region,lhs_x,lhs_y,lhs_z,rhs_x,rhs_y,rhs_z,abs_err,rel_err,area",
+          literal + ",".join(["%.17g"] * 9) + "\n",
+          [*report.lhs, *report.rhs, report.abs_err, report.rel_err, report.area])
     if args.max_rel_err is not None and report.rel_err > args.max_rel_err:
         print(f"verification failed: rel_err {report.rel_err:.3e} exceeds "
               f"{args.max_rel_err:.3e}", file=sys.stderr)
@@ -129,49 +130,44 @@ def _cmd_limit(args) -> int:
         raise ValueError("--center must be 'u,v'")
     radii = [float(t) for t in args.radii.split(",") if t]
     study = contour.shrinking_limit(surface, center, radii, _rule_from_args(args))
-    lines = ["radius,est_x,est_y,est_z,err,observed_order"]
-    for i, rho in enumerate(study.radii):
-        last = i == len(study.radii) - 1
-        lines.append(",".join(
-            [_fmt(rho)] + [_fmt(x) for x in study.estimates[i]]
-            + [_fmt(study.errors[i]), _fmt(study.observed_order) if last else ""]))
-    _emit(lines, args.output)
+    row = "%.17g," * 5
+    _emit(args.output, "radius,est_x,est_y,est_z,err,observed_order",
+          (row + "\n") * (len(study.radii) - 1) + row + "%.17g\n",
+          [*np.column_stack([study.radii, study.estimates, study.errors]).ravel(),
+           study.observed_order])
     return 0
 
 
 def _cmd_curvature(args) -> int:
     m = mesh_mod.load_mesh(args.input)
-    samples = discrete.curvature_field(m, tol_direction=args.tol_direction)
-    lines = ["vertex,Bx,By,Bz,magnitude,near_minimal,boundary"]
-    for v, sample in enumerate(samples):
-        if sample is None:
-            lines.append(f"{v},,,,,,1")
-        else:
-            b = sample.vector
-            lines.append(",".join([str(v), _fmt(b[0]), _fmt(b[1]), _fmt(b[2]),
-                                   _fmt(sample.magnitude),
-                                   "1" if sample.near_minimal else "0", "0"]))
-    _emit(lines, args.output)
+    vec, magnitude, near_minimal, boundary = discrete.curvature_arrays(m, args.tol_direction)
+    values = np.column_stack([np.arange(m.n_vertices), vec, magnitude, near_minimal])
+    keep = np.ones(values.shape, dtype=bool)
+    keep[boundary, 1:] = False  # a boundary row prints its vertex index only
+    _emit(args.output, "vertex,Bx,By,Bz,magnitude,near_minimal,boundary",
+          "".join(np.where(boundary, "%d,,,,,,1\n", "%d" + ",%.17g" * 4 + ",%d,0\n")),
+          values[keep])
     return 0
 
 
 def _cmd_gradcheck(args) -> int:
+    _check_bound(args.max_rel_err)
     m = mesh_mod.load_mesh(args.input)
     fd = discrete.fd_area_gradient(m, args.h)
-    lines = ["vertex,analytic_x,analytic_y,analytic_z,fd_x,fd_y,fd_z,rel_err"]
-    worst = 0.0
+    kernel = m.corner_kernel()
+    # area_gradient at every vertex; 0.0 - x: a vanishing sum gives +0.0
+    analytic = 0.0 - 0.5 * kernel.star_sums
     # floor of the relative error's denominator: where the gradient
     # vanishes (area-critical vertices) both sides are roundoff of the
     # star's terms, whose scale is sum(a_i) / 2
-    floor = 1e-8 * 0.5 * m.corner_kernel().edge_lengths
-    for v in range(m.n_vertices):
-        analytic = discrete.area_gradient(m, v)
-        rel = float(np.linalg.norm(analytic - fd[v])) / max(
-            float(np.linalg.norm(analytic)), float(np.linalg.norm(fd[v])), float(floor[v]), 1e-30)
-        worst = max(worst, rel)
-        lines.append(",".join([str(v)] + [_fmt(x) for x in analytic]
-                              + [_fmt(x) for x in fd[v]] + [_fmt(rel)]))
-    _emit(lines, args.output)
+    floor = 1e-8 * 0.5 * kernel.edge_lengths
+    norms = discrete.row_norms
+    rel = norms(analytic - fd) / np.maximum.reduce(
+        [norms(analytic), norms(fd), floor, np.full_like(floor, 1e-30)])
+    worst = float(rel.max(initial=0.0))
+    _emit(args.output, "vertex,analytic_x,analytic_y,analytic_z,fd_x,fd_y,fd_z,rel_err",
+          ("%d" + ",%.17g" * 7 + "\n") * m.n_vertices,
+          np.column_stack([np.arange(m.n_vertices), analytic, fd, rel]))
     if args.max_rel_err is not None and worst > args.max_rel_err:
         print(f"gradient check failed: worst rel_err {worst:.3e} exceeds "
               f"{args.max_rel_err:.3e}", file=sys.stderr)
@@ -190,18 +186,14 @@ def _cmd_laplacian(args) -> int:
     bad = interior[~np.isfinite(lap[interior])]
     if len(bad):
         raise EvaluationError("Laplacian is not finite", where=f"vertex {bad[0]}")
-    lines = ["vertex,L"] + [f"{v},{_fmt(lap[v])}" for v in interior]
-    _emit(lines, args.output)
+    _emit(args.output, "vertex,L", "%d,%.17g\n" * len(interior),
+          np.column_stack([interior, lap[interior]]))
     return 0
 
 
 def _cmd_make(args) -> int:
-    params = {}
-    for key in ("n", "level", "R", "L", "c", "n_u", "n_v"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    m = mesh_mod.make_primitive(args.kind, **params)
+    m = mesh_mod.make_primitive(
+        args.kind, **_given(args, ("n", "level", "R", "L", "c", "n_u", "n_v")))
     mesh_mod.save_mesh(m, args.output)
     return 0
 
@@ -209,11 +201,8 @@ def _cmd_make(args) -> int:
 def _cmd_flow(args) -> int:
     m = mesh_mod.load_mesh(args.input)
     trace, final = flow_mod.run_flow(m, args.dt, args.steps)
-    lines = ["step,area,max_B,min_tri_area"]
-    for s in trace.steps:
-        lines.append(",".join([str(s.index), _fmt(s.area), _fmt(s.max_curvature),
-                               _fmt(s.min_face_area)]))
-    _emit(lines, args.output)
+    _emit(args.output, "step,area,max_B,min_tri_area", "%d,%.17g,%.17g,%.17g\n" * len(trace.steps),
+          [(s.index, s.area, s.max_curvature, s.min_face_area) for s in trace.steps])
     if trace.stop_reason:
         print(f"stopped early: {trace.stop_reason}", file=sys.stderr)
     if args.final_mesh:

@@ -26,6 +26,8 @@ Every sum here is one arithmetic, `curvint.mesh.corner_terms`, and each
 per-vertex operator is a slice of a whole-mesh result: laplacian is an
 entry of laplacian_field, the others read the mesh's cached per-vertex
 sums (`curvint.mesh.CornerKernel`), which the flow sums the same way.
+curvature_arrays gives B at every vertex as arrays, which the command
+line prints whole; curvature_field is their list view.
 
 fd_area_gradient is the finite-difference oracle of that gradient for
 the whole mesh in one pass: each probe moves one vertex, recomputes only
@@ -79,6 +81,11 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
+def _check_tol(tol_direction: float) -> None:
+    if not tol_direction >= 0:  # nan too
+        raise ValueError(f"tol_direction must be nonnegative, got {tol_direction}")
+
+
 def _sample(vec: np.ndarray, magnitude: float, scale: float,
             tol_direction: float) -> CurvatureSample:
     if magnitude < tol_direction * scale:
@@ -100,6 +107,7 @@ def vector_mean_curvature(mesh: TriMesh, v: int, tol_direction: float = 1e-8,
     Boundary vertices are refused unless allow_boundary is set (the
     half-ring value is not meaningful as a curvature).
     """
+    _check_tol(tol_direction)
     star_corners(mesh, v)
     if not allow_boundary and mesh.topology.boundary[v]:
         raise BoundaryVertexError(f"vertex {v} lies on the mesh boundary")
@@ -196,22 +204,33 @@ def laplacian(mesh: TriMesh, v: int, values) -> float:
     return out
 
 
-def curvature_field(mesh: TriMesh, tol_direction: float = 1e-8) -> list[CurvatureSample | None]:
-    """vector_mean_curvature at every vertex; boundary vertices yield None.
+def curvature_arrays(mesh: TriMesh, tol_direction: float = 1e-8):
+    """(B, |B|, near_minimal, boundary) at every vertex, the arrays of
+    vector_mean_curvature; rows of boundary vertices are not meaningful.
 
     Raises what vector_mean_curvature raises at the first other vertex it
     refuses: an isolated one, or one with a degenerate incident face."""
+    _check_tol(tol_direction)
     boundary = mesh.boundary_vertices()
     kernel = mesh.corner_kernel()
     refused = ~boundary & (kernel.degenerate | ~mesh.topology.closed_stars)
     if refused.any():
-        vector_mean_curvature(mesh, int(np.argmax(refused)))  # raises
+        star_corners(mesh, int(np.argmax(refused)))  # raises
     with np.errstate(invalid="ignore", divide="ignore"):
         vec = kernel.star_sums / kernel.ring_areas[:, None]
-        scale = kernel.edge_lengths / kernel.ring_areas
     magnitude = row_norms(vec)
-    return [None if boundary[v] else
-            _sample(vec[v], float(magnitude[v]), float(scale[v]), tol_direction)
+    with np.errstate(all="ignore"):  # silent where the threshold overflows
+        near_minimal = magnitude < tol_direction * (kernel.edge_lengths / kernel.ring_areas)
+    return vec, magnitude, near_minimal, boundary
+
+
+def curvature_field(mesh: TriMesh, tol_direction: float = 1e-8) -> list[CurvatureSample | None]:
+    """vector_mean_curvature at every vertex, the list view of
+    curvature_arrays; boundary vertices yield None."""
+    vec, magnitude, near_minimal, boundary = curvature_arrays(mesh, tol_direction)
+    return [None if boundary[v] else CurvatureSample(
+                vec[v], float(magnitude[v]), None if near_minimal[v] else vec[v] / magnitude[v],
+                bool(near_minimal[v]))
             for v in range(mesh.n_vertices)]
 
 

@@ -10,6 +10,7 @@ stepping, no singularity handling).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,15 +71,22 @@ def _advance(mesh: TriMesh, dt: float, curvature: np.ndarray) -> TriMesh:
     return candidate
 
 
+def _check_dt(dt: float) -> None:
+    if not math.isfinite(dt):
+        raise ValueError(f"time step dt must be finite, got {dt}")
+    if dt < 0:
+        raise ValueError("time step must be nonnegative")
+
+
 def mcf_step(mesh: TriMesh, dt: float) -> TriMesh:
     """Displace every vertex by dt * B and revalidate the mesh.
 
-    Raises CollapseError if the step produces a face below the minimum
-    area; BoundaryVertexError or IsolatedVertexError, naming the vertex,
-    unless every one-ring closes into one loop.
+    Raises ValueError unless dt is finite and nonnegative; CollapseError
+    if the step produces a face below the minimum area;
+    BoundaryVertexError or IsolatedVertexError, naming the vertex, unless
+    every one-ring closes into one loop.
     """
-    if dt < 0:
-        raise ValueError("time step must be nonnegative")
+    _check_dt(dt)
     _require_closed(mesh)
     return _advance(mesh, dt, _curvatures(mesh))
 
@@ -94,8 +102,7 @@ def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh
     accepted. B is computed once per state, for its trace row and for
     the step that leaves it. Refuses the mesh as mcf_step does.
     """
-    if dt < 0:
-        raise ValueError("time step must be nonnegative")
+    _check_dt(dt)
     if n_steps < 0:
         raise ValueError("step count must be nonnegative")
     _require_closed(mesh)

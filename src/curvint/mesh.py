@@ -367,10 +367,6 @@ def build_star(mesh: TriMesh, v: int) -> VertexStar:
 # parsing and writing
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _finite(positions: np.ndarray, vertex_lines, path) -> np.ndarray:
     """positions, or a ParseError at the line of the first vertex with a
     non-finite coordinate; vertex_lines is an iterator over the line of

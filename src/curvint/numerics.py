@@ -56,10 +56,6 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
 
 def _legendre(n: int, x: float) -> tuple[float, float]:
     # P_n(x) and P_n'(x) by the three-term recurrence; |x| < 1 required

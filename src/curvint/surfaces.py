@@ -19,7 +19,6 @@ All evaluators accept scalars or broadcasting numpy arrays for (u, v).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +27,6 @@ from .errors import DomainError
 from .numerics import checked_positive
 
 __all__ = [
-    "SurfaceFrame",
     "ParametricSurface",
     "Plane",
     "Sphere",
@@ -39,23 +37,9 @@ __all__ = [
     "MongeGraph",
     "saddle",
     "surface_from_name",
-    "bundled_surfaces",
 ]
 
 _DEGENERATE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SurfaceFrame:
-    """Pointwise surface data: position, coordinate tangents S1/S2, unit
-    normal, area element |S1 x S2| and mean curvature."""
-
-    position: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    normal: np.ndarray
-    sqrt_g: float
-    mean_curvature: float
 
 
 def _dot(a, b):
@@ -135,42 +119,6 @@ class ParametricSurface:
         b22 = _dot(rvv, normal)
         mean = (g22 * b11 - 2.0 * g12 * b12 + g11 * b22) / (g11 * g22 - g12 * g12)
         return self.position(u, v), s1, s2, normal, sqrt_g, mean
-
-    def frame(self, u: float, v: float) -> SurfaceFrame:
-        """Full first/second-order data at a single parameter point."""
-        pos, s1, s2, normal, sqrt_g, mean = self.geometry(float(u), float(v))
-        return SurfaceFrame(pos, s1, s2, normal, float(sqrt_g), float(mean))
-
-    def numeric_mean_curvature(self, u: float, v: float, h: float = 1e-4) -> float:
-        """Mean curvature recomputed from finite-difference fundamental
-        forms; independent of partials()/second_partials(), same sign
-        convention as frame()."""
-        if h <= 0:
-            raise ValueError("step h must be positive")
-        self.require_inside(u, v, pad=max(self.margin, 0.0))
-        for x, rng, periodic in ((u, self.u_range, self.u_periodic),
-                                 (v, self.v_range, self.v_periodic)):
-            if not periodic:
-                lo, hi = rng
-                if (math.isfinite(lo) and x - 2 * h < lo) or \
-                   (math.isfinite(hi) and x + 2 * h > hi):
-                    raise DomainError("point too close to the domain edge for the stencil")
-        p = self.position
-        s1 = (p(u + h, v) - p(u - h, v)) / (2 * h)
-        s2 = (p(u, v + h) - p(u, v - h)) / (2 * h)
-        pc = p(u, v)
-        ruu = (p(u + h, v) - 2 * pc + p(u - h, v)) / (h * h)
-        rvv = (p(u, v + h) - 2 * pc + p(u, v - h)) / (h * h)
-        ruv = (p(u + h, v + h) - p(u + h, v - h)
-               - p(u - h, v + h) + p(u - h, v - h)) / (4 * h * h)
-        cross = np.cross(s1, s2)
-        sqrt_g = float(np.linalg.norm(cross))
-        if sqrt_g < _DEGENERATE_TOL:
-            raise DomainError(f"degenerate parameterization of {self.name}")
-        normal = cross / sqrt_g
-        g11, g12, g22 = float(s1 @ s1), float(s1 @ s2), float(s2 @ s2)
-        b11, b12, b22 = float(ruu @ normal), float(ruv @ normal), float(rvv @ normal)
-        return (g22 * b11 - 2 * g12 * b12 + g11 * b22) / (g11 * g22 - g12 * g12)
 
 
 def _stack(x, y, z):
@@ -427,16 +375,3 @@ def surface_from_name(name: str, **params) -> ParametricSurface:
         raise ValueError(f"bad parameters for surface '{name}': {exc}") from exc
     raise ValueError(f"unknown surface '{name}'")
 
-
-def bundled_surfaces() -> list[ParametricSurface]:
-    """The stock surfaces exercised by the verification suites."""
-    return [
-        Plane(),
-        Sphere(1.0),
-        Sphere(2.0),
-        Cylinder(1.0),
-        Torus(2.0, 0.5),
-        Catenoid(1.0),
-        Enneper(),
-        saddle(),
-    ]

@@ -12,12 +12,19 @@ results that replaced them, the per-face sums (star sums,
 ring areas, Laplacian field) kept as references for the corner
 kernel's, and the per-segment contour and per-region interior quadrature
 kept as references for the region pieces and one-pass integrals of
-`curvint.contour`."""
+`curvint.contour`; the pointwise surface frame, the finite-difference
+mean curvature and the stock surfaces that only the tests use; and the
+per-row CSV writers of the command line, kept as references for its
+whole-array tables. The one-ring references are memoised per mesh
+(meshes are immutable): the oracles rebuild the same star many times."""
 
 from __future__ import annotations
 
+import functools
 import io
 import math
+import weakref
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import settings
@@ -25,7 +32,9 @@ from hypothesis import settings
 import curvint as ci
 from curvint import (BoundaryVertexError, ContourError, IsolatedVertexError,
                      MeshValidationError)
-from curvint.mesh import MIN_FACE_AREA, _fmt, _icosahedron
+from curvint import discrete
+from curvint.mesh import MIN_FACE_AREA, _icosahedron
+from curvint.surfaces import _DEGENERATE_TOL
 
 # the same examples on every run: each test's draws are seeded from a hash
 # of the test (which also turns the example database off)
@@ -270,6 +279,10 @@ def reference_make_icosphere(level: int, radius: float = 1.0) -> ci.TriMesh:
 # wrote meshes before its one %-format per block
 
 
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
 def reference_mesh_to_text(mesh: ci.TriMesh, fmt: str) -> str:
     out = io.StringIO()
     if fmt == "obj":
@@ -318,6 +331,22 @@ def reference_opposite_edges_close(edges: list[tuple[int, int]]) -> bool:
     return len(seen) == len(adjacency)
 
 
+def per_mesh(fn):
+    """fn(mesh, *args), computed once per mesh and arguments while the
+    mesh lives."""
+    cache = weakref.WeakKeyDictionary()
+
+    @functools.wraps(fn)
+    def memoised(mesh, *args):
+        results = cache.setdefault(mesh, {})
+        if args not in results:
+            results[args] = fn(mesh, *args)
+        return results[args]
+
+    return memoised
+
+
+@per_mesh
 def reference_open_stars(mesh: ci.TriMesh) -> np.ndarray:
     """Vertices with incident faces whose opposite edges do not close
     into one loop, gathered face by face."""
@@ -343,6 +372,7 @@ def reference_boundary_vertices(mesh: ci.TriMesh) -> np.ndarray:
     return mask
 
 
+@per_mesh
 def reference_build_star(mesh: ci.TriMesh, v: int) -> ci.VertexStar:
     if not 0 <= v < mesh.n_vertices:
         raise MeshValidationError(f"vertex {v} out of range")
@@ -669,3 +699,137 @@ def reference_verify_identity(surface, region, rule) -> ci.IdentityReport:
     abs_err = float(np.linalg.norm(lhs - rhs))
     rel_err = abs_err / max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)), 1e-30)
     return ci.IdentityReport(lhs, rhs, abs_err, rel_err, area)
+
+
+# ---------------------------------------------------------------------------
+# the surface API that only the tests use: stock surfaces, one point's
+# frame read from geometry(), and the mean curvature recomputed from
+# finite-difference fundamental forms
+
+
+def bundled_surfaces() -> list[ci.ParametricSurface]:
+    """The stock surfaces exercised by the verification suites."""
+    return [
+        ci.Plane(),
+        ci.Sphere(1.0),
+        ci.Sphere(2.0),
+        ci.Cylinder(1.0),
+        ci.Torus(2.0, 0.5),
+        ci.Catenoid(1.0),
+        ci.Enneper(),
+        ci.saddle(),
+    ]
+
+
+class SurfaceFrame(NamedTuple):
+    """Pointwise surface data: position, coordinate tangents S1/S2, unit
+    normal, area element |S1 x S2| and mean curvature."""
+
+    position: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    normal: np.ndarray
+    sqrt_g: float
+    mean_curvature: float
+
+
+def frame(surface: ci.ParametricSurface, u: float, v: float) -> SurfaceFrame:
+    """geometry() at a single parameter point."""
+    pos, s1, s2, normal, sqrt_g, mean = surface.geometry(float(u), float(v))
+    return SurfaceFrame(pos, s1, s2, normal, float(sqrt_g), float(mean))
+
+
+def reference_numeric_mean_curvature(surface: ci.ParametricSurface, u: float, v: float,
+                                     h: float = 1e-4) -> float:
+    """Mean curvature recomputed from finite-difference fundamental
+    forms; independent of partials()/second_partials(), same sign
+    convention as geometry()."""
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    surface.require_inside(u, v, pad=max(surface.margin, 0.0))
+    for x, rng, periodic in ((u, surface.u_range, surface.u_periodic),
+                             (v, surface.v_range, surface.v_periodic)):
+        if not periodic:
+            lo, hi = rng
+            if (math.isfinite(lo) and x - 2 * h < lo) or \
+               (math.isfinite(hi) and x + 2 * h > hi):
+                raise ci.DomainError("point too close to the domain edge for the stencil")
+    p = surface.position
+    s1 = (p(u + h, v) - p(u - h, v)) / (2 * h)
+    s2 = (p(u, v + h) - p(u, v - h)) / (2 * h)
+    pc = p(u, v)
+    ruu = (p(u + h, v) - 2 * pc + p(u - h, v)) / (h * h)
+    rvv = (p(u, v + h) - 2 * pc + p(u, v - h)) / (h * h)
+    ruv = (p(u + h, v + h) - p(u + h, v - h)
+           - p(u - h, v + h) + p(u - h, v - h)) / (4 * h * h)
+    cross = np.cross(s1, s2)
+    sqrt_g = float(np.linalg.norm(cross))
+    if sqrt_g < _DEGENERATE_TOL:
+        raise ci.DomainError(f"degenerate parameterization of {surface.name}")
+    normal = cross / sqrt_g
+    g11, g12, g22 = float(s1 @ s1), float(s1 @ s2), float(s2 @ s2)
+    b11, b12, b22 = float(ruu @ normal), float(ruv @ normal), float(rvv @ normal)
+    return (g22 * b11 - 2 * g12 * b12 + g11 * b22) / (g11 * g22 - g12 * g12)
+
+
+# ---------------------------------------------------------------------------
+# reference CSV writers: the command line's tables, one row and one
+# format(x, ".17g") per field at a time, from the per-vertex functions
+
+
+def _csv(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def reference_verify_csv(surface, region, report: ci.IdentityReport) -> str:
+    return _csv(["surface,region,lhs_x,lhs_y,lhs_z,rhs_x,rhs_y,rhs_z,abs_err,rel_err,area",
+                 ",".join([surface.name, region.label]
+                          + [_fmt(x) for x in report.lhs] + [_fmt(x) for x in report.rhs]
+                          + [_fmt(report.abs_err), _fmt(report.rel_err), _fmt(report.area)])])
+
+
+def reference_limit_csv(study: ci.LimitEstimate) -> str:
+    lines = ["radius,est_x,est_y,est_z,err,observed_order"]
+    for i, rho in enumerate(study.radii):
+        last = i == len(study.radii) - 1
+        lines.append(",".join(
+            [_fmt(rho)] + [_fmt(x) for x in study.estimates[i]]
+            + [_fmt(study.errors[i]), _fmt(study.observed_order) if last else ""]))
+    return _csv(lines)
+
+
+def reference_curvature_csv(mesh: ci.TriMesh, tol_direction: float = 1e-8) -> str:
+    lines = ["vertex,Bx,By,Bz,magnitude,near_minimal,boundary"]
+    for v, sample in enumerate(ci.curvature_field(mesh, tol_direction)):
+        if sample is None:
+            lines.append(f"{v},,,,,,1")
+        else:
+            b = sample.vector
+            lines.append(",".join([str(v), _fmt(b[0]), _fmt(b[1]), _fmt(b[2]),
+                                   _fmt(sample.magnitude),
+                                   "1" if sample.near_minimal else "0", "0"]))
+    return _csv(lines)
+
+
+def reference_gradcheck_csv(mesh: ci.TriMesh, fd: np.ndarray) -> str:
+    """gradcheck's CSV from area_gradient, vertex by vertex, against the
+    finite-difference rows fd."""
+    floor = 1e-8 * 0.5 * mesh.corner_kernel().edge_lengths
+    lines = ["vertex,analytic_x,analytic_y,analytic_z,fd_x,fd_y,fd_z,rel_err"]
+    for v in range(mesh.n_vertices):
+        analytic = discrete.area_gradient(mesh, v)
+        rel = float(np.linalg.norm(analytic - fd[v])) / max(
+            float(np.linalg.norm(analytic)), float(np.linalg.norm(fd[v])), float(floor[v]), 1e-30)
+        lines.append(",".join([str(v)] + [_fmt(x) for x in [*analytic, *fd[v], rel]]))
+    return _csv(lines)
+
+
+def reference_laplacian_csv(mesh: ci.TriMesh, values) -> str:
+    lap = ci.laplacian_field(mesh, values)
+    return _csv(["vertex,L"] + [f"{v},{_fmt(lap[v])}" for v in interior_vertices(mesh)])
+
+
+def reference_flow_csv(trace: ci.FlowTrace) -> str:
+    return _csv(["step,area,max_B,min_tri_area"]
+                + [",".join([str(s.index), _fmt(s.area), _fmt(s.max_curvature),
+                             _fmt(s.min_face_area)]) for s in trace.steps])

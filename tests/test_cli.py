@@ -13,9 +13,11 @@ import curvint as ci
 from curvint import discrete
 from curvint.cli import run
 
-from conftest import (FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, NON_FINITE_FIXTURES,
-                      jiggled_icosphere, reference_fd_area_gradient, reference_make_catenoid,
-                      reference_make_grid, reference_make_tube)
+from conftest import (FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, NON_FINITE_FIXTURES, STOCK,
+                      jiggled_icosphere, reference_curvature_csv, reference_fd_area_gradient,
+                      reference_flow_csv, reference_gradcheck_csv, reference_laplacian_csv,
+                      reference_limit_csv, reference_make_catenoid, reference_make_grid,
+                      reference_make_tube, reference_verify_csv)
 
 
 def read_rows(path):
@@ -161,28 +163,15 @@ def test_gradcheck_area_critical_vertices(tmp_path, monkeypatch):
     args = ["gradcheck", "--input", str(mesh_path), "--max-rel-err", "1e-6",
             "--output", str(tmp_path / "g.csv")]
     assert run(args) == 0
-    # a wrong gradient at exactly those vertices still trips the gate
-    exact = discrete.area_gradient
+    # a wrong gradient at exactly those vertices still trips the gate; the
+    # gate is symmetric in its two columns, so the error goes into the FD one
+    exact = discrete.fd_area_gradient
 
-    def wrong(mesh, v):
-        return exact(mesh, v) + (0.0 if mesh.boundary_vertices()[v] else 1e-7)
+    def wrong(mesh, h):
+        return exact(mesh, h) + np.where(mesh.boundary_vertices(), 0.0, 1e-7)[:, None]
 
-    monkeypatch.setattr(discrete, "area_gradient", wrong)
+    monkeypatch.setattr(discrete, "fd_area_gradient", wrong)
     assert run(args) == 2
-
-
-def reference_gradcheck_csv(mesh, h):
-    """gradcheck's CSV, rendered from the per-vertex reference oracle."""
-    fd = reference_fd_area_gradient(mesh, h)
-    floor = 1e-8 * 0.5 * mesh.corner_kernel().edge_lengths
-    lines = ["vertex,analytic_x,analytic_y,analytic_z,fd_x,fd_y,fd_z,rel_err"]
-    for v in range(mesh.n_vertices):
-        analytic = discrete.area_gradient(mesh, v)
-        rel = float(np.linalg.norm(analytic - fd[v])) / max(
-            float(np.linalg.norm(analytic)), float(np.linalg.norm(fd[v])), float(floor[v]), 1e-30)
-        lines.append(",".join([str(v)] + [format(float(x), ".17g")
-                                          for x in [*analytic, *fd[v], rel]]))
-    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("mesh,h", [(jiggled_icosphere(2, 2), "1e-5"),
@@ -193,7 +182,135 @@ def test_gradcheck_csv_matches_reference_oracle(mesh, h, tmp_path):
     ci.save_mesh(mesh, mesh_path)
     out = tmp_path / "grad.csv"
     assert run(["gradcheck", "--input", str(mesh_path), "--h", h, "--output", str(out)]) == 0
-    assert out.read_text() == reference_gradcheck_csv(ci.load_mesh(mesh_path), float(h))
+    loaded = ci.load_mesh(mesh_path)
+    assert out.read_text() == reference_gradcheck_csv(
+        loaded, reference_fd_area_gradient(loaded, float(h)))
+
+
+def jiggled_catenoid(seed: int) -> ci.TriMesh:
+    base = ci.make_catenoid(1.0, 6, 16)
+    rng = np.random.default_rng(seed)
+    return base.with_positions(base.positions + 0.02 * rng.standard_normal(base.positions.shape))
+
+
+# STOCK holds the 8x8 grid (near-minimal rows), the tube (boundary rows)
+# and a jiggled ico3
+WRITER_MESHES = STOCK + [("jiggled_catenoid", jiggled_catenoid(4))]
+
+
+@pytest.mark.parametrize("name,mesh", WRITER_MESHES, ids=[m[0] for m in WRITER_MESHES])
+def test_mesh_tables_match_the_reference_writers(name, mesh, tmp_path):
+    mesh_path = tmp_path / "m.off"
+    ci.save_mesh(mesh, mesh_path)
+    mesh = ci.load_mesh(mesh_path)
+    values = mesh.positions[:, 2] ** 2 + np.random.default_rng(7).standard_normal(mesh.n_vertices)
+    field_path = tmp_path / "field.csv"
+    field_path.write_text("".join(f"{v},{float(x)!r}\n" for v, x in enumerate(values)))
+    cases = [(["curvature"], reference_curvature_csv(mesh)),
+             (["curvature", "--tol-direction", "0.5"], reference_curvature_csv(mesh, 0.5)),
+             (["gradcheck"], reference_gradcheck_csv(mesh, ci.fd_area_gradient(mesh, 1e-5))),
+             (["laplacian", "--field", str(field_path)], reference_laplacian_csv(mesh, values))]
+    if mesh.is_closed():
+        cases.append((["flow", "--dt", "1e-3", "--steps", "3"],
+                      reference_flow_csv(ci.run_flow(mesh, 1e-3, 3)[0])))
+    out = tmp_path / "out.csv"
+    for args, expected in cases:
+        assert run([*args, "--input", str(mesh_path), "--output", str(out)]) == 0, args
+        assert out.read_text() == expected, args
+
+
+def test_flow_stopping_early_matches_the_reference_writer(tmp_path, capsys):
+    mesh_path = tmp_path / "ico2.off"
+    ci.save_mesh(ci.make_icosphere(2, 1.0), mesh_path)
+    trace, _ = ci.run_flow(ci.load_mesh(mesh_path), 10.0, 5)
+    assert trace.stop_reason is not None
+    assert run(["flow", "--input", str(mesh_path), "--dt", "10", "--steps", "5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == reference_flow_csv(trace)
+    assert captured.err == f"stopped early: {trace.stop_reason}\n"
+
+
+@pytest.mark.parametrize("surface,center", [
+    ("plane", (0.1, 0.2)),  # every error is zero: a nan observed order
+    ("sphere", (math.pi / 3, math.pi / 4)),
+    ("torus", (1.0, 1.0)),
+    ("catenoid", (0.1, -0.4)),
+])
+def test_limit_table_matches_the_reference_writer(surface, center, capsys):
+    study = ci.shrinking_limit(ci.surface_from_name(surface), center, [0.2, 0.1, 0.05, 0.025])
+    assert run(["limit", "--surface", surface, "--center", f"{center[0]!r},{center[1]!r}"]) == 0
+    assert capsys.readouterr().out == reference_limit_csv(study)
+
+
+@pytest.mark.parametrize("surface,args,region", [
+    ("sphere", ["--region", "cap", "--theta0", "1.0"], ci.RectRegion(1e-6, 1.0, 0.0, 2 * math.pi)),
+    ("torus", ["--region", "rect", "--u0", "0.3", "--u1", "1.1", "--v0", "0.2", "--v1", "0.9"],
+     ci.RectRegion(0.3, 1.1, 0.2, 0.9)),
+    ("saddle", ["--region", "disk", "--uc", "0.2", "--vc", "-0.3", "--rho", "0.4"],
+     ci.DiskRegion(0.2, -0.3, 0.4)),
+    ("plane", ["--region", "rect", "--u0", "0", "--u1", "1", "--v0", "0", "--v1", "1"],
+     ci.RectRegion(0.0, 1.0, 0.0, 1.0)),
+])
+def test_verify_table_matches_the_reference_writer(surface, args, region, capsys):
+    s = ci.surface_from_name(surface)
+    report = ci.verify_identity(s, region, ci.gauss_legendre(16, panels=8))
+    assert run(["verify", "--surface", surface, *args]) == 0
+    assert capsys.readouterr().out == reference_verify_csv(s, region, report)
+
+
+def test_mesh_subcommands_call_no_per_vertex_function(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-vertex function was called")
+
+    for name in ("vector_mean_curvature", "star_sum", "area_gradient", "laplacian", "_sample",
+                 "curvature_field"):
+        monkeypatch.setattr(discrete, name, refuse)
+    monkeypatch.setattr(ci.mesh, "build_star", refuse)
+    grid_path, ico_path = tmp_path / "grid.off", tmp_path / "ico.off"
+    ci.save_mesh(ci.make_grid(6), grid_path)
+    ci.save_mesh(jiggled_icosphere(2, 2), ico_path)
+    field_path = tmp_path / "field.csv"
+    field_path.write_text("".join(f"{v},{v % 5}\n" for v in range(162)))
+    out = tmp_path / "out.csv"
+    for mesh_path in (grid_path, ico_path):
+        for args in (["curvature"], ["gradcheck"]):
+            assert run([*args, "--input", str(mesh_path), "--output", str(out)]) == 0
+    assert run(["laplacian", "--input", str(ico_path), "--field", str(field_path),
+                "--output", str(out)]) == 0
+    assert run(["flow", "--input", str(ico_path), "--dt", "1e-3", "--steps", "2",
+                "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "gradcheck"])
+@pytest.mark.parametrize("bound", ["nan", "-1", "-inf"])
+def test_bad_max_rel_err_exits_1(command, bound, tmp_path, capsys):
+    mesh_path = tmp_path / "ico1.off"
+    ci.save_mesh(ci.make_icosphere(1, 1.0), mesh_path)
+    args = {"verify": ["--surface", "sphere", "--region", "cap", "--theta0", "1.0"],
+            "gradcheck": ["--input", str(mesh_path)]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, *args, f"--max-rel-err={bound}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-rel-err must be nonnegative, got {float(bound)}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["flow", "--dt", "nan", "--steps", "2"], "time step dt must be finite, got nan"),
+    (["flow", "--dt", "inf", "--steps", "2"], "time step dt must be finite, got inf"),
+    (["curvature", "--tol-direction", "nan"], "tol_direction must be nonnegative, got nan"),
+    (["curvature", "--tol-direction=-1"], "tol_direction must be nonnegative, got -1.0"),
+])
+def test_bad_numeric_parameter_exits_1_naming_it(args, message, tmp_path, capsys):
+    mesh_path = tmp_path / "ico1.off"
+    ci.save_mesh(ci.make_icosphere(1, 1.0), mesh_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*args, "--input", str(mesh_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_gradcheck_builds_no_mesh_per_probe(tmp_path, monkeypatch):

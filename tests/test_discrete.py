@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,19 @@ def test_boundary_vertex_refused_unless_allowed():
         ci.vector_mean_curvature(g, 0)
     sample = ci.vector_mean_curvature(g, 0, allow_boundary=True)
     assert np.all(np.isfinite(sample.vector))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+def test_bad_tol_direction_rejected_naming_it(tol):
+    mesh = ci.make_icosphere(1, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"^tol_direction must be nonnegative, got {tol}$"
+        for curvature in (lambda: ci.curvature_field(mesh, tol),
+                          lambda: ci.vector_mean_curvature(mesh, 0, tol),
+                          lambda: ci.vector_mean_curvature(mesh, 0, tol, True)):
+            with pytest.raises(ValueError, match=message):
+                curvature()
 
 
 def test_laplacian_of_affine_field_vanishes_on_flat_grid():

@@ -63,6 +63,16 @@ def test_negative_dt_rejected():
         ci.run_flow(mesh, -1e-3, 2)
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_dt_rejected_naming_it(dt):
+    mesh = ci.make_icosphere(1, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for flow in (lambda: ci.mcf_step(mesh, dt), lambda: ci.run_flow(mesh, dt, 2)):
+            with pytest.raises(ValueError, match=f"^time step dt must be finite, got {dt}$"):
+                flow()
+
+
 def test_area_descent_below_probed_step():
     mesh = ci.make_icosphere(2, 1.0)
     area0 = ci.total_area(mesh)

@@ -158,5 +158,5 @@ def test_central_gradient_rejects_bad_input():
 
 def test_default_rule_shape():
     rule = default_rule()
-    assert rule.n == 16
+    assert len(rule.nodes) == 16
     assert rule.panels == 8
