@@ -23,9 +23,10 @@ vertex field along the opposite edge extends the formula to a surface
 Laplacian; applied to the three coordinate fields it reproduces B exactly.
 
 Every sum here is one arithmetic, `curvint.mesh.corner_terms`, and each
-per-vertex operator is a slice of a whole-mesh result: laplacian is an
-entry of laplacian_field, the others read the mesh's cached per-vertex
-sums (`curvint.mesh.CornerKernel`), which the flow sums the same way.
+per-vertex operator equals an entry of a whole-mesh result bit for bit:
+laplacian sums only v's incident faces, in the order laplacian_field adds
+them into v, the others read the mesh's cached per-vertex sums
+(`curvint.mesh.CornerKernel`), which the flow sums the same way.
 curvature_arrays gives B at every vertex as arrays, which the command
 line prints whole; curvature_field is their list view.
 
@@ -63,10 +64,11 @@ __all__ = [
 class CurvatureSample:
     """Discrete vector mean curvature at a vertex.
 
-    `direction` is None (and near_minimal set) when |B| falls below
-    tol_direction relative to the star scale sum(a_i)/sum(A_i): near a
-    minimal configuration the direction B/|B| is ill-conditioned and is
-    withheld rather than reported as a normal estimate.
+    `direction` is None (and near_minimal set) when |B| is at most
+    tol_direction relative to the star scale sum(a_i)/sum(A_i), as an
+    exactly zero B is at any tolerance: near a minimal configuration the
+    direction B/|B| is ill-conditioned and is withheld rather than
+    reported as a normal estimate.
     """
 
     vector: np.ndarray
@@ -88,7 +90,7 @@ def _check_tol(tol_direction: float) -> None:
 
 def _sample(vec: np.ndarray, magnitude: float, scale: float,
             tol_direction: float) -> CurvatureSample:
-    if magnitude < tol_direction * scale:
+    if magnitude <= tol_direction * scale:  # an exact zero at any tolerance
         return CurvatureSample(vec, magnitude, None, True)
     return CurvatureSample(vec, magnitude, vec / magnitude, False)
 
@@ -185,8 +187,8 @@ def fd_area_gradient(mesh: TriMesh, h: float) -> np.ndarray:
 def laplacian(mesh: TriMesh, v: int, values) -> float:
     """Surface Laplacian of a per-vertex scalar field at interior vertex v:
     sum(a_i (g_i . n_i)) / sum(A_i) with g_i the constant gradient of the
-    piecewise-linear interpolant on triangle i. Bitwise equal to entry v
-    of laplacian_field.
+    piecewise-linear interpolant on triangle i, summed over v's incident
+    faces only; bitwise equal to entry v of laplacian_field.
 
     Exact zero for fields that are affine in space over a flat star;
     applied to a coordinate field it returns that component of B to
@@ -196,9 +198,9 @@ def laplacian(mesh: TriMesh, v: int, values) -> float:
     star_corners(mesh, v)
     if mesh.topology.boundary[v]:
         raise BoundaryVertexError(f"vertex {v} lies on the mesh boundary")
-    # non-finite entries elsewhere (degenerate faces, isolated vertices,
-    # overflow) are not v's
-    out = float(laplacian_field(mesh, values)[v])
+    # v's faces add into v in ascending order, as in laplacian_field; the
+    # other entries are partial sums
+    out = float(_laplacian(mesh, mesh.faces[mesh.vertex_faces(v)], values)[v])
     if not np.isfinite(out):
         raise EvaluationError("Laplacian is not finite", where=f"vertex {v}")
     return out
@@ -220,7 +222,7 @@ def curvature_arrays(mesh: TriMesh, tol_direction: float = 1e-8):
         vec = kernel.star_sums / kernel.ring_areas[:, None]
     magnitude = row_norms(vec)
     with np.errstate(all="ignore"):  # silent where the threshold overflows
-        near_minimal = magnitude < tol_direction * (kernel.edge_lengths / kernel.ring_areas)
+        near_minimal = magnitude <= tol_direction * (kernel.edge_lengths / kernel.ring_areas)
     return vec, magnitude, near_minimal, boundary
 
 
@@ -249,21 +251,26 @@ def laplacian_field(mesh: TriMesh, values) -> np.ndarray:
     boundary entries are nan. Entries are inf or nan, without a warning,
     where the field's terms overflow, at an isolated vertex and next to
     a degenerate face."""
-    values = _validated_field(mesh, values)
-    m, norm_m, slots = corner_terms(mesh.positions, mesh.faces)
+    out = _laplacian(mesh, mesh.faces, _validated_field(mesh, values))
+    out[mesh.boundary_vertices()] = np.nan
+    return out
+
+
+def _laplacian(mesh: TriMesh, faces: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per vertex, the Laplacian's sum over the given faces divided by the
+    ring area; exact for a vertex whose incident faces are all given."""
+    m, norm_m, slots = corner_terms(mesh.positions, faces)
     slots = list(slots)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mhat = m / norm_m
         # gradient of the linear interpolant: values times (mhat x e) / |m|
         terms = [values[corner][:, None] * np.cross(mhat, e)
-                 for corner, (e, _) in zip(mesh.faces.T, slots)]
+                 for corner, (e, _) in zip(faces.T, slots)]
         g = (terms[0] + terms[1] + terms[2]) / norm_m
         num = np.zeros(mesh.n_vertices)
-        for corner, (_, an) in zip(mesh.faces.T, slots):
+        for corner, (_, an) in zip(faces.T, slots):
             np.add.at(num, corner, np.einsum("ij,ij->i", g, an))
-        out = num / mesh.corner_kernel().ring_areas
-    out[mesh.boundary_vertices()] = np.nan
-    return out
+        return num / mesh.corner_kernel().ring_areas
 
 
 def _validated_field(mesh: TriMesh, values) -> np.ndarray:

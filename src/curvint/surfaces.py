@@ -1,5 +1,6 @@
-"""Analytic parametric surfaces r(u, v) with closed-form tangent basis,
-unit normal, area element and mean curvature.
+"""Analytic parametric surfaces r(u, v). Each supplies its chart once, as
+the jet (r, r_u, r_v, r_uu, r_uv, r_vv) in closed form; the tangent basis,
+unit normal, area element and mean curvature are derived from it.
 
 Conventions, used consistently everywhere in this package:
 
@@ -47,8 +48,7 @@ def _dot(a, b):
 
 
 class ParametricSurface:
-    """Base class. Subclasses supply position(), partials() and
-    second_partials(); everything else is derived.
+    """Base class. Subclasses supply jet(); everything else is derived.
 
     u_range/v_range bound the admissible parameter domain; a periodic
     coordinate accepts any finite value. `margin` keeps evaluation away
@@ -64,35 +64,30 @@ class ParametricSurface:
 
     # -- subclass surface definition -------------------------------------
 
+    def jet(self, u, v) -> tuple[np.ndarray, ...]:
+        """(r, r_u, r_v, r_uu, r_uv, r_vv) at (u, v); no domain check."""
+        raise NotImplementedError
+
     def position(self, u, v) -> np.ndarray:
-        raise NotImplementedError
-
-    def partials(self, u, v) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def second_partials(self, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        return self.jet(u, v)[0]
 
     # -- domain handling --------------------------------------------------
 
-    def _inside_1d(self, x, rng, periodic, pad):
+    def _inside_1d(self, x, rng, periodic):
         if periodic:
             return np.isfinite(x)
-        lo, hi = rng
-        lo = lo + pad if math.isfinite(lo) else lo
-        hi = hi - pad if math.isfinite(hi) else hi
-        return np.isfinite(x) & (x >= lo) & (x <= hi)
+        # an infinite end stays infinite
+        return np.isfinite(x) & (x >= rng[0] + self.margin) & (x <= rng[1] - self.margin)
 
-    def contains(self, u, v, pad: float | None = None) -> bool:
-        """Whether every (u, v) lies in the admissible domain, `pad`
-        inside the bounded edges (defaults to the surface margin)."""
-        pad = self.margin if pad is None else pad
-        ok = self._inside_1d(np.asarray(u, float), self.u_range, self.u_periodic, pad)
-        ok = ok & self._inside_1d(np.asarray(v, float), self.v_range, self.v_periodic, pad)
+    def contains(self, u, v) -> bool:
+        """Whether every (u, v) lies in the admissible domain, the surface
+        margin inside the bounded edges."""
+        ok = self._inside_1d(np.asarray(u, float), self.u_range, self.u_periodic)
+        ok = ok & self._inside_1d(np.asarray(v, float), self.v_range, self.v_periodic)
         return bool(np.all(ok))
 
-    def require_inside(self, u, v, pad: float | None = None):
-        if not self.contains(u, v, pad=pad):
+    def require_inside(self, u, v):
+        if not self.contains(u, v):
             raise DomainError(
                 f"parameter point outside the admissible domain of {self.name}"
             )
@@ -104,13 +99,12 @@ class ParametricSurface:
         sqrt_g, mean_curvature) with a trailing axis of 3 on the vectors."""
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         self.require_inside(u, v)
-        s1, s2 = self.partials(u, v)
+        pos, s1, s2, ruu, ruv, rvv = self.jet(u, v)
         cross = np.cross(s1, s2)
         sqrt_g = np.linalg.norm(cross, axis=-1)
         if np.any(sqrt_g < _DEGENERATE_TOL):
             raise DomainError(f"degenerate parameterization of {self.name}")
         normal = cross / sqrt_g[..., None]
-        ruu, ruv, rvv = self.second_partials(u, v)
         g11 = _dot(s1, s1)
         g12 = _dot(s1, s2)
         g22 = _dot(s2, s2)
@@ -118,7 +112,7 @@ class ParametricSurface:
         b12 = _dot(ruv, normal)
         b22 = _dot(rvv, normal)
         mean = (g22 * b11 - 2.0 * g12 * b12 + g11 * b22) / (g11 * g22 - g12 * g12)
-        return self.position(u, v), s1, s2, normal, sqrt_g, mean
+        return pos, s1, s2, normal, sqrt_g, mean
 
 
 def _stack(x, y, z):
@@ -130,17 +124,13 @@ class Plane(ParametricSurface):
 
     name = "plane"
 
-    def position(self, u, v):
-        return _stack(u, v, np.zeros_like(u))
-
-    def partials(self, u, v):
+    def jet(self, u, v):
         one, zero = np.ones_like(u), np.zeros_like(u)
-        return _stack(one, zero, zero), _stack(zero, one, zero)
-
-    def second_partials(self, u, v):
-        zero = np.zeros_like(u)
         z3 = _stack(zero, zero, zero)
-        return z3, z3, z3
+        return (_stack(u, v, zero),
+                _stack(one, zero, zero),
+                _stack(zero, one, zero),
+                z3, z3, z3)
 
 
 class Sphere(ParametricSurface):
@@ -158,27 +148,16 @@ class Sphere(ParametricSurface):
     def __init__(self, radius: float):
         self.radius = checked_positive(radius, "radius")
 
-    def position(self, u, v):
-        r = self.radius
-        return _stack(r * np.sin(u) * np.cos(v), r * np.sin(u) * np.sin(v),
-                      r * np.cos(u))
-
-    def partials(self, u, v):
-        r = self.radius
-        ru = _stack(r * np.cos(u) * np.cos(v), r * np.cos(u) * np.sin(v),
-                    -r * np.sin(u))
-        rv = _stack(-r * np.sin(u) * np.sin(v), r * np.sin(u) * np.cos(v),
-                    np.zeros_like(u))
-        return ru, rv
-
-    def second_partials(self, u, v):
-        r = self.radius
-        ruu = -self.position(u, v)
-        ruv = _stack(-r * np.cos(u) * np.sin(v), r * np.cos(u) * np.cos(v),
-                     np.zeros_like(u))
-        rvv = _stack(-r * np.sin(u) * np.cos(v), -r * np.sin(u) * np.sin(v),
-                     np.zeros_like(u))
-        return ruu, ruv, rvv
+    def jet(self, u, v):
+        rs, rc = self.radius * np.sin(u), self.radius * np.cos(u)
+        sv, cv = np.sin(v), np.cos(v)
+        zero = np.zeros_like(u)
+        return (_stack(rs * cv, rs * sv, rc),
+                _stack(rc * cv, rc * sv, -rs),
+                _stack(-(rs * sv), rs * cv, zero),
+                _stack(-(rs * cv), -(rs * sv), -rc),
+                _stack(-(rc * sv), rc * cv, zero),
+                _stack(-(rs * cv), -(rs * sv), zero))
 
 
 class Cylinder(ParametricSurface):
@@ -190,21 +169,15 @@ class Cylinder(ParametricSurface):
     def __init__(self, radius: float):
         self.radius = checked_positive(radius, "radius")
 
-    def position(self, u, v):
-        r = self.radius
-        return _stack(r * np.cos(v), r * np.sin(v), u)
-
-    def partials(self, u, v):
+    def jet(self, u, v):
+        rs, rc = self.radius * np.sin(v), self.radius * np.cos(v)
         zero, one = np.zeros_like(u), np.ones_like(u)
-        ru = _stack(zero, zero, one)
-        rv = _stack(-self.radius * np.sin(v), self.radius * np.cos(v), zero)
-        return ru, rv
-
-    def second_partials(self, u, v):
-        zero = np.zeros_like(u)
         z3 = _stack(zero, zero, zero)
-        rvv = _stack(-self.radius * np.cos(v), -self.radius * np.sin(v), zero)
-        return z3, z3, rvv
+        return (_stack(rc, rs, u),
+                _stack(zero, zero, one),
+                _stack(-rs, rc, zero),
+                z3, z3,
+                _stack(-rc, -rs, zero))
 
 
 class Torus(ParametricSurface):
@@ -221,27 +194,17 @@ class Torus(ParametricSurface):
         self.major = major
         self.minor = minor
 
-    def position(self, u, v):
-        w = self.major + self.minor * np.cos(u)
-        return _stack(w * np.cos(v), w * np.sin(v), self.minor * np.sin(u))
-
-    def partials(self, u, v):
-        r = self.minor
-        w = self.major + r * np.cos(u)
-        ru = _stack(-r * np.sin(u) * np.cos(v), -r * np.sin(u) * np.sin(v),
-                    r * np.cos(u))
-        rv = _stack(-w * np.sin(v), w * np.cos(v), np.zeros_like(u))
-        return ru, rv
-
-    def second_partials(self, u, v):
-        r = self.minor
-        w = self.major + r * np.cos(u)
-        ruu = _stack(-r * np.cos(u) * np.cos(v), -r * np.cos(u) * np.sin(v),
-                     -r * np.sin(u))
-        ruv = _stack(r * np.sin(u) * np.sin(v), -r * np.sin(u) * np.cos(v),
-                     np.zeros_like(u))
-        rvv = _stack(-w * np.cos(v), -w * np.sin(v), np.zeros_like(u))
-        return ruu, ruv, rvv
+    def jet(self, u, v):
+        rs, rc = self.minor * np.sin(u), self.minor * np.cos(u)
+        sv, cv = np.sin(v), np.cos(v)
+        w = self.major + rc
+        zero = np.zeros_like(u)
+        return (_stack(w * cv, w * sv, rs),
+                _stack(-(rs * cv), -(rs * sv), rc),
+                _stack(-(w * sv), w * cv, zero),
+                _stack(-(rc * cv), -(rc * sv), -rs),
+                _stack(rs * sv, -(rs * cv), zero),
+                _stack(-(w * cv), -(w * sv), zero))
 
 
 class Catenoid(ParametricSurface):
@@ -255,27 +218,18 @@ class Catenoid(ParametricSurface):
     def __init__(self, waist: float = 1.0):
         self.waist = checked_positive(waist, "waist")
 
-    def _rho(self, u):
+    def jet(self, u, v):
         c = self.waist
-        return c * np.cosh(u / c), np.sinh(u / c), np.cosh(u / c) / c
-
-    def position(self, u, v):
-        rho, _, _ = self._rho(u)
-        return _stack(rho * np.cos(v), rho * np.sin(v), u)
-
-    def partials(self, u, v):
-        rho, drho, _ = self._rho(u)
-        ru = _stack(drho * np.cos(v), drho * np.sin(v), np.ones_like(u))
-        rv = _stack(-rho * np.sin(v), rho * np.cos(v), np.zeros_like(u))
-        return ru, rv
-
-    def second_partials(self, u, v):
-        rho, drho, ddrho = self._rho(u)
+        ch = np.cosh(u / c)
+        rho, drho, ddrho = c * ch, np.sinh(u / c), ch / c
+        sv, cv = np.sin(v), np.cos(v)
         zero = np.zeros_like(u)
-        ruu = _stack(ddrho * np.cos(v), ddrho * np.sin(v), zero)
-        ruv = _stack(-drho * np.sin(v), drho * np.cos(v), zero)
-        rvv = _stack(-rho * np.cos(v), -rho * np.sin(v), zero)
-        return ruu, ruv, rvv
+        return (_stack(rho * cv, rho * sv, u),
+                _stack(drho * cv, drho * sv, np.ones_like(u)),
+                _stack(-(rho * sv), rho * cv, zero),
+                _stack(ddrho * cv, ddrho * sv, zero),
+                _stack(-(drho * sv), drho * cv, zero),
+                _stack(-(rho * cv), -(rho * sv), zero))
 
 
 class Enneper(ParametricSurface):
@@ -285,23 +239,15 @@ class Enneper(ParametricSurface):
     u_range = (-1.5, 1.5)
     v_range = (-1.5, 1.5)
 
-    def position(self, u, v):
-        return _stack(u - u ** 3 / 3.0 + u * v * v,
-                      v - v ** 3 / 3.0 + u * u * v,
-                      u * u - v * v)
-
-    def partials(self, u, v):
-        ru = _stack(1.0 - u * u + v * v, 2.0 * u * v, 2.0 * u)
-        rv = _stack(2.0 * u * v, 1.0 - v * v + u * u, -2.0 * v)
-        return ru, rv
-
-    def second_partials(self, u, v):
-        two = np.full_like(u, 2.0)
-        zero = np.zeros_like(u)
-        ruu = _stack(-2.0 * u, 2.0 * v, two)
-        ruv = _stack(2.0 * v, 2.0 * u, zero)
-        rvv = _stack(2.0 * u, -2.0 * v, -two)
-        return ruu, ruv, rvv
+    def jet(self, u, v):
+        uu, vv, u2, v2 = u * u, v * v, 2.0 * u, 2.0 * v
+        two, zero = np.full_like(u, 2.0), np.zeros_like(u)
+        return (_stack(u - u ** 3 / 3.0 + u * v * v, v - v ** 3 / 3.0 + uu * v, uu - vv),
+                _stack(1.0 - uu + vv, u2 * v, u2),
+                _stack(u2 * v, 1.0 - vv + uu, -v2),
+                _stack(-u2, v2, two),
+                _stack(v2, u2, zero),
+                _stack(u2, -v2, -two))
 
 
 class MongeGraph(ParametricSurface):
@@ -323,16 +269,12 @@ class MongeGraph(ParametricSurface):
         self.v_range = (float(y_range[0]), float(y_range[1]))
         self.name = name
 
-    def position(self, u, v):
-        return _stack(u, v, self.f(u, v))
-
-    def partials(self, u, v):
+    def jet(self, u, v):
         one, zero = np.ones_like(u), np.zeros_like(u)
-        return _stack(one, zero, self.fx(u, v)), _stack(zero, one, self.fy(u, v))
-
-    def second_partials(self, u, v):
-        zero = np.zeros_like(u)
-        return (_stack(zero, zero, self.fxx(u, v)),
+        return (_stack(u, v, self.f(u, v)),
+                _stack(one, zero, self.fx(u, v)),
+                _stack(zero, one, self.fy(u, v)),
+                _stack(zero, zero, self.fxx(u, v)),
                 _stack(zero, zero, self.fxy(u, v)),
                 _stack(zero, zero, self.fyy(u, v)))
 

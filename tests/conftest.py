@@ -429,7 +429,7 @@ def reference_vector_mean_curvature(mesh: ci.TriMesh, v: int, tol_direction: flo
     vec = num / ring_area
     magnitude = float(np.linalg.norm(vec))
     scale = total_edge_length / ring_area
-    if magnitude < tol_direction * scale:
+    if magnitude <= tol_direction * scale:
         return ci.CurvatureSample(vec, magnitude, None, True)
     return ci.CurvatureSample(vec, magnitude, vec / magnitude, False)
 
@@ -742,11 +742,11 @@ def frame(surface: ci.ParametricSurface, u: float, v: float) -> SurfaceFrame:
 def reference_numeric_mean_curvature(surface: ci.ParametricSurface, u: float, v: float,
                                      h: float = 1e-4) -> float:
     """Mean curvature recomputed from finite-difference fundamental
-    forms; independent of partials()/second_partials(), same sign
+    forms; independent of jet()'s derivative entries, same sign
     convention as geometry()."""
     if h <= 0:
         raise ValueError("step h must be positive")
-    surface.require_inside(u, v, pad=max(surface.margin, 0.0))
+    surface.require_inside(u, v)
     for x, rng, periodic in ((u, surface.u_range, surface.u_periodic),
                              (v, surface.v_range, surface.v_periodic)):
         if not periodic:

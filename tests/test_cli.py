@@ -139,6 +139,19 @@ def test_curvature_marks_boundary_rows(tmp_path):
     assert all(row[5] == "1" for row in inner)  # flat: near-minimal everywhere
 
 
+def test_curvature_at_zero_tolerance_flags_exactly_zero_b(tmp_path):
+    # a flat grid's B is exactly zero: near-minimal at any tolerance
+    mesh_path = tmp_path / "grid.obj"
+    assert run(["make", "--kind", "grid", "--n", "4", "--output", str(mesh_path)]) == 0
+    out = tmp_path / "curv.csv"
+    assert run(["curvature", "--tol-direction", "0", "--input", str(mesh_path),
+                "--output", str(out)]) == 0
+    _, rows = read_rows(out)
+    inner = [row for row in rows if row[6] == "0"]
+    assert len(inner) == 9
+    assert all(row[4] == "0" and row[5] == "1" for row in inner)
+
+
 def test_gradcheck_gate(tmp_path):
     mesh_path = tmp_path / "m.off"
     assert run(["make", "--kind", "icosphere", "--level", "1",

@@ -215,6 +215,18 @@ def test_bad_tol_direction_rejected_naming_it(tol):
                 curvature()
 
 
+def test_zero_b_is_near_minimal_at_zero_tolerance():
+    g = ci.make_grid(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = [s for s in ci.curvature_field(g, 0.0) if s is not None]
+        samples = field + [ci.vector_mean_curvature(g, 40, 0.0)]
+    assert len(field) == 49
+    for sample in samples:
+        assert sample.magnitude == 0.0
+        assert sample.near_minimal and sample.direction is None
+
+
 def test_laplacian_of_affine_field_vanishes_on_flat_grid():
     g = ci.make_grid(16)
     values = 3.0 * g.positions[:, 0] - 2.0 * g.positions[:, 1] + 7.0

@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import curvint as ci
 from curvint import DomainError
 
 from conftest import (bundled_surfaces, frame, random_interior_points,
-                      reference_numeric_mean_curvature)
+                      reference_numeric_mean_curvature, sample_box)
 
 
 KINDS = bundled_surfaces()
@@ -35,6 +36,29 @@ def test_mean_curvature_matches_finite_differences(surface):
         h_exact = frame(surface, u, v).mean_curvature
         h_numeric = reference_numeric_mean_curvature(surface, u, v, h=1e-4)
         assert abs(h_exact - h_numeric) <= 1e-5 * (1.0 + abs(h_exact))
+
+
+@pytest.mark.parametrize("surface", KINDS, ids=lambda s: s.name)
+@settings(max_examples=30)
+@given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
+def test_jet_derivatives_match_central_differences(surface, a, b):
+    # r_uv matters here on the orthogonal charts too, where g12 = 0 hides
+    # it from H
+    u0, u1, v0, v1 = sample_box(surface)
+    u, v = u0 + a * (u1 - u0), v0 + b * (v1 - v0)
+    h = 1e-5
+
+    def d_du(k):
+        return (surface.jet(u + h, v)[k] - surface.jet(u - h, v)[k]) / (2 * h)
+
+    def d_dv(k):
+        return (surface.jet(u, v + h)[k] - surface.jet(u, v - h)[k]) / (2 * h)
+
+    _, ru, rv, ruu, ruv, rvv = surface.jet(u, v)
+    for exact, numeric in [(ru, d_du(0)), (rv, d_dv(0)), (ruu, d_du(1)), (rvv, d_dv(2)),
+                           (ruv, d_du(2)), (ruv, d_dv(1))]:
+        np.testing.assert_allclose(numeric, exact, rtol=0, atol=1e-7)
+    assert surface.position(u, v).tobytes() == surface.geometry(u, v)[0].tobytes()
 
 
 def test_sphere_frame_reference_point():
