@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curvature", help="per-vertex discrete vector mean curvature")
     p.add_argument("--input", required=True, help="OBJ/OFF mesh path")
     p.add_argument("--tol-direction", type=float, default=1e-8,
-                   help="relative threshold below which the direction is withheld")
+                   help="relative threshold at or below which the direction is withheld")
     _add_output_flag(p)
     p.set_defaults(handler=_cmd_curvature)
 

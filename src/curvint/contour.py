@@ -15,7 +15,8 @@ rectangle's four edges, a disk's circle): piece(k, t) gives the points
 [0, 1]. interior(rule) gives the interior nodes (U, V), the weights along
 each node axis and the Jacobian of the map onto the region (1 on a
 rectangle's tensor grid, r on a disk's polar grid). The contour side is
-one pass over the pieces, the patch side one geometry evaluation.
+one pass over the pieces, the patch side one geometry evaluation. A side
+that is not finite (an overflowing surface) raises EvaluationError.
 
 The exterior normal is computed as t x N from the curve tangent t; with
 counterclockwise parameter traversal this always points out of the patch
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContourError, DomainError
+from .errors import ContourError, DomainError, EvaluationError
 from .numerics import QuadratureRule, default_rule, panel_nodes
 from .surfaces import ParametricSurface
 
@@ -214,18 +215,25 @@ def boundary_point(surface: ParametricSurface, region, s: float) -> BoundaryPoin
     return BoundaryPoint(pos, tangent, n, float(speed))
 
 
+def _finite(name: str, value):
+    if not np.isfinite(value).all():
+        raise EvaluationError(f"{name} is not finite")
+    return value
+
+
 def _contour(surface, region, rule):
     """(contour integral of the exterior normal, arc length), one
     composite rule per boundary piece."""
     region.validate_on(surface)
     t, w = panel_nodes(0.0, 1.0, rule)
     rhs, length = None, 0.0
-    for k in range(region.pieces):
-        (u, v), (du, dv), _ = region.piece(k, t)
-        _, _, n, speed = _frame(surface, u, v, du, dv)
-        part = ((w * speed)[:, None] * n).sum(axis=0)
-        rhs = part if rhs is None else rhs + part  # a None start keeps -0.0
-        length += float(w @ speed)
+    with np.errstate(all="ignore"):
+        for k in range(region.pieces):
+            (u, v), (du, dv), _ = region.piece(k, t)
+            _, _, n, speed = _frame(surface, u, v, du, dv)
+            part = ((w * speed)[:, None] * n).sum(axis=0)
+            rhs = part if rhs is None else rhs + part  # a None start keeps -0.0
+            length += float(w @ speed)
     return rhs, length
 
 
@@ -233,32 +241,33 @@ def _patch(surface, region, rule):
     """(patch integral of N * H, area) from one geometry evaluation on the
     region's interior nodes; the caller validates the region."""
     U, V, w1, w2, jac = region.interior(rule)
-    _, _, _, normal, sqrt_g, mean = surface.geometry(U, V)
-    field = normal * (mean * sqrt_g)[..., None] * np.expand_dims(jac, -1)
-    return (np.einsum("i,j,ijk->k", w1, w2, field),
-            float(np.einsum("i,j,ij->", w1, w2, sqrt_g * jac)))
+    with np.errstate(all="ignore"):
+        _, _, _, normal, sqrt_g, mean = surface.geometry(U, V)
+        field = normal * (mean * sqrt_g)[..., None] * np.expand_dims(jac, -1)
+        return (np.einsum("i,j,ijk->k", w1, w2, field),
+                float(np.einsum("i,j,ij->", w1, w2, sqrt_g * jac)))
 
 
 def rhs_integral(surface: ParametricSurface, region, rule: QuadratureRule | None = None) -> np.ndarray:
     """Contour integral of the exterior in-surface normal."""
-    return _contour(surface, region, rule or default_rule())[0]
+    return _finite("contour integral", _contour(surface, region, rule or default_rule())[0])
 
 
 def contour_length(surface: ParametricSurface, region, rule: QuadratureRule | None = None) -> float:
     """Arc length of the region boundary."""
-    return _contour(surface, region, rule or default_rule())[1]
+    return _finite("contour length", _contour(surface, region, rule or default_rule())[1])
 
 
 def lhs_integral(surface: ParametricSurface, region, rule: QuadratureRule | None = None) -> np.ndarray:
     """Patch integral of N * H over the region."""
     region.validate_on(surface)
-    return _patch(surface, region, rule or default_rule())[0]
+    return _finite("patch integral", _patch(surface, region, rule or default_rule())[0])
 
 
 def region_area(surface: ParametricSurface, region, rule: QuadratureRule | None = None) -> float:
     """Surface area of the region (quadrature of the area element)."""
     region.validate_on(surface)
-    return _patch(surface, region, rule or default_rule())[1]
+    return _finite("patch area", _patch(surface, region, rule or default_rule())[1])
 
 
 def verify_identity(surface: ParametricSurface, region,
@@ -271,7 +280,7 @@ def verify_identity(surface: ParametricSurface, region,
     """
     rule = rule or default_rule()
     rhs = rhs_integral(surface, region, rule)  # validates the region
-    lhs, area = _patch(surface, region, rule)
+    lhs, area = map(_finite, ("patch integral", "patch area"), _patch(surface, region, rule))
     abs_err = float(np.linalg.norm(lhs - rhs))
     rel_err = abs_err / max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)), 1e-30)
     return IdentityReport(lhs, rhs, abs_err, rel_err, area)
@@ -293,13 +302,15 @@ def shrinking_limit(surface: ParametricSurface, center: tuple[float, float],
     if np.any(radii <= 0) or not np.all(np.diff(radii) < 0):
         raise ValueError("radii must be positive and strictly decreasing")
     uc, vc = float(center[0]), float(center[1])
-    _, _, _, normal, _, mean = surface.geometry(uc, vc)
-    target = normal * mean
+    with np.errstate(all="ignore"):
+        _, _, _, normal, _, mean = surface.geometry(uc, vc)
+    target = _finite("N * H at the center", normal * mean)
     estimates = np.empty((len(radii), 3))
     for i, rho in enumerate(radii):
         disk = DiskRegion(uc, vc, float(rho))
         # rhs_integral validates the disk for the area pass as well
-        estimates[i] = rhs_integral(surface, disk, rule) / _patch(surface, disk, rule)[1]
+        rhs = rhs_integral(surface, disk, rule)
+        estimates[i] = rhs / _finite("patch area", _patch(surface, disk, rule)[1])
     errors = np.linalg.norm(estimates - target[None, :], axis=1)
     if np.all(errors > 1e-14):
         observed_order = float(np.polyfit(np.log(radii), np.log(errors), 1)[0])

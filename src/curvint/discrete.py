@@ -22,11 +22,11 @@ Replacing n_i by the in-plane normal derivative of a piecewise-linear
 vertex field along the opposite edge extends the formula to a surface
 Laplacian; applied to the three coordinate fields it reproduces B exactly.
 
-Every sum here is one arithmetic, `curvint.mesh.corner_terms`, and each
+Every sum here is one column pass, `curvint.mesh.corner_terms`, and each
 per-vertex operator equals an entry of a whole-mesh result bit for bit:
 laplacian sums only v's incident faces, in the order laplacian_field adds
 them into v, the others read the mesh's cached per-vertex sums
-(`curvint.mesh.CornerKernel`), which the flow sums the same way.
+(`curvint.mesh.CornerKernel`), the pass the flow makes once per state.
 curvature_arrays gives B at every vertex as arrays, which the command
 line prints whole; curvature_field is their list view.
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryVertexError, EvaluationError
-from .mesh import TriMesh, corner_terms, star_corners, triangle_areas
+from .mesh import TriMesh, _cross, corner_terms, star_corners, triangle_areas
 from .numerics import checked_positive
 
 __all__ = [
@@ -88,13 +88,6 @@ def _check_tol(tol_direction: float) -> None:
         raise ValueError(f"tol_direction must be nonnegative, got {tol_direction}")
 
 
-def _sample(vec: np.ndarray, magnitude: float, scale: float,
-            tol_direction: float) -> CurvatureSample:
-    if magnitude <= tol_direction * scale:  # an exact zero at any tolerance
-        return CurvatureSample(vec, magnitude, None, True)
-    return CurvatureSample(vec, magnitude, vec / magnitude, False)
-
-
 def star_sum(mesh: TriMesh, v: int) -> np.ndarray:
     """sum(a_i n_i) over the one-ring of v (no area division); defined for
     boundary vertices too."""
@@ -116,8 +109,10 @@ def vector_mean_curvature(mesh: TriMesh, v: int, tol_direction: float = 1e-8,
     kernel = mesh.corner_kernel()
     ring_area = kernel.ring_areas[v]
     vec = kernel.star_sums[v] / ring_area
-    return _sample(vec, float(np.linalg.norm(vec)),
-                   float(kernel.edge_lengths[v] / ring_area), tol_direction)
+    magnitude = float(np.linalg.norm(vec))
+    if magnitude <= tol_direction * float(kernel.edge_lengths[v] / ring_area):
+        return CurvatureSample(vec, magnitude, None, True)
+    return CurvatureSample(vec, magnitude, vec / magnitude, False)
 
 
 def area_gradient(mesh: TriMesh, v: int) -> np.ndarray:
@@ -258,19 +253,17 @@ def laplacian_field(mesh: TriMesh, values) -> np.ndarray:
 
 def _laplacian(mesh: TriMesh, faces: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per vertex, the Laplacian's sum over the given faces divided by the
-    ring area; exact for a vertex whose incident faces are all given."""
-    m, norm_m, slots = corner_terms(mesh.positions, faces)
-    slots = list(slots)
+    ring area over them; exact for a vertex whose faces are all given."""
+    m, norm_m, e, an = corner_terms(mesh.positions, faces)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mhat = m / norm_m
         # gradient of the linear interpolant: values times (mhat x e) / |m|
-        terms = [values[corner][:, None] * np.cross(mhat, e)
-                 for corner, (e, _) in zip(faces.T, slots)]
-        g = (terms[0] + terms[1] + terms[2]) / norm_m
-        num = np.zeros(mesh.n_vertices)
-        for corner, (_, an) in zip(faces.T, slots):
-            np.add.at(num, corner, np.einsum("ij,ij->i", g, an))
-        return num / mesh.corner_kernel().ring_areas
+        terms = [values[faces.T] * t for t in _cross([mk / norm_m for mk in m], e)]
+        g = np.stack([(t[0] + t[1] + t[2]) / norm_m for t in terms], axis=1)
+        # g . a n by einsum on rows; both sums add slot-major, as CornerKernel's
+        dots = [np.einsum("ij,ij->i", g, an_c) for an_c in np.stack(an, axis=-1)]
+        num, ring = (np.bincount(faces.T.ravel(), w, minlength=mesh.n_vertices)
+                     for w in (np.concatenate(dots), np.tile(0.5 * norm_m, 3)))
+        return num / ring
 
 
 def _validated_field(mesh: TriMesh, values) -> np.ndarray:

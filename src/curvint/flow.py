@@ -5,7 +5,7 @@ Because the step direction is proportional to minus the area gradient,
 flowing a closed mesh with a small enough time step is gradient descent on
 total area; the trace records that descent. This is a property
 demonstrator, not a production flow solver (no remeshing, no implicit
-stepping, no singularity handling).
+stepping, no singularity handling); each state costs one corner pass.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryVertexError, CollapseError, IsolatedVertexError
-from .mesh import MIN_FACE_AREA, CornerKernel, TriMesh
+from .mesh import MIN_FACE_AREA, TriMesh
 
 __all__ = ["FlowStep", "FlowTrace", "mcf_step", "run_flow"]
 
@@ -42,9 +42,7 @@ class FlowTrace:
 
 
 def _curvatures(mesh: TriMesh) -> np.ndarray:
-    # curvature_field's B; the kernel is read once, so it is not cached
-    # on the mesh, where one per live state would cost the flow memory
-    kernel = CornerKernel(mesh)
+    kernel = mesh.corner_kernel()
     return kernel.star_sums / kernel.ring_areas[:, None]
 
 
@@ -58,17 +56,18 @@ def _require_closed(mesh: TriMesh):
         raise IsolatedVertexError(f"vertex {v} has no incident faces")
 
 
-def _advance(mesh: TriMesh, dt: float, curvature: np.ndarray) -> TriMesh:
+def _advance(mesh: TriMesh, dt: float, curvature: np.ndarray) -> tuple[TriMesh, np.ndarray]:
     if dt == 0:
-        return mesh
+        return mesh, curvature
     candidate = mesh.with_positions(mesh.positions + dt * curvature, allow_degenerate=True)
+    stepped = _curvatures(candidate)  # its corner pass also fills the face areas
     areas = candidate.face_areas()
     worst = int(np.argmin(areas))
     if areas[worst] < MIN_FACE_AREA:
         raise CollapseError(
             f"face {worst} collapsed to area {areas[worst]:.3e}",
             face=worst, area=float(areas[worst]))
-    return candidate
+    return candidate, stepped
 
 
 def _check_dt(dt: float) -> None:
@@ -88,7 +87,7 @@ def mcf_step(mesh: TriMesh, dt: float) -> TriMesh:
     """
     _check_dt(dt)
     _require_closed(mesh)
-    return _advance(mesh, dt, _curvatures(mesh))
+    return _advance(mesh, dt, _curvatures(mesh))[0]
 
 
 def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh]:
@@ -99,8 +98,9 @@ def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh
     Stops early, with the reason recorded in the trace rather than
     raised, when a face collapses or when a step fails to decrease total
     area (a sign that dt is too large); the offending step is not
-    accepted. B is computed once per state, for its trace row and for
-    the step that leaves it. Refuses the mesh as mcf_step does.
+    accepted. Each state costs one corner pass, which gives its B and
+    face areas (`curvint.mesh.CornerKernel`). Refuses the mesh as
+    mcf_step does.
     """
     _check_dt(dt)
     if n_steps < 0:
@@ -117,11 +117,10 @@ def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh
     stop_reason = None
     for k in range(1, n_steps + 1):
         try:
-            stepped = _advance(current, dt, curvature)
+            stepped, stepped_curvature = _advance(current, dt, curvature)
         except CollapseError as exc:
             stop_reason = f"collapse at step {k}: {exc}"
             break
-        stepped_curvature = _curvatures(stepped)
         entry = record(k, stepped, stepped_curvature)
         if dt > 0 and entry.area >= steps[-1].area:
             stop_reason = f"area did not decrease at step {k} (dt too large)"

@@ -1,6 +1,7 @@
 """Indexed triangle meshes: data model, shared connectivity (topology),
-the one-ring arithmetic and its per-vertex sums, OBJ/OFF input/output,
-stock primitives, and one-ring (vertex star) extraction.
+the one-ring arithmetic (one column pass over the corners) and its
+per-vertex sums, OBJ/OFF input/output, stock primitives, and one-ring
+(vertex star) extraction.
 
 The grid, tube and catenoid primitives are samples of the plane, the
 cylinder and the catenoid of `curvint.surfaces` on a parameter grid, by
@@ -72,8 +73,9 @@ class MeshTopology:
             if same.any():
                 bad = int(np.argmax(same))
                 raise MeshValidationError(f"face {bad} repeats a vertex", face=bad)
-        faces.setflags(write=False)
-        self.faces = faces
+        self.faces = _frozen(faces)
+        # each corner's vertex, slot-major: the corner sums' bincount index
+        self.by_slot = _frozen(faces.T.ravel())
         self.n_vertices = n_vertices
 
     @cached_property
@@ -81,9 +83,8 @@ class MeshTopology:
         """Boolean mask of the vertices with incident faces whose star is
         not one closed loop (closed_stars): on an open edge, non-manifold,
         or in fewer than three faces. B needs that loop."""
-        mask = (np.bincount(self.faces.ravel(), minlength=self.n_vertices) > 0) & ~self.closed_stars
-        mask.setflags(write=False)
-        return mask
+        return _frozen((np.bincount(self.faces.ravel(), minlength=self.n_vertices) > 0)
+                       & ~self.closed_stars)
 
     @cached_property
     def _corner_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -119,8 +120,7 @@ class MeshTopology:
         ok = np.bincount(flat, minlength=n) >= 3
         if len(flat):
             ok &= self._one_loop(flat)
-        ok.setflags(write=False)
-        return ok
+        return _frozen(ok)
 
     def _one_loop(self, flat: np.ndarray) -> np.ndarray:
         # end 2c + k is endpoint k of the edge opposite corner c; each 6F
@@ -173,9 +173,8 @@ class TriMesh:
             self.topology = faces
         else:
             self.topology = MeshTopology(faces, len(positions))
-        self.positions = positions
+        self.positions = _frozen(positions)
         self.faces = self.topology.faces
-        self.positions.setflags(write=False)
         self._face_areas = None
         self._corner_kernel = None
         if not allow_degenerate and len(self.faces):
@@ -201,17 +200,10 @@ class TriMesh:
     def n_faces(self) -> int:
         return len(self.faces)
 
-    def corners(self):
-        """Positions of the three corners of every face, each (F, 3)."""
-        return (self.positions[self.faces[:, 0]],
-                self.positions[self.faces[:, 1]],
-                self.positions[self.faces[:, 2]])
-
     def face_areas(self) -> np.ndarray:
         if self._face_areas is None:
-            areas = triangle_areas(*self.corners())
-            areas.setflags(write=False)
-            self._face_areas = areas
+            corners = np.moveaxis(np.take(self.positions.T, self.faces.T, axis=1), 0, -1)
+            self._face_areas = _frozen(triangle_areas(*corners))
         return self._face_areas
 
     def vertex_faces(self, v: int) -> np.ndarray:
@@ -238,10 +230,24 @@ class TriMesh:
         return TriMesh(positions, self.topology, allow_degenerate=allow_degenerate)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _cross(a, b) -> list:
+    """a x b of coordinate columns a[k], b[k], bitwise equal to np.cross."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _norm(x) -> np.ndarray:  # in np.linalg.norm(axis=1)'s order: bitwise equal to it
+    return np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+
+
 def triangle_areas(p0, p1, p2) -> np.ndarray:
     """Areas of the triangles with corners p0, p1, p2, each (n, 3): half
-    the cross-product norms, row by row."""
-    return 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
+    the cross-product norms, row by row, computed on columns."""
+    return 0.5 * _norm(_cross((p1 - p0).T, (p2 - p0).T))
 
 
 def total_area(mesh: TriMesh) -> float:
@@ -254,48 +260,55 @@ def total_area(mesh: TriMesh) -> float:
 
 
 def corner_terms(positions: np.ndarray, faces: np.ndarray):
-    """(m, |m|, slots): per face p0, p1, p2, m = (p1 - p0) x (p2 - p0) and
-    its norm |m| (F, 1), twice the area; slots is a one-pass iterator over
-    c = 0, 1, 2 of (e, a n): the edge e = p[c+2] - p[c+1] opposite corner c
-    and a n = (e x m) / |m|, its length times its unit in-plane normal
-    pointing away from the corner (nan on a degenerate face). One slot at
-    a time keeps the temporaries of a large mesh small."""
-    p = [positions[faces[:, c]] for c in range(3)]
-    m = np.cross(p[1] - p[0], p[2] - p[0])
-    norm_m = np.linalg.norm(m, axis=1, keepdims=True)
-
-    def slots():
-        for c in range(3):
-            e = p[(c + 2) % 3] - p[(c + 1) % 3]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                an = np.cross(e, m) / norm_m
-            yield e, an
-
-    return m, norm_m, slots()
+    """(m, |m|, e, an) of every face from one gather, coordinate first:
+    m = (p1 - p0) x (p2 - p0) and |m| = 2A as (F,) columns; as (3 slots,
+    F) columns, the edge e = p[c+2] - p[c+1] opposite corner c and a n =
+    (e x m) / |m|, its length times its unit in-plane normal pointing
+    away from the corner (nan on a degenerate face)."""
+    x = np.take(positions.T, faces.T, axis=1)  # coordinate, slot, face
+    e = np.empty_like(x)
+    for c in range(3):
+        np.subtract(x[:, c - 1], x[:, c - 2], out=e[:, c])
+    m = _cross(e[:, 2], x[:, 2] - x[:, 0])  # e[:, 2] is p1 - p0
+    del x
+    norm_m = _norm(m)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        an = [np.divide(a, norm_m, out=a) for a in _cross(e, m)]
+    return m, norm_m, e, an
 
 
 class CornerKernel:
-    """Per-vertex sums over the corners of a mesh, from corner_terms:
-    star_sums (sum of a n), ring_areas (sum of the face areas A),
-    edge_lengths (sum of a), each added slot by slot in face order, and
-    degenerate (a vertex of a face with A below MIN_FACE_AREA; its
-    star_sums entry is nan, and star_corners refuses it)."""
+    """Per-vertex corner sums, one bincount per column over by_slot (slot
+    by slot in face order): star_sums (sum of a n) and ring_areas (sum of
+    the face areas A, which fill the mesh's empty cache) from one
+    corner_terms pass; on first use, edge_lengths (sum of a) and
+    degenerate (in a face with A below MIN_FACE_AREA: star_sums is nan
+    there, star_corners refuses it). No per-corner array is kept."""
 
     def __init__(self, mesh: TriMesh):
-        nv = mesh.n_vertices
-        areas = mesh.face_areas()
-        self.star_sums = np.zeros((nv, 3))
-        self.ring_areas = np.zeros(nv)
-        self.edge_lengths = np.zeros(nv)
-        _, _, slots = corner_terms(mesh.positions, mesh.faces)
-        for corner, (e, an) in zip(mesh.faces.T, slots):
-            for k in range(3):  # one column at a time: numpy's fast 1-D add.at
-                np.add.at(self.star_sums[:, k], corner, an[:, k])
-            np.add.at(self.ring_areas, corner, areas)
-            np.add.at(self.edge_lengths, corner, np.sqrt(np.einsum("ij,ij->i", e, e)))
-        self.degenerate = np.bincount(mesh.faces[areas < MIN_FACE_AREA].ravel(), minlength=nv) > 0
-        for sums in vars(self).values():
-            sums.setflags(write=False)
+        _, norm_m, _, an = corner_terms(mesh.positions, mesh.faces)
+        if mesh._face_areas is None:
+            mesh._face_areas = _frozen(0.5 * norm_m)
+        self._positions, self._topology = mesh.positions, mesh.topology
+        self._areas = mesh._face_areas
+        self.star_sums = _frozen(np.column_stack([self._sums(a.ravel()) for a in an]))
+        self.ring_areas = _frozen(self._sums(np.tile(self._areas, 3)))
+
+    def _sums(self, weights: np.ndarray) -> np.ndarray:  # float also without faces
+        return np.bincount(self._topology.by_slot, weights,
+                           minlength=self._topology.n_vertices).astype(float, copy=False)
+
+    @cached_property
+    def edge_lengths(self) -> np.ndarray:
+        # einsum on rows keeps sum(a)'s bits; the column order rounds differently
+        p = self._positions[self._topology.faces]
+        e = [p[:, c - 1] - p[:, c - 2] for c in range(3)]
+        squares = np.concatenate([np.einsum("ij,ij->i", x, x) for x in e])
+        return _frozen(self._sums(np.sqrt(squares)))
+
+    @cached_property
+    def degenerate(self) -> np.ndarray:
+        return _frozen(self._sums(np.tile(self._areas < MIN_FACE_AREA, 3)) > 0)
 
 
 @dataclass(frozen=True)
@@ -354,12 +367,12 @@ def build_star(mesh: TriMesh, v: int) -> VertexStar:
     """
     corners = star_corners(mesh, v)
     faces, areas = corners // 3, mesh.face_areas()
-    _, _, slots = corner_terms(mesh.positions, mesh.faces[faces])
-    e, an = (np.stack(x)[corners % 3, np.arange(len(corners))] for x in zip(*slots))
-    lengths = np.sqrt(np.einsum("ij,ij->i", e, e))
+    _, _, e, an = corner_terms(mesh.positions, mesh.faces[faces])
+    pick = (slice(None), corners % 3, np.arange(len(corners)))
+    lengths = _norm(e[pick])
     entries = tuple(StarEntry(int(f), float(areas[f]), (int(p), int(q)), float(a), n)
                     for f, (p, q), a, n in zip(faces, mesh.topology.opposite[corners],
-                                                lengths, an / lengths[:, None]))
+                                                lengths, (np.stack(an)[pick] / lengths).T))
     return VertexStar(v, entries, bool(mesh.topology.boundary[v]))
 
 
@@ -666,7 +679,12 @@ def make_grid(n: int) -> TriMesh:
     return TriMesh(positions[:, [1, 0, 2]], faces)
 
 
-_ICO_VERTS = None
+_G = (1.0 + math.sqrt(5.0)) / 2.0
+_ICO_VERTS = np.array([
+    [-1, _G, 0], [1, _G, 0], [-1, -_G, 0], [1, -_G, 0],
+    [0, -1, _G], [0, 1, _G], [0, -1, -_G], [0, 1, -_G],
+    [_G, 0, -1], [_G, 0, 1], [-_G, 0, -1], [-_G, 0, 1],
+], dtype=float)
 _ICO_FACES = np.array([
     [0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
     [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
@@ -676,14 +694,6 @@ _ICO_FACES = np.array([
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
-    global _ICO_VERTS
-    if _ICO_VERTS is None:
-        g = (1.0 + math.sqrt(5.0)) / 2.0
-        _ICO_VERTS = np.array([
-            [-1, g, 0], [1, g, 0], [-1, -g, 0], [1, -g, 0],
-            [0, -1, g], [0, 1, g], [0, -1, -g], [0, 1, -g],
-            [g, 0, -1], [g, 0, 1], [-g, 0, -1], [-g, 0, 1],
-        ], dtype=float)
     return _ICO_VERTS.copy(), _ICO_FACES.copy()
 
 

@@ -8,9 +8,11 @@ face-by-face vertex classification (one-ring
 loop, and the open-edge set it contains), the per-vertex loops
 (one-ring, area gradient, Laplacian, the finite-difference area
 gradient over rebuilt meshes) kept as references for the whole-mesh
-results that replaced them, the per-face sums (star sums,
-ring areas, Laplacian field) kept as references for the corner
-kernel's, and the per-segment contour and per-region interior quadrature
+results that replaced them, the per-face sums (face areas, star
+sums, ring areas, edge lengths, degenerate flags, Laplacian field) on
+np.cross, np.linalg.norm and np.add.at kept as references for the
+corner kernel's column pass, the flow loop of one mesh per step kept as
+the reference for one corner pass per flow state, and the per-segment contour and per-region interior quadrature
 kept as references for the region pieces and one-pass integrals of
 `curvint.contour`; the pointwise surface frame, the finite-difference
 mean curvature and the stock surfaces that only the tests use; and the
@@ -30,7 +32,7 @@ import numpy as np
 from hypothesis import settings
 
 import curvint as ci
-from curvint import (BoundaryVertexError, ContourError, IsolatedVertexError,
+from curvint import (BoundaryVertexError, CollapseError, ContourError, IsolatedVertexError,
                      MeshValidationError)
 from curvint import discrete
 from curvint.mesh import MIN_FACE_AREA, _icosahedron
@@ -503,14 +505,20 @@ def reference_fd_area_gradient(mesh: ci.TriMesh, h: float, vertices=None) -> np.
 
 # ---------------------------------------------------------------------------
 # reference whole-mesh sums: the per-face passes that served the flow and
-# laplacian_field before every sum went through one corner kernel
+# laplacian_field before every sum went through one corner kernel, on
+# row gathers, np.cross, np.linalg.norm and np.add.at
 
 
 def _reference_corner_contributions(mesh: ci.TriMesh):
-    p0, p1, p2 = mesh.corners()
+    p0, p1, p2 = (mesh.positions[mesh.faces[:, c]] for c in range(3))
     m = np.cross(p1 - p0, p2 - p0)
     norm_m = np.linalg.norm(m, axis=1, keepdims=True)
     return (p0, p1, p2), m, norm_m
+
+
+def reference_face_areas(mesh: ci.TriMesh) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * _reference_corner_contributions(mesh)[2][:, 0]
 
 
 def reference_star_sums(mesh: ci.TriMesh) -> np.ndarray:
@@ -518,16 +526,87 @@ def reference_star_sums(mesh: ci.TriMesh) -> np.ndarray:
     out = np.zeros((mesh.n_vertices, 3))
     for c, (i, j) in enumerate([(1, 2), (2, 0), (0, 1)]):
         e = corners[j] - corners[i]
-        np.add.at(out, mesh.faces[:, c], np.cross(e, m) / norm_m)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            an = np.cross(e, m) / norm_m
+        np.add.at(out, mesh.faces[:, c], an)
+    return out
+
+
+def _reference_corner_sums(mesh: ci.TriMesh, per_slot) -> np.ndarray:
+    out = np.zeros(mesh.n_vertices)
+    for c in range(3):
+        np.add.at(out, mesh.faces[:, c], per_slot(c))
     return out
 
 
 def reference_ring_areas(mesh: ci.TriMesh) -> np.ndarray:
-    areas = mesh.face_areas()
-    out = np.zeros(mesh.n_vertices)
-    for c in range(3):
-        np.add.at(out, mesh.faces[:, c], areas)
+    areas = reference_face_areas(mesh)
+    return _reference_corner_sums(mesh, lambda c: areas)
+
+
+def reference_edge_lengths(mesh: ci.TriMesh) -> np.ndarray:
+    corners = _reference_corner_contributions(mesh)[0]
+
+    def lengths(c):
+        e = corners[(c + 2) % 3] - corners[(c + 1) % 3]
+        return np.sqrt(np.einsum("ij,ij->i", e, e))
+    return _reference_corner_sums(mesh, lengths)
+
+
+def reference_degenerate(mesh: ci.TriMesh) -> np.ndarray:
+    out = np.zeros(mesh.n_vertices, dtype=bool)
+    for f, area in zip(mesh.faces, reference_face_areas(mesh)):
+        if area < MIN_FACE_AREA:
+            out[f] = True
     return out
+
+
+def _reference_curvature(mesh: ci.TriMesh) -> np.ndarray:
+    return reference_star_sums(mesh) / reference_ring_areas(mesh)[:, None]
+
+
+def _reference_step(mesh: ci.TriMesh, dt: float, curvature: np.ndarray) -> ci.TriMesh:
+    if dt == 0:
+        return mesh
+    # a new mesh, and topology, from the face array
+    candidate = ci.TriMesh(mesh.positions + dt * curvature, mesh.faces, allow_degenerate=True)
+    areas = reference_face_areas(candidate)
+    worst = int(np.argmin(areas))
+    if areas[worst] < MIN_FACE_AREA:
+        raise CollapseError(f"face {worst} collapsed to area {areas[worst]:.3e}",
+                            face=worst, area=float(areas[worst]))
+    return candidate
+
+
+def reference_mcf_step(mesh: ci.TriMesh, dt: float) -> ci.TriMesh:
+    return _reference_step(mesh, dt, _reference_curvature(mesh))
+
+
+def reference_run_flow(mesh: ci.TriMesh, dt: float, n_steps: int):
+    """run_flow's loop of one mesh per step, each state's B from the
+    reference sums and its areas recomputed; no refusal checks."""
+    def record(index, m, curvature):
+        areas = reference_face_areas(m)
+        return ci.FlowStep(index, float(areas.sum()),
+                           float(np.linalg.norm(curvature, axis=1).max()), float(areas.min()))
+
+    current, curvature = mesh, _reference_curvature(mesh)
+    steps = [record(0, current, curvature)]
+    stop_reason = None
+    for k in range(1, n_steps + 1):
+        try:
+            stepped = _reference_step(current, dt, curvature)
+        except CollapseError as exc:
+            stop_reason = f"collapse at step {k}: {exc}"
+            break
+        stepped_curvature = _reference_curvature(stepped)
+        entry = record(k, stepped, stepped_curvature)
+        if dt > 0 and entry.area >= steps[-1].area:
+            stop_reason = f"area did not decrease at step {k} (dt too large)"
+            break
+        current, curvature = stepped, stepped_curvature
+        steps.append(entry)
+    return ci.FlowTrace(dt, tuple(steps), stop_reason), current
 
 
 def reference_laplacian_field(mesh: ci.TriMesh, values) -> np.ndarray:

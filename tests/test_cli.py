@@ -275,7 +275,7 @@ def test_mesh_subcommands_call_no_per_vertex_function(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a per-vertex function was called")
 
-    for name in ("vector_mean_curvature", "star_sum", "area_gradient", "laplacian", "_sample",
+    for name in ("vector_mean_curvature", "star_sum", "area_gradient", "laplacian",
                  "curvature_field"):
         monkeypatch.setattr(discrete, name, refuse)
     monkeypatch.setattr(ci.mesh, "build_star", refuse)
@@ -321,6 +321,22 @@ def test_bad_numeric_parameter_exits_1_naming_it(args, message, tmp_path, capsys
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run([*args, "--input", str(mesh_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["verify", "--region", "rect", "--u0", "0.3", "--u1", "1.1", "--v0", "0.2", "--v1", "0.9"],
+     "contour integral is not finite"),
+    (["limit", "--center", "1.0,0.5"], "N * H at the center is not finite"),
+    (["limit", "--center", "0.1,0.5"], "contour integral is not finite"),
+])
+def test_overflowing_surface_exits_1_naming_the_quantity(args, message, capsys):
+    # cosh(u / c) overflows at this waist: no row of nan, no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([args[0], "--surface", "catenoid", "--c", "1e-3", *args[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -1,10 +1,12 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 import curvint as ci
-from curvint import ContourError, DiskRegion, DomainError, RectRegion
+from curvint import ContourError, DiskRegion, DomainError, EvaluationError, RectRegion
 
 from conftest import (
     bundled_surfaces,
@@ -192,6 +194,24 @@ def test_region_validation():
         ci.rhs_integral(ci.Sphere(1.0), DiskRegion(0.05, 1.0, 0.2))
     with pytest.raises(ValueError):
         ci.shrinking_limit(ci.Sphere(1.0), (1.0, 1.0), [0.1, 0.2])  # not decreasing
+
+
+@pytest.mark.parametrize("fn,args,message", [
+    (ci.rhs_integral, (RectRegion(0.3, 1.1, 0.2, 0.9),), "contour integral"),
+    (ci.contour_length, (RectRegion(0.3, 1.1, 0.2, 0.9),), "contour length"),
+    (ci.verify_identity, (RectRegion(0.3, 1.1, 0.2, 0.9),), "contour integral"),
+    (ci.lhs_integral, (RectRegion(0.3, 1.1, 0.2, 0.9),), "patch integral"),
+    (ci.region_area, (RectRegion(0.3, 1.1, 0.2, 0.9),), "patch area"),
+    (ci.shrinking_limit, ((1.0, 0.5), [0.2, 0.1]), "N * H at the center"),
+    (ci.shrinking_limit, ((0.1, 0.5), [0.2, 0.1]), "contour integral"),
+])
+def test_overflowing_surface_is_refused_naming_the_quantity(fn, args, message):
+    # cosh(u / c) overflows at u / c above about 710 and its square near
+    # 355: a non-finite integral raises, without numpy's warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match=f"^{re.escape(message)} is not finite$"):
+            fn(ci.Catenoid(1e-3), *args)
 
 
 def test_degenerate_contour_tangent():

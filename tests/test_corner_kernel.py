@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import curvint as ci
 from curvint.flow import _curvatures
+from curvint.mesh import triangle_areas
 
 from conftest import (
     STOCK,
@@ -27,6 +28,9 @@ from conftest import (
     reference_boundary_vertices,
     reference_build_star,
     reference_curvature_field,
+    reference_degenerate,
+    reference_edge_lengths,
+    reference_face_areas,
     reference_laplacian,
     reference_laplacian_field,
     reference_open_stars,
@@ -372,6 +376,52 @@ def test_area_gradient_matches_finite_differences(make, jiggle, seed, data):
     # cancel to zero at an area-critical vertex
     terms = 0.5 * sum(e.edge_length for e in reference_build_star(mesh, v).entries)
     assert np.linalg.norm(ci.area_gradient(mesh, v) - fd) <= 1e-6 * terms
+
+
+# ---------------------------------------------------------------------------
+# the column pass against np.cross, np.linalg.norm and np.add.at, bitwise,
+# on jiggled meshes scaled by 2^k, with and without zero-area faces
+
+
+def kernel_arrays(mesh, kernel_first):
+    """The kernel's arrays and the face areas, the areas computed before
+    the kernel (triangle_areas) or by its pass."""
+    if not kernel_first:
+        mesh.face_areas()
+    kernel = mesh.corner_kernel()
+    return [kernel.star_sums, kernel.ring_areas, kernel.edge_lengths, kernel.degenerate,
+            mesh.face_areas()]
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([lambda: ci.make_grid(4), lambda: ci.make_icosphere(2, 1.0),
+                        lambda: ci.make_tube(1.0, 2.0, 3, 8),
+                        lambda: ci.make_catenoid(1.0, 3, 8)]),
+       st.floats(0.0, 0.3), st.integers(-60, 60), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 3))
+def test_column_pass_is_bitwise_the_reference(make, jiggle, k, seed, merged):
+    base = make()
+    rng = np.random.default_rng(seed)
+    positions = base.positions + jiggle * rng.standard_normal(base.positions.shape)
+    # merge two corners of some faces: zero areas and nan sums there
+    for f in rng.integers(0, base.n_faces, merged):
+        positions[base.faces[f, 0]] = positions[base.faces[f, 1]]
+    positions *= 2.0 ** k
+    mesh = ci.TriMesh(positions, base.faces, allow_degenerate=True)
+    expected = [bits(x) for x in (reference_star_sums(mesh), reference_ring_areas(mesh),
+                                  reference_edge_lengths(mesh), reference_degenerate(mesh),
+                                  reference_face_areas(mesh))]
+    for kernel_first in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel_arrays(ci.TriMesh(positions, base.faces, allow_degenerate=True),
+                                kernel_first)
+        assert [bits(x) for x in got] == expected
+    assert merged == 0 or np.isnan(reference_star_sums(mesh)).any()
+    # on row inputs, as fd_area_gradient calls it
+    p = mesh.positions[mesh.faces[rng.permutation(mesh.n_faces)]]
+    assert bits(triangle_areas(p[:, 0], p[:, 1], p[:, 2])) == bits(
+        0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import curvint as ci
-from curvint import BoundaryVertexError, CollapseError, IsolatedVertexError
+from curvint import BoundaryVertexError, CollapseError, IsolatedVertexError, MeshValidationError
+
+from conftest import jiggled_icosphere, reference_mcf_step, reference_run_flow
 
 
 def test_open_mesh_refused():
@@ -141,3 +143,86 @@ def test_trace_contents():
         assert s.min_face_area > 0
         assert s.max_curvature > 0
     assert trace.dt == 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the flow against its loop of one mesh per step and reference sums, byte
+# for byte: one corner pass per state changes no bit of the trace or mesh
+
+
+def flow_bytes(trace, final):
+    rows = np.array([(s.index, s.area, s.max_curvature, s.min_face_area) for s in trace.steps])
+    return trace.dt, trace.stop_reason, rows.tobytes(), final.positions.tobytes()
+
+
+def tiny(mesh):
+    """mesh scaled until its smallest face has area 4e-14, where a few
+    steps collapse a face, and the square of that scale."""
+    scale_squared = 4e-14 / mesh.face_areas().min()
+    return mesh.with_positions(np.sqrt(scale_squared) * mesh.positions), scale_squared
+
+
+@pytest.mark.parametrize("level,case,dt_scale,n_steps,reason", [
+    (3, "full", 1e-3, 10, None),
+    (4, "full", 1e-3, 10, None),
+    (3, "full", 0.0, 4, None),
+    (4, "full", 0.0, 4, None),
+    (3, "tiny", 0.01, 40, "collapse at step 13"),
+    (4, "tiny", 0.002, 40, "collapse at step 16"),
+    (3, "full", 0.02, 10, "area did not decrease at step 1"),
+    (4, "full", 0.005, 10, "area did not decrease at step 1"),
+])
+def test_run_flow_matches_reference_loop(level, case, dt_scale, n_steps, reason):
+    mesh, dt = jiggled_icosphere(level, 7), dt_scale
+    if case == "tiny":
+        mesh, scale_squared = tiny(mesh)
+        dt *= scale_squared
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ci.run_flow(mesh, dt, n_steps)
+    expected = reference_run_flow(mesh, dt, n_steps)
+    assert flow_bytes(*got) == flow_bytes(*expected)
+    stop = got[0].stop_reason
+    assert stop is None if reason is None else stop.startswith(reason)
+
+
+def step_outcome(step, mesh, dt):
+    try:
+        return step(mesh, dt).positions.tobytes()
+    except CollapseError as exc:
+        return str(exc), exc.face, exc.area
+
+
+@pytest.mark.parametrize("level,collapse_dt", [(3, 0.01), (4, 0.002)])
+def test_mcf_step_matches_reference(level, collapse_dt):
+    mesh = jiggled_icosphere(level, 7)
+    # the last state before the flow's collapse stop collapses in one step
+    small, scale_squared = tiny(mesh)
+    dt = collapse_dt * scale_squared
+    trace, last = ci.run_flow(small, dt, 40)
+    assert trace.stop_reason.startswith("collapse")
+    cases = [(mesh, 0.0), (mesh, 1e-3), (mesh, 2e-3), (last, dt)]
+    outcomes = [step_outcome(ci.mcf_step, m, dt) for m, dt in cases]
+    assert outcomes == [step_outcome(reference_mcf_step, m, dt) for m, dt in cases]
+    assert outcomes[0] == mesh.positions.tobytes()
+    assert isinstance(outcomes[-1], tuple)
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_non_finite_curvature_is_refused_as_by_the_reference(level):
+    # two vertices of a face merged: its area is zero and B is nan at its
+    # corners, so the first step's positions are not finite
+    base = jiggled_icosphere(level, 7)
+    a, b, _ = base.faces[5]
+    positions = base.positions.copy()
+    positions[a] = positions[b]
+    mesh = ci.TriMesh(positions, base.faces, allow_degenerate=True)
+    message = "^positions must be finite$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for flow in (lambda: ci.run_flow(mesh, 1e-3, 3), lambda: ci.mcf_step(mesh, 1e-3)):
+            with pytest.raises(MeshValidationError, match=message):
+                flow()
+    for flow in (lambda: reference_run_flow(mesh, 1e-3, 3), lambda: reference_mcf_step(mesh, 1e-3)):
+        with pytest.raises(MeshValidationError, match=message):
+            flow()

@@ -315,7 +315,7 @@ def test_star_single_triangle_values():
 
 def test_star_normal_invariants_on_primitives():
     for name, mesh in bundled_meshes():
-        p0, p1, p2 = mesh.corners()
+        p0, p1, p2 = (mesh.positions[mesh.faces[:, c]] for c in range(3))
         face_normals = np.cross(p1 - p0, p2 - p0)
         face_normals /= np.linalg.norm(face_normals, axis=1, keepdims=True)
         for v in range(mesh.n_vertices):
