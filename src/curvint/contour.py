@@ -208,10 +208,13 @@ def _frame(surface, u, v, du, dv):
 
 
 def boundary_point(surface: ParametricSurface, region, s: float) -> BoundaryPoint:
-    """Evaluate the oriented boundary of `region` at parameter s in [0, 1)."""
+    """Evaluate the oriented boundary of `region` at parameter s in [0, 1);
+    EvaluationError where the surface overflows there."""
     region.validate_on(surface)
     (u, v), (du, dv), _ = region.boundary_param(s)
-    pos, tangent, n, speed = _frame(surface, u, v, du, dv)
+    with np.errstate(all="ignore"):
+        pos, tangent, n, speed = _frame(surface, u, v, du, dv)
+    _finite("boundary point", np.hstack([pos, tangent, n, speed]))
     return BoundaryPoint(pos, tangent, n, float(speed))
 
 

@@ -25,8 +25,8 @@ Laplacian; applied to the three coordinate fields it reproduces B exactly.
 Every sum here is one column pass, `curvint.mesh.corner_terms`, and each
 per-vertex operator equals an entry of a whole-mesh result bit for bit:
 laplacian sums only v's incident faces, in the order laplacian_field adds
-them into v, the others read the mesh's cached per-vertex sums
-(`curvint.mesh.CornerKernel`), the pass the flow makes once per state.
+them into v, the others read the per-vertex sums of the corner pass that
+every TriMesh makes on construction (`curvint.mesh.CornerKernel`).
 curvature_arrays gives B at every vertex as arrays, which the command
 line prints whole; curvature_field is their list view.
 
@@ -205,14 +205,14 @@ def curvature_arrays(mesh: TriMesh, tol_direction: float = 1e-8):
     """(B, |B|, near_minimal, boundary) at every vertex, the arrays of
     vector_mean_curvature; rows of boundary vertices are not meaningful.
 
-    Raises what vector_mean_curvature raises at the first other vertex it
-    refuses: an isolated one, or one with a degenerate incident face."""
+    Raises IsolatedVertexError at the first isolated vertex, as
+    vector_mean_curvature does."""
     _check_tol(tol_direction)
     boundary = mesh.boundary_vertices()
+    isolated = ~boundary & ~mesh.topology.closed_stars
+    if isolated.any():
+        star_corners(mesh, int(np.argmax(isolated)))  # raises
     kernel = mesh.corner_kernel()
-    refused = ~boundary & (kernel.degenerate | ~mesh.topology.closed_stars)
-    if refused.any():
-        star_corners(mesh, int(np.argmax(refused)))  # raises
     with np.errstate(invalid="ignore", divide="ignore"):
         vec = kernel.star_sums / kernel.ring_areas[:, None]
     magnitude = row_norms(vec)
@@ -244,8 +244,7 @@ def ring_areas(mesh: TriMesh) -> np.ndarray:
 def laplacian_field(mesh: TriMesh, values) -> np.ndarray:
     """Surface Laplacian of a per-vertex field at every interior vertex;
     boundary entries are nan. Entries are inf or nan, without a warning,
-    where the field's terms overflow, at an isolated vertex and next to
-    a degenerate face."""
+    where the field's terms overflow and at an isolated vertex."""
     out = _laplacian(mesh, mesh.faces, _validated_field(mesh, values))
     out[mesh.boundary_vertices()] = np.nan
     return out
@@ -253,7 +252,8 @@ def laplacian_field(mesh: TriMesh, values) -> np.ndarray:
 
 def _laplacian(mesh: TriMesh, faces: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per vertex, the Laplacian's sum over the given faces divided by the
-    ring area over them; exact for a vertex whose faces are all given."""
+    kernel's ring area; exact for a vertex whose faces are all given,
+    which by_slot adds in the same order."""
     m, norm_m, e, an = corner_terms(mesh.positions, faces)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # gradient of the linear interpolant: values times (mhat x e) / |m|
@@ -261,9 +261,8 @@ def _laplacian(mesh: TriMesh, faces: np.ndarray, values: np.ndarray) -> np.ndarr
         g = np.stack([(t[0] + t[1] + t[2]) / norm_m for t in terms], axis=1)
         # g . a n by einsum on rows; both sums add slot-major, as CornerKernel's
         dots = [np.einsum("ij,ij->i", g, an_c) for an_c in np.stack(an, axis=-1)]
-        num, ring = (np.bincount(faces.T.ravel(), w, minlength=mesh.n_vertices)
-                     for w in (np.concatenate(dots), np.tile(0.5 * norm_m, 3)))
-        return num / ring
+        num = np.bincount(faces.T.ravel(), np.concatenate(dots), minlength=mesh.n_vertices)
+        return num / mesh.corner_kernel().ring_areas
 
 
 def _validated_field(mesh: TriMesh, values) -> np.ndarray:

@@ -36,11 +36,13 @@ class ParseError(CurvintError):
 
 class MeshValidationError(CurvintError):
     """Mesh data violates a structural invariant; `face` names the
-    offending face when applicable."""
+    offending face when applicable, and `area` its area when the face is
+    degenerate."""
 
-    def __init__(self, message: str, face=None):
+    def __init__(self, message: str, face=None, area=None):
         super().__init__(message)
         self.face = face
+        self.area = area
 
 
 class IsolatedVertexError(CurvintError):
@@ -55,8 +57,7 @@ class BoundaryVertexError(CurvintError):
 class CollapseError(CurvintError):
     """Flow step produced a degenerate triangle."""
 
-    def __init__(self, message: str, step=None, face=None, area=None):
+    def __init__(self, message: str, face=None, area=None):
         super().__init__(message)
-        self.step = step
         self.face = face
         self.area = area

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryVertexError, CollapseError, IsolatedVertexError
-from .mesh import MIN_FACE_AREA, TriMesh
+from .errors import BoundaryVertexError, CollapseError, IsolatedVertexError, MeshValidationError
+from .mesh import TriMesh
 
 __all__ = ["FlowStep", "FlowTrace", "mcf_step", "run_flow"]
 
@@ -59,15 +59,14 @@ def _require_closed(mesh: TriMesh):
 def _advance(mesh: TriMesh, dt: float, curvature: np.ndarray) -> tuple[TriMesh, np.ndarray]:
     if dt == 0:
         return mesh, curvature
-    candidate = mesh.with_positions(mesh.positions + dt * curvature, allow_degenerate=True)
-    stepped = _curvatures(candidate)  # its corner pass also fills the face areas
-    areas = candidate.face_areas()
-    worst = int(np.argmin(areas))
-    if areas[worst] < MIN_FACE_AREA:
-        raise CollapseError(
-            f"face {worst} collapsed to area {areas[worst]:.3e}",
-            face=worst, area=float(areas[worst]))
-    return candidate, stepped
+    try:
+        candidate = mesh.with_positions(mesh.positions + dt * curvature)
+    except MeshValidationError as exc:
+        if exc.area is None:  # not a degenerate face
+            raise
+        raise CollapseError(f"face {exc.face} collapsed to area {exc.area:.3e}",
+                            face=exc.face, area=exc.area) from None
+    return candidate, _curvatures(candidate)
 
 
 def _check_dt(dt: float) -> None:
@@ -82,6 +81,7 @@ def mcf_step(mesh: TriMesh, dt: float) -> TriMesh:
 
     Raises ValueError unless dt is finite and nonnegative; CollapseError
     if the step produces a face below the minimum area;
+    MeshValidationError if its positions or a face area overflow;
     BoundaryVertexError or IsolatedVertexError, naming the vertex, unless
     every one-ring closes into one loop.
     """
@@ -98,9 +98,9 @@ def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh
     Stops early, with the reason recorded in the trace rather than
     raised, when a face collapses or when a step fails to decrease total
     area (a sign that dt is too large); the offending step is not
-    accepted. Each state costs one corner pass, which gives its B and
-    face areas (`curvint.mesh.CornerKernel`). Refuses the mesh as
-    mcf_step does.
+    accepted. Each state is a TriMesh, whose one corner pass gives its B
+    and face areas (`curvint.mesh.CornerKernel`) and refuses a collapsed
+    face. Refuses the mesh as mcf_step does.
     """
     _check_dt(dt)
     if n_steps < 0:

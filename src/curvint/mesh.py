@@ -157,11 +157,14 @@ class MeshTopology:
 
 class TriMesh:
     """Immutable triangle mesh: float64 positions (V, 3) and int face
-    index triples (F, 3)."""
+    index triples (F, 3), none of them degenerate."""
 
-    def __init__(self, positions, faces, allow_degenerate: bool = False):
+    def __init__(self, positions, faces):
         """`faces` is an (F, 3) index array, or the MeshTopology of a mesh
-        with as many vertices, which is shared rather than rebuilt."""
+        with as many vertices, which is shared rather than rebuilt. Makes
+        the mesh's one corner pass (CornerKernel) and refuses the first
+        face whose area is not finite, else the smallest face if its area
+        is below MIN_FACE_AREA (MeshValidationError with `area` set)."""
         positions = np.array(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise MeshValidationError("positions must have shape (V, 3)")
@@ -175,22 +178,21 @@ class TriMesh:
             self.topology = MeshTopology(faces, len(positions))
         self.positions = _frozen(positions)
         self.faces = self.topology.faces
-        self._face_areas = None
-        self._corner_kernel = None
-        if not allow_degenerate and len(self.faces):
-            # finite coordinates whose products overflow (about 1e77 and
-            # up) give an inf or nan area, refused here
-            with np.errstate(over="ignore", invalid="ignore"):
-                areas = self.face_areas()
+        # finite coordinates whose products overflow (about 1e77 and up)
+        # give an inf or nan area, refused here
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._corner_kernel = CornerKernel(self.positions, self.topology)
+        areas = self._corner_kernel.face_areas
+        if len(areas):
             finite = np.isfinite(areas)
             if not finite.all():
                 bad = int(np.argmin(finite))
                 raise MeshValidationError(
                     f"face {bad} has a non-finite area ({areas[bad]})", face=bad)
-            if areas.min() < MIN_FACE_AREA:
-                bad = int(np.argmin(areas))
-                raise MeshValidationError(
-                    f"face {bad} is degenerate (area {areas[bad]:.3e})", face=bad)
+            bad = int(np.argmin(areas))
+            if areas[bad] < MIN_FACE_AREA:
+                raise MeshValidationError(f"face {bad} is degenerate (area {areas[bad]:.3e})",
+                                          face=bad, area=float(areas[bad]))
 
     @property
     def n_vertices(self) -> int:
@@ -201,10 +203,7 @@ class TriMesh:
         return len(self.faces)
 
     def face_areas(self) -> np.ndarray:
-        if self._face_areas is None:
-            corners = np.moveaxis(np.take(self.positions.T, self.faces.T, axis=1), 0, -1)
-            self._face_areas = _frozen(triangle_areas(*corners))
-        return self._face_areas
+        return self._corner_kernel.face_areas
 
     def vertex_faces(self, v: int) -> np.ndarray:
         """Indices of the faces incident to vertex v, ascending."""
@@ -219,15 +218,13 @@ class TriMesh:
         return not bool(self.boundary_vertices().any())
 
     def corner_kernel(self) -> "CornerKernel":
-        """The per-vertex one-ring sums, computed on first use."""
-        if self._corner_kernel is None:
-            self._corner_kernel = CornerKernel(self)
+        """The per-vertex one-ring sums of the mesh's corner pass."""
         return self._corner_kernel
 
-    def with_positions(self, positions, allow_degenerate: bool = False) -> "TriMesh":
+    def with_positions(self, positions) -> "TriMesh":
         """Same connectivity (and topology) with replaced coordinates,
         which are revalidated."""
-        return TriMesh(positions, self.topology, allow_degenerate=allow_degenerate)
+        return TriMesh(positions, self.topology)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -280,19 +277,16 @@ def corner_terms(positions: np.ndarray, faces: np.ndarray):
 class CornerKernel:
     """Per-vertex corner sums, one bincount per column over by_slot (slot
     by slot in face order): star_sums (sum of a n) and ring_areas (sum of
-    the face areas A, which fill the mesh's empty cache) from one
-    corner_terms pass; on first use, edge_lengths (sum of a) and
-    degenerate (in a face with A below MIN_FACE_AREA: star_sums is nan
-    there, star_corners refuses it). No per-corner array is kept."""
+    the face areas A = face_areas) from one corner_terms pass, and on
+    first use edge_lengths (sum of a). star_sums is nan at a face of zero
+    area, which TriMesh refuses. No per-corner array is kept."""
 
-    def __init__(self, mesh: TriMesh):
-        _, norm_m, _, an = corner_terms(mesh.positions, mesh.faces)
-        if mesh._face_areas is None:
-            mesh._face_areas = _frozen(0.5 * norm_m)
-        self._positions, self._topology = mesh.positions, mesh.topology
-        self._areas = mesh._face_areas
+    def __init__(self, positions: np.ndarray, topology: MeshTopology):
+        _, norm_m, _, an = corner_terms(positions, topology.faces)
+        self._positions, self._topology = positions, topology
+        self.face_areas = _frozen(0.5 * norm_m)
         self.star_sums = _frozen(np.column_stack([self._sums(a.ravel()) for a in an]))
-        self.ring_areas = _frozen(self._sums(np.tile(self._areas, 3)))
+        self.ring_areas = _frozen(self._sums(np.tile(self.face_areas, 3)))
 
     def _sums(self, weights: np.ndarray) -> np.ndarray:  # float also without faces
         return np.bincount(self._topology.by_slot, weights,
@@ -305,10 +299,6 @@ class CornerKernel:
         e = [p[:, c - 1] - p[:, c - 2] for c in range(3)]
         squares = np.concatenate([np.einsum("ij,ij->i", x, x) for x in e])
         return _frozen(self._sums(np.sqrt(squares)))
-
-    @cached_property
-    def degenerate(self) -> np.ndarray:
-        return _frozen(self._sums(np.tile(self._areas < MIN_FACE_AREA, 3)) > 0)
 
 
 @dataclass(frozen=True)
@@ -344,15 +334,10 @@ class VertexStar:
 
 def star_corners(mesh: TriMesh, v: int) -> np.ndarray:
     """Corners of vertex v in incident-face order. Raises
-    IsolatedVertexError when no face contains v, MeshValidationError on
-    the first degenerate incident face."""
+    IsolatedVertexError when no face contains v."""
     corners = mesh.topology.vertex_corners(v)
     if len(corners) == 0:
         raise IsolatedVertexError(f"vertex {v} has no incident faces")
-    bad = corners[mesh.face_areas()[corners // 3] < MIN_FACE_AREA]
-    if len(bad):
-        fi = int(bad[0] // 3)
-        raise MeshValidationError(f"face {fi} incident to vertex {v} is degenerate", face=fi)
     return corners
 
 
@@ -362,8 +347,7 @@ def build_star(mesh: TriMesh, v: int) -> VertexStar:
     Per incident triangle the entry holds the opposite-edge length a and
     the unit vector n in the triangle plane, perpendicular to that edge
     and pointing from v toward it, as corner_terms computes them. Raises
-    IsolatedVertexError when no face contains v, MeshValidationError on
-    a degenerate incident face.
+    IsolatedVertexError when no face contains v.
     """
     corners = star_corners(mesh, v)
     faces, areas = corners // 3, mesh.face_areas()
@@ -622,7 +606,8 @@ def load_mesh(source, fmt: str | None = None) -> TriMesh:
         if exc.face is None:
             raise
         where = f"{path}:" if path else "line "
-        raise MeshValidationError(f"{where}{face_lines[exc.face]}: {exc}", face=exc.face) from None
+        raise MeshValidationError(f"{where}{face_lines[exc.face]}: {exc}", face=exc.face,
+                                  area=exc.area) from None
 
 
 def mesh_to_text(mesh: TriMesh, fmt: str) -> str:

@@ -497,7 +497,7 @@ def reference_fd_area_gradient(mesh: ci.TriMesh, h: float, vertices=None) -> np.
         def area_of(p, v=v):
             moved = base.copy()
             moved[v] = p
-            return ci.total_area(mesh.with_positions(moved, allow_degenerate=True))
+            return ci.total_area(mesh.with_positions(moved))
 
         out[row] = ci.central_gradient(area_of, base[v], h)
     return out
@@ -553,14 +553,6 @@ def reference_edge_lengths(mesh: ci.TriMesh) -> np.ndarray:
     return _reference_corner_sums(mesh, lengths)
 
 
-def reference_degenerate(mesh: ci.TriMesh) -> np.ndarray:
-    out = np.zeros(mesh.n_vertices, dtype=bool)
-    for f, area in zip(mesh.faces, reference_face_areas(mesh)):
-        if area < MIN_FACE_AREA:
-            out[f] = True
-    return out
-
-
 def _reference_curvature(mesh: ci.TriMesh) -> np.ndarray:
     return reference_star_sums(mesh) / reference_ring_areas(mesh)[:, None]
 
@@ -568,14 +560,16 @@ def _reference_curvature(mesh: ci.TriMesh) -> np.ndarray:
 def _reference_step(mesh: ci.TriMesh, dt: float, curvature: np.ndarray) -> ci.TriMesh:
     if dt == 0:
         return mesh
-    # a new mesh, and topology, from the face array
-    candidate = ci.TriMesh(mesh.positions + dt * curvature, mesh.faces, allow_degenerate=True)
-    areas = reference_face_areas(candidate)
+    positions = mesh.positions + dt * curvature
+    p = positions[mesh.faces]
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
     worst = int(np.argmin(areas))
     if areas[worst] < MIN_FACE_AREA:
         raise CollapseError(f"face {worst} collapsed to area {areas[worst]:.3e}",
                             face=worst, area=float(areas[worst]))
-    return candidate
+    # a new mesh, and topology, from the face array
+    return ci.TriMesh(positions, mesh.faces)
 
 
 def reference_mcf_step(mesh: ci.TriMesh, dt: float) -> ci.TriMesh:

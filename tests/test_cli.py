@@ -357,6 +357,39 @@ def test_gradcheck_builds_no_mesh_per_probe(tmp_path, monkeypatch):
     assert 1 <= len(built) <= 2  # the loaded mesh, not 6 V + 1 = 973
 
 
+def test_each_mesh_makes_one_corner_pass(tmp_path, monkeypatch):
+    # every TriMesh makes one corner_terms pass and holds its face areas;
+    # laplacian adds its own pass, and triangle_areas serves only the
+    # finite-difference probes of gradcheck
+    mesh_path, field_path = tmp_path / "ico.off", tmp_path / "field.csv"
+    ci.save_mesh(jiggled_icosphere(2, 2), mesh_path)
+    field_path.write_text("".join(f"{v},{v % 5}\n" for v in range(162)))
+    calls = {"corner_terms": 0, "triangle_areas": 0}
+
+    def counting(name):
+        original = getattr(ci.mesh, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counting(name)
+        monkeypatch.setattr(ci.mesh, name, wrapper)
+        monkeypatch.setattr(discrete, name, wrapper)
+    common = ["--input", str(mesh_path), "--output", str(tmp_path / "out.csv")]
+    for args, passes in [(["curvature"], 1), (["gradcheck"], 1),
+                         (["laplacian", "--field", str(field_path)], 2),
+                         (["flow", "--dt", "1e-4", "--steps", "4",
+                           "--final-mesh", str(tmp_path / "final.off")], 5)]:
+        calls.update(corner_terms=0, triangle_areas=0)
+        assert run([*args, *common]) == 0, args
+        assert calls["corner_terms"] == passes, args
+        assert (calls["triangle_areas"] > 0) == (args[0] == "gradcheck"), args
+    assert len(read_rows(tmp_path / "out.csv")[1]) == 5  # the flow ran all 4 steps
+
+
 @pytest.mark.parametrize("h,message", [
     ("nan", "step h must be finite, got nan"),
     ("inf", "step h must be finite, got inf"),

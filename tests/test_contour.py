@@ -204,10 +204,12 @@ def test_region_validation():
     (ci.region_area, (RectRegion(0.3, 1.1, 0.2, 0.9),), "patch area"),
     (ci.shrinking_limit, ((1.0, 0.5), [0.2, 0.1]), "N * H at the center"),
     (ci.shrinking_limit, ((0.1, 0.5), [0.2, 0.1]), "contour integral"),
+    (ci.boundary_point, (RectRegion(0.3, 1.1, 0.2, 0.9), 0.3), "boundary point"),
 ])
 def test_overflowing_surface_is_refused_naming_the_quantity(fn, args, message):
     # cosh(u / c) overflows at u / c above about 710 and its square near
-    # 355: a non-finite integral raises, without numpy's warnings
+    # 355: a non-finite integral or boundary point raises, without
+    # numpy's warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match=f"^{re.escape(message)} is not finite$"):

@@ -8,14 +8,16 @@ area_gradient and laplacian, now slices of whole-mesh results, against
 their old loops."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import curvint as ci
+from curvint.discrete import _laplacian
 from curvint.flow import _curvatures
-from curvint.mesh import triangle_areas
+from curvint.mesh import MIN_FACE_AREA, CornerKernel, MeshTopology, triangle_areas
 
 from conftest import (
     STOCK,
@@ -28,7 +30,6 @@ from conftest import (
     reference_boundary_vertices,
     reference_build_star,
     reference_curvature_field,
-    reference_degenerate,
     reference_edge_lengths,
     reference_face_areas,
     reference_laplacian,
@@ -208,19 +209,58 @@ def doubly_covered_triangle():
     return ci.TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2], [0, 2, 1]])
 
 
-def degenerate_closed():
+def merged_closed():
+    """An icosphere with two vertices of face 7 merged: positions and
+    topology of a mesh with two zero-area faces."""
     base = ci.make_icosphere(1, 1.0)
     a, b, _ = base.faces[7]
     positions = base.positions.copy()
     positions[a] = positions[b]
-    return ci.TriMesh(positions, base.faces, allow_degenerate=True)
+    return positions, base.topology
 
 
-def degenerate_open():
+def merged_open():
     grid = ci.make_grid(4)
     positions = grid.positions.copy()
     positions[6] = positions[7]  # both interior
-    return ci.TriMesh(positions, grid.faces, allow_degenerate=True)
+    return positions, grid.topology
+
+
+def degenerate_closed():
+    return ci.TriMesh(*merged_closed())
+
+
+def degenerate_open():
+    return ci.TriMesh(*merged_open())
+
+
+MERGED = {degenerate_closed: merged_closed, degenerate_open: merged_open}
+
+
+class RawMesh:
+    """The arrays the reference loops read, without TriMesh's checks;
+    hashable and weakly referenced, as the loops' memo keys are."""
+
+    def __init__(self, positions, topology, **extra):
+        self.positions, self.faces = positions, topology.faces
+        self.n_vertices = topology.n_vertices
+        vars(self).update(extra)
+
+
+def assert_refused_when_built(make):
+    """make builds a TriMesh with zero-area faces: it refuses the smallest
+    face of the reference areas, whose corners the kernel gives nan B.
+    Returns the refused face."""
+    positions, topology = MERGED[make]()
+    areas = reference_face_areas(RawMesh(positions, topology))
+    worst = int(np.argmin(areas))
+    assert areas[worst] < MIN_FACE_AREA
+    assert np.isnan(CornerKernel(positions, topology).star_sums[topology.faces[worst]]).all()
+    mesh, refused = attempt(make)
+    assert mesh is None
+    assert refused == (ci.MeshValidationError,
+                       f"face {worst} is degenerate (area {areas[worst]:.3e})", worst)
+    return worst
 
 
 @pytest.mark.parametrize("make,error,first", [
@@ -229,11 +269,16 @@ def degenerate_open():
     (degenerate_open, ci.MeshValidationError, None),
 ])
 def test_refusals_match_reference(make, error, first):
+    # first is None where the refusal comes when the mesh is built, and
+    # its message from the reference areas
+    if first is None:
+        assert error is ci.MeshValidationError
+        assert_refused_when_built(make)
+        return
     mesh = make()
     result = outcome(ci.curvature_field, mesh)
     assert result[0] is error
-    if first is not None:
-        assert result[1] == first
+    assert result[1] == first
     assert_slices_are_exact(mesh)
     assert_matches_reference(mesh)
 
@@ -323,6 +368,18 @@ def test_slices_match_reference_loops(name, mesh):
     (degenerate_open, 6, ci.MeshValidationError),
 ])
 def test_slice_refusals_match_reference(make, v, error):
+    if make in MERGED:
+        # the slice at v would read a zero-area face: the mesh is refused
+        # when it is built, naming a face of v's, as the reference star at
+        # v refuses
+        assert error is ci.MeshValidationError
+        face = assert_refused_when_built(make)
+        positions, topology = MERGED[make]()
+        assert v in topology.faces[face]
+        raw = RawMesh(positions, topology)
+        refused = refusal(reference_laplacian, raw, v, positions[:, 0])
+        assert refused[0] is error
+        return
     mesh = make()
     values = mesh.positions[:, 0]
     result = outcome(ci.laplacian, mesh, v, values)
@@ -337,17 +394,28 @@ def test_isolated_vertex_gradient_is_positive_zero():
 
 
 def test_laplacian_does_not_read_degenerate_face_elsewhere():
-    mesh = degenerate_open()
-    values = mesh.positions[:, 0] ** 2
+    # the corner pass of the merged grid (which TriMesh refuses) holds nan
+    # at the zero-area faces' corners; the Laplacian of every other
+    # interior vertex reads only its own faces and matches the reference
+    positions, topology = merged_open()
+    kernel = CornerKernel(positions, topology)
+    mesh = RawMesh(positions, topology, corner_kernel=lambda: kernel)
+    values = positions[:, 0] ** 2
     checked = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for v in interior_vertices(mesh):
-            try:
-                lap = ci.laplacian(mesh, int(v), values)
-            except ci.MeshValidationError:
-                continue  # incident to the degenerate faces
-            assert np.isfinite(lap)
+        field = _laplacian(mesh, topology.faces, values)
+        for v in np.flatnonzero(~topology.boundary):
+            own = topology.faces[np.flatnonzero((topology.faces == v).any(axis=1))]
+            lap = _laplacian(mesh, own, values)[v]
+            assert bits(lap) == bits(field[v]), v
+            refused = refusal(reference_laplacian, mesh, int(v), values)
+            if refused is not None:  # incident to the zero-area faces
+                assert refused[0] is ci.MeshValidationError
+                assert np.isnan(lap), v
+                continue
+            expected = reference_laplacian(mesh, int(v), values)
+            assert abs(lap - expected) <= 1e-12 * max(1.0, abs(expected)), v
             checked += 1
     assert checked == 6
 
@@ -369,7 +437,7 @@ def test_area_gradient_matches_finite_differences(make, jiggle, seed, data):
     def area_of(p):
         moved = positions.copy()
         moved[v] = p
-        return ci.total_area(mesh.with_positions(moved, allow_degenerate=True))
+        return ci.total_area(mesh.with_positions(moved))
 
     fd = ci.central_gradient(area_of, positions[v], 1e-5)
     # relative to the sum of the per-face terms' sizes a_i / 2, which
@@ -380,17 +448,8 @@ def test_area_gradient_matches_finite_differences(make, jiggle, seed, data):
 
 # ---------------------------------------------------------------------------
 # the column pass against np.cross, np.linalg.norm and np.add.at, bitwise,
-# on jiggled meshes scaled by 2^k, with and without zero-area faces
-
-
-def kernel_arrays(mesh, kernel_first):
-    """The kernel's arrays and the face areas, the areas computed before
-    the kernel (triangle_areas) or by its pass."""
-    if not kernel_first:
-        mesh.face_areas()
-    kernel = mesh.corner_kernel()
-    return [kernel.star_sums, kernel.ring_areas, kernel.edge_lengths, kernel.degenerate,
-            mesh.face_areas()]
+# on jiggled meshes scaled by 2^k, with and without zero-area faces (which
+# the kernel sums and TriMesh refuses)
 
 
 @settings(max_examples=80)
@@ -407,19 +466,25 @@ def test_column_pass_is_bitwise_the_reference(make, jiggle, k, seed, merged):
     for f in rng.integers(0, base.n_faces, merged):
         positions[base.faces[f, 0]] = positions[base.faces[f, 1]]
     positions *= 2.0 ** k
-    mesh = ci.TriMesh(positions, base.faces, allow_degenerate=True)
+    mesh = SimpleNamespace(positions=positions, faces=base.faces, n_vertices=base.n_vertices)
     expected = [bits(x) for x in (reference_star_sums(mesh), reference_ring_areas(mesh),
-                                  reference_edge_lengths(mesh), reference_degenerate(mesh),
-                                  reference_face_areas(mesh))]
-    for kernel_first in (False, True):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = kernel_arrays(ci.TriMesh(positions, base.faces, allow_degenerate=True),
-                                kernel_first)
-        assert [bits(x) for x in got] == expected
+                                  reference_edge_lengths(mesh), reference_face_areas(mesh))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = CornerKernel(positions, base.topology)
+        got = [kernel.star_sums, kernel.ring_areas, kernel.edge_lengths, kernel.face_areas]
+    assert [bits(x) for x in got] == expected
     assert merged == 0 or np.isnan(reference_star_sums(mesh)).any()
+    # a TriMesh holds exactly these areas, or refuses the smallest
+    areas = reference_face_areas(mesh)
+    try:
+        assert bits(ci.TriMesh(positions, base.faces).face_areas()) == expected[-1]
+    except ci.MeshValidationError as exc:
+        worst = int(np.argmin(areas))
+        assert areas[worst] < MIN_FACE_AREA
+        assert (exc.face, bits(exc.area)) == (worst, bits(float(areas[worst])))
     # on row inputs, as fd_area_gradient calls it
-    p = mesh.positions[mesh.faces[rng.permutation(mesh.n_faces)]]
+    p = positions[base.faces[rng.permutation(base.n_faces)]]
     assert bits(triangle_areas(p[:, 0], p[:, 1], p[:, 2])) == bits(
         0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1))
 
@@ -453,12 +518,11 @@ def face_sets(draw):
 @given(face_sets())
 def test_closed_star_flag_matches_reference_walk(case):
     n, faces = case
-    mesh = ci.TriMesh(np.zeros((n, 3)), faces, allow_degenerate=True)
-    topology = mesh.topology
+    topology = MeshTopology(faces, n)
     for v in range(n):
         edges = [(f[(f.index(v) + 1) % 3], f[(f.index(v) + 2) % 3]) for f in faces if v in f]
         closed = bool(edges) and reference_opposite_edges_close(edges)
         assert bool(topology.closed_stars[v]) == closed, (v, edges)
         assert bool(topology.boundary[v]) == (bool(edges) and not closed), (v, edges)
     # an open edge always opens the star of both its ends
-    assert not (reference_boundary_vertices(mesh) & ~topology.boundary).any()
+    assert not (reference_boundary_vertices(topology) & ~topology.boundary).any()

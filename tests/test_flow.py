@@ -5,8 +5,12 @@ import pytest
 
 import curvint as ci
 from curvint import BoundaryVertexError, CollapseError, IsolatedVertexError, MeshValidationError
+from curvint.cli import run
 
-from conftest import jiggled_icosphere, reference_mcf_step, reference_run_flow
+from curvint.flow import _advance
+from curvint.mesh import CornerKernel
+
+from conftest import _reference_step, jiggled_icosphere, reference_mcf_step, reference_run_flow
 
 
 def test_open_mesh_refused():
@@ -110,20 +114,36 @@ def test_symmetry_preserved_through_flow():
     assert spread <= 0.01
 
 
-def test_collapse_detected():
+def test_collapse_detected(tmp_path, capsys):
     # a regular tetrahedron whose vertices all land on the centroid
     verts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
     faces = [[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]]
     tetra = ci.TriMesh(verts, faces)
     b = ci.vector_mean_curvature(tetra, 0).vector
     dt_star = np.linalg.norm(verts[0]) / np.linalg.norm(b)
+    assert dt_star == 2.25
+    message = "face 0 collapsed to area 0.000e+00"
     with pytest.raises(CollapseError) as err:
         ci.mcf_step(tetra, dt_star)
-    assert err.value.area is not None
+    assert (str(err.value), err.value.face, err.value.area) == (message, 0, 0.0)
 
     trace, _ = ci.run_flow(tetra, dt_star, 3)
-    assert trace.stop_reason is not None
-    assert "collapse" in trace.stop_reason
+    assert trace.stop_reason == f"collapse at step 1: {message}"
+    assert len(trace.steps) == 1
+    mesh_path = tmp_path / "tetra.off"
+    ci.save_mesh(tetra, mesh_path)
+    assert run(["flow", "--input", str(mesh_path), "--dt", "2.25", "--steps", "3"]) == 0
+    assert capsys.readouterr().err == f"stopped early: collapse at step 1: {message}\n"
+
+
+def test_overflowing_step_is_refused_as_a_mesh_would_be():
+    # the step overshoots the center: the icosahedron comes out at four
+    # times its radius, where its face areas overflow
+    mesh = ci.make_icosphere(0, 5e76)
+    dt = 5 * 5e76 / ci.vector_mean_curvature(mesh, 0).magnitude
+    for flow in (lambda: ci.run_flow(mesh, dt, 2), lambda: ci.mcf_step(mesh, dt)):
+        with pytest.raises(MeshValidationError, match=r"^face 0 has a non-finite area \(inf\)$"):
+            flow()
 
 
 def test_oversized_step_stops_with_reason():
@@ -211,18 +231,27 @@ def test_mcf_step_matches_reference(level, collapse_dt):
 @pytest.mark.parametrize("level", [3, 4])
 def test_non_finite_curvature_is_refused_as_by_the_reference(level):
     # two vertices of a face merged: its area is zero and B is nan at its
-    # corners, so the first step's positions are not finite
+    # corners. No flow reads that B: a mesh of these positions is refused
+    # when it is built, and a step onto them as a collapse, naming the
+    # face and area the reference names
     base = jiggled_icosphere(level, 7)
     a, b, _ = base.faces[5]
     positions = base.positions.copy()
     positions[a] = positions[b]
-    mesh = ci.TriMesh(positions, base.faces, allow_degenerate=True)
-    message = "^positions must be finite$"
+    assert np.isnan(CornerKernel(positions, base.topology).star_sums).any()
+    p = positions[base.faces]
+    areas = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+    worst = int(np.argmin(areas))
+    assert areas[worst] == 0.0
+    message = rf"^face {worst} is degenerate \(area 0.000e\+00\)$"
+    with pytest.raises(MeshValidationError, match=message) as err:
+        ci.TriMesh(positions, base.faces)
+    assert (err.value.face, err.value.area) == (worst, 0.0)
+    displacement = positions - base.positions
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for flow in (lambda: ci.run_flow(mesh, 1e-3, 3), lambda: ci.mcf_step(mesh, 1e-3)):
-            with pytest.raises(MeshValidationError, match=message):
-                flow()
-    for flow in (lambda: reference_run_flow(mesh, 1e-3, 3), lambda: reference_mcf_step(mesh, 1e-3)):
-        with pytest.raises(MeshValidationError, match=message):
-            flow()
+        got = step_outcome(lambda m, dt: _advance(m, dt, displacement)[0], base, 1.0)
+    expected = step_outcome(lambda m, dt: _reference_step(m, dt, displacement), base, 1.0)
+    assert isinstance(got, tuple)
+    assert got == expected
+    assert got[1] in np.flatnonzero((base.faces == a).any(axis=1))

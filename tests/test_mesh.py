@@ -169,10 +169,8 @@ def test_constructor_validation():
         ci.TriMesh([[0, 0, 0]], [[0, 0, 0]])  # repeated vertex
     with pytest.raises(MeshValidationError) as err:
         ci.TriMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])  # collinear
-    assert err.value.face == 0
-    # explicitly permitted
-    m = ci.TriMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]], allow_degenerate=True)
-    assert m.n_faces == 1
+    assert (str(err.value), err.value.face, err.value.area) == (
+        "face 0 is degenerate (area 0.000e+00)", 0, 0.0)
     with pytest.raises(MeshValidationError, match="^positions must be finite$"):
         ci.TriMesh([[0, 0, float("nan")]], np.zeros((0, 3), dtype=int))
 
