@@ -13,6 +13,7 @@ arrays; numbers are printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -177,12 +178,9 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_laplacian(args) -> int:
     m = mesh_mod.load_mesh(args.input)
-    isolated = np.bincount(m.faces.ravel(), minlength=m.n_vertices) == 0
-    if isolated.any():
-        mesh_mod.star_corners(m, int(np.argmax(isolated)))  # raises IsolatedVertexError
+    interior = np.flatnonzero(~discrete.refuse_isolated(m))
     values = _read_field(args.field, m.n_vertices)
     lap = discrete.laplacian_field(m, values)
-    interior = np.flatnonzero(~m.boundary_vertices())
     bad = interior[~np.isfinite(lap[interior])]
     if len(bad):
         raise EvaluationError("Laplacian is not finite", where=f"vertex {bad[0]}")
@@ -309,11 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first run, then reused
+
+
 def run(argv=None) -> int:
     """Parse arguments and execute; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 for --help, 2 for usage errors
         return 0 if exc.code == 0 else 1
     try:

@@ -196,7 +196,7 @@ def _frame(surface, u, v, du, dv):
     """Image position, unit tangent t, unit exterior normal t x N and
     speed of the contour through (u, v) with parameter velocity (du, dv);
     scalars or arrays of one shape."""
-    pos, s1, s2, normal, _, _ = surface.geometry(u, v)
+    pos, s1, s2, normal, _, _ = surface.geometry(u, v, order=1)
     d = du[..., None] * s1 + dv[..., None] * s2
     speed = np.linalg.norm(d, axis=-1)
     if np.any(speed < _TANGENT_TOL):
@@ -240,15 +240,18 @@ def _contour(surface, region, rule):
     return rhs, length
 
 
-def _patch(surface, region, rule):
+def _patch(surface, region, rule, order=2):
     """(patch integral of N * H, area) from one geometry evaluation on the
-    region's interior nodes; the caller validates the region."""
+    region's interior nodes, (None, area) from a first-order one; the
+    caller validates the region."""
     U, V, w1, w2, jac = region.interior(rule)
     with np.errstate(all="ignore"):
-        _, _, _, normal, sqrt_g, mean = surface.geometry(U, V)
+        _, _, _, normal, sqrt_g, mean = surface.geometry(U, V, order=order)
+        area = float(np.einsum("i,j,ij->", w1, w2, sqrt_g * jac))
+        if order == 1:
+            return None, area
         field = normal * (mean * sqrt_g)[..., None] * np.expand_dims(jac, -1)
-        return (np.einsum("i,j,ijk->k", w1, w2, field),
-                float(np.einsum("i,j,ij->", w1, w2, sqrt_g * jac)))
+        return np.einsum("i,j,ijk->k", w1, w2, field), area
 
 
 def rhs_integral(surface: ParametricSurface, region, rule: QuadratureRule | None = None) -> np.ndarray:
@@ -270,7 +273,7 @@ def lhs_integral(surface: ParametricSurface, region, rule: QuadratureRule | None
 def region_area(surface: ParametricSurface, region, rule: QuadratureRule | None = None) -> float:
     """Surface area of the region (quadrature of the area element)."""
     region.validate_on(surface)
-    return _finite("patch area", _patch(surface, region, rule or default_rule())[1])
+    return _finite("patch area", _patch(surface, region, rule or default_rule(), order=1)[1])
 
 
 def verify_identity(surface: ParametricSurface, region,
@@ -313,7 +316,7 @@ def shrinking_limit(surface: ParametricSurface, center: tuple[float, float],
         disk = DiskRegion(uc, vc, float(rho))
         # rhs_integral validates the disk for the area pass as well
         rhs = rhs_integral(surface, disk, rule)
-        estimates[i] = rhs / _finite("patch area", _patch(surface, disk, rule)[1])
+        estimates[i] = rhs / _finite("patch area", _patch(surface, disk, rule, order=1)[1])
     errors = np.linalg.norm(estimates - target[None, :], axis=1)
     if np.all(errors > 1e-14):
         observed_order = float(np.polyfit(np.log(radii), np.log(errors), 1)[0])

@@ -201,6 +201,16 @@ def laplacian(mesh: TriMesh, v: int, values) -> float:
     return out
 
 
+def refuse_isolated(mesh: TriMesh) -> np.ndarray:
+    """The mesh's boundary mask, after raising IsolatedVertexError at the
+    first vertex that is neither on the boundary nor in a closed star."""
+    boundary = mesh.boundary_vertices()
+    isolated = ~boundary & ~mesh.topology.closed_stars
+    if isolated.any():
+        star_corners(mesh, int(np.argmax(isolated)))  # raises
+    return boundary
+
+
 def curvature_arrays(mesh: TriMesh, tol_direction: float = 1e-8):
     """(B, |B|, near_minimal, boundary) at every vertex, the arrays of
     vector_mean_curvature; rows of boundary vertices are not meaningful.
@@ -208,10 +218,7 @@ def curvature_arrays(mesh: TriMesh, tol_direction: float = 1e-8):
     Raises IsolatedVertexError at the first isolated vertex, as
     vector_mean_curvature does."""
     _check_tol(tol_direction)
-    boundary = mesh.boundary_vertices()
-    isolated = ~boundary & ~mesh.topology.closed_stars
-    if isolated.any():
-        star_corners(mesh, int(np.argmax(isolated)))  # raises
+    boundary = refuse_isolated(mesh)
     kernel = mesh.corner_kernel()
     with np.errstate(invalid="ignore", divide="ignore"):
         vec = kernel.star_sums / kernel.ring_areas[:, None]

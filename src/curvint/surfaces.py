@@ -1,6 +1,11 @@
 """Analytic parametric surfaces r(u, v). Each supplies its chart once, as
-the jet (r, r_u, r_v, r_uu, r_uv, r_vv) in closed form; the tangent basis,
-unit normal, area element and mean curvature are derived from it.
+the jet (r, r_u, r_v, r_uu, r_uv, r_vv) in closed form, each vector as a
+3-tuple of component columns (a constant component may be a scalar); the
+tangent basis, unit normal, area element and mean curvature are derived
+from it column by column, and only the returned vectors are stacked.
+`geometry(u, v, order=1)` is the first-order mode: it stops at the unit
+normal and area element, which is all the contour and area passes of
+`curvint.contour` read.
 
 Conventions, used consistently everywhere in this package:
 
@@ -41,10 +46,25 @@ __all__ = [
 ]
 
 _DEGENERATE_TOL = 1e-12
+_ZERO = (0.0, 0.0, 0.0)
 
 
 def _dot(a, b):
-    return np.einsum("...i,...i->...", a, b)
+    # the order einsum("...i,...i->...") sums a length-3 axis in, kept so
+    # that H stays bitwise what the stacked-array code gave
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
+def _stack(cols, shape):
+    """The (*shape, 3) array of a vector's three component columns."""
+    return np.stack([np.broadcast_to(c, shape) for c in cols], axis=-1)
+
+
+def _mean_curvature(s1, s2, normal, ruu, ruv, rvv):
+    """H = g^ab b_ab from the columns of the jet and the unit normal."""
+    g11, g12, g22 = _dot(s1, s1), _dot(s1, s2), _dot(s2, s2)
+    b11, b12, b22 = _dot(ruu, normal), _dot(ruv, normal), _dot(rvv, normal)
+    return (g22 * b11 - 2.0 * g12 * b12 + g11 * b22) / (g11 * g22 - g12 * g12)
 
 
 class ParametricSurface:
@@ -64,12 +84,13 @@ class ParametricSurface:
 
     # -- subclass surface definition -------------------------------------
 
-    def jet(self, u, v) -> tuple[np.ndarray, ...]:
-        """(r, r_u, r_v, r_uu, r_uv, r_vv) at (u, v); no domain check."""
+    def jet(self, u, v) -> tuple[tuple, ...]:
+        """(r, r_u, r_v, r_uu, r_uv, r_vv) at (u, v), each an (x, y, z)
+        tuple of component columns; no domain check."""
         raise NotImplementedError
 
     def position(self, u, v) -> np.ndarray:
-        return self.jet(u, v)[0]
+        return _stack(self.jet(u, v)[0], np.broadcast(u, v).shape)
 
     # -- domain handling --------------------------------------------------
 
@@ -94,29 +115,28 @@ class ParametricSurface:
 
     # -- derived geometry ---------------------------------------------------
 
-    def geometry(self, u, v):
+    def geometry(self, u, v, order: int = 2):
         """Vectorized evaluation; returns (position, s1, s2, normal,
-        sqrt_g, mean_curvature) with a trailing axis of 3 on the vectors."""
+        sqrt_g, mean_curvature) with a trailing axis of 3 on the vectors.
+        order=1 skips the fundamental forms and returns None for H."""
+        if order not in (1, 2):
+            raise ValueError(f"order must be 1 or 2, got {order}")
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         self.require_inside(u, v)
-        pos, s1, s2, ruu, ruv, rvv = self.jet(u, v)
-        cross = np.cross(s1, s2)
-        sqrt_g = np.linalg.norm(cross, axis=-1)
+        pos, s1, s2, *second = self.jet(u, v)
+        # np.cross's terms and np.linalg.norm's order, as mesh._cross and
+        # mesh._norm (which this module cannot import) compute them; a
+        # constant cross product still gets u's shape
+        cross = (s1[1] * s2[2] - s1[2] * s2[1], s1[2] * s2[0] - s1[0] * s2[2],
+                 s1[0] * s2[1] - s1[1] * s2[0])
+        sqrt_g = np.sqrt((cross[0] * cross[0] + cross[1] * cross[1]) + cross[2] * cross[2])
+        sqrt_g = sqrt_g if np.shape(sqrt_g) == u.shape else np.full(u.shape, sqrt_g)
         if np.any(sqrt_g < _DEGENERATE_TOL):
             raise DomainError(f"degenerate parameterization of {self.name}")
-        normal = cross / sqrt_g[..., None]
-        g11 = _dot(s1, s1)
-        g12 = _dot(s1, s2)
-        g22 = _dot(s2, s2)
-        b11 = _dot(ruu, normal)
-        b12 = _dot(ruv, normal)
-        b22 = _dot(rvv, normal)
-        mean = (g22 * b11 - 2.0 * g12 * b12 + g11 * b22) / (g11 * g22 - g12 * g12)
-        return pos, s1, s2, normal, sqrt_g, mean
-
-
-def _stack(x, y, z):
-    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+        normal = tuple(c / sqrt_g for c in cross)
+        mean = _mean_curvature(s1, s2, normal, *second) if order == 2 else None
+        del cross, second  # stack the outputs without the columns they do not need
+        return (*(_stack(x, u.shape) for x in (pos, s1, s2, normal)), sqrt_g, mean)
 
 
 class Plane(ParametricSurface):
@@ -125,12 +145,7 @@ class Plane(ParametricSurface):
     name = "plane"
 
     def jet(self, u, v):
-        one, zero = np.ones_like(u), np.zeros_like(u)
-        z3 = _stack(zero, zero, zero)
-        return (_stack(u, v, zero),
-                _stack(one, zero, zero),
-                _stack(zero, one, zero),
-                z3, z3, z3)
+        return (u, v, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), _ZERO, _ZERO, _ZERO
 
 
 class Sphere(ParametricSurface):
@@ -151,13 +166,13 @@ class Sphere(ParametricSurface):
     def jet(self, u, v):
         rs, rc = self.radius * np.sin(u), self.radius * np.cos(u)
         sv, cv = np.sin(v), np.cos(v)
-        zero = np.zeros_like(u)
-        return (_stack(rs * cv, rs * sv, rc),
-                _stack(rc * cv, rc * sv, -rs),
-                _stack(-(rs * sv), rs * cv, zero),
-                _stack(-(rs * cv), -(rs * sv), -rc),
-                _stack(-(rc * sv), rc * cv, zero),
-                _stack(-(rs * cv), -(rs * sv), zero))
+        x, y, xc, yc = rs * cv, rs * sv, rc * cv, rc * sv
+        return ((x, y, rc),
+                (xc, yc, -rs),
+                (-y, x, 0.0),
+                (-x, -y, -rc),
+                (-yc, xc, 0.0),
+                (-x, -y, 0.0))
 
 
 class Cylinder(ParametricSurface):
@@ -171,13 +186,11 @@ class Cylinder(ParametricSurface):
 
     def jet(self, u, v):
         rs, rc = self.radius * np.sin(v), self.radius * np.cos(v)
-        zero, one = np.zeros_like(u), np.ones_like(u)
-        z3 = _stack(zero, zero, zero)
-        return (_stack(rc, rs, u),
-                _stack(zero, zero, one),
-                _stack(-rs, rc, zero),
-                z3, z3,
-                _stack(-rc, -rs, zero))
+        return ((rc, rs, u),
+                (0.0, 0.0, 1.0),
+                (-rs, rc, 0.0),
+                _ZERO, _ZERO,
+                (-rc, -rs, 0.0))
 
 
 class Torus(ParametricSurface):
@@ -198,13 +211,13 @@ class Torus(ParametricSurface):
         rs, rc = self.minor * np.sin(u), self.minor * np.cos(u)
         sv, cv = np.sin(v), np.cos(v)
         w = self.major + rc
-        zero = np.zeros_like(u)
-        return (_stack(w * cv, w * sv, rs),
-                _stack(-(rs * cv), -(rs * sv), rc),
-                _stack(-(w * sv), w * cv, zero),
-                _stack(-(rc * cv), -(rc * sv), -rs),
-                _stack(rs * sv, -(rs * cv), zero),
-                _stack(-(w * cv), -(w * sv), zero))
+        x, y, sc, ss = w * cv, w * sv, rs * cv, rs * sv
+        return ((x, y, rs),
+                (-sc, -ss, rc),
+                (-y, x, 0.0),
+                (-(rc * cv), -(rc * sv), -rs),
+                (ss, -sc, 0.0),
+                (-x, -y, 0.0))
 
 
 class Catenoid(ParametricSurface):
@@ -223,13 +236,13 @@ class Catenoid(ParametricSurface):
         ch = np.cosh(u / c)
         rho, drho, ddrho = c * ch, np.sinh(u / c), ch / c
         sv, cv = np.sin(v), np.cos(v)
-        zero = np.zeros_like(u)
-        return (_stack(rho * cv, rho * sv, u),
-                _stack(drho * cv, drho * sv, np.ones_like(u)),
-                _stack(-(rho * sv), rho * cv, zero),
-                _stack(ddrho * cv, ddrho * sv, zero),
-                _stack(-(drho * sv), drho * cv, zero),
-                _stack(-(rho * cv), -(rho * sv), zero))
+        x, y = rho * cv, rho * sv
+        return ((x, y, u),
+                (drho * cv, drho * sv, 1.0),
+                (-y, x, 0.0),
+                (ddrho * cv, ddrho * sv, 0.0),
+                (-(drho * sv), drho * cv, 0.0),
+                (-x, -y, 0.0))
 
 
 class Enneper(ParametricSurface):
@@ -241,19 +254,18 @@ class Enneper(ParametricSurface):
 
     def jet(self, u, v):
         uu, vv, u2, v2 = u * u, v * v, 2.0 * u, 2.0 * v
-        two, zero = np.full_like(u, 2.0), np.zeros_like(u)
-        return (_stack(u - u ** 3 / 3.0 + u * v * v, v - v ** 3 / 3.0 + uu * v, uu - vv),
-                _stack(1.0 - uu + vv, u2 * v, u2),
-                _stack(u2 * v, 1.0 - vv + uu, -v2),
-                _stack(-u2, v2, two),
-                _stack(v2, u2, zero),
-                _stack(u2, -v2, -two))
+        return ((u - u ** 3 / 3.0 + u * v * v, v - v ** 3 / 3.0 + uu * v, uu - vv),
+                (1.0 - uu + vv, u2 * v, u2),
+                (u2 * v, 1.0 - vv + uu, -v2),
+                (-u2, v2, 2.0),
+                (v2, u2, 0.0),
+                (u2, -v2, -2.0))
 
 
 class MongeGraph(ParametricSurface):
     """Graph surface z = f(x, y) over a rectangle; the caller supplies f
     and its first and second partials analytically (all must broadcast
-    over numpy arrays)."""
+    over numpy arrays; a constant partial may return a scalar)."""
 
     name = "monge"
 
@@ -270,13 +282,12 @@ class MongeGraph(ParametricSurface):
         self.name = name
 
     def jet(self, u, v):
-        one, zero = np.ones_like(u), np.zeros_like(u)
-        return (_stack(u, v, self.f(u, v)),
-                _stack(one, zero, self.fx(u, v)),
-                _stack(zero, one, self.fy(u, v)),
-                _stack(zero, zero, self.fxx(u, v)),
-                _stack(zero, zero, self.fxy(u, v)),
-                _stack(zero, zero, self.fyy(u, v)))
+        return ((u, v, self.f(u, v)),
+                (1.0, 0.0, self.fx(u, v)),
+                (0.0, 1.0, self.fy(u, v)),
+                (0.0, 0.0, self.fxx(u, v)),
+                (0.0, 0.0, self.fxy(u, v)),
+                (0.0, 0.0, self.fyy(u, v)))
 
 
 def saddle(extent: float = 2.0) -> MongeGraph:
@@ -285,9 +296,9 @@ def saddle(extent: float = 2.0) -> MongeGraph:
         f=lambda x, y: x * x - y * y,
         fx=lambda x, y: 2.0 * x,
         fy=lambda x, y: -2.0 * y,
-        fxx=lambda x, y: np.full_like(np.asarray(x, float), 2.0),
-        fxy=lambda x, y: np.zeros_like(np.asarray(x, float)),
-        fyy=lambda x, y: np.full_like(np.asarray(x, float), -2.0),
+        fxx=lambda x, y: 2.0,
+        fxy=lambda x, y: 0.0,
+        fyy=lambda x, y: -2.0,
         x_range=(-extent, extent),
         y_range=(-extent, extent),
         name="saddle",

@@ -12,8 +12,10 @@ results that replaced them, the per-face sums (face areas, star
 sums, ring areas, edge lengths, degenerate flags, Laplacian field) on
 np.cross, np.linalg.norm and np.add.at kept as references for the
 corner kernel's column pass, the flow loop of one mesh per step kept as
-the reference for one corner pass per flow state, and the per-segment contour and per-region interior quadrature
-kept as references for the region pieces and one-pass integrals of
+the reference for one corner pass per flow state, the surface geometry
+on stacked (..., 3) jet arrays kept as the reference for the column-wise
+geometry, and the per-segment contour and per-region interior quadrature
+on it kept as references for the region pieces and one-pass integrals of
 `curvint.contour`; the pointwise surface frame, the finite-difference
 mean curvature and the stock surfaces that only the tests use; and the
 per-row CSV writers of the command line, kept as references for its
@@ -622,6 +624,41 @@ def reference_laplacian_field(mesh: ci.TriMesh, values) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# reference geometry: the surface frame and mean curvature on the jet's
+# columns stacked into (..., 3) arrays, by np.cross, np.linalg.norm and
+# einsum dot products
+
+
+def stacked_jet(surface, u, v) -> list[np.ndarray]:
+    """jet(u, v) with each vector's component columns stacked along a
+    trailing axis of 3."""
+    u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+    return [np.stack([np.broadcast_to(c, u.shape) for c in cols], axis=-1)
+            for cols in surface.jet(u, v)]
+
+
+def _dot(a, b):
+    return np.einsum("...i,...i->...", a, b)
+
+
+def reference_geometry(surface, u, v):
+    """(position, s1, s2, normal, sqrt_g, mean_curvature) as geometry()
+    computed them on stacked arrays."""
+    u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+    surface.require_inside(u, v)
+    pos, s1, s2, ruu, ruv, rvv = stacked_jet(surface, u, v)
+    cross = np.cross(s1, s2)
+    sqrt_g = np.linalg.norm(cross, axis=-1)
+    if np.any(sqrt_g < _DEGENERATE_TOL):
+        raise ci.DomainError(f"degenerate parameterization of {surface.name}")
+    normal = cross / sqrt_g[..., None]
+    g11, g12, g22 = _dot(s1, s1), _dot(s1, s2), _dot(s2, s2)
+    b11, b12, b22 = _dot(ruu, normal), _dot(ruv, normal), _dot(rvv, normal)
+    mean = (g22 * b11 - 2.0 * g12 * b12 + g11 * b22) / (g11 * g22 - g12 * g12)
+    return pos, s1, s2, normal, sqrt_g, mean
+
+
+# ---------------------------------------------------------------------------
 # reference contour integrals: segment objects, a scalar boundary
 # parameterization and one geometry evaluation per integral
 
@@ -690,7 +727,7 @@ def reference_boundary_param(region, s: float):
 def reference_boundary_point(surface, region, s: float) -> ci.BoundaryPoint:
     region.validate_on(surface)
     (u, v), (du, dv), _ = reference_boundary_param(region, s)
-    pos, s1, s2, normal, _, _ = surface.geometry(u, v)
+    pos, s1, s2, normal, _, _ = reference_geometry(surface, u, v)
     d = du * s1 + dv * s2
     speed = float(np.linalg.norm(d))
     if speed < _TANGENT_TOL:
@@ -708,7 +745,7 @@ def reference_boundary_quadrature(surface, region, rule, integrand):
         t, w = ci.panel_nodes(0.0, 1.0, rule)
         u, v = seg.points(t)
         du, dv = seg.velocity(t)
-        _, s1, s2, normal, _, _ = surface.geometry(u, v)
+        _, s1, s2, normal, _, _ = reference_geometry(surface, u, v)
         d = du[:, None] * s1 + dv[:, None] * s2
         speed = np.linalg.norm(d, axis=1)
         if np.any(speed < _TANGENT_TOL):
@@ -728,7 +765,7 @@ def reference_interior_quadrature(surface, region, rule, values):
         xv, wv = ci.panel_nodes(region.v0, region.v1, rule)
         U = np.broadcast_to(xu[:, None], (len(xu), len(xv)))
         V = np.broadcast_to(xv[None, :], (len(xu), len(xv)))
-        _, _, _, normal, sqrt_g, mean = surface.geometry(U, V)
+        _, _, _, normal, sqrt_g, mean = reference_geometry(surface, U, V)
         field = values(normal, mean, sqrt_g)
         if field.ndim == 2:
             return float(np.einsum("i,j,ij->", wu, wv, field))
@@ -737,7 +774,7 @@ def reference_interior_quadrature(surface, region, rule, values):
     xt, wt = ci.panel_nodes(0.0, 2.0 * math.pi, rule)
     U = region.uc + xr[:, None] * np.cos(xt)[None, :]
     V = region.vc + xr[:, None] * np.sin(xt)[None, :]
-    _, _, _, normal, sqrt_g, mean = surface.geometry(U, V)
+    _, _, _, normal, sqrt_g, mean = reference_geometry(surface, U, V)
     field = values(normal, mean, sqrt_g)
     jac = xr[:, None]
     if field.ndim == 2:

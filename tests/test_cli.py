@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import shlex
@@ -634,6 +635,35 @@ def test_usage_errors_exit_1(capsys):
                 "--theta0", "1.0", "--no-such-flag"]) == 1
     assert run([]) == 1
     capsys.readouterr()
+
+
+def test_back_to_back_runs_share_one_parser_and_no_flag_values(tmp_path, monkeypatch, capsys):
+    cap = ["verify", "--surface", "sphere", "--region", "cap", "--theta0", "1.0"]
+    region, rule = ci.RectRegion(1e-6, 1.0, 0.0, 2 * math.pi), ci.gauss_legendre(16, panels=8)
+    assert run(["make", "--kind", "grid", "--n", "3", "--output", str(tmp_path / "g.off")]) == 0
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for radius, argv in [(3.0, [*cap, "--R", "3"]), (1.0, cap)]:  # --R 3 must not carry over
+        assert run(argv) == 0
+        sphere = ci.Sphere(radius)
+        assert capsys.readouterr().out == reference_verify_csv(
+            sphere, region, ci.verify_identity(sphere, region, rule))
+    assert run(["curvature", "--input", str(tmp_path / "g.off")]) == 0
+    assert capsys.readouterr().out == reference_curvature_csv(ci.load_mesh(tmp_path / "g.off"))
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: curvint ")
+    assert run(["verify", "--surface", "sphere"]) == 1  # no --region
+    assert "the following arguments are required: --region" in capsys.readouterr().err
+    assert run(["limit", "--surface", "torus", "--center", "1.0,1.0"]) == 0
+    study = ci.shrinking_limit(ci.Torus(2.0, 0.5), (1.0, 1.0), [0.2, 0.1, 0.05, 0.025])
+    assert capsys.readouterr().out == reference_limit_csv(study)
+    assert made == []  # every call parsed with the parser built before
 
 
 def test_help_exits_0(capsys):

@@ -277,21 +277,36 @@ def test_boundary_matches_reference(surface, region):
             close(getattr(got, field), getattr(ref, field))
 
 
+def _count_geometry_orders(monkeypatch) -> list[int]:
+    """The order of every later geometry call, in call order."""
+    seen = []
+    geometry = ci.ParametricSurface.geometry
+
+    def counted(self, u, v, order=2):
+        seen.append(order)
+        return geometry(self, u, v, order=order)
+
+    monkeypatch.setattr(ci.ParametricSurface, "geometry", counted)
+    return seen
+
+
 @pytest.mark.parametrize("region,calls", [
     (RectRegion(0.3, 1.1, 0.2, 0.9), 5),  # one per edge, one for the patch
     (DiskRegion(1.0, 1.0, 0.3), 2),
 ], ids=["rect", "disk"])
 def test_verify_identity_geometry_calls(monkeypatch, region, calls):
-    seen = []
-    geometry = ci.ParametricSurface.geometry
-
-    def counted(self, u, v):
-        seen.append(1)
-        return geometry(self, u, v)
-
-    monkeypatch.setattr(ci.ParametricSurface, "geometry", counted)
+    seen = _count_geometry_orders(monkeypatch)
     ci.verify_identity(ci.Torus(2.0, 0.5), region)
     assert len(seen) == calls
+    # the contour pieces are first-order, the patch pass second-order
+    assert seen == [1] * (calls - 1) + [2]
+
+
+def test_shrinking_limit_geometry_calls(monkeypatch):
+    seen = _count_geometry_orders(monkeypatch)
+    ci.shrinking_limit(ci.Torus(2.0, 0.5), (1.0, 1.0), [0.2, 0.1, 0.05])
+    # the centre's N * H, then per radius the contour and the area pass
+    assert seen == [2] + [1, 1] * 3
 
 
 def test_shrinking_limit_validates_each_disk_once(monkeypatch):

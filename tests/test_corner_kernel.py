@@ -21,11 +21,9 @@ from curvint.mesh import MIN_FACE_AREA, CornerKernel, MeshTopology, triangle_are
 
 from conftest import (
     STOCK,
-    bundled_meshes,
     interior_vertices,
     isolated_vertex,
     jiggled_icosphere,
-    perturbed_meshes,
     reference_area_gradient,
     reference_boundary_vertices,
     reference_build_star,

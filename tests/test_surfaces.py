@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import curvint as ci
 from curvint import DomainError
 
-from conftest import (bundled_surfaces, frame, random_interior_points,
-                      reference_numeric_mean_curvature, sample_box)
+from conftest import (bundled_surfaces, frame, random_interior_points, reference_geometry,
+                      reference_numeric_mean_curvature, sample_box, stacked_jet)
 
 
 KINDS = bundled_surfaces()
@@ -49,16 +49,78 @@ def test_jet_derivatives_match_central_differences(surface, a, b):
     h = 1e-5
 
     def d_du(k):
-        return (surface.jet(u + h, v)[k] - surface.jet(u - h, v)[k]) / (2 * h)
+        return (stacked_jet(surface, u + h, v)[k] - stacked_jet(surface, u - h, v)[k]) / (2 * h)
 
     def d_dv(k):
-        return (surface.jet(u, v + h)[k] - surface.jet(u, v - h)[k]) / (2 * h)
+        return (stacked_jet(surface, u, v + h)[k] - stacked_jet(surface, u, v - h)[k]) / (2 * h)
 
-    _, ru, rv, ruu, ruv, rvv = surface.jet(u, v)
+    _, ru, rv, ruu, ruv, rvv = stacked_jet(surface, u, v)
     for exact, numeric in [(ru, d_du(0)), (rv, d_dv(0)), (ruu, d_du(1)), (rvv, d_dv(2)),
                            (ruv, d_du(2)), (ruv, d_dv(1))]:
         np.testing.assert_allclose(numeric, exact, rtol=0, atol=1e-7)
     assert surface.position(u, v).tobytes() == surface.geometry(u, v)[0].tobytes()
+
+
+def _assert_same(got, ref):
+    """Same shape, dtype and bits, nan at the same entries."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, ref).tobytes()
+
+
+def _parameters(surface, layout, rng):
+    u0, u1, v0, v1 = sample_box(surface)
+    if layout == "scalar":
+        return float(rng.uniform(u0, u1)), float(rng.uniform(v0, v1))
+    if layout == "broadcast":  # a read-only view against a row
+        u = np.broadcast_to(rng.uniform(u0, u1, (4, 1)), (4, 5))
+        return u, rng.uniform(v0, v1, (1, 5))
+    shape = (7,) if layout == "1d" else (3, 6)
+    return rng.uniform(u0, u1, shape), rng.uniform(v0, v1, shape)
+
+
+@pytest.mark.parametrize("surface", KINDS, ids=lambda s: s.name)
+@settings(max_examples=20)
+@given(layout=st.sampled_from(["scalar", "1d", "2d", "broadcast"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_geometry_matches_stacked_reference(surface, layout, seed):
+    u, v = _parameters(surface, layout, np.random.default_rng(seed))
+    ref = reference_geometry(surface, u, v)
+    got = surface.geometry(u, v)
+    for g, r in zip(got, ref):
+        _assert_same(g, r)
+    first = surface.geometry(u, v, order=1)
+    assert first[5] is None
+    for g, r in zip(first[:5], got[:5]):
+        assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
+
+
+def test_overflowing_geometry_matches_stacked_reference():
+    # cosh(u / 1e-3) overflows above u of about 0.71
+    surface = ci.Catenoid(1e-3)
+    u, v = np.linspace(0.3, 1.1, 9)[:, None], np.linspace(0.2, 0.9, 4)[None, :]
+    with np.errstate(all="ignore"):
+        ref = reference_geometry(surface, u, v)
+        got = surface.geometry(u, v)
+        first = surface.geometry(u, v, order=1)
+    assert np.isnan(ref[5]).any() and np.isnan(ref[3]).any()
+    for g, r in zip(got, ref):
+        _assert_same(g, r)
+    for g, r in zip(first[:5], ref[:5]):
+        _assert_same(g, r)
+
+
+def test_degenerate_parameterization_refused_at_either_order():
+    tiny = ci.Sphere(1e-7)  # sqrt_g = 1e-14 sin(theta)
+    with pytest.raises(DomainError, match="^degenerate parameterization of sphere$"):
+        reference_geometry(tiny, 1.0, 0.5)
+    for order in (1, 2):
+        with pytest.raises(DomainError, match="^degenerate parameterization of sphere$"):
+            tiny.geometry(1.0, 0.5, order=order)
+    with pytest.raises(ValueError, match="^order must be 1 or 2, got 3$"):
+        ci.Torus(2.0, 0.5).geometry(1.0, 0.5, order=3)
 
 
 def test_sphere_frame_reference_point():
