@@ -22,7 +22,7 @@ import numpy as np
 
 from . import contour, discrete, flow as flow_mod, mesh as mesh_mod
 from .errors import CurvintError, EvaluationError
-from .numerics import gauss_legendre
+from .numerics import check_nonnegative, gauss_legendre
 from .surfaces import surface_from_name
 
 __all__ = ["build_parser", "run", "main"]
@@ -103,13 +103,9 @@ def _read_field(path: str, n_vertices: int) -> np.ndarray:
 # subcommand handlers
 
 
-def _check_bound(bound: float | None) -> None:
-    if bound is not None and not bound >= 0:  # nan too
-        raise ValueError(f"--max-rel-err must be nonnegative, got {bound}")
-
-
 def _cmd_verify(args) -> int:
-    _check_bound(args.max_rel_err)
+    if args.max_rel_err is not None:
+        check_nonnegative(args.max_rel_err, "--max-rel-err")
     surface = _surface_from_args(args)
     region = _region_from_args(args, surface)
     report = contour.verify_identity(surface, region, _rule_from_args(args))
@@ -152,7 +148,8 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    _check_bound(args.max_rel_err)
+    if args.max_rel_err is not None:
+        check_nonnegative(args.max_rel_err, "--max-rel-err")
     m = mesh_mod.load_mesh(args.input)
     fd = discrete.fd_area_gradient(m, args.h)
     kernel = m.corner_kernel()

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryVertexError, EvaluationError
-from .mesh import TriMesh, _cross, corner_terms, star_corners, triangle_areas
-from .numerics import checked_positive
+from .mesh import TriMesh, corner_terms, star_corners, triangle_areas
+from .numerics import check_nonnegative, checked_positive, column_cross
 
 __all__ = [
     "CurvatureSample",
@@ -83,11 +83,6 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
-def _check_tol(tol_direction: float) -> None:
-    if not tol_direction >= 0:  # nan too
-        raise ValueError(f"tol_direction must be nonnegative, got {tol_direction}")
-
-
 def star_sum(mesh: TriMesh, v: int) -> np.ndarray:
     """sum(a_i n_i) over the one-ring of v (no area division); defined for
     boundary vertices too."""
@@ -95,24 +90,22 @@ def star_sum(mesh: TriMesh, v: int) -> np.ndarray:
     return mesh.corner_kernel().star_sums[v].copy()
 
 
+def _refuse_vertex(mesh: TriMesh, v: int, allow_boundary: bool = False) -> None:
+    star_corners(mesh, v)
+    if not allow_boundary and mesh.topology.boundary[v]:
+        raise BoundaryVertexError(f"vertex {v} lies on the mesh boundary")
+
+
 def vector_mean_curvature(mesh: TriMesh, v: int, tol_direction: float = 1e-8,
                           allow_boundary: bool = False) -> CurvatureSample:
-    """B = sum(a_i n_i) / sum(A_i) at vertex v.
+    """B = sum(a_i n_i) / sum(A_i) at vertex v, row v of curvature_arrays.
 
     Boundary vertices are refused unless allow_boundary is set (the
     half-ring value is not meaningful as a curvature).
     """
-    _check_tol(tol_direction)
-    star_corners(mesh, v)
-    if not allow_boundary and mesh.topology.boundary[v]:
-        raise BoundaryVertexError(f"vertex {v} lies on the mesh boundary")
-    kernel = mesh.corner_kernel()
-    ring_area = kernel.ring_areas[v]
-    vec = kernel.star_sums[v] / ring_area
-    magnitude = float(np.linalg.norm(vec))
-    if magnitude <= tol_direction * float(kernel.edge_lengths[v] / ring_area):
-        return CurvatureSample(vec, magnitude, None, True)
-    return CurvatureSample(vec, magnitude, vec / magnitude, False)
+    check_nonnegative(tol_direction, "tol_direction")
+    _refuse_vertex(mesh, v, allow_boundary)
+    return _samples(*_curvature_rows(mesh, [v], tol_direction))[0]
 
 
 def area_gradient(mesh: TriMesh, v: int) -> np.ndarray:
@@ -190,9 +183,7 @@ def laplacian(mesh: TriMesh, v: int, values) -> float:
     roundoff. Refuses v as vector_mean_curvature does.
     """
     values = _validated_field(mesh, values)
-    star_corners(mesh, v)
-    if mesh.topology.boundary[v]:
-        raise BoundaryVertexError(f"vertex {v} lies on the mesh boundary")
+    _refuse_vertex(mesh, v)
     # v's faces add into v in ascending order, as in laplacian_field; the
     # other entries are partial sums
     out = float(_laplacian(mesh, mesh.faces[mesh.vertex_faces(v)], values)[v])
@@ -217,25 +208,39 @@ def curvature_arrays(mesh: TriMesh, tol_direction: float = 1e-8):
 
     Raises IsolatedVertexError at the first isolated vertex, as
     vector_mean_curvature does."""
-    _check_tol(tol_direction)
+    check_nonnegative(tol_direction, "tol_direction")
     boundary = refuse_isolated(mesh)
+    return (*_curvature_rows(mesh, slice(None), tol_direction), boundary)
+
+
+def curvature_vectors(mesh: TriMesh, rows=slice(None)) -> np.ndarray:
+    """B = sum(a_i n_i) / sum(A_i) at the given vertices (all by default),
+    (n, 3), from the corner kernel's sums."""
     kernel = mesh.corner_kernel()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vec = kernel.star_sums / kernel.ring_areas[:, None]
-    magnitude = row_norms(vec)
-    with np.errstate(all="ignore"):  # silent where the threshold overflows
-        near_minimal = magnitude <= tol_direction * (kernel.edge_lengths / kernel.ring_areas)
-    return vec, magnitude, near_minimal, boundary
+    return kernel.star_sums[rows] / kernel.ring_areas[rows, None]
+
+
+def _curvature_rows(mesh: TriMesh, rows, tol_direction: float):
+    """(B, |B|, near_minimal) at the given vertices: |B| is at most
+    tol_direction times the star scale sum(a_i) / sum(A_i)."""
+    kernel = mesh.corner_kernel()
+    with np.errstate(all="ignore"):  # silent where the sums or the threshold overflow
+        vec = curvature_vectors(mesh, rows)
+        magnitude = row_norms(vec)
+        scale = kernel.edge_lengths[rows] / kernel.ring_areas[rows]
+        return vec, magnitude, magnitude <= tol_direction * scale
+
+
+def _samples(vec: np.ndarray, magnitude: np.ndarray, near_minimal: np.ndarray) -> list:
+    return [CurvatureSample(b, float(r), None if n else b / r, bool(n))
+            for b, r, n in zip(vec, magnitude, near_minimal)]
 
 
 def curvature_field(mesh: TriMesh, tol_direction: float = 1e-8) -> list[CurvatureSample | None]:
     """vector_mean_curvature at every vertex, the list view of
     curvature_arrays; boundary vertices yield None."""
-    vec, magnitude, near_minimal, boundary = curvature_arrays(mesh, tol_direction)
-    return [None if boundary[v] else CurvatureSample(
-                vec[v], float(magnitude[v]), None if near_minimal[v] else vec[v] / magnitude[v],
-                bool(near_minimal[v]))
-            for v in range(mesh.n_vertices)]
+    *rows, boundary = curvature_arrays(mesh, tol_direction)
+    return [None if b else sample for b, sample in zip(boundary, _samples(*rows))]
 
 
 def star_sums(mesh: TriMesh) -> np.ndarray:
@@ -264,7 +269,7 @@ def _laplacian(mesh: TriMesh, faces: np.ndarray, values: np.ndarray) -> np.ndarr
     m, norm_m, e, an = corner_terms(mesh.positions, faces)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # gradient of the linear interpolant: values times (mhat x e) / |m|
-        terms = [values[faces.T] * t for t in _cross([mk / norm_m for mk in m], e)]
+        terms = [values[faces.T] * t for t in column_cross([mk / norm_m for mk in m], e)]
         g = np.stack([(t[0] + t[1] + t[2]) / norm_m for t in terms], axis=1)
         # g . a n by einsum on rows; both sums add slot-major, as CornerKernel's
         dots = [np.einsum("ij,ij->i", g, an_c) for an_c in np.stack(an, axis=-1)]

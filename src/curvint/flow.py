@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryVertexError, CollapseError, IsolatedVertexError, MeshValidationError
+from .discrete import curvature_vectors, refuse_isolated
+from .errors import BoundaryVertexError, CollapseError, MeshValidationError
 from .mesh import TriMesh
 
 __all__ = ["FlowStep", "FlowTrace", "mcf_step", "run_flow"]
@@ -41,32 +42,24 @@ class FlowTrace:
     stop_reason: str | None = None
 
 
-def _curvatures(mesh: TriMesh) -> np.ndarray:
-    kernel = mesh.corner_kernel()
-    return kernel.star_sums / kernel.ring_areas[:, None]
-
-
 def _require_closed(mesh: TriMesh):
     if not mesh.is_closed():
         v = int(np.argmax(mesh.boundary_vertices()))
         raise BoundaryVertexError(
             f"mean curvature flow requires a closed mesh: vertex {v} lies on the mesh boundary")
-    if not mesh.topology.closed_stars.all():  # left: vertices without faces
-        v = int(np.argmin(mesh.topology.closed_stars))
-        raise IsolatedVertexError(f"vertex {v} has no incident faces")
+    refuse_isolated(mesh)
 
 
-def _advance(mesh: TriMesh, dt: float, curvature: np.ndarray) -> tuple[TriMesh, np.ndarray]:
+def _advance(mesh: TriMesh, dt: float, curvature: np.ndarray) -> TriMesh:
     if dt == 0:
-        return mesh, curvature
+        return mesh
     try:
-        candidate = mesh.with_positions(mesh.positions + dt * curvature)
+        return mesh.with_positions(mesh.positions + dt * curvature)
     except MeshValidationError as exc:
         if exc.area is None:  # not a degenerate face
             raise
         raise CollapseError(f"face {exc.face} collapsed to area {exc.area:.3e}",
                             face=exc.face, area=exc.area) from None
-    return candidate, _curvatures(candidate)
 
 
 def _check_dt(dt: float) -> None:
@@ -87,13 +80,13 @@ def mcf_step(mesh: TriMesh, dt: float) -> TriMesh:
     """
     _check_dt(dt)
     _require_closed(mesh)
-    return _advance(mesh, dt, _curvatures(mesh))[0]
+    return _advance(mesh, dt, curvature_vectors(mesh))
 
 
 def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh]:
-    """Run up to n_steps explicit steps, recording area, max |B| and the
-    smallest face area after each accepted step (row 0 is the initial
-    state).
+    """Run up to n_steps explicit steps, each one mcf_step call, recording
+    area, max |B| and the smallest face area after each accepted step
+    (row 0 is the initial state).
 
     Stops early, with the reason recorded in the trace rather than
     raised, when a face collapses or when a step fails to decrease total
@@ -107,24 +100,25 @@ def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh
         raise ValueError("step count must be nonnegative")
     _require_closed(mesh)
 
-    def record(index: int, m: TriMesh, curvature: np.ndarray) -> FlowStep:
-        b = np.linalg.norm(curvature, axis=1)
+    def record(index: int, m: TriMesh) -> FlowStep:
+        # norm(axis=1), not row_norms: the two round some rows' |B| differently
+        b = np.linalg.norm(curvature_vectors(m), axis=1)
         return FlowStep(index, float(m.face_areas().sum()), float(b.max()),
                         float(m.face_areas().min()))
 
-    current, curvature = mesh, _curvatures(mesh)
-    steps = [record(0, current, curvature)]
+    current = mesh
+    steps = [record(0, current)]
     stop_reason = None
     for k in range(1, n_steps + 1):
         try:
-            stepped, stepped_curvature = _advance(current, dt, curvature)
+            stepped = mcf_step(current, dt)
         except CollapseError as exc:
             stop_reason = f"collapse at step {k}: {exc}"
             break
-        entry = record(k, stepped, stepped_curvature)
+        entry = record(k, stepped)
         if dt > 0 and entry.area >= steps[-1].area:
             stop_reason = f"area did not decrease at step {k} (dt too large)"
             break
-        current, curvature = stepped, stepped_curvature
+        current = stepped
         steps.append(entry)
     return FlowTrace(dt, tuple(steps), stop_reason), current

@@ -24,7 +24,7 @@ from .errors import (
     MeshValidationError,
     ParseError,
 )
-from .numerics import checked_positive
+from .numerics import checked_positive, column_cross, column_norm
 from .surfaces import Catenoid, Cylinder, Plane
 
 __all__ = [
@@ -232,19 +232,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cross(a, b) -> list:
-    """a x b of coordinate columns a[k], b[k], bitwise equal to np.cross."""
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-
-
-def _norm(x) -> np.ndarray:  # in np.linalg.norm(axis=1)'s order: bitwise equal to it
-    return np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
-
-
 def triangle_areas(p0, p1, p2) -> np.ndarray:
     """Areas of the triangles with corners p0, p1, p2, each (n, 3): half
     the cross-product norms, row by row, computed on columns."""
-    return 0.5 * _norm(_cross((p1 - p0).T, (p2 - p0).T))
+    return 0.5 * column_norm(column_cross((p1 - p0).T, (p2 - p0).T))
 
 
 def total_area(mesh: TriMesh) -> float:
@@ -266,11 +257,11 @@ def corner_terms(positions: np.ndarray, faces: np.ndarray):
     e = np.empty_like(x)
     for c in range(3):
         np.subtract(x[:, c - 1], x[:, c - 2], out=e[:, c])
-    m = _cross(e[:, 2], x[:, 2] - x[:, 0])  # e[:, 2] is p1 - p0
+    m = column_cross(e[:, 2], x[:, 2] - x[:, 0])  # e[:, 2] is p1 - p0
     del x
-    norm_m = _norm(m)
+    norm_m = column_norm(m)
     with np.errstate(invalid="ignore", divide="ignore"):
-        an = [np.divide(a, norm_m, out=a) for a in _cross(e, m)]
+        an = [np.divide(a, norm_m, out=a) for a in column_cross(e, m)]
     return m, norm_m, e, an
 
 
@@ -353,7 +344,7 @@ def build_star(mesh: TriMesh, v: int) -> VertexStar:
     faces, areas = corners // 3, mesh.face_areas()
     _, _, e, an = corner_terms(mesh.positions, mesh.faces[faces])
     pick = (slice(None), corners % 3, np.arange(len(corners)))
-    lengths = _norm(e[pick])
+    lengths = column_norm(e[pick])
     entries = tuple(StarEntry(int(f), float(areas[f]), (int(p), int(q)), float(a), n)
                     for f, (p, q), a, n in zip(faces, mesh.topology.opposite[corners],
                                                 lengths, (np.stack(an)[pick] / lengths).T))

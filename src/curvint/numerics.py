@@ -1,5 +1,5 @@
-"""Scalar/vector numerics: composite Gauss-Legendre quadrature and
-central-difference derivatives.
+"""Scalar/vector numerics: composite Gauss-Legendre quadrature, central
+differences, argument checks, and the column cross product and norm.
 
 All quantities are 64-bit floats; 3-vectors are numpy arrays of shape (3,).
 """
@@ -120,6 +120,21 @@ def checked_positive(x: float, name: str) -> float:
     if x <= 0:
         raise ValueError(f"{name} must be positive")
     return x
+
+
+def check_nonnegative(x: float, name: str) -> None:
+    """ValueError naming x unless x >= 0 (nan is refused too)."""
+    if not x >= 0:
+        raise ValueError(f"{name} must be nonnegative, got {x}")
+
+
+def column_cross(a, b) -> list:
+    """a x b of coordinate columns a[k], b[k], bitwise equal to np.cross."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def column_norm(x) -> np.ndarray:  # in np.linalg.norm(axis=1)'s order: bitwise equal to it
+    return np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
 
 
 def central_gradient(f: Callable[[np.ndarray], float], x, h: float) -> np.ndarray:

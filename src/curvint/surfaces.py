@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .numerics import checked_positive
+from .numerics import checked_positive, column_cross, column_norm
 
 __all__ = [
     "ParametricSurface",
@@ -124,12 +124,9 @@ class ParametricSurface:
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         self.require_inside(u, v)
         pos, s1, s2, *second = self.jet(u, v)
-        # np.cross's terms and np.linalg.norm's order, as mesh._cross and
-        # mesh._norm (which this module cannot import) compute them; a
-        # constant cross product still gets u's shape
-        cross = (s1[1] * s2[2] - s1[2] * s2[1], s1[2] * s2[0] - s1[0] * s2[2],
-                 s1[0] * s2[1] - s1[1] * s2[0])
-        sqrt_g = np.sqrt((cross[0] * cross[0] + cross[1] * cross[1]) + cross[2] * cross[2])
+        cross = column_cross(s1, s2)
+        sqrt_g = column_norm(cross)
+        # a constant cross product still gets u's shape
         sqrt_g = sqrt_g if np.shape(sqrt_g) == u.shape else np.full(u.shape, sqrt_g)
         if np.any(sqrt_g < _DEGENERATE_TOL):
             raise DomainError(f"degenerate parameterization of {self.name}")

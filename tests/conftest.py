@@ -578,29 +578,30 @@ def reference_mcf_step(mesh: ci.TriMesh, dt: float) -> ci.TriMesh:
     return _reference_step(mesh, dt, _reference_curvature(mesh))
 
 
-def reference_run_flow(mesh: ci.TriMesh, dt: float, n_steps: int):
-    """run_flow's loop of one mesh per step, each state's B from the
-    reference sums and its areas recomputed; no refusal checks."""
-    def record(index, m, curvature):
+def reference_run_flow(mesh: ci.TriMesh, dt: float, n_steps: int, step=reference_mcf_step):
+    """run_flow's loop of one mesh per step, each made by step(mesh, dt),
+    with each state's B from the reference sums and its areas
+    recomputed; no refusal checks."""
+    def record(index, m):
         areas = reference_face_areas(m)
         return ci.FlowStep(index, float(areas.sum()),
-                           float(np.linalg.norm(curvature, axis=1).max()), float(areas.min()))
+                           float(np.linalg.norm(_reference_curvature(m), axis=1).max()),
+                           float(areas.min()))
 
-    current, curvature = mesh, _reference_curvature(mesh)
-    steps = [record(0, current, curvature)]
+    current = mesh
+    steps = [record(0, current)]
     stop_reason = None
     for k in range(1, n_steps + 1):
         try:
-            stepped = _reference_step(current, dt, curvature)
+            stepped = step(current, dt)
         except CollapseError as exc:
             stop_reason = f"collapse at step {k}: {exc}"
             break
-        stepped_curvature = _reference_curvature(stepped)
-        entry = record(k, stepped, stepped_curvature)
+        entry = record(k, stepped)
         if dt > 0 and entry.area >= steps[-1].area:
             stop_reason = f"area did not decrease at step {k} (dt too large)"
             break
-        current, curvature = stepped, stepped_curvature
+        current = stepped
         steps.append(entry)
     return ci.FlowTrace(dt, tuple(steps), stop_reason), current
 

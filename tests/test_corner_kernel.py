@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import curvint as ci
-from curvint.discrete import _laplacian
-from curvint.flow import _curvatures
+from curvint.discrete import _laplacian, curvature_arrays, curvature_vectors
 from curvint.mesh import MIN_FACE_AREA, CornerKernel, MeshTopology, triangle_areas
 
 from conftest import (
@@ -24,6 +23,7 @@ from conftest import (
     interior_vertices,
     isolated_vertex,
     jiggled_icosphere,
+    perturbed_meshes,
     reference_area_gradient,
     reference_boundary_vertices,
     reference_build_star,
@@ -146,7 +146,7 @@ def assert_slices_are_exact(mesh):
     whole-mesh results, bit for bit."""
     sums = ci.star_sums(mesh)
     field = None if refusal(ci.curvature_field, mesh) else ci.curvature_field(mesh)
-    flow = _curvatures(mesh) if field is not None and mesh.is_closed() else None
+    flow = curvature_vectors(mesh) if field is not None and mesh.is_closed() else None
     for v in range(mesh.n_vertices):
         if refusal(ci.star_sum, mesh, v) is None:
             assert bits(ci.star_sum(mesh, v)) == bits(sums[v]), v
@@ -181,6 +181,27 @@ def test_matches_reference_on_jiggled_ico5():
     assert_sums_match_reference(mesh)
     assert_slices_are_exact(mesh)
     assert_matches_reference(mesh, range(0, mesh.n_vertices, 97))
+
+
+def test_vector_mean_curvature_is_a_row_of_curvature_arrays():
+    # every field of the sample, boundary rows included; the grid's
+    # interior B is exactly zero, and the median tolerance makes about
+    # half the rows of each mesh near-minimal
+    seen = set()
+    for mesh in [ci.make_grid(5)] + perturbed_meshes(10):
+        kernel = mesh.corner_kernel()
+        magnitude = curvature_arrays(mesh)[1]
+        median = float(np.median(magnitude * kernel.ring_areas / kernel.edge_lengths))
+        for tol in (0.0, 1e-8, median):
+            vec, magnitude, near_minimal, _ = curvature_arrays(mesh, tol)
+            for v in range(mesh.n_vertices):
+                expected = ci.CurvatureSample(
+                    vec[v], float(magnitude[v]),
+                    None if near_minimal[v] else vec[v] / magnitude[v], bool(near_minimal[v]))
+                got = ci.vector_mean_curvature(mesh, v, tol, allow_boundary=True)
+                assert bits(got) == bits(expected), (tol, v)
+                seen.add((bool(near_minimal[v]), magnitude[v] == 0.0))
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_topology_is_shared_and_kernel_is_not():

@@ -7,6 +7,7 @@ import curvint as ci
 from curvint import BoundaryVertexError, CollapseError, IsolatedVertexError, MeshValidationError
 from curvint.cli import run
 
+import curvint.flow as flow_mod
 from curvint.flow import _advance
 from curvint.mesh import CornerKernel
 
@@ -182,7 +183,7 @@ def tiny(mesh):
     return mesh.with_positions(np.sqrt(scale_squared) * mesh.positions), scale_squared
 
 
-@pytest.mark.parametrize("level,case,dt_scale,n_steps,reason", [
+FLOW_CASES = [
     (3, "full", 1e-3, 10, None),
     (4, "full", 1e-3, 10, None),
     (3, "full", 0.0, 4, None),
@@ -191,12 +192,20 @@ def tiny(mesh):
     (4, "tiny", 0.002, 40, "collapse at step 16"),
     (3, "full", 0.02, 10, "area did not decrease at step 1"),
     (4, "full", 0.005, 10, "area did not decrease at step 1"),
-])
-def test_run_flow_matches_reference_loop(level, case, dt_scale, n_steps, reason):
+]
+
+
+def flow_case(level, case, dt_scale):
     mesh, dt = jiggled_icosphere(level, 7), dt_scale
     if case == "tiny":
         mesh, scale_squared = tiny(mesh)
         dt *= scale_squared
+    return mesh, dt
+
+
+@pytest.mark.parametrize("level,case,dt_scale,n_steps,reason", FLOW_CASES)
+def test_run_flow_matches_reference_loop(level, case, dt_scale, n_steps, reason):
+    mesh, dt = flow_case(level, case, dt_scale)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = ci.run_flow(mesh, dt, n_steps)
@@ -204,6 +213,36 @@ def test_run_flow_matches_reference_loop(level, case, dt_scale, n_steps, reason)
     assert flow_bytes(*got) == flow_bytes(*expected)
     stop = got[0].stop_reason
     assert stop is None if reason is None else stop.startswith(reason)
+
+
+@pytest.mark.parametrize("level,case,dt_scale,n_steps,reason", FLOW_CASES)
+def test_run_flow_steps_through_mcf_step(monkeypatch, level, case, dt_scale, n_steps, reason):
+    # the trace and final state of a loop of mcf_step calls, bit for bit,
+    # with one mcf_step call per attempted step: each accepted one and
+    # the step that stops the flow
+    mesh, dt = flow_case(level, case, dt_scale)
+    expected = reference_run_flow(mesh, dt, n_steps, step=ci.mcf_step)
+    calls = []
+
+    def counted(m, dt):
+        calls.append(m)
+        return ci.mcf_step(m, dt)
+
+    monkeypatch.setattr(flow_mod, "mcf_step", counted)
+    trace, final = ci.run_flow(mesh, dt, n_steps)
+    assert flow_bytes(trace, final) == flow_bytes(*expected)
+    assert len(calls) == len(trace.steps) - 1 + (trace.stop_reason is not None)
+    assert calls[0] is mesh
+
+
+def test_boundary_refused_before_an_isolated_vertex():
+    # vertex 0 is in no face and vertex 1 lies on the boundary
+    grid = ci.make_grid(4)
+    mesh = ci.TriMesh(np.vstack([[5.0, 5.0, 5.0], grid.positions]), grid.faces + 1)
+    message = "mean curvature flow requires a closed mesh: vertex 1 lies on the mesh boundary"
+    for flow in (lambda: ci.mcf_step(mesh, 1e-3), lambda: ci.run_flow(mesh, 1e-3, 3)):
+        with pytest.raises(BoundaryVertexError, match=f"^{message}$"):
+            flow()
 
 
 def step_outcome(step, mesh, dt):
@@ -250,7 +289,7 @@ def test_non_finite_curvature_is_refused_as_by_the_reference(level):
     displacement = positions - base.positions
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = step_outcome(lambda m, dt: _advance(m, dt, displacement)[0], base, 1.0)
+        got = step_outcome(lambda m, dt: _advance(m, dt, displacement), base, 1.0)
     expected = step_outcome(lambda m, dt: _reference_step(m, dt, displacement), base, 1.0)
     assert isinstance(got, tuple)
     assert got == expected

@@ -385,7 +385,7 @@ def test_round_trip_is_bit_exact(extra, fmt, order):
     again = ci.load_mesh(text, fmt=fmt)
     assert again.positions.tobytes() == mesh.positions.tobytes()
     np.testing.assert_array_equal(again.faces, mesh.faces)
-    assert_paths_agree(text, fmt)
+    assert_paths_agree(text=text, fmt=fmt)
 
 
 VALID_TEXTS = [
@@ -426,7 +426,7 @@ def mutated_texts(draw):
 @given(mutated_texts())
 def test_mutated_file_loads_or_raises_a_mesh_error(case):
     fmt, text = case
-    assert_paths_agree(text, fmt)
+    assert_paths_agree(text=text, fmt=fmt)
     try:
         mesh = ci.load_mesh(text, fmt=fmt)
     except (ParseError, MeshValidationError):
@@ -464,9 +464,10 @@ def parse_outcome(parse, text):
             list(face_lines))
 
 
-def assert_paths_agree(text, fmt):
+def assert_paths_agree(*, text, fmt):
     """The parser and load_mesh give the line loop's result: equal
     positions, faces and face lines, or the same error and message."""
+    assert fmt in ("obj", "off")
     parse, loop = ((mesh_mod._parse_obj, mesh_mod._obj_line_loop) if fmt == "obj"
                    else (mesh_mod._parse_off, mesh_mod._off_line_loop))
     with warnings.catch_warnings():
@@ -504,7 +505,7 @@ AGREEMENT_CASES = ([(f[1], f[2]) for f in MALFORMED_FIXTURES + NON_FINITE_FIXTUR
 
 @pytest.mark.parametrize("fmt,text", AGREEMENT_CASES)
 def test_block_and_line_loop_agree_on_fixtures(fmt, text):
-    assert_paths_agree(text, fmt)
+    assert_paths_agree(text=text, fmt=fmt)
 
 
 # tokens on which numpy's loadtxt must never be looser than float()/int()
@@ -595,4 +596,5 @@ def perturbed_bodies(draw):
 @settings(max_examples=400)
 @given(perturbed_bodies())
 def test_block_and_line_loop_agree_on_perturbed_bodies(case):
-    assert_paths_agree(*case)
+    fmt, text = case
+    assert_paths_agree(text=text, fmt=fmt)
