@@ -80,10 +80,13 @@ def _read_field(path: str, n_vertices: int) -> np.ndarray:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'vertex,value'")
-        if lineno == 1 and not parts[0].lstrip("-").isdigit():
-            continue  # header row
         try:
             v = int(parts[0])
+        except ValueError:
+            if lineno == 1:
+                continue  # a header: its first field is no vertex index
+            raise ValueError(f"{path}:{lineno}: expected 'vertex,value'") from None
+        try:
             x = float(parts[1])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: expected 'vertex,value'") from None

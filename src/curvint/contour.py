@@ -12,11 +12,11 @@ by patch area, which recovers N * H pointwise.
 Each region describes itself once. Its boundary is `pieces` curves (a
 rectangle's four edges, a disk's circle): piece(k, t) gives the points
 (u, v), velocities d(u, v)/dt and parameter-space outward normal at t in
-[0, 1]. interior(rule) gives the interior nodes (U, V), the weights along
-each node axis and the Jacobian of the map onto the region (1 on a
-rectangle's tensor grid, r on a disk's polar grid). The contour side is
-one pass over the pieces, the patch side one geometry evaluation. A side
-that is not finite (an overflowing surface) raises EvaluationError.
+[0, 1]. interior(rule) gives nodes U, V that broadcast together, the
+weights along each node axis and the Jacobian of the map onto the region
+(1 on a rectangle's two axes, r on a disk's polar grid). Both sides work
+on geometry's component columns: one pass over the pieces, one patch
+evaluation. A non-finite side (an overflowing surface) raises EvaluationError.
 
 The exterior normal is computed as t x N from the curve tangent t; with
 counterclockwise parameter traversal this always points out of the patch
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContourError, DomainError, EvaluationError
-from .numerics import QuadratureRule, default_rule, panel_nodes
+from .numerics import QuadratureRule, column_cross, column_norm, default_rule, panel_nodes
 from .surfaces import ParametricSurface
 
 __all__ = [
@@ -100,9 +100,7 @@ class RectRegion(_Region):
         """Tensor-product grid, Jacobian 1."""
         xu, wu = panel_nodes(self.u0, self.u1, rule)
         xv, wv = panel_nodes(self.v0, self.v1, rule)
-        U = np.broadcast_to(xu[:, None], (len(xu), len(xv)))
-        V = np.broadcast_to(xv[None, :], (len(xu), len(xv)))
-        return U, V, wu, wv, 1.0
+        return xu[:, None], xv[None, :], wu, wv, 1.0
 
     def validate_on(self, surface: ParametricSurface):
         for (lo, hi), periodic in (((self.u0, self.u1), surface.u_periodic),
@@ -125,7 +123,7 @@ class DiskRegion(_Region):
     pieces = 1
 
     def __post_init__(self):
-        if self.rho <= 0:
+        if not self.rho > 0:
             raise ValueError("disk radius must be positive")
 
     @property
@@ -142,18 +140,15 @@ class DiskRegion(_Region):
         """Polar grid (radius, angle), Jacobian r."""
         xr, wr = panel_nodes(0.0, self.rho, rule)
         xt, wt = panel_nodes(0.0, 2.0 * math.pi, rule)
-        U = self.uc + xr[:, None] * np.cos(xt)[None, :]
-        V = self.vc + xr[:, None] * np.sin(xt)[None, :]
-        return U, V, wr, wt, xr[:, None]
+        r = xr[:, None]
+        return self.uc + r * np.cos(xt), self.vc + r * np.sin(xt), wr, wt, r
 
     def validate_on(self, surface: ParametricSurface):
         if (surface.u_periodic or surface.v_periodic) and self.rho > _PERIOD / 2:
             raise DomainError("disk wider than one period")
-        corners = [(self.uc - self.rho, self.vc - self.rho),
-                   (self.uc + self.rho, self.vc + self.rho)]
-        for u, v in corners:
-            if not surface.contains(u, v):
-                raise DomainError(f"region not inside the domain of {surface.name}")
+        u, v, r = self.uc, self.vc, self.rho
+        if not surface.contains([u - r, u + r], [v - r, v + r]):  # the bounding box's corners
+            raise DomainError(f"region not inside the domain of {surface.name}")
 
 
 @dataclass(frozen=True)
@@ -193,18 +188,18 @@ class LimitEstimate:
 
 
 def _frame(surface, u, v, du, dv):
-    """Image position, unit tangent t, unit exterior normal t x N and
-    speed of the contour through (u, v) with parameter velocity (du, dv);
-    scalars or arrays of one shape."""
+    """Image position, unit tangent t and unit exterior normal t x N as
+    component columns, and the speed of the contour through (u, v) with
+    parameter velocity (du, dv); scalars or arrays of one shape."""
     pos, s1, s2, normal, _, _ = surface.geometry(u, v, order=1)
-    d = du[..., None] * s1 + dv[..., None] * s2
-    speed = np.linalg.norm(d, axis=-1)
+    d = [du * a + dv * b for a, b in zip(s1, s2)]
+    speed = column_norm(d)
     if np.any(speed < _TANGENT_TOL):
         raise ContourError("degenerate contour tangent")
-    tangent = d / speed[..., None]
-    n = np.cross(tangent, normal)
-    n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    return pos, tangent, n, speed
+    tangent = [c / speed for c in d]
+    n = column_cross(tangent, normal)
+    length = column_norm(n)
+    return pos, tangent, [c / length for c in n], speed
 
 
 def boundary_point(surface: ParametricSurface, region, s: float) -> BoundaryPoint:
@@ -213,7 +208,8 @@ def boundary_point(surface: ParametricSurface, region, s: float) -> BoundaryPoin
     region.validate_on(surface)
     (u, v), (du, dv), _ = region.boundary_param(s)
     with np.errstate(all="ignore"):
-        pos, tangent, n, speed = _frame(surface, u, v, du, dv)
+        *vectors, speed = _frame(surface, u, v, du, dv)
+    pos, tangent, n = map(np.stack, vectors)
     _finite("boundary point", np.hstack([pos, tangent, n, speed]))
     return BoundaryPoint(pos, tangent, n, float(speed))
 
@@ -234,7 +230,7 @@ def _contour(surface, region, rule):
         for k in range(region.pieces):
             (u, v), (du, dv), _ = region.piece(k, t)
             _, _, n, speed = _frame(surface, u, v, du, dv)
-            part = ((w * speed)[:, None] * n).sum(axis=0)
+            part = ((w * speed)[:, None] * np.stack(n, axis=-1)).sum(axis=0)
             rhs = part if rhs is None else rhs + part  # a None start keeps -0.0
             length += float(w @ speed)
     return rhs, length
@@ -250,7 +246,7 @@ def _patch(surface, region, rule, order=2):
         area = float(np.einsum("i,j,ij->", w1, w2, sqrt_g * jac))
         if order == 1:
             return None, area
-        field = normal * (mean * sqrt_g)[..., None] * np.expand_dims(jac, -1)
+        field = np.stack(normal, axis=-1) * (mean * sqrt_g)[..., None] * np.expand_dims(jac, -1)
         return np.einsum("i,j,ijk->k", w1, w2, field), area
 
 
@@ -310,14 +306,14 @@ def shrinking_limit(surface: ParametricSurface, center: tuple[float, float],
     uc, vc = float(center[0]), float(center[1])
     with np.errstate(all="ignore"):
         _, _, _, normal, _, mean = surface.geometry(uc, vc)
-    target = _finite("N * H at the center", normal * mean)
+    target = _finite("N * H at the center", np.stack(normal) * mean)
     estimates = np.empty((len(radii), 3))
     for i, rho in enumerate(radii):
         disk = DiskRegion(uc, vc, float(rho))
         # rhs_integral validates the disk for the area pass as well
         rhs = rhs_integral(surface, disk, rule)
         estimates[i] = rhs / _finite("patch area", _patch(surface, disk, rule, order=1)[1])
-    errors = np.linalg.norm(estimates - target[None, :], axis=1)
+    errors = column_norm((estimates - target).T)
     if np.all(errors > 1e-14):
         observed_order = float(np.polyfit(np.log(radii), np.log(errors), 1)[0])
     else:

@@ -18,6 +18,7 @@ import numpy as np
 from .discrete import curvature_vectors, refuse_isolated
 from .errors import BoundaryVertexError, CollapseError, MeshValidationError
 from .mesh import TriMesh
+from .numerics import column_norm
 
 __all__ = ["FlowStep", "FlowTrace", "mcf_step", "run_flow"]
 
@@ -101,8 +102,8 @@ def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh
     _require_closed(mesh)
 
     def record(index: int, m: TriMesh) -> FlowStep:
-        # norm(axis=1), not row_norms: the two round some rows' |B| differently
-        b = np.linalg.norm(curvature_vectors(m), axis=1)
+        # column_norm, not row_norms: the two round some rows' |B| differently
+        b = column_norm(curvature_vectors(m).T)
         return FlowStep(index, float(m.face_areas().sum()), float(b.max()),
                         float(m.face_areas().min()))
 

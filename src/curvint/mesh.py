@@ -694,7 +694,7 @@ def make_icosphere(level: int, radius: float = 1.0) -> TriMesh:
         verts = np.concatenate([verts, 0.5 * (verts[a[new]] + verts[b[new]])])
         a, b, c = faces.T
         faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
-    positions = verts * (radius / np.linalg.norm(verts, axis=1))[:, None]
+    positions = verts * (radius / column_norm(verts.T))[:, None]
     return TriMesh(positions, faces)
 
 

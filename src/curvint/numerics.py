@@ -1,7 +1,7 @@
 """Scalar/vector numerics: composite Gauss-Legendre quadrature, central
 differences, argument checks, and the column cross product and norm.
 
-All quantities are 64-bit floats; 3-vectors are numpy arrays of shape (3,).
+All quantities are 64-bit floats; 3-vectors are (3,) arrays or 3-tuples of columns.
 """
 
 from __future__ import annotations

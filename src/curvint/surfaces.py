@@ -1,11 +1,10 @@
 """Analytic parametric surfaces r(u, v). Each supplies its chart once, as
-the jet (r, r_u, r_v, r_uu, r_uv, r_vv) in closed form, each vector as a
-3-tuple of component columns (a constant component may be a scalar); the
-tangent basis, unit normal, area element and mean curvature are derived
-from it column by column, and only the returned vectors are stacked.
-`geometry(u, v, order=1)` is the first-order mode: it stops at the unit
-normal and area element, which is all the contour and area passes of
-`curvint.contour` read.
+the jet (r, r_u, r_v, r_uu, r_uv, r_vv) in closed form, each vector a
+3-tuple of component columns (a constant one may be a scalar).
+`geometry(u, v)` derives the tangent basis, unit normal, area element and
+mean curvature column by column and returns its vectors in that layout,
+broadcast to the shape of (u, v); `order=1` stops at the normal and area
+element, all that the contour and area passes of `curvint.contour` read.
 
 Conventions, used consistently everywhere in this package:
 
@@ -55,9 +54,9 @@ def _dot(a, b):
     return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
 
 
-def _stack(cols, shape):
-    """The (*shape, 3) array of a vector's three component columns."""
-    return np.stack([np.broadcast_to(c, shape) for c in cols], axis=-1)
+def _columns(cols, shape):
+    """A vector's three component columns, each broadcast to shape."""
+    return tuple(np.broadcast_to(c, shape) for c in cols)
 
 
 def _mean_curvature(s1, s2, normal, ruu, ruv, rvv):
@@ -90,7 +89,8 @@ class ParametricSurface:
         raise NotImplementedError
 
     def position(self, u, v) -> np.ndarray:
-        return _stack(self.jet(u, v)[0], np.broadcast(u, v).shape)
+        u, v = np.asarray(u, float), np.asarray(v, float)  # a Python float's ** rounds unlike numpy's
+        return np.stack(_columns(self.jet(u, v)[0], np.broadcast(u, v).shape), axis=-1)
 
     # -- domain handling --------------------------------------------------
 
@@ -116,24 +116,24 @@ class ParametricSurface:
     # -- derived geometry ---------------------------------------------------
 
     def geometry(self, u, v, order: int = 2):
-        """Vectorized evaluation; returns (position, s1, s2, normal,
-        sqrt_g, mean_curvature) with a trailing axis of 3 on the vectors.
-        order=1 skips the fundamental forms and returns None for H."""
+        """(position, s1, s2, normal, sqrt_g, mean_curvature), each vector a
+        3-tuple of columns of shape np.broadcast(u, v).shape, some of them
+        read-only views. order=1 skips the fundamental forms; H is then None."""
         if order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {order}")
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        u, v = np.asarray(u, float), np.asarray(v, float)
+        shape = np.broadcast(u, v).shape
         self.require_inside(u, v)
         pos, s1, s2, *second = self.jet(u, v)
         cross = column_cross(s1, s2)
         sqrt_g = column_norm(cross)
-        # a constant cross product still gets u's shape
-        sqrt_g = sqrt_g if np.shape(sqrt_g) == u.shape else np.full(u.shape, sqrt_g)
+        # a cross product constant along an axis still gets the full shape
+        sqrt_g = sqrt_g if np.shape(sqrt_g) == shape else np.full(shape, sqrt_g)
         if np.any(sqrt_g < _DEGENERATE_TOL):
             raise DomainError(f"degenerate parameterization of {self.name}")
         normal = tuple(c / sqrt_g for c in cross)
         mean = _mean_curvature(s1, s2, normal, *second) if order == 2 else None
-        del cross, second  # stack the outputs without the columns they do not need
-        return (*(_stack(x, u.shape) for x in (pos, s1, s2, normal)), sqrt_g, mean)
+        return (*(_columns(x, shape) for x in (pos, s1, s2, normal)), sqrt_g, mean)
 
 
 class Plane(ParametricSurface):

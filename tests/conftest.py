@@ -844,9 +844,16 @@ class SurfaceFrame(NamedTuple):
     mean_curvature: float
 
 
+def stacked_geometry(surface: ci.ParametricSurface, u, v, order: int = 2):
+    """geometry() with each vector's component columns stacked along a
+    trailing axis of 3."""
+    *vectors, sqrt_g, mean = surface.geometry(u, v, order=order)
+    return (*(np.stack(cols, axis=-1) for cols in vectors), sqrt_g, mean)
+
+
 def frame(surface: ci.ParametricSurface, u: float, v: float) -> SurfaceFrame:
     """geometry() at a single parameter point."""
-    pos, s1, s2, normal, sqrt_g, mean = surface.geometry(float(u), float(v))
+    pos, s1, s2, normal, sqrt_g, mean = stacked_geometry(surface, float(u), float(v))
     return SurfaceFrame(pos, s1, s2, normal, float(sqrt_g), float(mean))
 
 

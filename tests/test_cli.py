@@ -272,6 +272,14 @@ def test_verify_table_matches_the_reference_writer(surface, args, region, capsys
     assert capsys.readouterr().out == reference_verify_csv(s, region, report)
 
 
+def test_nan_disk_radius_is_refused_as_not_positive(capsys):
+    # every finite point is inside a torus: the radius itself is at fault
+    rc = run(["verify", "--surface", "torus", "--region", "disk", "--uc", "1", "--vc", "1",
+              "--rho", "nan"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: disk radius must be positive\n"
+
+
 def test_mesh_subcommands_call_no_per_vertex_function(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a per-vertex function was called")
@@ -501,6 +509,19 @@ def test_laplacian_missing_field_value(tmp_path, capsys):
     rc = run(["laplacian", "--input", str(mesh_path), "--field", str(field_path)])
     assert rc == 1
     assert "no value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first", ["+0", "-0", "0"])
+def test_laplacian_field_first_row_may_be_signed(first, tmp_path, capsys):
+    # line 1 is a header only when its first field is no vertex index
+    mesh = ci.make_icosphere(0, 1.0)
+    mesh_path, field_path = tmp_path / "ico.off", tmp_path / "field.csv"
+    ci.save_mesh(mesh, mesh_path)
+    values = np.arange(mesh.n_vertices, dtype=float) ** 2
+    rows = [f"{v},{x!r}" for v, x in enumerate(values.tolist())]
+    field_path.write_text("\n".join([first + rows[0][1:], *rows[1:]]) + "\n")
+    assert run(["laplacian", "--input", str(mesh_path), "--field", str(field_path)]) == 0
+    assert capsys.readouterr().out == reference_laplacian_csv(mesh, values)
 
 
 def test_laplacian_overflow_exits_1_naming_the_vertex(tmp_path, capsys):

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import curvint as ci
 from curvint import ContourError, DiskRegion, DomainError, EvaluationError, RectRegion
@@ -20,6 +21,7 @@ from conftest import (
     reference_region_area,
     reference_rhs_integral,
     reference_verify_identity,
+    stacked_geometry,
 )
 
 
@@ -81,7 +83,7 @@ def test_exterior_normal_points_outward(surface, region):
     for s in np.linspace(0.0, 1.0, 64, endpoint=False):
         bp = ci.boundary_point(surface, region, s)
         (u, v), _, outward = region.boundary_param(s)
-        _, s1, s2, _, _, _ = surface.geometry(u, v)
+        _, s1, s2, _, _, _ = stacked_geometry(surface, u, v)
         image_outward = outward[0] * s1 + outward[1] * s2
         assert bp.normal @ image_outward > 0.0
 
@@ -187,6 +189,8 @@ def test_region_validation():
         RectRegion(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         DiskRegion(0.0, 0.0, -0.1)
+    with pytest.raises(ValueError, match="^disk radius must be positive$"):
+        DiskRegion(1.0, 1.0, math.nan)
     with pytest.raises(DomainError):
         ci.lhs_integral(ci.Catenoid(1.0), RectRegion(1.0, 3.0, 0.0, 1.0))
     with pytest.raises(DomainError):
@@ -326,3 +330,55 @@ def test_shrinking_limit_validates_each_disk_once(monkeypatch):
     study = ci.shrinking_limit(surface, center, radii)
     assert seen == radii
     assert study.estimates.tobytes() == np.array(expected).tobytes()
+
+
+def test_rect_patch_evaluates_the_jet_on_its_two_axes(monkeypatch):
+    shapes = []
+    jet = ci.Torus.jet
+
+    def recorded(self, u, v):
+        shapes.append((np.shape(u), np.shape(v)))
+        return jet(self, u, v)
+
+    monkeypatch.setattr(ci.Torus, "jet", recorded)
+    ci.lhs_integral(ci.Torus(2.0, 0.5), RectRegion(0.3, 1.1, 0.2, 0.9))
+    assert shapes == [((128, 1), (1, 128))]
+
+
+# -- the identity's moment companion: integral_P x X N H dS = integral_G x X n dG --
+
+
+def _moment_sides(surface, region, rule):
+    """(patch moment, contour moment, contour length, max |x| on the
+    contour), by np.cross on the stacked columns of geometry()."""
+    U, V, w1, w2, jac = region.interior(rule)
+    pos, _, _, normal, sqrt_g, mean = stacked_geometry(surface, U, V)
+    field = np.cross(pos, normal) * (mean * sqrt_g * jac)[..., None]
+    lhs = np.einsum("i,j,ijk->k", w1, w2, field)
+    t, w = ci.panel_nodes(0.0, 1.0, rule)
+    rhs, length, reach = np.zeros(3), 0.0, 0.0
+    for k in range(region.pieces):
+        (u, v), (du, dv), _ = region.piece(k, t)
+        pos, s1, s2, normal, _, _ = stacked_geometry(surface, u, v, order=1)
+        d = du[:, None] * s1 + dv[:, None] * s2
+        speed = np.linalg.norm(d, axis=1)
+        n = np.cross(d, normal)
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        rhs += (w * speed) @ np.cross(pos, n)
+        length += w @ speed
+        reach = max(reach, np.linalg.norm(pos, axis=1).max())
+    return lhs, rhs, length, reach
+
+
+@pytest.mark.parametrize("surface", bundled_surfaces(), ids=lambda s: s.name)
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["rect", "disk"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_moment_identity(surface, kind, seed):
+    # x X (Delta_S x) = x X N H integrates to the contour's x X n, the
+    # tangential part sum_i e_i X e_i vanishing; on a sphere about the
+    # origin and on minimal surfaces both sides are roundoff of zero
+    make = random_rect if kind == "rect" else random_disk
+    region = make(surface, np.random.default_rng(seed))
+    lhs, rhs, length, reach = _moment_sides(surface, region, ci.default_rule())
+    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), length * reach)
+    assert np.linalg.norm(lhs - rhs) <= 1e-12 * scale

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import curvint as ci
 from curvint import BoundaryVertexError
 
-from conftest import (bundled_meshes, interior_vertices, isolated_vertex, perturbed_meshes,
-                      random_rotation)
+from conftest import (bundled_meshes, interior_vertices, isolated_vertex, jiggled_icosphere,
+                      perturbed_meshes, random_rotation)
 
 
 def rel_vec_err(a, b):
@@ -104,6 +104,19 @@ def test_translation_invariance_of_star_sums():
             total += ci.star_sum(mesh, v)
             scale += star.total_edge_length
         assert np.linalg.norm(total) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("level,seed", [(1, 1), (2, 2), (3, 3), (4, 4)])
+@pytest.mark.parametrize("shift", [(0.0, 0.0, 0.0), (3.0, -7.0, 2.5)], ids=["origin", "shifted"])
+def test_moment_of_star_sums_vanishes_on_closed_meshes(level, seed, shift):
+    # rotation invariance of the area: sum_v x_v X (sum a n)_v = 0; a
+    # shift adds c X sum_v (sum a n)_v, which vanishes on a closed mesh
+    mesh = jiggled_icosphere(level, seed)
+    mesh = mesh.with_positions(mesh.positions + np.array(shift))
+    kernel = mesh.corner_kernel()
+    moment = np.cross(mesh.positions, kernel.star_sums).sum(axis=0)
+    reach = np.linalg.norm(mesh.positions, axis=1).max()
+    assert np.linalg.norm(moment) <= 1e-13 * reach * kernel.edge_lengths.sum()
 
 
 def test_rotation_equivariance():

@@ -9,7 +9,8 @@ import curvint as ci
 from curvint import DomainError
 
 from conftest import (bundled_surfaces, frame, random_interior_points, reference_geometry,
-                      reference_numeric_mean_curvature, sample_box, stacked_jet)
+                      reference_numeric_mean_curvature, sample_box, stacked_geometry,
+                      stacked_jet)
 
 
 KINDS = bundled_surfaces()
@@ -58,7 +59,7 @@ def test_jet_derivatives_match_central_differences(surface, a, b):
     for exact, numeric in [(ru, d_du(0)), (rv, d_dv(0)), (ruu, d_du(1)), (rvv, d_dv(2)),
                            (ruv, d_du(2)), (ruv, d_dv(1))]:
         np.testing.assert_allclose(numeric, exact, rtol=0, atol=1e-7)
-    assert surface.position(u, v).tobytes() == surface.geometry(u, v)[0].tobytes()
+    assert surface.position(u, v).tobytes() == np.stack(surface.geometry(u, v)[0], -1).tobytes()
 
 
 def _assert_same(got, ref):
@@ -88,13 +89,45 @@ def _parameters(surface, layout, rng):
 def test_geometry_matches_stacked_reference(surface, layout, seed):
     u, v = _parameters(surface, layout, np.random.default_rng(seed))
     ref = reference_geometry(surface, u, v)
-    got = surface.geometry(u, v)
+    got = stacked_geometry(surface, u, v)
     for g, r in zip(got, ref):
         _assert_same(g, r)
-    first = surface.geometry(u, v, order=1)
+    first = stacked_geometry(surface, u, v, order=1)
     assert first[5] is None
     for g, r in zip(first[:5], got[:5]):
         assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
+
+
+@pytest.mark.parametrize("surface", KINDS, ids=lambda s: s.name)
+@pytest.mark.parametrize("layout", ["scalar", "1d", "2d", "broadcast"])
+def test_geometry_returns_component_columns(surface, layout):
+    # constants in the jet (the plane's S1 and S2, the cylinder's S1) come
+    # back as columns of the full shape too
+    u, v = _parameters(surface, layout, np.random.default_rng(5))
+    shape = np.broadcast(u, v).shape
+    for order in (1, 2):
+        *vectors, sqrt_g, mean = surface.geometry(u, v, order=order)
+        assert len(vectors) == 4
+        for cols in vectors:
+            assert isinstance(cols, tuple) and len(cols) == 3
+            assert all(isinstance(c, np.ndarray) and c.shape == shape for c in cols)
+        assert np.shape(sqrt_g) == shape
+        assert (mean is None) if order == 1 else np.shape(mean) == shape
+
+
+@pytest.mark.parametrize("surface", KINDS, ids=lambda s: s.name)
+@pytest.mark.parametrize("order", [1, 2])
+def test_geometry_on_axes_matches_the_broadcast_grid_bitwise(surface, order):
+    u0, u1, v0, v1 = sample_box(surface)
+    rng = np.random.default_rng(17)
+    x, y = rng.uniform(u0, u1, 9), rng.uniform(v0, v1, 7)
+    axes = surface.geometry(x[:, None], y[None, :], order=order)
+    grid = surface.geometry(*np.broadcast_arrays(x[:, None], y[None, :]), order=order)
+    for a, g in zip(axes[:4], grid[:4]):
+        assert [c.shape for c in a] == [(9, 7)] * 3
+        assert np.stack(a, -1).tobytes() == np.stack(g, -1).tobytes()
+    for a, g in zip(axes[4:], grid[4:]):
+        assert (a is None and g is None) or np.asarray(a).tobytes() == np.asarray(g).tobytes()
 
 
 def test_overflowing_geometry_matches_stacked_reference():
@@ -103,8 +136,8 @@ def test_overflowing_geometry_matches_stacked_reference():
     u, v = np.linspace(0.3, 1.1, 9)[:, None], np.linspace(0.2, 0.9, 4)[None, :]
     with np.errstate(all="ignore"):
         ref = reference_geometry(surface, u, v)
-        got = surface.geometry(u, v)
-        first = surface.geometry(u, v, order=1)
+        got = stacked_geometry(surface, u, v)
+        first = stacked_geometry(surface, u, v, order=1)
     assert np.isnan(ref[5]).any() and np.isnan(ref[3]).any()
     for g, r in zip(got, ref):
         _assert_same(g, r)
@@ -181,7 +214,7 @@ def test_geometry_broadcasts():
     t = ci.Torus(2.0, 0.5)
     u = np.linspace(0.1, 1.0, 4)[:, None]
     v = np.linspace(0.2, 2.0, 3)[None, :]
-    pos, s1, s2, n, sqrt_g, mean = t.geometry(u, v)
+    pos, s1, s2, n, sqrt_g, mean = stacked_geometry(t, u, v)
     assert pos.shape == (4, 3, 3)
     assert sqrt_g.shape == (4, 3)
     fr = frame(t, u[2, 0], v[0, 1])
