@@ -72,8 +72,49 @@ def _rule_from_args(args):
 
 
 def _read_field(path: str, n_vertices: int) -> np.ndarray:
+    """One value per vertex from a `vertex,value` CSV whose line 1 may be
+    a header: one numpy pass over a regular body, else the line loop,
+    which names the line at fault."""
+    lines = Path(path).read_text().splitlines()
+    start = 1 if lines and _is_header(lines[0]) else 0
+    block = _field_block(lines[start:], n_vertices)
+    return _field_line_loop(lines, start, path, n_vertices) if block is None else block
+
+
+def _is_header(line: str) -> bool:
+    """Two fields, the first no vertex index."""
+    parts = line.split(",")
+    if len(parts) != 2:
+        return False
+    try:
+        int(parts[0].strip())
+    except ValueError:
+        return True
+    return False
+
+
+def _field_block(body, n_vertices: int) -> np.ndarray | None:
+    """The values of a regular field body, or None: exactly n_vertices
+    lines `v,value`, no blank one, whose integer indices cover
+    0..n_vertices-1 once and whose values are finite. Never raises."""
+    if n_vertices == 0 or len(body) != n_vertices or "" in body:
+        return None
+    try:
+        rows = np.loadtxt(body, dtype=[("v", np.int64), ("x", float)], delimiter=",",
+                          comments=None, ndmin=1)
+    except (ValueError, OverflowError):
+        return None
+    v, x = rows["v"], rows["x"]
+    if not (np.array_equal(np.sort(v), np.arange(n_vertices)) and np.isfinite(x).all()):
+        return None
+    values = np.empty(n_vertices)
+    values[v] = x
+    return values
+
+
+def _field_line_loop(lines, start: int, path: str, n_vertices: int) -> np.ndarray:
     values = [None] * n_vertices
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
         line = raw.strip()
         if not line:
             continue
@@ -82,11 +123,6 @@ def _read_field(path: str, n_vertices: int) -> np.ndarray:
             raise ValueError(f"{path}:{lineno}: expected 'vertex,value'")
         try:
             v = int(parts[0])
-        except ValueError:
-            if lineno == 1:
-                continue  # a header: its first field is no vertex index
-            raise ValueError(f"{path}:{lineno}: expected 'vertex,value'") from None
-        try:
             x = float(parts[1])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: expected 'vertex,value'") from None

@@ -15,8 +15,9 @@ rectangle's four edges, a disk's circle): piece(k, t) gives the points
 [0, 1]. interior(rule) gives nodes U, V that broadcast together, the
 weights along each node axis and the Jacobian of the map onto the region
 (1 on a rectangle's two axes, r on a disk's polar grid). Both sides work
-on geometry's component columns: one pass over the pieces, one patch
-evaluation. A non-finite side (an overflowing surface) raises EvaluationError.
+on geometry's component columns: one first-order geometry call on the
+nodes of all the pieces, one patch evaluation. A non-finite side (an
+overflowing surface) raises EvaluationError.
 
 The exterior normal is computed as t x N from the curve tangent t; with
 counterclockwise parameter traversal this always points out of the patch
@@ -123,6 +124,8 @@ class DiskRegion(_Region):
     pieces = 1
 
     def __post_init__(self):
+        if not (math.isfinite(self.uc) and math.isfinite(self.vc)):
+            raise ValueError("disk center must be finite")
         if not self.rho > 0:
             raise ValueError("disk radius must be positive")
 
@@ -222,17 +225,22 @@ def _finite(name: str, value):
 
 def _contour(surface, region, rule):
     """(contour integral of the exterior normal, arc length), one
-    composite rule per boundary piece."""
+    composite rule per boundary piece, all pieces framed by one geometry
+    call on their concatenated nodes."""
     region.validate_on(surface)
     t, w = panel_nodes(0.0, 1.0, rule)
+    pieces = [region.piece(k, t) for k in range(region.pieces)]
+    # u, v, du, dv, each concatenated over the pieces
+    nodes = [np.concatenate(c) for c in zip(*((*x, *dx) for x, dx, _ in pieces))]
     rhs, length = None, 0.0
     with np.errstate(all="ignore"):
+        _, _, n, speed = _frame(surface, *nodes)
+        n = np.stack(n, axis=-1)
         for k in range(region.pieces):
-            (u, v), (du, dv), _ = region.piece(k, t)
-            _, _, n, speed = _frame(surface, u, v, du, dv)
-            part = ((w * speed)[:, None] * np.stack(n, axis=-1)).sum(axis=0)
+            piece = slice(k * len(t), (k + 1) * len(t))
+            part = ((w * speed[piece])[:, None] * n[piece]).sum(axis=0)
             rhs = part if rhs is None else rhs + part  # a None start keeps -0.0
-            length += float(w @ speed)
+            length += float(w @ speed[piece])
     return rhs, length
 
 

@@ -215,9 +215,9 @@ def curvature_arrays(mesh: TriMesh, tol_direction: float = 1e-8):
 
 def curvature_vectors(mesh: TriMesh, rows=slice(None)) -> np.ndarray:
     """B = sum(a_i n_i) / sum(A_i) at the given vertices (all by default),
-    (n, 3), from the corner kernel's sums."""
-    kernel = mesh.corner_kernel()
-    return kernel.star_sums[rows] / kernel.ring_areas[rows, None]
+    (n, 3), the rows of the corner kernel's one whole-mesh quotient (a
+    read-only view for a slice)."""
+    return mesh.corner_kernel().curvature[rows]
 
 
 def _curvature_rows(mesh: TriMesh, rows, tol_direction: float):

@@ -269,8 +269,9 @@ class CornerKernel:
     """Per-vertex corner sums, one bincount per column over by_slot (slot
     by slot in face order): star_sums (sum of a n) and ring_areas (sum of
     the face areas A = face_areas) from one corner_terms pass, and on
-    first use edge_lengths (sum of a). star_sums is nan at a face of zero
-    area, which TriMesh refuses. No per-corner array is kept."""
+    first use edge_lengths (sum of a) and curvature (B, their quotient).
+    star_sums is nan at a face of zero area, which TriMesh refuses. No
+    per-corner array is kept."""
 
     def __init__(self, positions: np.ndarray, topology: MeshTopology):
         _, norm_m, _, an = corner_terms(positions, topology.faces)
@@ -282,6 +283,13 @@ class CornerKernel:
     def _sums(self, weights: np.ndarray) -> np.ndarray:  # float also without faces
         return np.bincount(self._topology.by_slot, weights,
                            minlength=self._topology.n_vertices).astype(float, copy=False)
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """B = star_sums / ring_areas, (V, 3); inf or nan without a warning
+        where the sums overflow and at an isolated vertex."""
+        with np.errstate(all="ignore"):
+            return _frozen(self.star_sums / self.ring_areas[:, None])
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:

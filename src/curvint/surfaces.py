@@ -1,10 +1,12 @@
 """Analytic parametric surfaces r(u, v). Each supplies its chart once, as
 the jet (r, r_u, r_v, r_uu, r_uv, r_vv) in closed form, each vector a
-3-tuple of component columns (a constant one may be a scalar).
-`geometry(u, v)` derives the tangent basis, unit normal, area element and
-mean curvature column by column and returns its vectors in that layout,
-broadcast to the shape of (u, v); `order=1` stops at the normal and area
-element, all that the contour and area passes of `curvint.contour` read.
+3-tuple of component columns (a constant one may be a scalar); at
+`order=1` the jet stops at (r, r_u, r_v). `geometry(u, v)` derives the
+tangent basis, unit normal, area element and mean curvature column by
+column and returns its vectors in that layout, broadcast to the shape of
+(u, v); `order=1` evaluates the first-order jet and stops at the normal
+and area element, all that the contour and area passes of
+`curvint.contour` read.
 
 Conventions, used consistently everywhere in this package:
 
@@ -55,8 +57,10 @@ def _dot(a, b):
 
 
 def _columns(cols, shape):
-    """A vector's three component columns, each broadcast to shape."""
-    return tuple(np.broadcast_to(c, shape) for c in cols)
+    """A vector's three component columns, each an ndarray of shape shape
+    (a column that is one already is kept as it is)."""
+    return tuple(c if isinstance(c, np.ndarray) and c.shape == shape else np.broadcast_to(c, shape)
+                 for c in cols)
 
 
 def _mean_curvature(s1, s2, normal, ruu, ruv, rvv):
@@ -83,9 +87,10 @@ class ParametricSurface:
 
     # -- subclass surface definition -------------------------------------
 
-    def jet(self, u, v) -> tuple[tuple, ...]:
+    def jet(self, u, v, order: int = 2) -> tuple[tuple, ...]:
         """(r, r_u, r_v, r_uu, r_uv, r_vv) at (u, v), each an (x, y, z)
-        tuple of component columns; no domain check."""
+        tuple of component columns; order=1 gives only (r, r_u, r_v) and
+        evaluates no second derivative. No domain check."""
         raise NotImplementedError
 
     def position(self, u, v) -> np.ndarray:
@@ -118,13 +123,15 @@ class ParametricSurface:
     def geometry(self, u, v, order: int = 2):
         """(position, s1, s2, normal, sqrt_g, mean_curvature), each vector a
         3-tuple of columns of shape np.broadcast(u, v).shape, some of them
-        read-only views. order=1 skips the fundamental forms; H is then None."""
+        read-only views and a position column possibly u or v itself.
+        order=1 evaluates the first-order jet and skips the fundamental
+        forms; H is then None."""
         if order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {order}")
         u, v = np.asarray(u, float), np.asarray(v, float)
         shape = np.broadcast(u, v).shape
         self.require_inside(u, v)
-        pos, s1, s2, *second = self.jet(u, v)
+        pos, s1, s2, *second = self.jet(u, v, order)
         cross = column_cross(s1, s2)
         sqrt_g = column_norm(cross)
         # a cross product constant along an axis still gets the full shape
@@ -141,8 +148,9 @@ class Plane(ParametricSurface):
 
     name = "plane"
 
-    def jet(self, u, v):
-        return (u, v, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), _ZERO, _ZERO, _ZERO
+    def jet(self, u, v, order=2):
+        first = (u, v, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+        return first if order == 1 else (*first, _ZERO, _ZERO, _ZERO)
 
 
 class Sphere(ParametricSurface):
@@ -160,16 +168,16 @@ class Sphere(ParametricSurface):
     def __init__(self, radius: float):
         self.radius = checked_positive(radius, "radius")
 
-    def jet(self, u, v):
+    def jet(self, u, v, order=2):
         rs, rc = self.radius * np.sin(u), self.radius * np.cos(u)
         sv, cv = np.sin(v), np.cos(v)
         x, y, xc, yc = rs * cv, rs * sv, rc * cv, rc * sv
-        return ((x, y, rc),
-                (xc, yc, -rs),
-                (-y, x, 0.0),
-                (-x, -y, -rc),
-                (-yc, xc, 0.0),
-                (-x, -y, 0.0))
+        ny = -y
+        first = (x, y, rc), (xc, yc, -rs), (ny, x, 0.0)
+        if order == 1:
+            return first
+        nx = -x
+        return (*first, (nx, ny, -rc), (-yc, xc, 0.0), (nx, ny, 0.0))
 
 
 class Cylinder(ParametricSurface):
@@ -181,13 +189,10 @@ class Cylinder(ParametricSurface):
     def __init__(self, radius: float):
         self.radius = checked_positive(radius, "radius")
 
-    def jet(self, u, v):
+    def jet(self, u, v, order=2):
         rs, rc = self.radius * np.sin(v), self.radius * np.cos(v)
-        return ((rc, rs, u),
-                (0.0, 0.0, 1.0),
-                (-rs, rc, 0.0),
-                _ZERO, _ZERO,
-                (-rc, -rs, 0.0))
+        first = (rc, rs, u), (0.0, 0.0, 1.0), (-rs, rc, 0.0)
+        return first if order == 1 else (*first, _ZERO, _ZERO, (-rc, -rs, 0.0))
 
 
 class Torus(ParametricSurface):
@@ -204,17 +209,16 @@ class Torus(ParametricSurface):
         self.major = major
         self.minor = minor
 
-    def jet(self, u, v):
+    def jet(self, u, v, order=2):
         rs, rc = self.minor * np.sin(u), self.minor * np.cos(u)
         sv, cv = np.sin(v), np.cos(v)
         w = self.major + rc
         x, y, sc, ss = w * cv, w * sv, rs * cv, rs * sv
-        return ((x, y, rs),
-                (-sc, -ss, rc),
-                (-y, x, 0.0),
-                (-(rc * cv), -(rc * sv), -rs),
-                (ss, -sc, 0.0),
-                (-x, -y, 0.0))
+        nsc, ny = -sc, -y
+        first = (x, y, rs), (nsc, -ss, rc), (ny, x, 0.0)
+        if order == 1:
+            return first
+        return (*first, (-(rc * cv), -(rc * sv), -rs), (ss, nsc, 0.0), (-x, ny, 0.0))
 
 
 class Catenoid(ParametricSurface):
@@ -228,18 +232,18 @@ class Catenoid(ParametricSurface):
     def __init__(self, waist: float = 1.0):
         self.waist = checked_positive(waist, "waist")
 
-    def jet(self, u, v):
+    def jet(self, u, v, order=2):
         c = self.waist
-        ch = np.cosh(u / c)
-        rho, drho, ddrho = c * ch, np.sinh(u / c), ch / c
+        s = u / c
+        ch = np.cosh(s)
+        rho, drho = c * ch, np.sinh(s)
         sv, cv = np.sin(v), np.cos(v)
-        x, y = rho * cv, rho * sv
-        return ((x, y, u),
-                (drho * cv, drho * sv, 1.0),
-                (-y, x, 0.0),
-                (ddrho * cv, ddrho * sv, 0.0),
-                (-(drho * sv), drho * cv, 0.0),
-                (-x, -y, 0.0))
+        x, y, dx, dy = rho * cv, rho * sv, drho * cv, drho * sv
+        first = (x, y, u), (dx, dy, 1.0), (-y, x, 0.0)
+        if order == 1:
+            return first
+        ddrho = ch / c
+        return (*first, (ddrho * cv, ddrho * sv, 0.0), (-dy, dx, 0.0), (-x, -y, 0.0))
 
 
 class Enneper(ParametricSurface):
@@ -249,14 +253,15 @@ class Enneper(ParametricSurface):
     u_range = (-1.5, 1.5)
     v_range = (-1.5, 1.5)
 
-    def jet(self, u, v):
+    def jet(self, u, v, order=2):
         uu, vv, u2, v2 = u * u, v * v, 2.0 * u, 2.0 * v
-        return ((u - u ** 3 / 3.0 + u * v * v, v - v ** 3 / 3.0 + uu * v, uu - vv),
-                (1.0 - uu + vv, u2 * v, u2),
-                (u2 * v, 1.0 - vv + uu, -v2),
-                (-u2, v2, 2.0),
-                (v2, u2, 0.0),
-                (u2, -v2, -2.0))
+        u2v, nv2 = u2 * v, -v2
+        first = ((u - u ** 3 / 3.0 + u * v * v, v - v ** 3 / 3.0 + uu * v, uu - vv),
+                 (1.0 - uu + vv, u2v, u2),
+                 (u2v, 1.0 - vv + uu, nv2))
+        if order == 1:
+            return first
+        return (*first, (-u2, v2, 2.0), (v2, u2, 0.0), (u2, nv2, -2.0))
 
 
 class MongeGraph(ParametricSurface):
@@ -278,10 +283,11 @@ class MongeGraph(ParametricSurface):
         self.v_range = (float(y_range[0]), float(y_range[1]))
         self.name = name
 
-    def jet(self, u, v):
-        return ((u, v, self.f(u, v)),
-                (1.0, 0.0, self.fx(u, v)),
-                (0.0, 1.0, self.fy(u, v)),
+    def jet(self, u, v, order=2):
+        first = (u, v, self.f(u, v)), (1.0, 0.0, self.fx(u, v)), (0.0, 1.0, self.fy(u, v))
+        if order == 1:
+            return first
+        return (*first,
                 (0.0, 0.0, self.fxx(u, v)),
                 (0.0, 0.0, self.fxy(u, v)),
                 (0.0, 0.0, self.fyy(u, v)))

@@ -19,7 +19,8 @@ on it kept as references for the region pieces and one-pass integrals of
 `curvint.contour`; the pointwise surface frame, the finite-difference
 mean curvature and the stock surfaces that only the tests use; and the
 per-row CSV writers of the command line, kept as references for its
-whole-array tables. The one-ring references are memoised per mesh
+whole-array tables, and the field reader's line loop, kept as the
+reference for its block path. The one-ring references are memoised per mesh
 (meshes are immutable): the oracles rebuild the same star many times."""
 
 from __future__ import annotations
@@ -951,3 +952,36 @@ def reference_flow_csv(trace: ci.FlowTrace) -> str:
     return _csv(["step,area,max_B,min_tri_area"]
                 + [",".join([str(s.index), _fmt(s.area), _fmt(s.max_curvature),
                              _fmt(s.min_face_area)]) for s in trace.steps])
+
+
+def reference_read_field(path, n_vertices: int) -> np.ndarray:
+    """The `laplacian` field reader as one loop over the lines, line 1 a
+    header when its first of two fields is no vertex index."""
+    values = [None] * n_vertices
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'vertex,value'")
+        try:
+            v = int(parts[0])
+        except ValueError:
+            if lineno == 1:
+                continue
+            raise ValueError(f"{path}:{lineno}: expected 'vertex,value'") from None
+        try:
+            x = float(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected 'vertex,value'") from None
+        if not 0 <= v < n_vertices:
+            raise ValueError(f"{path}:{lineno}: vertex {v} out of range")
+        if not math.isfinite(x):
+            raise ValueError(f"{path}:{lineno}: value must be finite")
+        if values[v] is not None:
+            raise ValueError(f"{path}:{lineno}: vertex {v} given twice")
+        values[v] = x
+    if None in values:
+        raise ValueError(f"{path}: no value for vertex {values.index(None)}")
+    return np.array(values)

@@ -6,19 +6,21 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import curvint as ci
-from curvint import discrete
+from curvint import cli, discrete
 from curvint.cli import run
 
 from conftest import (FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, NON_FINITE_FIXTURES, STOCK,
                       jiggled_icosphere, reference_curvature_csv, reference_fd_area_gradient,
                       reference_flow_csv, reference_gradcheck_csv, reference_laplacian_csv,
                       reference_limit_csv, reference_make_catenoid, reference_make_grid,
-                      reference_make_tube, reference_verify_csv)
+                      reference_make_tube, reference_read_field, reference_verify_csv)
 
 
 def read_rows(path):
@@ -278,6 +280,15 @@ def test_nan_disk_radius_is_refused_as_not_positive(capsys):
               "--rho", "nan"])
     assert rc == 1
     assert capsys.readouterr().err == "error: disk radius must be positive\n"
+
+
+@pytest.mark.parametrize("uc,vc", [("nan", "1"), ("1", "inf"), ("-inf", "nan")])
+def test_non_finite_disk_center_is_refused_by_name(uc, vc, capsys):
+    # every finite point is inside a torus: the center itself is at fault
+    rc = run(["verify", "--surface", "torus", "--region", "disk", f"--uc={uc}", f"--vc={vc}",
+              "--rho", "0.3"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: disk center must be finite\n"
 
 
 def test_mesh_subcommands_call_no_per_vertex_function(tmp_path, monkeypatch):
@@ -558,6 +569,65 @@ def test_laplacian_field_rows_are_checked(rows, line, message, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {field_path}:{line}: {message}\n"
+
+
+@st.composite
+def field_files(draw):
+    """(text, n_vertices, regular) of a field file: rows in any order,
+    indices and values in several spellings, and at most one fault;
+    regular when the numpy block path must take it."""
+    n = draw(st.integers(2, 9))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n,
+                           max_size=n))
+    indices = list(range(n))
+    spelling = draw(st.sampled_from(["{}", "+{}", " {} ", "0{}"]))
+    index = [spelling] * n
+    fault = draw(st.sampled_from([None, "duplicate", "missing", "out of range", "negative",
+                                  "1.0", "1e3", "nan", "inf", "-inf", "", "  "]))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    if fault == "duplicate":
+        indices[i] = j
+    elif fault == "missing":
+        del indices[i]
+    elif fault == "out of range":
+        indices[i] = n + draw(st.integers(0, 3))
+    elif fault == "negative":
+        indices[i] = -1
+    elif fault in ("1.0", "1e3"):
+        index[i] = "{}.0" if fault == "1.0" else "1e3"
+    elif fault in ("nan", "inf", "-inf"):
+        values[i] = float(fault)
+    rows = []
+    for k in draw(st.permutations(range(len(indices)))):
+        value = draw(st.sampled_from(["{!r}", "{:.3g}", "\t{!r} ", "{:.17e}"]))
+        rows.append(index[k].format(indices[k]) + "," + value.format(values[indices[k] % n]))
+    if fault in ("", "  "):  # a blank line
+        rows.insert(draw(st.integers(0, len(rows) - 1)), fault)
+    header = draw(st.sampled_from([[], ["vertex,value"], [" v , x "]]))
+    text = "\n".join(header + rows) + draw(st.sampled_from(["", "\n"]))
+    return text, n, fault is None
+
+
+def _field_outcome(read):
+    try:
+        return "ok", read().tobytes()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=field_files())
+def test_field_block_path_matches_the_line_loop(case, tmp_path_factory):
+    # bitwise equal values, and the loop's message wherever it refuses
+    text, n, regular = case
+    path = tmp_path_factory.mktemp("field") / "field.csv"
+    path.write_text(text)
+    expected = _field_outcome(lambda: reference_read_field(path, n))
+    assert _field_outcome(lambda: cli._read_field(str(path), n)) == expected
+    if regular:  # taken by the block path, without the loop
+        assert expected[0] == "ok"
+        with mock.patch.object(cli, "_field_line_loop", side_effect=AssertionError("loop")):
+            assert cli._read_field(str(path), n).tobytes() == expected[1]
 
 
 def readme_commands():

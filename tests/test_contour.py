@@ -191,6 +191,9 @@ def test_region_validation():
         DiskRegion(0.0, 0.0, -0.1)
     with pytest.raises(ValueError, match="^disk radius must be positive$"):
         DiskRegion(1.0, 1.0, math.nan)
+    for uc, vc in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)):
+        with pytest.raises(ValueError, match="^disk center must be finite$"):
+            DiskRegion(uc, vc, 0.3)
     with pytest.raises(DomainError):
         ci.lhs_integral(ci.Catenoid(1.0), RectRegion(1.0, 3.0, 0.0, 1.0))
     with pytest.raises(DomainError):
@@ -295,15 +298,15 @@ def _count_geometry_orders(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("region,calls", [
-    (RectRegion(0.3, 1.1, 0.2, 0.9), 5),  # one per edge, one for the patch
+    (RectRegion(0.3, 1.1, 0.2, 0.9), 2),  # one for the four edges, one for the patch
     (DiskRegion(1.0, 1.0, 0.3), 2),
 ], ids=["rect", "disk"])
 def test_verify_identity_geometry_calls(monkeypatch, region, calls):
     seen = _count_geometry_orders(monkeypatch)
     ci.verify_identity(ci.Torus(2.0, 0.5), region)
     assert len(seen) == calls
-    # the contour pieces are first-order, the patch pass second-order
-    assert seen == [1] * (calls - 1) + [2]
+    # the contour is first-order, the patch pass second-order
+    assert seen == [1, 2]
 
 
 def test_shrinking_limit_geometry_calls(monkeypatch):
@@ -336,9 +339,9 @@ def test_rect_patch_evaluates_the_jet_on_its_two_axes(monkeypatch):
     shapes = []
     jet = ci.Torus.jet
 
-    def recorded(self, u, v):
+    def recorded(self, u, v, order=2):
         shapes.append((np.shape(u), np.shape(v)))
-        return jet(self, u, v)
+        return jet(self, u, v, order)
 
     monkeypatch.setattr(ci.Torus, "jet", recorded)
     ci.lhs_integral(ci.Torus(2.0, 0.5), RectRegion(0.3, 1.1, 0.2, 0.9))

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -233,6 +234,27 @@ def test_run_flow_steps_through_mcf_step(monkeypatch, level, case, dt_scale, n_s
     assert flow_bytes(trace, final) == flow_bytes(*expected)
     assert len(calls) == len(trace.steps) - 1 + (trace.stop_reason is not None)
     assert calls[0] is mesh
+
+
+def test_run_flow_divides_b_once_per_state(monkeypatch):
+    # record and the next mcf_step read one cached quotient per TriMesh
+    divided = []
+    quotient = CornerKernel.curvature.func
+
+    def counted(kernel):
+        divided.append(kernel)
+        return quotient(kernel)
+
+    cached = functools.cached_property(counted)
+    cached.__set_name__(CornerKernel, "curvature")
+    monkeypatch.setattr(CornerKernel, "curvature", cached)
+    mesh = jiggled_icosphere(2, 7)
+    trace, final = ci.run_flow(mesh, 1e-3, 4)
+    assert trace.stop_reason is None
+    assert len(divided) == len(set(map(id, divided))) == len(trace.steps)
+    kernel = final.corner_kernel()
+    assert divided[-1] is kernel
+    assert kernel.curvature.tobytes() == (kernel.star_sums / kernel.ring_areas[:, None]).tobytes()
 
 
 def test_boundary_refused_before_an_isolated_vertex():

@@ -130,6 +130,47 @@ def test_geometry_on_axes_matches_the_broadcast_grid_bitwise(surface, order):
         assert (a is None and g is None) or np.asarray(a).tobytes() == np.asarray(g).tobytes()
 
 
+@pytest.mark.parametrize("surface", KINDS, ids=lambda s: s.name)
+@pytest.mark.parametrize("layout", ["scalar", "1d", "axes", "broadcast"])
+def test_first_order_jet_is_the_head_of_the_jet_bitwise(surface, layout):
+    if layout == "axes":
+        u0, u1, v0, v1 = sample_box(surface)
+        rng = np.random.default_rng(29)
+        u, v = rng.uniform(u0, u1, (6, 1)), rng.uniform(v0, v1, (1, 4))
+    else:
+        u, v = _parameters(surface, layout, np.random.default_rng(29))
+    u, v = np.asarray(u, float), np.asarray(v, float)
+    first = surface.jet(u, v, order=1)
+    full = surface.jet(u, v)
+    assert len(first) == 3 and len(full) == 6
+    for got, ref in zip(first, full[:3]):
+        assert len(got) == 3
+        for g, r in zip(got, ref):
+            _assert_same(g, r)
+
+
+def test_first_order_passes_never_call_the_second_partials():
+    def refuse(x, y):
+        raise AssertionError("a second partial was evaluated")
+
+    bump = dict(f=lambda x, y: np.sin(x) * np.cos(y),
+                fx=lambda x, y: np.cos(x) * np.cos(y),
+                fy=lambda x, y: -np.sin(x) * np.sin(y),
+                x_range=(-2.0, 2.0), y_range=(-2.0, 2.0), name="bump")
+    g = ci.MongeGraph(fxx=refuse, fxy=refuse, fyy=refuse, **bump)
+    full = ci.MongeGraph(fxx=lambda x, y: -np.sin(x) * np.cos(y),
+                         fxy=lambda x, y: -np.cos(x) * np.sin(y),
+                         fyy=lambda x, y: -np.sin(x) * np.cos(y), **bump)
+    u, v = np.linspace(-1.0, 1.0, 5), np.linspace(-0.5, 0.7, 5)
+    for got, ref in zip(stacked_geometry(g, u, v, order=1)[:5], stacked_geometry(full, u, v)):
+        _assert_same(got, ref)
+    for region in (ci.RectRegion(-1.0, 0.5, -0.3, 1.2), ci.DiskRegion(0.2, 0.1, 0.6)):
+        assert ci.region_area(g, region) == ci.region_area(full, region)
+        assert ci.rhs_integral(g, region).tobytes() == ci.rhs_integral(full, region).tobytes()
+    with pytest.raises(AssertionError, match="second partial"):
+        g.geometry(u, v)
+
+
 def test_overflowing_geometry_matches_stacked_reference():
     # cosh(u / 1e-3) overflows above u of about 0.71
     surface = ci.Catenoid(1e-3)
