@@ -16,8 +16,10 @@ rectangle's four edges, a disk's circle): piece(k, t) gives the points
 weights along each node axis and the Jacobian of the map onto the region
 (1 on a rectangle's two axes, r on a disk's polar grid). Both sides work
 on geometry's component columns: one first-order geometry call on the
-nodes of all the pieces, one patch evaluation. A non-finite side (an
-overflowing surface) raises EvaluationError.
+nodes of all the pieces, and one geometry call per panel row of the
+interior (a panel of the first node axis), whose results fill the
+full-grid integrands. A non-finite side (an overflowing surface) raises
+EvaluationError.
 
 The exterior normal is computed as t x N from the curve tangent t; with
 counterclockwise parameter traversal this always points out of the patch
@@ -82,6 +84,8 @@ class RectRegion(_Region):
     pieces = 4  # bottom, right, top, left
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.u0, self.u1, self.v0, self.v1))):
+            raise ValueError("rectangle corners must be finite")
         if not (self.u1 > self.u0 and self.v1 > self.v0):
             raise ValueError("rectangle must have positive extent")
 
@@ -245,17 +249,31 @@ def _contour(surface, region, rule):
 
 
 def _patch(surface, region, rule, order=2):
-    """(patch integral of N * H, area) from one geometry evaluation on the
-    region's interior nodes, (None, area) from a first-order one; the
-    caller validates the region."""
+    """(patch integral of N * H, area) over the region's interior nodes,
+    (None, area) at order=1; the caller validates the region.
+
+    Geometry is evaluated one panel of the first node axis at a time (an
+    axis of length 1 is not sliced, so a rectangle's stays two axes), and
+    each block's area element and N * H field are written into full-grid
+    arrays that one einsum each reduces. The block's values are
+    elementwise, so the integrals do not depend on the block size, and
+    its temporaries stay a panel row in size."""
     U, V, w1, w2, jac = region.interior(rule)
+    shape = np.broadcast(U, V).shape
+    d_area = np.empty(shape)
+    field = np.empty(shape + (3,)) if order == 2 else None
+    rows = len(rule.nodes)
     with np.errstate(all="ignore"):
-        _, _, _, normal, sqrt_g, mean = surface.geometry(U, V, order=order)
-        area = float(np.einsum("i,j,ij->", w1, w2, sqrt_g * jac))
-        if order == 1:
-            return None, area
-        field = np.stack(normal, axis=-1) * (mean * sqrt_g)[..., None] * np.expand_dims(jac, -1)
-        return np.einsum("i,j,ijk->k", w1, w2, field), area
+        for start in range(0, shape[0], rows):
+            block = slice(start, start + rows)
+            u, v, j = (x[block] if np.ndim(x) and len(x) > 1 else x for x in (U, V, jac))
+            _, _, _, normal, sqrt_g, mean = surface.geometry(u, v, order=order)
+            d_area[block] = sqrt_g * j
+            if order == 2:
+                field[block] = (np.stack(normal, axis=-1) * (mean * sqrt_g)[..., None]
+                                * np.expand_dims(j, -1))
+        area = float(np.einsum("i,j,ij->", w1, w2, d_area))
+        return (None if field is None else np.einsum("i,j,ijk->k", w1, w2, field)), area
 
 
 def rhs_integral(surface: ParametricSurface, region, rule: QuadratureRule | None = None) -> np.ndarray:

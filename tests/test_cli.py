@@ -291,6 +291,18 @@ def test_non_finite_disk_center_is_refused_by_name(uc, vc, capsys):
     assert capsys.readouterr().err == "error: disk center must be finite\n"
 
 
+@pytest.mark.parametrize("surface,corner", [("plane", "--u0=-inf"), ("plane", "--v1=nan"),
+                                            ("torus", "--u1=inf")])
+def test_non_finite_rect_corner_is_refused_by_name(surface, corner, capsys):
+    # every finite point is inside a plane or a torus: the corner itself is at fault
+    flags = {"--u0": "0", "--u1": "1", "--v0": "0", "--v1": "1"}
+    flags[corner.split("=")[0]] = corner.split("=")[1]
+    rc = run(["verify", "--surface", surface, "--region", "rect",
+              *(f"{k}={v}" for k, v in flags.items())])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: rectangle corners must be finite\n"
+
+
 def test_mesh_subcommands_call_no_per_vertex_function(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a per-vertex function was called")

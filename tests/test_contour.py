@@ -1,10 +1,11 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import curvint as ci
 from curvint import ContourError, DiskRegion, DomainError, EvaluationError, RectRegion
@@ -194,6 +195,10 @@ def test_region_validation():
     for uc, vc in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)):
         with pytest.raises(ValueError, match="^disk center must be finite$"):
             DiskRegion(uc, vc, 0.3)
+    for corners in ((-math.inf, 1.0, 0.0, 1.0), (0.0, math.inf, 0.0, 1.0),
+                    (0.0, 1.0, math.nan, 1.0), (0.0, 1.0, 0.0, math.nan)):
+        with pytest.raises(ValueError, match="^rectangle corners must be finite$"):
+            RectRegion(*corners)
     with pytest.raises(DomainError):
         ci.lhs_integral(ci.Catenoid(1.0), RectRegion(1.0, 3.0, 0.0, 1.0))
     with pytest.raises(DomainError):
@@ -298,22 +303,24 @@ def _count_geometry_orders(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("region,calls", [
-    (RectRegion(0.3, 1.1, 0.2, 0.9), 2),  # one for the four edges, one for the patch
-    (DiskRegion(1.0, 1.0, 0.3), 2),
+    # one for the four edges, one per panel row of the patch's 8 panels
+    (RectRegion(0.3, 1.1, 0.2, 0.9), 9),
+    (DiskRegion(1.0, 1.0, 0.3), 9),
 ], ids=["rect", "disk"])
 def test_verify_identity_geometry_calls(monkeypatch, region, calls):
     seen = _count_geometry_orders(monkeypatch)
     ci.verify_identity(ci.Torus(2.0, 0.5), region)
     assert len(seen) == calls
     # the contour is first-order, the patch pass second-order
-    assert seen == [1, 2]
+    assert seen == [1] + [2] * 8
 
 
 def test_shrinking_limit_geometry_calls(monkeypatch):
     seen = _count_geometry_orders(monkeypatch)
     ci.shrinking_limit(ci.Torus(2.0, 0.5), (1.0, 1.0), [0.2, 0.1, 0.05])
-    # the centre's N * H, then per radius the contour and the area pass
-    assert seen == [2] + [1, 1] * 3
+    # the centre's N * H, then per radius the contour and the area pass,
+    # one call per panel row
+    assert seen == [2] + ([1] + [1] * 8) * 3
 
 
 def test_shrinking_limit_validates_each_disk_once(monkeypatch):
@@ -345,7 +352,62 @@ def test_rect_patch_evaluates_the_jet_on_its_two_axes(monkeypatch):
 
     monkeypatch.setattr(ci.Torus, "jet", recorded)
     ci.lhs_integral(ci.Torus(2.0, 0.5), RectRegion(0.3, 1.1, 0.2, 0.9))
-    assert shapes == [((128, 1), (1, 128))]
+    # one panel row of the u axis at a time, still never the grid
+    assert shapes == [((16, 1), (1, 128))] * 8
+
+
+@pytest.mark.parametrize("surface", bundled_surfaces(), ids=lambda s: s.name)
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["rect", "disk"]), seed=st.integers(0, 2 ** 32 - 1),
+       nodes=st.integers(1, 20), panels=st.integers(1, 10))
+@example(kind="rect", seed=1, nodes=16, panels=1)  # one panel: one block, one call
+@example(kind="disk", seed=1, nodes=16, panels=1)
+def test_patch_blocks_match_the_full_grid_bitwise(surface, kind, seed, nodes, panels):
+    # the patch pass evaluates one panel row at a time; the reference
+    # evaluates the whole grid at once
+    make = random_rect if kind == "rect" else random_disk
+    region = make(surface, np.random.default_rng(seed))
+    rule = ci.gauss_legendre(nodes, panels)
+    assert _bits(ci.lhs_integral(surface, region, rule)) == \
+        _bits(reference_lhs_integral(surface, region, rule))
+    assert _bits(ci.region_area(surface, region, rule)) == \
+        _bits(reference_region_area(surface, region, rule))
+    got = ci.verify_identity(surface, region, rule)
+    ref = reference_verify_identity(surface, region, rule)
+    for field in ("lhs", "rhs", "abs_err", "rel_err", "area"):
+        assert _bits(getattr(got, field)) == _bits(getattr(ref, field)), field
+
+
+@pytest.mark.parametrize("rule", [ci.default_rule(), ci.gauss_legendre(16)],
+                         ids=["8panels", "1panel"])
+def test_degenerate_patch_refused_as_on_the_full_grid(rule):
+    # sqrt_g = 4e-12 sin(theta) drops below the tolerance only past
+    # theta = 2.89, so with 8 panels the first blocks pass and a later one refuses
+    surface, region = ci.Sphere(2e-6), RectRegion(0.3, 3.0, 0.0, 1.0)
+    with pytest.raises(DomainError) as ref:
+        reference_lhs_integral(surface, region, rule)
+    for integral in (ci.lhs_integral, ci.region_area):
+        with pytest.raises(DomainError) as err:
+            integral(surface, region, rule)
+        assert type(err.value) is type(ref.value)
+        assert str(err.value) == str(ref.value) == "degenerate parameterization of sphere"
+
+
+@pytest.mark.parametrize("region", [DiskRegion(1.0, 1.0, 0.3), RectRegion(0.3, 1.1, 0.2, 0.9)],
+                         ids=["disk", "rect"])
+def test_verify_identity_allocates_at_most_a_panel_row_of_temporaries(region):
+    # a deterministic stand-in for page faults: one geometry call on the
+    # whole 128 x 128 grid makes about 80 grid-sized temporaries (a
+    # 3.3-3.9 MiB peak); a 16 x 128 panel row's stay well under the bound
+    surface = ci.Torus(2.0, 0.5)
+    ci.verify_identity(surface, region)  # warm
+    tracemalloc.start()
+    try:
+        ci.verify_identity(surface, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
 
 
 # -- the identity's moment companion: integral_P x X N H dS = integral_G x X n dG --
