@@ -63,6 +63,8 @@ def _region_from_args(args, surface) -> object:
             raise ValueError("cap region needs --theta0")
         if surface.name != "sphere":
             raise ValueError("cap regions are defined on the sphere only")
+        if not math.isfinite(args.theta0):
+            raise ValueError("cap colatitude must be finite")
         return contour.RectRegion(_CAP_POLE_MARGIN, args.theta0, 0.0, 2.0 * math.pi)
     raise ValueError(f"unknown region '{args.region}'")
 

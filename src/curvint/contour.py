@@ -15,11 +15,11 @@ rectangle's four edges, a disk's circle): piece(k, t) gives the points
 [0, 1]. interior(rule) gives nodes U, V that broadcast together, the
 weights along each node axis and the Jacobian of the map onto the region
 (1 on a rectangle's two axes, r on a disk's polar grid). Both sides work
-on geometry's component columns: one first-order geometry call on the
-nodes of all the pieces, and one geometry call per panel row of the
-interior (a panel of the first node axis), whose results fill the
-full-grid integrands. A non-finite side (an overflowing surface) raises
-EvaluationError.
+on the columns of the surface's geometry core, each pass after one domain
+check of all its nodes: one first-order core call on the nodes of all the
+pieces, and one core call per panel row of the interior (a panel of the
+first node axis), whose results fill the full-grid integrands. A
+non-finite side (an overflowing surface) raises EvaluationError.
 
 The exterior normal is computed as t x N from the curve tangent t; with
 counterclockwise parameter traversal this always points out of the patch
@@ -132,6 +132,8 @@ class DiskRegion(_Region):
             raise ValueError("disk center must be finite")
         if not self.rho > 0:
             raise ValueError("disk radius must be positive")
+        if not math.isfinite(self.rho):
+            raise ValueError("disk radius must be finite")
 
     @property
     def label(self) -> str:
@@ -194,11 +196,18 @@ class LimitEstimate:
     observed_order: float
 
 
+def _checked_geometry(surface, u, v, order):
+    """The surface's geometry core on (u, v) after one domain check."""
+    u, v = np.asarray(u, float), np.asarray(v, float)
+    surface.require_inside(u, v)
+    return surface._geometry(u, v, order)
+
+
 def _frame(surface, u, v, du, dv):
     """Image position, unit tangent t and unit exterior normal t x N as
     component columns, and the speed of the contour through (u, v) with
     parameter velocity (du, dv); scalars or arrays of one shape."""
-    pos, s1, s2, normal, _, _ = surface.geometry(u, v, order=1)
+    pos, s1, s2, normal, _, _ = _checked_geometry(surface, u, v, 1)
     d = [du * a + dv * b for a, b in zip(s1, s2)]
     speed = column_norm(d)
     if np.any(speed < _TANGENT_TOL):
@@ -252,13 +261,15 @@ def _patch(surface, region, rule, order=2):
     """(patch integral of N * H, area) over the region's interior nodes,
     (None, area) at order=1; the caller validates the region.
 
-    Geometry is evaluated one panel of the first node axis at a time (an
-    axis of length 1 is not sliced, so a rectangle's stays two axes), and
-    each block's area element and N * H field are written into full-grid
-    arrays that one einsum each reduces. The block's values are
+    The nodes get one domain check, then the geometry core is evaluated
+    one panel of the first node axis at a time (an axis of length 1 is
+    not sliced, so a rectangle's stays two axes), and each block's area
+    element and N * H field are written, one component at a time, into
+    full-grid arrays that one einsum each reduces. The block's values are
     elementwise, so the integrals do not depend on the block size, and
     its temporaries stay a panel row in size."""
     U, V, w1, w2, jac = region.interior(rule)
+    surface.require_inside(U, V)
     shape = np.broadcast(U, V).shape
     d_area = np.empty(shape)
     field = np.empty(shape + (3,)) if order == 2 else None
@@ -267,11 +278,12 @@ def _patch(surface, region, rule, order=2):
         for start in range(0, shape[0], rows):
             block = slice(start, start + rows)
             u, v, j = (x[block] if np.ndim(x) and len(x) > 1 else x for x in (U, V, jac))
-            _, _, _, normal, sqrt_g, mean = surface.geometry(u, v, order=order)
+            _, _, _, normal, sqrt_g, mean = surface._geometry(u, v, order)
             d_area[block] = sqrt_g * j
             if order == 2:
-                field[block] = (np.stack(normal, axis=-1) * (mean * sqrt_g)[..., None]
-                                * np.expand_dims(j, -1))
+                h = mean * sqrt_g
+                for k in range(3):
+                    np.multiply(normal[k] * h, j, out=field[block][..., k])
         area = float(np.einsum("i,j,ij->", w1, w2, d_area))
         return (None if field is None else np.einsum("i,j,ijk->k", w1, w2, field)), area
 
@@ -331,7 +343,7 @@ def shrinking_limit(surface: ParametricSurface, center: tuple[float, float],
         raise ValueError("radii must be positive and strictly decreasing")
     uc, vc = float(center[0]), float(center[1])
     with np.errstate(all="ignore"):
-        _, _, _, normal, _, mean = surface.geometry(uc, vc)
+        _, _, _, normal, _, mean = _checked_geometry(surface, uc, vc, 2)
     target = _finite("N * H at the center", np.stack(normal) * mean)
     estimates = np.empty((len(radii), 3))
     for i, rho in enumerate(radii):

@@ -6,7 +6,8 @@ tangent basis, unit normal, area element and mean curvature column by
 column and returns its vectors in that layout, broadcast to the shape of
 (u, v); `order=1` evaluates the first-order jet and stops at the normal
 and area element, all that the contour and area passes of
-`curvint.contour` read.
+`curvint.contour` read. Those passes call the unchecked, unbroadcast core
+`_geometry` after one domain check of their own.
 
 Conventions, used consistently everywhere in this package:
 
@@ -30,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .numerics import checked_positive, column_cross, column_norm
 
 __all__ = [
@@ -125,22 +126,35 @@ class ParametricSurface:
         3-tuple of columns of shape np.broadcast(u, v).shape, some of them
         read-only views and a position column possibly u or v itself.
         order=1 evaluates the first-order jet and skips the fundamental
-        forms; H is then None."""
+        forms; H is then None. Over `_geometry` this adds the order and
+        domain checks, the broadcast to that shape, and an EvaluationError,
+        without numpy warnings, where a column is not finite (overflow)."""
         if order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {order}")
         u, v = np.asarray(u, float), np.asarray(v, float)
         shape = np.broadcast(u, v).shape
         self.require_inside(u, v)
+        with np.errstate(all="ignore"):
+            *vectors, sqrt_g, mean = self._geometry(u, v, order)
+        scalars = (sqrt_g,) if mean is None else (sqrt_g, mean)
+        if not all(np.isfinite(c).all() for c in (*scalars, *(c for x in vectors for c in x))):
+            raise EvaluationError("surface geometry is not finite")
+        # (..., sqrt_g, H) at order 2, (..., sqrt_g, None) at order 1
+        return (*(_columns(x, shape) for x in vectors), *_columns(scalars, shape), None)[:6]
+
+    def _geometry(self, u, v, order: int):
+        """geometry() on float arrays u, v without the domain check: each
+        column as the jet and the column arithmetic left it (a constant
+        may be a scalar, a column varying along one axis keeps that
+        axis's shape). The degeneracy refusal stays."""
         pos, s1, s2, *second = self.jet(u, v, order)
         cross = column_cross(s1, s2)
         sqrt_g = column_norm(cross)
-        # a cross product constant along an axis still gets the full shape
-        sqrt_g = sqrt_g if np.shape(sqrt_g) == shape else np.full(shape, sqrt_g)
         if np.any(sqrt_g < _DEGENERATE_TOL):
             raise DomainError(f"degenerate parameterization of {self.name}")
         normal = tuple(c / sqrt_g for c in cross)
         mean = _mean_curvature(s1, s2, normal, *second) if order == 2 else None
-        return (*(_columns(x, shape) for x in (pos, s1, s2, normal)), sqrt_g, mean)
+        return pos, s1, s2, normal, sqrt_g, mean
 
 
 class Plane(ParametricSurface):

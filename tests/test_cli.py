@@ -291,6 +291,29 @@ def test_non_finite_disk_center_is_refused_by_name(uc, vc, capsys):
     assert capsys.readouterr().err == "error: disk center must be finite\n"
 
 
+@pytest.mark.parametrize("args,message", [
+    (["verify", "--surface", "plane", "--region", "disk", "--uc", "0", "--vc", "0", "--rho", "inf"],
+     "disk radius must be finite"),
+    (["limit", "--surface", "torus", "--center", "1,1", "--radii", "inf,0.1"],
+     "disk radius must be finite"),
+    (["verify", "--surface", "sphere", "--region", "cap", "--theta0", "inf"],
+     "cap colatitude must be finite"),
+    (["verify", "--surface", "sphere", "--region", "cap", "--theta0=-inf"],
+     "cap colatitude must be finite"),
+    (["verify", "--surface", "sphere", "--region", "cap", "--theta0", "nan"],
+     "cap colatitude must be finite"),
+])
+def test_non_finite_region_size_is_refused_by_name(args, message, capsys):
+    # not "region not inside the domain", "disk wider than one period" or
+    # "rectangle corners must be finite": the size itself is at fault
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("surface,corner", [("plane", "--u0=-inf"), ("plane", "--v1=nan"),
                                             ("torus", "--u1=inf")])
 def test_non_finite_rect_corner_is_refused_by_name(surface, corner, capsys):

@@ -190,8 +190,11 @@ def test_region_validation():
         RectRegion(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         DiskRegion(0.0, 0.0, -0.1)
-    with pytest.raises(ValueError, match="^disk radius must be positive$"):
-        DiskRegion(1.0, 1.0, math.nan)
+    for rho in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="^disk radius must be positive$"):
+            DiskRegion(1.0, 1.0, rho)
+    with pytest.raises(ValueError, match="^disk radius must be finite$"):
+        DiskRegion(1.0, 1.0, math.inf)
     for uc, vc in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)):
         with pytest.raises(ValueError, match="^disk center must be finite$"):
             DiskRegion(uc, vc, 0.3)
@@ -289,16 +292,60 @@ def test_boundary_matches_reference(surface, region):
             close(getattr(got, field), getattr(ref, field))
 
 
+def _stacked_boundary_point(surface, region, s) -> ci.BoundaryPoint:
+    """boundary_point as the contour oracle frames a one-node contour:
+    stacked_geometry on the region's own boundary_param, np.cross and
+    np.linalg.norm along the trailing axis."""
+    (u, v), (du, dv), _ = region.boundary_param(s)
+    pos, s1, s2, normal, _, _ = stacked_geometry(surface, np.array([u]), np.array([v]), order=1)
+    d = du * s1 + dv * s2
+    speed = np.linalg.norm(d, axis=1)
+    n = np.cross(d / speed[:, None], normal)
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    return ci.BoundaryPoint(pos[0], d[0] / speed[0], n[0], float(speed[0]))
+
+
+@pytest.mark.parametrize("surface", bundled_surfaces(), ids=lambda s: s.name)
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from(["rect", "disk"]), seed=st.integers(0, 2 ** 32 - 1),
+       params=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3))
+def test_contour_passes_match_the_stacked_oracles_bitwise(surface, kind, seed, params):
+    # the contour pass, boundary_point and the limit's centre evaluate the
+    # geometry core after one domain check; the oracles read the public
+    # geometry (stacked_geometry) or the stacked reference_geometry
+    rng = np.random.default_rng(seed)
+    region = (random_rect if kind == "rect" else random_disk)(surface, rng)
+    rule = ci.default_rule()
+    assert _bits(ci.rhs_integral(surface, region, rule)) == \
+        _bits(reference_rhs_integral(surface, region, rule))
+    assert _bits(ci.contour_length(surface, region, rule)) == \
+        _bits(reference_contour_length(surface, region, rule))
+    assert _bits(ci.lhs_integral(surface, region, rule)) == \
+        _bits(reference_lhs_integral(surface, region, rule))
+    for s in params:
+        got, ref = ci.boundary_point(surface, region, s), _stacked_boundary_point(surface, region, s)
+        for field in ("position", "tangent", "normal", "speed"):
+            assert _bits(getattr(got, field)) == _bits(getattr(ref, field)), (s, field)
+    disk = random_disk(surface, rng)
+    radii = [disk.rho, disk.rho / 2, disk.rho / 4]
+    study = ci.shrinking_limit(surface, (disk.uc, disk.vc), radii, rule)
+    _, _, _, normal, _, mean = stacked_geometry(surface, disk.uc, disk.vc)
+    assert _bits(study.target) == _bits(normal * mean)
+    disks = [DiskRegion(disk.uc, disk.vc, r) for r in radii]
+    assert _bits(study.estimates) == _bits([reference_rhs_integral(surface, d, rule)
+                                            / reference_region_area(surface, d, rule) for d in disks])
+
+
 def _count_geometry_orders(monkeypatch) -> list[int]:
-    """The order of every later geometry call, in call order."""
+    """The order of every later call of the geometry core, in call order."""
     seen = []
-    geometry = ci.ParametricSurface.geometry
+    core = ci.ParametricSurface._geometry
 
-    def counted(self, u, v, order=2):
+    def counted(self, u, v, order):
         seen.append(order)
-        return geometry(self, u, v, order=order)
+        return core(self, u, v, order)
 
-    monkeypatch.setattr(ci.ParametricSurface, "geometry", counted)
+    monkeypatch.setattr(ci.ParametricSurface, "_geometry", counted)
     return seen
 
 
@@ -321,6 +368,35 @@ def test_shrinking_limit_geometry_calls(monkeypatch):
     # the centre's N * H, then per radius the contour and the area pass,
     # one call per panel row
     assert seen == [2] + ([1] + [1] * 8) * 3
+
+
+@pytest.mark.parametrize("region", [RectRegion(0.3, 1.1, 0.2, 0.9), DiskRegion(1.0, 1.0, 0.3)],
+                         ids=["rect", "disk"])
+def test_each_pass_checks_its_nodes_once_and_never_calls_the_public_geometry(monkeypatch, region):
+    checks, public = [], []
+    require_inside, geometry = ci.ParametricSurface.require_inside, ci.ParametricSurface.geometry
+
+    def checked(self, u, v):
+        checks.append(np.broadcast(u, v).shape)
+        return require_inside(self, u, v)
+
+    def counted(self, *args, **kwargs):
+        public.append(args)
+        return geometry(self, *args, **kwargs)
+
+    monkeypatch.setattr(ci.ParametricSurface, "require_inside", checked)
+    monkeypatch.setattr(ci.ParametricSurface, "geometry", counted)
+    surface, contour_nodes = ci.Torus(2.0, 0.5), 128 * region.pieces
+    ci.verify_identity(surface, region)
+    # all the contour's nodes, then the whole interior grid, not per panel row
+    assert checks == [(contour_nodes,), (128, 128)]
+    checks.clear()
+    ci.region_area(surface, region)
+    assert checks == [(128, 128)]
+    checks.clear()
+    ci.shrinking_limit(surface, (1.0, 1.0), [0.2, 0.1, 0.05])
+    assert checks == [()] + [(128,), (128, 128)] * 3
+    assert public == []
 
 
 def test_shrinking_limit_validates_each_disk_once(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import curvint as ci
-from curvint import DomainError
+from curvint import DomainError, EvaluationError
 
 from conftest import (bundled_surfaces, frame, random_interior_points, reference_geometry,
                       reference_numeric_mean_curvature, sample_box, stacked_geometry,
@@ -171,19 +171,42 @@ def test_first_order_passes_never_call_the_second_partials():
         g.geometry(u, v)
 
 
+def _stacked_core(surface, u, v, order=2):
+    """The geometry core's columns broadcast to the shape of (u, v), each
+    vector's stacked along a trailing axis of 3."""
+    shape = np.broadcast(u, v).shape
+    *vectors, sqrt_g, mean = surface._geometry(u, v, order)
+    return (*(np.stack([np.broadcast_to(c, shape) for c in cols], axis=-1) for cols in vectors),
+            np.broadcast_to(sqrt_g, shape), None if mean is None else np.broadcast_to(mean, shape))
+
+
 def test_overflowing_geometry_matches_stacked_reference():
-    # cosh(u / 1e-3) overflows above u of about 0.71
+    # cosh(u / 1e-3) overflows above u of about 0.71; the integrals read
+    # the core, which passes the non-finite columns on for them to refuse
     surface = ci.Catenoid(1e-3)
     u, v = np.linspace(0.3, 1.1, 9)[:, None], np.linspace(0.2, 0.9, 4)[None, :]
     with np.errstate(all="ignore"):
         ref = reference_geometry(surface, u, v)
-        got = stacked_geometry(surface, u, v)
-        first = stacked_geometry(surface, u, v, order=1)
+        got = _stacked_core(surface, u, v)
+        first = _stacked_core(surface, u, v, order=1)
     assert np.isnan(ref[5]).any() and np.isnan(ref[3]).any()
     for g, r in zip(got, ref):
         _assert_same(g, r)
     for g, r in zip(first[:5], ref[:5]):
         _assert_same(g, r)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_overflowing_geometry_is_refused_at_either_order(order):
+    surface = ci.Catenoid(1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in (1.0, np.linspace(0.05, 1.1, 9)):  # cosh(u / 1e-3) overflows above u = 0.71
+            with pytest.raises(EvaluationError, match="^surface geometry is not finite$"):
+                surface.geometry(u, 0.5, order=order)
+        *vectors, sqrt_g, mean = surface.geometry(0.1, 0.5, order=order)
+    assert np.isfinite([*(c for cols in vectors for c in cols), sqrt_g]).all()
+    assert (mean is None) if order == 1 else np.isfinite(mean)
 
 
 def test_degenerate_parameterization_refused_at_either_order():
