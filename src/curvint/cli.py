@@ -69,75 +69,67 @@ def _region_from_args(args, surface) -> object:
     raise ValueError(f"unknown region '{args.region}'")
 
 
+def _floats(flag: str, tokens) -> list[float]:
+    try:
+        return [float(t) for t in tokens]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _rule_from_args(args):
     return gauss_legendre(args.quad_n, panels=args.quad_panels)
 
 
-def _read_field(path: str, n_vertices: int) -> np.ndarray:
-    """One value per vertex from a `vertex,value` CSV whose line 1 may be
-    a header: one numpy pass over a regular body, else the line loop,
-    which names the line at fault."""
-    lines = Path(path).read_text().splitlines()
-    start = 1 if lines and _is_header(lines[0]) else 0
-    block = _field_block(lines[start:], n_vertices)
-    return _field_line_loop(lines, start, path, n_vertices) if block is None else block
+_FIELD_ROW = [("v", np.int64), ("x", float)]
 
 
-def _is_header(line: str) -> bool:
-    """Two fields, the first no vertex index."""
-    parts = line.split(",")
-    if len(parts) != 2:
-        return False
+def _field_row(record: str) -> list:
+    """[(vertex, value)] of one record; no mesh has a vertex beyond int64."""
     try:
-        int(parts[0].strip())
+        v, x = [p.strip() for p in record.split(",")]
+        v, x = int(v), float(x)
     except ValueError:
-        return True
-    return False
+        raise ValueError("expected 'vertex,value'") from None
+    if not -2 ** 63 <= v < 2 ** 63:
+        raise ValueError(f"vertex {v} out of range")
+    return [(v, x)]
 
 
-def _field_block(body, n_vertices: int) -> np.ndarray | None:
-    """The values of a regular field body, or None: exactly n_vertices
-    lines `v,value`, no blank one, whose integer indices cover
-    0..n_vertices-1 once and whose values are finite. Never raises."""
-    if n_vertices == 0 or len(body) != n_vertices or "" in body:
-        return None
-    try:
-        rows = np.loadtxt(body, dtype=[("v", np.int64), ("x", float)], delimiter=",",
-                          comments=None, ndmin=1)
-    except (ValueError, OverflowError):
-        return None
-    v, x = rows["v"], rows["x"]
-    if not (np.array_equal(np.sort(v), np.arange(n_vertices)) and np.isfinite(x).all()):
-        return None
-    values = np.empty(n_vertices)
-    values[v] = x
-    return values
-
-
-def _field_line_loop(lines, start: int, path: str, n_vertices: int) -> np.ndarray:
-    values = [None] * n_vertices
-    for lineno, raw in enumerate(lines[start:], start=start + 1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'vertex,value'")
+def _read_field(path: str, n_vertices: int) -> np.ndarray:
+    """One value per vertex from a `vertex,value` CSV: blank lines are
+    skipped, there is no comment syntax, and line 1 is a header when it
+    has two fields and the first is no integer. The earliest faulty line
+    is named; on one line a malformed row is reported before an index out
+    of range, a value that is not finite, and then a vertex given twice.
+    A vertex without a value is reported last."""
+    numbers, records = mesh_mod.significant_lines(Path(path).read_text())
+    head = records[0].split(",") if numbers and numbers[0] == 1 else []
+    if len(head) == 2:
         try:
-            v = int(parts[0])
-            x = float(parts[1])
+            int(head[0].strip())
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: expected 'vertex,value'") from None
-        if not 0 <= v < n_vertices:
-            raise ValueError(f"{path}:{lineno}: vertex {v} out of range")
-        if not math.isfinite(x):
-            raise ValueError(f"{path}:{lineno}: value must be finite")
-        if values[v] is not None:
-            raise ValueError(f"{path}:{lineno}: vertex {v} given twice")
-        values[v] = x
-    if None in values:
-        raise ValueError(f"{path}: no value for vertex {values.index(None)}")
-    return np.array(values)
+            numbers, records = numbers[1:], records[1:]
+    rows, lines, fault = mesh_mod.convert_rows(records, numbers, _field_row, _FIELD_ROW, 1,
+                                               delimiter=",")
+    rows = np.array(rows, dtype=_FIELD_ROW).reshape(-1)
+    v, x = rows["v"], rows["x"]
+    out_of_range = (v < 0) | (v >= n_vertices)
+    finite = np.isfinite(x)
+    repeated = np.ones(len(v), dtype=bool)
+    repeated[np.unique(v, return_index=True)[1]] = False
+    bad = out_of_range | ~finite | repeated
+    if bad.any():  # these rows come before any fault of the conversion
+        k = int(np.argmax(bad))
+        fault = (f"vertex {v[k]} out of range" if out_of_range[k] else
+                 "value must be finite" if not finite[k] else
+                 f"vertex {v[k]} given twice"), lines[k]
+    if fault:
+        raise ValueError(f"{path}:{fault[1]}: {fault[0]}")
+    values = np.full(n_vertices, np.nan)
+    values[v] = x  # every x is finite: nan marks a vertex without a value
+    if np.isnan(values).any():
+        raise ValueError(f"{path}: no value for vertex {int(np.argmax(np.isnan(values)))}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +155,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_limit(args) -> int:
     surface = _surface_from_args(args)
-    center = tuple(float(t) for t in args.center.split(","))
+    center = _floats("--center", args.center.split(","))
     if len(center) != 2:
         raise ValueError("--center must be 'u,v'")
-    radii = [float(t) for t in args.radii.split(",") if t]
+    radii = _floats("--radii", [t for t in args.radii.split(",") if t])
     study = contour.shrinking_limit(surface, center, radii, _rule_from_args(args))
     row = "%.17g," * 5
     _emit(args.output, "radius,est_x,est_y,est_z,err,observed_order",

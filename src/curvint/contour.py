@@ -342,12 +342,13 @@ def shrinking_limit(surface: ParametricSurface, center: tuple[float, float],
     if np.any(radii <= 0) or not np.all(np.diff(radii) < 0):
         raise ValueError("radii must be positive and strictly decreasing")
     uc, vc = float(center[0]), float(center[1])
+    # built before the center is evaluated: a non-finite center is refused by name
+    disks = [DiskRegion(uc, vc, float(rho)) for rho in radii]
     with np.errstate(all="ignore"):
         _, _, _, normal, _, mean = _checked_geometry(surface, uc, vc, 2)
     target = _finite("N * H at the center", np.stack(normal) * mean)
     estimates = np.empty((len(radii), 3))
-    for i, rho in enumerate(radii):
-        disk = DiskRegion(uc, vc, float(rho))
+    for i, disk in enumerate(disks):
         # rhs_integral validates the disk for the area pass as well
         rhs = rhs_integral(surface, disk, rule)
         estimates[i] = rhs / _finite("patch area", _patch(surface, disk, rule, order=1)[1])

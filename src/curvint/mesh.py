@@ -1,7 +1,8 @@
 """Indexed triangle meshes: data model, shared connectivity (topology),
 the one-ring arithmetic (one column pass over the corners) and its
 per-vertex sums, OBJ/OFF input/output, stock primitives, and one-ring
-(vertex star) extraction.
+(vertex star) extraction. Each reader walks its lines once and converts
+each section with one shared row converter (convert_rows).
 
 The grid, tube and catenoid primitives are samples of the plane, the
 cylinder and the catenoid of `curvint.surfaces` on a parameter grid, by
@@ -10,11 +11,9 @@ one sampler; the icosphere is a subdivided icosahedron."""
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from operator import itemgetter
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -363,197 +362,174 @@ def build_star(mesh: TriMesh, v: int) -> VertexStar:
 # parsing and writing
 
 
-def _finite(positions: np.ndarray, vertex_lines, path) -> np.ndarray:
-    """positions, or a ParseError at the line of the first vertex with a
-    non-finite coordinate; vertex_lines is an iterator over the line of
-    each vertex, in order, read only then."""
+def significant_lines(text: str, comment: str | None = None) -> tuple:
+    """(numbers, records) of the lines of text that hold a record: each
+    line cut at its first `comment` character and stripped, kept when not
+    empty, with its 1-based number (a range when every line is kept)."""
+    lines = text.splitlines()
+    if comment and comment in text:
+        lines = [line.split(comment, 1)[0] for line in lines]
+    records = list(map(str.strip, lines))
+    if all(records):
+        return range(1, len(records) + 1), records
+    return [n for n, record in enumerate(records, start=1) if record], list(filter(None, records))
+
+
+def convert_rows(records, numbers, convert, dtype, width: int, finish=np.asarray, **loadtxt):
+    """(rows, row_lines, fault) of one section's records, found on lines
+    `numbers`. One np.loadtxt pass converts the section when numpy reads
+    every record and finish, which maps that block to rows, keeps one row
+    of `width` values per record (a structured dtype's record is one
+    value). Otherwise convert(record) gives each record's rows in Python,
+    or raises ValueError with a message that names its fault, the only
+    code that does: rows then lists the rows before that record, and
+    fault is (message, line), else None."""
+    if any(records):  # numpy warns on a section without data
+        try:
+            block = finish(np.loadtxt(records, dtype=dtype, comments=None, ndmin=2, **loadtxt))
+            if block.shape == (len(records), width):
+                return block, numbers, None
+        except (ValueError, OverflowError):
+            pass  # numpy refused a record: each is converted in Python
+    rows, row_lines = [], []
+    for line, record in zip(numbers, records):
+        try:
+            new = convert(record)
+        except ValueError as exc:
+            return rows, row_lines, (str(exc), line)
+        rows += new
+        row_lines += [line] * len(new)
+    return rows, row_lines, None
+
+
+def _numbers(tokens, kind, message: str) -> list:
+    """kind(token) of every token, or ValueError(message)."""
+    try:
+        return [kind(t) for t in tokens]
+    except ValueError:
+        raise ValueError(message) from None
+
+
+def _fan(polygon: list) -> list:
+    """The triangles [p0, pk, pk+1] of a polygon's fan triangulation."""
+    return [[polygon[0], polygon[k], polygon[k + 1]] for k in range(1, len(polygon) - 1)]
+
+
+def _finite(rows, vertex_lines, path) -> np.ndarray:
+    """rows as a (V, 3) float array, or a ParseError at the line of the
+    first vertex with a non-finite coordinate."""
+    positions = np.asarray(rows, dtype=float).reshape(-1, 3)
     bad = ~np.isfinite(positions).all(axis=1)
     if bad.any():
         v = int(np.argmax(bad))
-        raise ParseError(f"vertex {v} has a non-finite coordinate",
-                         next(islice(vertex_lines, v, None)), path)
+        raise ParseError(f"vertex {v} has a non-finite coordinate", vertex_lines[v], path)
     return positions
 
 
-def _block(lines, dtype, **kw):
-    """lines as one (rows, columns) array, or None when numpy refuses a
-    token or the column count changes."""
-    try:
-        return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2, **kw)
-    except (ValueError, OverflowError):
-        return None
+def _off_vertex(record: str) -> list:
+    tokens = record.split()
+    if len(tokens) != 3:
+        raise ValueError("vertex line must have 3 coordinates")
+    return [_numbers(tokens, float, "vertex line has a non-numeric coordinate")]
 
 
-def _off_block(lines) -> tuple | None:
-    """(positions, faces, face_lines) of a regular OFF body, or None: the
-    header `OFF`, the counts line, then exactly V lines of 3 finite
-    coordinates and F lines `3 a b c`, no blank lines. Never raises."""
-    if len(lines) < 4 or lines[0] != "OFF":
-        return None
-    try:
-        n_vertices, n_faces, _ = (int(t) for t in lines[1].split())
-    except ValueError:
-        return None
-    if min(n_vertices, n_faces) < 1 or len(lines) != 2 + n_vertices + n_faces:
-        return None
-    # numpy skips blank lines: a short block has fewer rows
-    positions = _block(lines[2:2 + n_vertices], float)
-    if positions is None or positions.shape != (n_vertices, 3) or not np.isfinite(positions).all():
-        return None
-    faces = _block(lines[2 + n_vertices:], np.int64)
-    if faces is None or faces.shape != (n_faces, 4) or (faces[:, 0] != 3).any():
-        return None
-    return positions, faces[:, 1:], range(3 + n_vertices, 3 + n_vertices + n_faces)
-
-
-def _obj_block(lines) -> tuple | None:
-    """(positions, faces, face_lines) of a regular OBJ body, or None: V
-    lines `v x y z` of finite coordinates (tokens after the third are
-    ignored, as by the line loop), then F lines `f a b c` of positive
-    indices, nothing else. Never raises."""
-    heads = list(map(itemgetter(slice(0, 2)), lines))
-    n_vertices = heads.count("v ")
-    n_faces = len(lines) - n_vertices
-    if (min(n_vertices, n_faces) < 1 or heads.count("f ") != n_faces
-            or heads.index("f ") != n_vertices):
-        return None
-    positions = _block(lines[:n_vertices], float, usecols=(1, 2, 3))
-    if positions is None or positions.shape != (n_vertices, 3) or not np.isfinite(positions).all():
-        return None
-    faces = _block(list(map(itemgetter(slice(2, None)), lines[n_vertices:])), np.int64)
-    if faces is None or faces.shape != (n_faces, 3) or (faces <= 0).any():
-        return None
-    return positions, faces - 1, range(n_vertices + 1, n_vertices + 1 + n_faces)
-
-
-def _parse_obj(text: str, path) -> tuple:
-    lines = text.splitlines()
-    block = None if "#" in text else _obj_block(lines)
-    return block or _obj_line_loop(lines, path)
+def _off_face(record: str) -> list:
+    tokens = record.split()
+    sides, = _numbers(tokens[:1], int, "face line must start with its vertex count")
+    if sides < 3:
+        raise ValueError("polygon needs at least 3 vertices")
+    if len(tokens) != sides + 1:
+        raise ValueError(f"face line declares {sides} vertices but lists {len(tokens) - 1}")
+    return _fan(_numbers(tokens[1:], int, "face line has a non-integer index"))
 
 
 def _parse_off(text: str, path) -> tuple:
-    lines = text.splitlines()
-    block = None if "#" in text else _off_block(lines)
-    return block or _off_line_loop(lines, path)
+    """(positions, faces, face_lines) of an OFF text. Its records (lines
+    without `#` comments, blank lines skipped) are the header `OFF`, the
+    counts `V F E`, V vertex lines of 3 coordinates and F polygon lines
+    `n i1 .. in`, fan-triangulated; later records are ignored. Errors come
+    in that order: header and counts, a faulty vertex line, too few vertex
+    lines, a non-finite vertex, a faulty face line, too few face lines."""
+    numbers, records = significant_lines(text, "#")
 
+    def end_of_file(what: str) -> ParseError:
+        return ParseError(f"unexpected end of file, expected {what}", len(text.splitlines()) + 1, path)
 
-def _obj_line_loop(lines, path) -> tuple:
-    positions = []
-    faces = []
-    face_lines = array("q")  # 8 bytes per triangle, where a list holds int objects
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind = tokens[0]
-        if kind == "v":
-            if len(tokens) < 4:
-                raise ParseError("vertex record needs 3 coordinates", lineno, path)
-            try:
-                positions.append([float(t) for t in tokens[1:4]])
-            except ValueError:
-                raise ParseError("vertex record has a non-numeric coordinate",
-                                 lineno, path) from None
-        elif kind == "f":
-            if len(tokens) < 4:
-                raise ParseError("face record needs at least 3 vertices", lineno, path)
-            idx = []
-            for tok in tokens[1:]:
-                head = tok.split("/", 1)[0]
-                try:
-                    i = int(head)
-                except ValueError:
-                    raise ParseError(f"face index '{tok}' is not an integer",
-                                     lineno, path) from None
-                if i <= 0:
-                    raise ParseError("face indices must be positive (1-based)",
-                                     lineno, path)
-                idx.append(i - 1)
-            for k in range(1, len(idx) - 1):  # fan triangulation
-                faces.append([idx[0], idx[k], idx[k + 1]])
-                face_lines.append(lineno)
-        # vn/vt/o/g/s/usemtl/mtllib and anything else: ignored
-    positions = np.asarray(positions, float).reshape(-1, 3)
-    vertex_lines = (lineno for lineno, raw in enumerate(lines, start=1)
-                    if raw.split("#", 1)[0].split()[:1] == ["v"])
-    return _finite(positions, vertex_lines, path), faces, face_lines
+    def section(start: int, count: int, name: str, *conversion) -> tuple:
+        # `count` records from `start`: a faulty record is reported before a missing one
+        rows, row_lines, fault = convert_rows(records[start:start + count],
+                                              numbers[start:start + count], *conversion)
+        if fault:
+            raise ParseError(*fault, path)
+        if len(records) < start + count:
+            raise end_of_file(f"{name} {len(records) - start}")
+        return rows, row_lines
 
-
-def _off_line_loop(lines, path) -> tuple:
-    def significant(start):
-        for lineno in range(start, len(lines)):
-            line = lines[lineno].split("#", 1)[0].strip()
-            if line:
-                yield lineno + 1, line
-
-    stream = significant(0)
+    if not records:
+        raise ParseError("empty file, expected OFF header", 1, path)
+    if records[0] != "OFF":
+        raise ParseError("expected OFF header", numbers[0], path)
+    if len(records) < 2:
+        raise end_of_file("counts")
+    counts = records[1].split()
+    if len(counts) != 3:
+        raise ParseError("counts line must be 'V F E'", numbers[1], path)
     try:
-        lineno, header = next(stream)
-    except StopIteration:
-        raise ParseError("empty file, expected OFF header", 1, path) from None
-    if header != "OFF":
-        raise ParseError("expected OFF header", lineno, path)
-    try:
-        lineno, counts = next(stream)
-    except StopIteration:
-        raise ParseError("unexpected end of file, expected counts", len(lines) + 1, path) from None
-    tokens = counts.split()
-    if len(tokens) != 3:
-        raise ParseError("counts line must be 'V F E'", lineno, path)
-    try:
-        n_vertices, n_faces, _ = (int(t) for t in tokens)
+        n_vertices, n_faces, _ = (int(t) for t in counts)
     except ValueError:
-        raise ParseError("counts must be integers", lineno, path) from None
+        raise ParseError("counts must be integers", numbers[1], path) from None
     if n_vertices < 0 or n_faces < 0:
-        raise ParseError("counts must be nonnegative", lineno, path)
-
-    # each vertex takes a line: a count beyond them ends at the last line
-    positions = np.empty((min(n_vertices, len(lines)), 3))
-    for i in range(n_vertices):
-        try:
-            lineno, line = next(stream)
-        except StopIteration:
-            raise ParseError(f"unexpected end of file, expected vertex {i}",
-                             len(lines) + 1, path) from None
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise ParseError("vertex line must have 3 coordinates", lineno, path)
-        try:
-            positions[i] = [float(t) for t in tokens]
-        except ValueError:
-            raise ParseError("vertex line has a non-numeric coordinate",
-                             lineno, path) from None
-    _finite(positions, (lineno for lineno, _ in islice(significant(0), 2, None)), path)
-
-    faces = []
-    face_lines = array("q")
-    for i in range(n_faces):
-        try:
-            lineno, line = next(stream)
-        except StopIteration:
-            raise ParseError(f"unexpected end of file, expected face {i}",
-                             len(lines) + 1, path) from None
-        tokens = line.split()
-        try:
-            sides = int(tokens[0])
-        except ValueError:
-            raise ParseError("face line must start with its vertex count",
-                             lineno, path) from None
-        if sides < 3:
-            raise ParseError("polygon needs at least 3 vertices", lineno, path)
-        if len(tokens) != sides + 1:
-            raise ParseError(f"face line declares {sides} vertices but lists "
-                             f"{len(tokens) - 1}", lineno, path)
-        try:
-            idx = [int(t) for t in tokens[1:]]
-        except ValueError:
-            raise ParseError("face line has a non-integer index", lineno, path) from None
-        for k in range(1, sides - 1):  # fan triangulation
-            faces.append([idx[0], idx[k], idx[k + 1]])
-            face_lines.append(lineno)
+        raise ParseError("counts must be nonnegative", numbers[1], path)
+    positions = _finite(*section(2, n_vertices, "vertex", _off_vertex, float, 3), path)
+    faces, face_lines = section(2 + n_vertices, n_faces, "face", _off_face, np.int64, 3,
+                                lambda block: block[block[:, 0] == 3, 1:])  # `3 a b c` only
     return positions, faces, face_lines
+
+
+def _obj_vertex(record: str) -> list:
+    tokens = record.split()
+    if len(tokens) < 4:
+        raise ValueError("vertex record needs 3 coordinates")
+    return [_numbers(tokens[1:4], float, "vertex record has a non-numeric coordinate")]
+
+
+def _obj_face(record: str) -> list:
+    """The triangles of an `f` record, given without its `f`."""
+    tokens = record.split()
+    if len(tokens) < 3:
+        raise ValueError("face record needs at least 3 vertices")
+    polygon = []
+    for token in tokens:
+        try:
+            i = int(token.split("/", 1)[0])
+        except ValueError:
+            raise ValueError(f"face index '{token}' is not an integer") from None
+        if i <= 0:
+            raise ValueError("face indices must be positive (1-based)")
+        polygon.append(i - 1)
+    return _fan(polygon)
+
+
+def _parse_obj(text: str, path) -> tuple:
+    """(positions, faces, face_lines) of an OBJ text. Its records (lines
+    without `#` comments, blank lines skipped) are kept by their first
+    token, in any order: `v x y z` (tokens after the third coordinate are
+    ignored) and `f i1 .. in` (1-based indices, each may carry `/`
+    suffixes), fan-triangulated; other records are ignored. Errors come in
+    that order: the earliest faulty `v` or `f` record, a non-finite vertex."""
+    numbers, records = significant_lines(text, "#")
+    kinds = [record.split(None, 1)[0] for record in records]
+    is_vertex, is_face = [kind == "v" for kind in kinds], [kind == "f" for kind in kinds]
+    rows, vertex_lines, vertex_fault = convert_rows(
+        list(compress(records, is_vertex)), list(compress(numbers, is_vertex)),
+        _obj_vertex, float, 3, usecols=(1, 2, 3))
+    faces, face_lines, face_fault = convert_rows(
+        [record[1:] for record in compress(records, is_face)], list(compress(numbers, is_face)),
+        _obj_face, np.int64, 3, lambda block: block[(block > 0).all(axis=1)] - 1)
+    faults = [fault for fault in (vertex_fault, face_fault) if fault]
+    if faults:
+        raise ParseError(*min(faults, key=lambda fault: fault[1]), path)
+    return _finite(rows, vertex_lines, path), faces, face_lines
 
 
 def _infer_format(name: str | None, fmt: str | None) -> str:
@@ -572,28 +548,19 @@ def _infer_format(name: str | None, fmt: str | None) -> str:
 def load_mesh(source, fmt: str | None = None) -> TriMesh:
     """Read an OBJ or OFF mesh from a path, text, or file-like object.
 
-    The format is inferred from the file extension unless given. A
-    regular body (OFF: header, counts, V coordinate lines, F lines
-    `3 a b c`; OBJ: `v x y z` lines, then `f a b c` lines; no comment,
-    no blank line) is converted as one numpy block; anything else goes
-    through the line loop, the only code that reports errors. Parse
+    The format is inferred from the file extension unless given. Each
+    section (vertices, faces) is one np.loadtxt pass when numpy reads all
+    of it, else converted record by record, with the same result. Parse
     errors, and validation errors of a face, carry its 1-based line
     number.
     """
-    path = None
+    path, text = None, source
+    if isinstance(source, (str, Path)) and "\n" not in str(source):
+        path, text = str(source), Path(source).read_bytes()
+    elif hasattr(source, "read"):
+        path, text = getattr(source, "name", None), source.read()
     try:
-        if isinstance(source, (str, Path)) and "\n" not in str(source):
-            path = str(source)
-            text = Path(source).read_bytes().decode()
-        elif isinstance(source, bytes):
-            text = source.decode()
-        elif hasattr(source, "read"):
-            text = source.read()
-            if isinstance(text, bytes):
-                text = text.decode()
-            path = getattr(source, "name", None)
-        else:
-            text = str(source)
+        text = text.decode() if isinstance(text, bytes) else str(text)
     except UnicodeDecodeError:
         raise ParseError("not a text file", 1, path) from None
     parse = _parse_obj if _infer_format(path, fmt) == "obj" else _parse_off

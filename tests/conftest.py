@@ -19,8 +19,9 @@ on it kept as references for the region pieces and one-pass integrals of
 `curvint.contour`; the pointwise surface frame, the finite-difference
 mean curvature and the stock surfaces that only the tests use; and the
 per-row CSV writers of the command line, kept as references for its
-whole-array tables, and the field reader's line loop, kept as the
-reference for its block path. The one-ring references are memoised per mesh
+whole-array tables, and the OFF, OBJ and field readers as loops over
+the lines, kept as references for the readers that convert each section
+in one pass. The one-ring references are memoised per mesh
 (meshes are immutable): the oracles rebuild the same star many times."""
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import functools
 import io
 import math
 import weakref
+from array import array
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +39,7 @@ from hypothesis import settings
 
 import curvint as ci
 from curvint import (BoundaryVertexError, CollapseError, ContourError, IsolatedVertexError,
-                     MeshValidationError)
+                     MeshValidationError, ParseError)
 from curvint import discrete
 from curvint.mesh import MIN_FACE_AREA, _icosahedron
 from curvint.surfaces import _DEGENERATE_TOL
@@ -985,3 +988,141 @@ def reference_read_field(path, n_vertices: int) -> np.ndarray:
     if None in values:
         raise ValueError(f"{path}: no value for vertex {values.index(None)}")
     return np.array(values)
+
+
+# ---------------------------------------------------------------------------
+# mesh readers
+
+
+def _reference_finite(positions: np.ndarray, vertex_lines, path) -> np.ndarray:
+    """positions, or a ParseError at the line of the first vertex with a
+    non-finite coordinate; vertex_lines is an iterator over the line of
+    each vertex, in order, read only then."""
+    bad = ~np.isfinite(positions).all(axis=1)
+    if bad.any():
+        v = int(np.argmax(bad))
+        raise ParseError(f"vertex {v} has a non-finite coordinate",
+                         next(islice(vertex_lines, v, None)), path)
+    return positions
+
+
+def reference_parse_obj(lines, path) -> tuple:
+    """The OBJ reader as one loop over the lines, which converts and
+    checks each record in turn."""
+    positions = []
+    faces = []
+    face_lines = array("q")  # 8 bytes per triangle, where a list holds int objects
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        kind = tokens[0]
+        if kind == "v":
+            if len(tokens) < 4:
+                raise ParseError("vertex record needs 3 coordinates", lineno, path)
+            try:
+                positions.append([float(t) for t in tokens[1:4]])
+            except ValueError:
+                raise ParseError("vertex record has a non-numeric coordinate",
+                                 lineno, path) from None
+        elif kind == "f":
+            if len(tokens) < 4:
+                raise ParseError("face record needs at least 3 vertices", lineno, path)
+            idx = []
+            for tok in tokens[1:]:
+                head = tok.split("/", 1)[0]
+                try:
+                    i = int(head)
+                except ValueError:
+                    raise ParseError(f"face index '{tok}' is not an integer",
+                                     lineno, path) from None
+                if i <= 0:
+                    raise ParseError("face indices must be positive (1-based)",
+                                     lineno, path)
+                idx.append(i - 1)
+            for k in range(1, len(idx) - 1):  # fan triangulation
+                faces.append([idx[0], idx[k], idx[k + 1]])
+                face_lines.append(lineno)
+        # vn/vt/o/g/s/usemtl/mtllib and anything else: ignored
+    positions = np.asarray(positions, float).reshape(-1, 3)
+    vertex_lines = (lineno for lineno, raw in enumerate(lines, start=1)
+                    if raw.split("#", 1)[0].split()[:1] == ["v"])
+    return _reference_finite(positions, vertex_lines, path), faces, face_lines
+
+
+def reference_parse_off(lines, path) -> tuple:
+    """The OFF reader as one loop over the significant lines, which
+    converts and checks each record in turn."""
+    def significant(start):
+        for lineno in range(start, len(lines)):
+            line = lines[lineno].split("#", 1)[0].strip()
+            if line:
+                yield lineno + 1, line
+
+    stream = significant(0)
+    try:
+        lineno, header = next(stream)
+    except StopIteration:
+        raise ParseError("empty file, expected OFF header", 1, path) from None
+    if header != "OFF":
+        raise ParseError("expected OFF header", lineno, path)
+    try:
+        lineno, counts = next(stream)
+    except StopIteration:
+        raise ParseError("unexpected end of file, expected counts", len(lines) + 1, path) from None
+    tokens = counts.split()
+    if len(tokens) != 3:
+        raise ParseError("counts line must be 'V F E'", lineno, path)
+    try:
+        n_vertices, n_faces, _ = (int(t) for t in tokens)
+    except ValueError:
+        raise ParseError("counts must be integers", lineno, path) from None
+    if n_vertices < 0 or n_faces < 0:
+        raise ParseError("counts must be nonnegative", lineno, path)
+
+    # each vertex takes a line: a count beyond them ends at the last line
+    positions = np.empty((min(n_vertices, len(lines)), 3))
+    for i in range(n_vertices):
+        try:
+            lineno, line = next(stream)
+        except StopIteration:
+            raise ParseError(f"unexpected end of file, expected vertex {i}",
+                             len(lines) + 1, path) from None
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise ParseError("vertex line must have 3 coordinates", lineno, path)
+        try:
+            positions[i] = [float(t) for t in tokens]
+        except ValueError:
+            raise ParseError("vertex line has a non-numeric coordinate",
+                             lineno, path) from None
+    _reference_finite(positions, (lineno for lineno, _ in islice(significant(0), 2, None)), path)
+
+    faces = []
+    face_lines = array("q")
+    for i in range(n_faces):
+        try:
+            lineno, line = next(stream)
+        except StopIteration:
+            raise ParseError(f"unexpected end of file, expected face {i}",
+                             len(lines) + 1, path) from None
+        tokens = line.split()
+        try:
+            sides = int(tokens[0])
+        except ValueError:
+            raise ParseError("face line must start with its vertex count",
+                             lineno, path) from None
+        if sides < 3:
+            raise ParseError("polygon needs at least 3 vertices", lineno, path)
+        if len(tokens) != sides + 1:
+            raise ParseError(f"face line declares {sides} vertices but lists "
+                             f"{len(tokens) - 1}", lineno, path)
+        try:
+            idx = [int(t) for t in tokens[1:]]
+        except ValueError:
+            raise ParseError("face line has a non-integer index", lineno, path) from None
+        for k in range(1, sides - 1):  # fan triangulation
+            faces.append([idx[0], idx[k], idx[k + 1]])
+            face_lines.append(lineno)
+    return positions, faces, face_lines

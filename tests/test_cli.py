@@ -282,13 +282,30 @@ def test_nan_disk_radius_is_refused_as_not_positive(capsys):
     assert capsys.readouterr().err == "error: disk radius must be positive\n"
 
 
-@pytest.mark.parametrize("uc,vc", [("nan", "1"), ("1", "inf"), ("-inf", "nan")])
-def test_non_finite_disk_center_is_refused_by_name(uc, vc, capsys):
-    # every finite point is inside a torus: the center itself is at fault
-    rc = run(["verify", "--surface", "torus", "--region", "disk", f"--uc={uc}", f"--vc={vc}",
-              "--rho", "0.3"])
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(["verify", "--surface", "torus", "--region", "disk", f"--uc={uc}",
+                    f"--vc={vc}", "--rho", "0.3"], id=f"{uc}-{vc}")
+      for uc, vc in [("nan", "1"), ("1", "inf"), ("-inf", "nan")]),
+    *(pytest.param(["limit", "--surface", surface, "--center", center],
+                   id=f"limit-{surface}-{center}")
+      for surface, center in [("torus", "inf,1"), ("plane", "nan,0")]),
+])
+def test_non_finite_disk_center_is_refused_by_name(argv, capsys):
+    # every finite point is inside a torus or a plane: the center itself is at fault
+    rc = run(argv)
     assert rc == 1
     assert capsys.readouterr().err == "error: disk center must be finite\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--center", "a,1"], "--center: could not convert string to float: 'a'"),
+    (["--center", "1,1", "--radii", "0.2,x"], "--radii: could not convert string to float: 'x'"),
+])
+def test_limit_number_that_does_not_parse_names_its_flag(flags, message, capsys):
+    assert run(["limit", "--surface", "torus", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("args,message", [
@@ -593,6 +610,14 @@ def test_laplacian_overflow_exits_1_naming_the_vertex(tmp_path, capsys):
     (["0,-inf", "1,2"], 2, "value must be finite"),
     (["0,1", "1,2", "0,1"], 4, "vertex 0 given twice"),
     (["0,1", "1,2", "2,3", "1,2"], 5, "vertex 1 given twice"),
+    (["0,1#x", "1,2", "2,3"], 2, "expected 'vertex,value'"),
+    # on one line a range error beats a value that is not finite, which
+    # beats a repeat; an earlier line beats a later one, and a malformed
+    # row beats a vertex without a value
+    (["0,1", "9,inf"], 3, "vertex 9 out of range"),
+    (["0,1", "1,2", "1,nan"], 4, "value must be finite"),
+    (["0,1", "0,1", "x"], 3, "vertex 0 given twice"),
+    (["0,1", "x,1"], 3, "expected 'vertex,value'"),
 ])
 def test_laplacian_field_rows_are_checked(rows, line, message, tmp_path, capsys):
     mesh_path = tmp_path / "grid.off"
@@ -640,7 +665,8 @@ def field_files(draw):
         rows.insert(draw(st.integers(0, len(rows) - 1)), fault)
     header = draw(st.sampled_from([[], ["vertex,value"], [" v , x "]]))
     text = "\n".join(header + rows) + draw(st.sampled_from(["", "\n"]))
-    return text, n, fault is None
+    # a spelling may round a finite value to infinity ("{:.3g}" of 1.797e308)
+    return text, n, fault is None and all(math.isfinite(float(r.split(",")[1])) for r in rows)
 
 
 def _field_outcome(read):
@@ -659,9 +685,9 @@ def test_field_block_path_matches_the_line_loop(case, tmp_path_factory):
     path.write_text(text)
     expected = _field_outcome(lambda: reference_read_field(path, n))
     assert _field_outcome(lambda: cli._read_field(str(path), n)) == expected
-    if regular:  # taken by the block path, without the loop
+    if regular:  # converted by numpy alone, with no per-record conversion call
         assert expected[0] == "ok"
-        with mock.patch.object(cli, "_field_line_loop", side_effect=AssertionError("loop")):
+        with mock.patch.object(cli, "_field_row", side_effect=AssertionError("per record")):
             assert cli._read_field(str(path), n).tobytes() == expected[1]
 
 

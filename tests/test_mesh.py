@@ -16,7 +16,8 @@ from curvint import mesh as mesh_mod
 from conftest import (FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, NON_FINITE_FIXTURES, STOCK,
                       bundled_meshes, interior_vertices, jiggled_icosphere, perturbed_meshes,
                       reference_make_catenoid, reference_make_grid, reference_make_icosphere,
-                      reference_make_tube, reference_mesh_to_text)
+                      reference_make_tube, reference_mesh_to_text, reference_parse_obj,
+                      reference_parse_off)
 
 
 MINIMAL_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
@@ -78,6 +79,17 @@ def test_save_and_load_paths(tmp_path):
         again = ci.load_mesh(path)
         np.testing.assert_array_equal(again.faces, mesh.faces)
         np.testing.assert_array_equal(again.positions, mesh.positions)
+
+
+def test_undecodable_file_is_named_from_a_path_or_an_open_file(tmp_path):
+    path = tmp_path / "mesh.off"
+    path.write_bytes(b"OFF\n\xff\n")
+    with pytest.raises(ParseError) as err:
+        ci.load_mesh(path)
+    assert str(err.value) == f"{path}:1: not a text file"
+    with open(path, "rb") as f, pytest.raises(ParseError) as err:
+        ci.load_mesh(f)
+    assert str(err.value) == f"{path}:1: not a text file"
 
 
 def test_format_inference():
@@ -436,14 +448,13 @@ def test_mutated_file_loads_or_raises_a_mesh_error(case):
 
 
 # ---------------------------------------------------------------------------
-# regular bodies as one block against the line loop
+# the readers against the line loops they replaced
 
 
 @contextmanager
-def line_loop_only():
-    """load_mesh with every body sent through the line loop."""
-    with mock.patch.object(mesh_mod, "_off_block", lambda lines: None), \
-            mock.patch.object(mesh_mod, "_obj_block", lambda lines: None):
+def python_conversion_only():
+    """load_mesh with every section converted record by record in Python."""
+    with mock.patch.object(mesh_mod.np, "loadtxt", side_effect=ValueError("refused")):
         yield
 
 
@@ -465,17 +476,18 @@ def parse_outcome(parse, text):
 
 
 def assert_paths_agree(*, text, fmt):
-    """The parser and load_mesh give the line loop's result: equal
-    positions, faces and face lines, or the same error and message."""
+    """The parser gives the reference line loop's result: equal
+    positions, faces and face lines, or the same error and message; and
+    load_mesh gives the same with and without the numpy pass."""
     assert fmt in ("obj", "off")
-    parse, loop = ((mesh_mod._parse_obj, mesh_mod._obj_line_loop) if fmt == "obj"
-                   else (mesh_mod._parse_off, mesh_mod._off_line_loop))
+    parse, loop = ((mesh_mod._parse_obj, reference_parse_obj) if fmt == "obj"
+                   else (mesh_mod._parse_off, reference_parse_off))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert (parse_outcome(parse, text)
                 == parse_outcome(lambda t, path: loop(t.splitlines(), path), text))
         got = load_outcome(text, fmt)
-        with line_loop_only():
+        with python_conversion_only():
             assert got == load_outcome(text, fmt)
 
 
@@ -503,6 +515,24 @@ AGREEMENT_CASES = ([(f[1], f[2]) for f in MALFORMED_FIXTURES + NON_FINITE_FIXTUR
                    + [("off", text) for text, _ in OVERSIZED_COUNTS] + INLINE_TEXTS + VALID_TEXTS)
 
 
+@pytest.mark.parametrize("fmt,text,line,message", [
+    # OBJ: the earliest faulty record of either kind, then a non-finite vertex
+    ("obj", "v 0 0 0\nf 1 2\nv 1 0\n", 2, "face record needs at least 3 vertices"),
+    ("obj", "v 0 0 inf\nf 1 2 x\nv 0 1\n", 2, "face index 'x' is not an integer"),
+    # OFF: a faulty vertex line, a missing one, a non-finite vertex, then the faces
+    ("off", "OFF\n3 1 0\nnan 0 0\n1 0\n0 1 0\n3 0 1\n", 4, "vertex line must have 3 coordinates"),
+    ("off", "OFF\n3 1 0\nnan 0 0\n1 0 0\n", 5, "unexpected end of file, expected vertex 2"),
+    ("off", "OFF\n3 2 0\nnan 0 0\n1 0 0\n0 1 0\n3 0 1\n", 3,
+     "vertex 0 has a non-finite coordinate"),
+    ("off", "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n2 0 1\n", 6, "polygon needs at least 3 vertices"),
+])
+def test_errors_win_in_a_fixed_order(fmt, text, line, message):
+    with pytest.raises(ParseError) as err:
+        ci.load_mesh(text, fmt=fmt)
+    assert str(err.value) == f"line {line}: {message}"
+    assert_paths_agree(text=text, fmt=fmt)
+
+
 @pytest.mark.parametrize("fmt,text", AGREEMENT_CASES)
 def test_block_and_line_loop_agree_on_fixtures(fmt, text):
     assert_paths_agree(text=text, fmt=fmt)
@@ -517,9 +547,13 @@ NUMBER_FORMS = ["3", "+3", "-3", ".5", "-0.0", "1e-400", "1e400", "nan", "inf", 
 
 @pytest.mark.parametrize("token", NUMBER_FORMS)
 def test_block_never_accepts_what_python_refuses(token):
+    def python_row(record):
+        raise ValueError("converted in Python")
+
     for dtype, convert in [(float, float), (np.int64, int)]:
-        block = mesh_mod._block([f"{token} 1 1"], dtype)
-        if block is None:
+        block, _, fault = mesh_mod.convert_rows([f"{token} 1 1"], range(1, 2), python_row,
+                                                dtype, 3)
+        if fault is not None:  # numpy refused it
             continue
         expected = convert(token)
         assert block.shape == (1, 3)
@@ -527,11 +561,12 @@ def test_block_never_accepts_what_python_refuses(token):
 
 
 def test_regular_bodies_skip_the_line_loop(monkeypatch, tmp_path):
-    def refuse(lines, path):
-        raise AssertionError("the line loop was entered")
+    # a regular body is converted by numpy alone: no per-record conversion call
+    def refuse(record):
+        raise AssertionError("a record was converted in Python")
 
-    monkeypatch.setattr(mesh_mod, "_off_line_loop", refuse)
-    monkeypatch.setattr(mesh_mod, "_obj_line_loop", refuse)
+    for name in ("_off_vertex", "_off_face", "_obj_vertex", "_obj_face"):
+        monkeypatch.setattr(mesh_mod, name, refuse)
     for name, mesh in [("ico3.off", jiggled_icosphere(3, 3)),
                        ("cat.obj", ci.make_catenoid(1.0, 19, 32))]:
         ci.save_mesh(mesh, tmp_path / name)
