@@ -58,15 +58,16 @@ def _region_from_args(args, surface) -> object:
         if None in (args.uc, args.vc, args.rho):
             raise ValueError("disk region needs --uc --vc --rho")
         return contour.DiskRegion(args.uc, args.vc, args.rho)
-    if args.region == "cap":
-        if args.theta0 is None:
-            raise ValueError("cap region needs --theta0")
-        if surface.name != "sphere":
-            raise ValueError("cap regions are defined on the sphere only")
-        if not math.isfinite(args.theta0):
-            raise ValueError("cap colatitude must be finite")
-        return contour.RectRegion(_CAP_POLE_MARGIN, args.theta0, 0.0, 2.0 * math.pi)
-    raise ValueError(f"unknown region '{args.region}'")
+    # a cap: argparse's choices admit no other region
+    if args.theta0 is None:
+        raise ValueError("cap region needs --theta0")
+    if surface.name != "sphere":
+        raise ValueError("cap regions are defined on the sphere only")
+    if not math.isfinite(args.theta0):
+        raise ValueError("cap colatitude must be finite")
+    if args.theta0 <= _CAP_POLE_MARGIN:
+        raise ValueError(f"cap colatitude must exceed {_CAP_POLE_MARGIN:g}")
+    return contour.RectRegion(_CAP_POLE_MARGIN, args.theta0, 0.0, 2.0 * math.pi)
 
 
 def _floats(flag: str, tokens) -> list[float]:
@@ -158,7 +159,7 @@ def _cmd_limit(args) -> int:
     center = _floats("--center", args.center.split(","))
     if len(center) != 2:
         raise ValueError("--center must be 'u,v'")
-    radii = _floats("--radii", [t for t in args.radii.split(",") if t])
+    radii = _floats("--radii", args.radii.split(","))
     study = contour.shrinking_limit(surface, center, radii, _rule_from_args(args))
     row = "%.17g," * 5
     _emit(args.output, "radius,est_x,est_y,est_z,err,observed_order",

@@ -194,9 +194,9 @@ def laplacian(mesh: TriMesh, v: int, values) -> float:
 
 def refuse_isolated(mesh: TriMesh) -> np.ndarray:
     """The mesh's boundary mask, after raising IsolatedVertexError at the
-    first vertex that is neither on the boundary nor in a closed star."""
+    first vertex without faces."""
     boundary = mesh.boundary_vertices()
-    isolated = ~boundary & ~mesh.topology.closed_stars
+    isolated = mesh.topology.face_counts == 0
     if isolated.any():
         star_corners(mesh, int(np.argmax(isolated)))  # raises
     return boundary
@@ -213,19 +213,12 @@ def curvature_arrays(mesh: TriMesh, tol_direction: float = 1e-8):
     return (*_curvature_rows(mesh, slice(None), tol_direction), boundary)
 
 
-def curvature_vectors(mesh: TriMesh, rows=slice(None)) -> np.ndarray:
-    """B = sum(a_i n_i) / sum(A_i) at the given vertices (all by default),
-    (n, 3), the rows of the corner kernel's one whole-mesh quotient (a
-    read-only view for a slice)."""
-    return mesh.corner_kernel().curvature[rows]
-
-
 def _curvature_rows(mesh: TriMesh, rows, tol_direction: float):
     """(B, |B|, near_minimal) at the given vertices: |B| is at most
     tol_direction times the star scale sum(a_i) / sum(A_i)."""
     kernel = mesh.corner_kernel()
     with np.errstate(all="ignore"):  # silent where the sums or the threshold overflow
-        vec = curvature_vectors(mesh, rows)
+        vec = kernel.curvature[rows]
         magnitude = row_norms(vec)
         scale = kernel.edge_lengths[rows] / kernel.ring_areas[rows]
         return vec, magnitude, magnitude <= tol_direction * scale

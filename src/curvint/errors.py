@@ -2,6 +2,18 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CurvintError",
+    "EvaluationError",
+    "DomainError",
+    "ContourError",
+    "ParseError",
+    "MeshValidationError",
+    "IsolatedVertexError",
+    "BoundaryVertexError",
+    "CollapseError",
+]
+
 
 class CurvintError(Exception):
     """Base class for all errors raised by this package."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import curvature_vectors, refuse_isolated
+from .discrete import refuse_isolated
 from .errors import BoundaryVertexError, CollapseError, MeshValidationError
 from .mesh import TriMesh
 from .numerics import column_norm
@@ -81,7 +81,7 @@ def mcf_step(mesh: TriMesh, dt: float) -> TriMesh:
     """
     _check_dt(dt)
     _require_closed(mesh)
-    return _advance(mesh, dt, curvature_vectors(mesh))
+    return _advance(mesh, dt, mesh.corner_kernel().curvature)
 
 
 def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh]:
@@ -103,7 +103,7 @@ def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh
 
     def record(index: int, m: TriMesh) -> FlowStep:
         # column_norm, not row_norms: the two round some rows' |B| differently
-        b = column_norm(curvature_vectors(m).T)
+        b = column_norm(m.corner_kernel().curvature.T)
         return FlowStep(index, float(m.face_areas().sum()), float(b.max()),
                         float(m.face_areas().min()))
 

@@ -50,7 +50,8 @@ MIN_FACE_AREA = 1e-14
 class MeshTopology:
     """Connectivity of one validated face array (F, 3) over n_vertices
     vertices. Meshes that differ only in positions share one instance
-    (see TriMesh.with_positions); each part is computed on first use."""
+    (see TriMesh.with_positions); the faces per vertex (face_counts) are
+    counted on construction, each other part on first use."""
 
     def __init__(self, faces, n_vertices: int):
         try:
@@ -76,14 +77,15 @@ class MeshTopology:
         # each corner's vertex, slot-major: the corner sums' bincount index
         self.by_slot = _frozen(faces.T.ravel())
         self.n_vertices = n_vertices
+        # faces per vertex, 0 at an isolated vertex
+        self.face_counts = _frozen(np.bincount(faces.ravel(), minlength=n_vertices))
 
     @cached_property
     def boundary(self) -> np.ndarray:
         """Boolean mask of the vertices with incident faces whose star is
         not one closed loop (closed_stars): on an open edge, non-manifold,
         or in fewer than three faces. B needs that loop."""
-        return _frozen((np.bincount(self.faces.ravel(), minlength=self.n_vertices) > 0)
-                       & ~self.closed_stars)
+        return _frozen((self.face_counts > 0) & ~self.closed_stars)
 
     @cached_property
     def _corner_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -91,7 +93,7 @@ class MeshTopology:
         # corners in incident-face order
         flat = self.faces.ravel()
         offsets = np.zeros(self.n_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=self.n_vertices), out=offsets[1:])
+        np.cumsum(self.face_counts, out=offsets[1:])
         return np.argsort(flat, kind="stable"), offsets
 
     @property
@@ -114,9 +116,8 @@ class MeshTopology:
         one closed loop? False for isolated vertices, for stars of fewer
         than three faces, and when a ring vertex is not met by exactly two
         opposite edges (which also rules out double edges)."""
-        n = self.n_vertices
         flat = self.faces.ravel()
-        ok = np.bincount(flat, minlength=n) >= 3
+        ok = self.face_counts >= 3
         if len(flat):
             ok &= self._one_loop(flat)
         return _frozen(ok)
@@ -145,7 +146,7 @@ class MeshTopology:
         # pointer doubling: each end's label becomes the smallest corner
         # on its loop, so each loop has one corner labelled with itself
         label = np.arange(len(step), dtype=np.int32) >> 1
-        span, longest = 1, int(np.bincount(flat).max())
+        span, longest = 1, int(self.face_counts.max())
         while span < longest:
             np.minimum(label, label[step], out=label)
             step = step[step]
@@ -542,6 +543,7 @@ def _infer_format(name: str | None, fmt: str | None) -> str:
         suffix = Path(name).suffix.lower().lstrip(".")
         if suffix in ("obj", "off"):
             return suffix
+        raise ValueError(f"cannot infer mesh format from '{name}'; use a .obj or .off name")
     raise ValueError("cannot infer mesh format; pass fmt='obj' or 'off'")
 
 
@@ -593,12 +595,12 @@ def mesh_to_text(mesh: TriMesh, fmt: str) -> str:
 def save_mesh(mesh: TriMesh, dest, fmt: str | None = None) -> None:
     """Write a mesh to a path or file-like object (format from the
     extension unless given)."""
-    if isinstance(dest, (str, Path)):
-        fmt = _infer_format(str(dest), fmt)
-        Path(dest).write_text(mesh_to_text(mesh, fmt))
+    path = isinstance(dest, (str, Path))
+    text = mesh_to_text(mesh, _infer_format(str(dest) if path else getattr(dest, "name", None), fmt))
+    if path:
+        Path(dest).write_text(text)
     else:
-        fmt = _infer_format(getattr(dest, "name", None), fmt)
-        dest.write(mesh_to_text(mesh, fmt))
+        dest.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ class ParametricSurface:
 
     def position(self, u, v) -> np.ndarray:
         u, v = np.asarray(u, float), np.asarray(v, float)  # a Python float's ** rounds unlike numpy's
-        return np.stack(_columns(self.jet(u, v)[0], np.broadcast(u, v).shape), axis=-1)
+        return np.stack(_columns(self.jet(u, v, 1)[0], np.broadcast(u, v).shape), axis=-1)
 
     # -- domain handling --------------------------------------------------
 

@@ -64,10 +64,25 @@ def test_verify_rect_and_disk_regions(tmp_path):
     assert rc == 0
 
 
-def test_verify_missing_region_params_exits_1(tmp_path, capsys):
-    rc = run(["verify", "--surface", "sphere", "--R", "1", "--region", "rect"])
+@pytest.mark.parametrize("args,message", [
+    (["--surface", "sphere", "--R", "1", "--region", "rect"],
+     "rect region needs --u0 --u1 --v0 --v1"),
+    (["--surface", "sphere", "--region", "disk", "--uc", "1", "--rho", "0.1"],
+     "disk region needs --uc --vc --rho"),
+    (["--surface", "sphere", "--region", "cap"], "cap region needs --theta0"),
+    (["--surface", "torus", "--region", "cap", "--theta0", "1.0"],
+     "cap regions are defined on the sphere only"),
+    # the cap starts at the pole margin, 1e-6: a colatitude at or below it
+    # is refused by name, not as a rectangle without extent
+    *((["--surface=sphere", "--region=cap", f"--theta0={theta0}"],
+       "cap colatitude must exceed 1e-06") for theta0 in ("1e-7", "1e-6", "0", "-1")),
+])
+def test_verify_missing_region_params_exits_1(args, message, capsys):
+    rc = run(["verify", *args])
     assert rc == 1
-    assert "u0" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_limit_csv_schema(tmp_path):
@@ -251,6 +266,7 @@ def test_flow_stopping_early_matches_the_reference_writer(tmp_path, capsys):
     ("sphere", (math.pi / 3, math.pi / 4)),
     ("torus", (1.0, 1.0)),
     ("catenoid", (0.1, -0.4)),
+    ("cylinder", (0.4, 1.0)),
 ])
 def test_limit_table_matches_the_reference_writer(surface, center, capsys):
     study = ci.shrinking_limit(ci.surface_from_name(surface), center, [0.2, 0.1, 0.05, 0.025])
@@ -266,6 +282,8 @@ def test_limit_table_matches_the_reference_writer(surface, center, capsys):
      ci.DiskRegion(0.2, -0.3, 0.4)),
     ("plane", ["--region", "rect", "--u0", "0", "--u1", "1", "--v0", "0", "--v1", "1"],
      ci.RectRegion(0.0, 1.0, 0.0, 1.0)),
+    ("enneper", ["--region", "disk", "--uc", "0.1", "--vc", "-0.2", "--rho", "0.5"],
+     ci.DiskRegion(0.1, -0.2, 0.5)),
 ])
 def test_verify_table_matches_the_reference_writer(surface, args, region, capsys):
     s = ci.surface_from_name(surface)
@@ -300,6 +318,9 @@ def test_non_finite_disk_center_is_refused_by_name(argv, capsys):
 @pytest.mark.parametrize("flags,message", [
     (["--center", "a,1"], "--center: could not convert string to float: 'a'"),
     (["--center", "1,1", "--radii", "0.2,x"], "--radii: could not convert string to float: 'x'"),
+    (["--center", "1,1", "--radii", "0.2,,0.1"],
+     "--radii: could not convert string to float: ''"),
+    (["--center", "1"], "--center must be 'u,v'"),
 ])
 def test_limit_number_that_does_not_parse_names_its_flag(flags, message, capsys):
     assert run(["limit", "--surface", "torus", *flags]) == 1
@@ -386,6 +407,7 @@ def test_bad_max_rel_err_exits_1(command, bound, tmp_path, capsys):
     (["flow", "--dt", "inf", "--steps", "2"], "time step dt must be finite, got inf"),
     (["curvature", "--tol-direction", "nan"], "tol_direction must be nonnegative, got nan"),
     (["curvature", "--tol-direction=-1"], "tol_direction must be nonnegative, got -1.0"),
+    (["flow", "--dt", "1e-3", "--steps=-1"], "step count must be nonnegative"),
 ])
 def test_bad_numeric_parameter_exits_1_naming_it(args, message, tmp_path, capsys):
     mesh_path = tmp_path / "ico1.off"
@@ -618,6 +640,7 @@ def test_laplacian_overflow_exits_1_naming_the_vertex(tmp_path, capsys):
     (["0,1", "1,2", "1,nan"], 4, "value must be finite"),
     (["0,1", "0,1", "x"], 3, "vertex 0 given twice"),
     (["0,1", "x,1"], 3, "expected 'vertex,value'"),
+    (["0,1", "99999999999999999999,1"], 3, "vertex 99999999999999999999 out of range"),
 ])
 def test_laplacian_field_rows_are_checked(rows, line, message, tmp_path, capsys):
     mesh_path = tmp_path / "grid.off"
@@ -749,6 +772,17 @@ def test_malformed_mesh_exits_1(tmp_path, capsys):
         rc = run(["curvature", "--input", str(path)])
         assert rc == 1
         assert f"{line}:" in capsys.readouterr().err
+
+
+def test_unknown_mesh_suffix_exits_1_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "mesh.ply"
+    message = f"error: cannot infer mesh format from '{path}'; use a .obj or .off name\n"
+    assert run(["make", "--kind", "grid", "--output", str(path)]) == 1
+    assert capsys.readouterr().err == message
+    assert not path.exists()
+    path.write_text(ci.mesh_to_text(ci.make_grid(2), "off"))
+    assert run(["curvature", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("label,fmt,text,line,face,what", FACE_ERROR_FIXTURES,

@@ -213,6 +213,15 @@ def test_region_validation():
         ci.rhs_integral(ci.Sphere(1.0), DiskRegion(0.05, 1.0, 0.2))
     with pytest.raises(ValueError):
         ci.shrinking_limit(ci.Sphere(1.0), (1.0, 1.0), [0.1, 0.2])  # not decreasing
+    with pytest.raises(ValueError, match="^need at least two radii$"):
+        ci.shrinking_limit(ci.Sphere(1.0), (1.0, 1.0), [0.1])
+    # a periodic coordinate: a patch may not wrap onto itself
+    with pytest.raises(DomainError, match="^region spans more than one period$"):
+        ci.lhs_integral(ci.Torus(2.0, 0.5), RectRegion(0.0, 7.0, 0.0, 1.0))
+    with pytest.raises(DomainError, match="^region spans more than one period$"):
+        ci.rhs_integral(ci.Cylinder(1.0), RectRegion(0.0, 1.0, -1.0, 6.0))
+    with pytest.raises(DomainError, match="^disk wider than one period$"):
+        ci.rhs_integral(ci.Torus(2.0, 0.5), DiskRegion(1.0, 1.0, 3.2))
     # every finite point is inside a torus or a plane: the center itself is at fault
     for surface, center in ((ci.Torus(2.0, 0.5), (math.inf, 1.0)), (ci.Plane(), (math.nan, 0.0))):
         with pytest.raises(ValueError, match="^disk center must be finite$"):

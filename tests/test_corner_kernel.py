@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import curvint as ci
-from curvint.discrete import _laplacian, curvature_arrays, curvature_vectors
+from curvint.discrete import _laplacian, curvature_arrays
 from curvint.mesh import MIN_FACE_AREA, CornerKernel, MeshTopology, triangle_areas
 
 from conftest import (
@@ -146,7 +146,7 @@ def assert_slices_are_exact(mesh):
     whole-mesh results, bit for bit."""
     sums = ci.star_sums(mesh)
     field = None if refusal(ci.curvature_field, mesh) else ci.curvature_field(mesh)
-    flow = curvature_vectors(mesh) if field is not None and mesh.is_closed() else None
+    flow = mesh.corner_kernel().curvature if field is not None and mesh.is_closed() else None
     for v in range(mesh.n_vertices):
         if refusal(ci.star_sum, mesh, v) is None:
             assert bits(ci.star_sum(mesh, v)) == bits(sums[v]), v

@@ -79,6 +79,13 @@ def test_save_and_load_paths(tmp_path):
         again = ci.load_mesh(path)
         np.testing.assert_array_equal(again.faces, mesh.faces)
         np.testing.assert_array_equal(again.positions, mesh.positions)
+        # an open file: the format from its name, or as given
+        with open(path, "w") as f:
+            ci.save_mesh(mesh, f)
+        assert path.read_text() == ci.mesh_to_text(mesh, suffix)
+        out = io.StringIO()
+        ci.save_mesh(mesh, out, fmt=suffix)
+        assert out.getvalue() == ci.mesh_to_text(mesh, suffix)
 
 
 def test_undecodable_file_is_named_from_a_path_or_an_open_file(tmp_path):
@@ -92,11 +99,28 @@ def test_undecodable_file_is_named_from_a_path_or_an_open_file(tmp_path):
     assert str(err.value) == f"{path}:1: not a text file"
 
 
-def test_format_inference():
-    with pytest.raises(ValueError):
-        ci.load_mesh(MINIMAL_OFF)  # no extension, no fmt
-    with pytest.raises(ValueError):
-        ci.mesh_to_text(ci.make_grid(1), "ply")
+def test_format_inference(tmp_path):
+    def message(call):
+        with pytest.raises(ValueError) as err:
+            call()
+        return str(err.value)
+
+    text = "cannot infer mesh format; pass fmt='obj' or 'off'"
+    assert message(lambda: ci.load_mesh(MINIMAL_OFF)) == text  # no name, no fmt
+    assert message(lambda: ci.save_mesh(ci.make_grid(1), io.StringIO())) == text
+    assert message(lambda: ci.mesh_to_text(ci.make_grid(1), "ply")) == "unknown mesh format 'ply'"
+    # a name without a known suffix is named: a path, or an open file
+    path = tmp_path / "mesh.ply"
+    named = f"cannot infer mesh format from '{path}'; use a .obj or .off name"
+    assert message(lambda: ci.save_mesh(ci.make_grid(1), path)) == named
+    assert not path.exists()
+    path.write_text(MINIMAL_OFF)
+    assert message(lambda: ci.load_mesh(path)) == named
+    with open(path) as f:
+        assert message(lambda: ci.load_mesh(f)) == named
+    with open(path, "a") as f:
+        assert message(lambda: ci.save_mesh(ci.make_grid(1), f)) == named
+    assert path.read_text() == MINIMAL_OFF
 
 
 @pytest.mark.parametrize("label,fmt,text,line", MALFORMED_FIXTURES,
@@ -185,6 +209,10 @@ def test_constructor_validation():
         "face 0 is degenerate (area 0.000e+00)", 0, 0.0)
     with pytest.raises(MeshValidationError, match="^positions must be finite$"):
         ci.TriMesh([[0, 0, float("nan")]], np.zeros((0, 3), dtype=int))
+    with pytest.raises(MeshValidationError, match=r"^positions must have shape \(V, 3\)$"):
+        ci.TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
+    with pytest.raises(MeshValidationError, match=r"^faces must have shape \(F, 3\)$"):
+        ci.TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2, 0]])
 
 
 def test_grid_counts_and_area():
@@ -243,8 +271,11 @@ def test_primitive_parameter_validation():
         ci.make_grid(0)
     with pytest.raises(ValueError):
         ci.make_icosphere(7, 1.0)
-    with pytest.raises(ValueError):
-        ci.make_tube(1.0, 2.0, 1, 2)
+    for make in (lambda n_u, n_v: ci.make_tube(1.0, 2.0, n_u, n_v),
+                 lambda n_u, n_v: ci.make_catenoid(1.0, n_u, n_v)):
+        for n_u, n_v in ((1, 2), (0, 8)):
+            with pytest.raises(ValueError, match="^need n_u >= 1 and n_v >= 3$"):
+                make(n_u, n_v)
     with pytest.raises(ValueError):
         ci.make_primitive("moebius")
     # refused by name before any sampling, so without a RuntimeWarning
@@ -515,7 +546,17 @@ AGREEMENT_CASES = ([(f[1], f[2]) for f in MALFORMED_FIXTURES + NON_FINITE_FIXTUR
                    + [("off", text) for text, _ in OVERSIZED_COUNTS] + INLINE_TEXTS + VALID_TEXTS)
 
 
+# OFF texts that end before their counts: (format, text, line, message)
+OFF_WITHOUT_COUNTS = [
+    ("off", "\n", 1, "empty file, expected OFF header"),
+    ("off", "# a comment\n\n", 1, "empty file, expected OFF header"),
+    ("off", "OFF\n", 2, "unexpected end of file, expected counts"),
+    ("off", "OFF\n# counts to follow\n", 3, "unexpected end of file, expected counts"),
+]
+
+
 @pytest.mark.parametrize("fmt,text,line,message", [
+    *OFF_WITHOUT_COUNTS,
     # OBJ: the earliest faulty record of either kind, then a non-finite vertex
     ("obj", "v 0 0 0\nf 1 2\nv 1 0\n", 2, "face record needs at least 3 vertices"),
     ("obj", "v 0 0 inf\nf 1 2 x\nv 0 1\n", 2, "face index 'x' is not an integer"),

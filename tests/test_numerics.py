@@ -55,6 +55,15 @@ def test_rule_validation():
         QuadratureRule(np.array([-0.5, 0.5]), np.array([-1.0, 3.0]))  # negative
     with pytest.raises(ValueError):
         gauss_legendre(4, panels=0)
+    for nodes, weights, message in [
+            ([-0.5, 0.5], [2.0], "nodes and weights must be 1-d arrays of equal length"),
+            ([[-0.5, 0.5]], [[1.0, 1.0]], "nodes and weights must be 1-d arrays of equal length"),
+            ([-1.0, 0.5], [1.0, 1.0], r"nodes must lie strictly inside \[-1, 1\]"),
+            ([-0.5, 1.0], [1.0, 1.0], r"nodes must lie strictly inside \[-1, 1\]")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QuadratureRule(np.array(nodes), np.array(weights))
+    with pytest.raises(ValueError, match="^need at least one node$"):
+        gauss_legendre(0)
 
 
 def test_constant_interval():

@@ -167,6 +167,7 @@ def test_first_order_passes_never_call_the_second_partials():
     for region in (ci.RectRegion(-1.0, 0.5, -0.3, 1.2), ci.DiskRegion(0.2, 0.1, 0.6)):
         assert ci.region_area(g, region) == ci.region_area(full, region)
         assert ci.rhs_integral(g, region).tobytes() == ci.rhs_integral(full, region).tobytes()
+    assert g.position(u[:, None], v).tobytes() == full.position(u[:, None], v).tobytes()
     with pytest.raises(AssertionError, match="second partial"):
         g.geometry(u, v)
 
@@ -297,6 +298,9 @@ def test_parameter_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
                 make(bad)
+    for x_range, y_range in [((1.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (2.0, -2.0))]:
+        with pytest.raises(ValueError, match="^empty domain rectangle$"):
+            ci.MongeGraph(*[np.sin] * 6, x_range=x_range, y_range=y_range)
 
 
 def test_torus_refuses_non_finite_radii():
