@@ -196,18 +196,11 @@ class LimitEstimate:
     observed_order: float
 
 
-def _checked_geometry(surface, u, v, order):
-    """The surface's geometry core on (u, v) after one domain check."""
-    u, v = np.asarray(u, float), np.asarray(v, float)
-    surface.require_inside(u, v)
-    return surface._geometry(u, v, order)
-
-
 def _frame(surface, u, v, du, dv):
     """Image position, unit tangent t and unit exterior normal t x N as
     component columns, and the speed of the contour through (u, v) with
     parameter velocity (du, dv); scalars or arrays of one shape."""
-    pos, s1, s2, normal, _, _ = _checked_geometry(surface, u, v, 1)
+    pos, s1, s2, normal, _, _ = surface._checked_geometry(u, v, 1)
     d = [du * a + dv * b for a, b in zip(s1, s2)]
     speed = column_norm(d)
     if np.any(speed < _TANGENT_TOL):
@@ -345,7 +338,7 @@ def shrinking_limit(surface: ParametricSurface, center: tuple[float, float],
     # built before the center is evaluated: a non-finite center is refused by name
     disks = [DiskRegion(uc, vc, float(rho)) for rho in radii]
     with np.errstate(all="ignore"):
-        _, _, _, normal, _, mean = _checked_geometry(surface, uc, vc, 2)
+        _, _, _, normal, _, mean = surface._checked_geometry(uc, vc, 2)
     target = _finite("N * H at the center", np.stack(normal) * mean)
     estimates = np.empty((len(radii), 3))
     for i, disk in enumerate(disks):

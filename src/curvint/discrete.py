@@ -23,17 +23,17 @@ vertex field along the opposite edge extends the formula to a surface
 Laplacian; applied to the three coordinate fields it reproduces B exactly.
 
 Every sum here is one column pass, `curvint.mesh.corner_terms`, and each
-per-vertex operator equals an entry of a whole-mesh result bit for bit:
-laplacian sums only v's incident faces, in the order laplacian_field adds
-them into v, the others read the per-vertex sums of the corner pass that
-every TriMesh makes on construction (`curvint.mesh.CornerKernel`).
+per-vertex operator is an entry of a whole-mesh result: laplacian of
+laplacian_field, the others of the per-vertex sums of the corner pass
+that every TriMesh makes on construction (`curvint.mesh.CornerKernel`).
 curvature_arrays gives B at every vertex as arrays, which the command
 line prints whole; curvature_field is their list view.
 
 fd_area_gradient is the finite-difference oracle of that gradient for
-the whole mesh in one pass: each probe moves one vertex, recomputes only
-the areas of its incident faces and sums all face areas as total_area
-does, so it equals a central difference over rebuilt meshes bit for bit.
+the whole mesh, walked in blocks of vertices: each probe moves one
+vertex, recomputes only the areas of its incident faces and sums all
+face areas as total_area does, so it equals a central difference over
+rebuilt meshes bit for bit.
 """
 
 from __future__ import annotations
@@ -132,38 +132,36 @@ def fd_area_gradient(mesh: TriMesh, h: float) -> np.ndarray:
 
     A probe (v, k, +/-) is a row of the mesh's face areas with those of
     the faces incident to v recomputed by triangle_areas, as the rebuilt
-    mesh's face_areas would; rows are summed whole, as total_area sums,
-    in C-contiguous blocks of at most FD_BLOCK floats (one row when a row
-    is longer). An isolated vertex gives zeros. Raises EvaluationError at
-    the first probe, in (v, k, +/-) order, whose total area is not
-    finite.
+    mesh's face_areas would; rows are summed whole, as total_area sums.
+    The vertices are walked in blocks of at most FD_BLOCK // F (at least
+    one): one gather of the block's corners serves its six probes, each a
+    C-contiguous (rows, F) block. An isolated vertex gives zeros. Raises
+    EvaluationError at the first probe, in (v, k, +/-) order, whose total
+    area is not finite.
     """
     h = checked_positive(h, "step h")
     positions, faces = mesh.positions, mesh.faces
     order, offsets = mesh.topology._corner_csr
     steps = h * np.eye(3)
-    n_probes = 6 * mesh.n_vertices
     rows = max(1, FD_BLOCK // max(len(faces), 1))
-    totals = np.empty(n_probes)
+    totals = np.empty(6 * mesh.n_vertices)
     with np.errstate(over="ignore", invalid="ignore"):
         areas = mesh.face_areas()
-        for start in range(0, n_probes, rows):
-            probe = np.arange(start, min(start + rows, n_probes))
-            v, step, minus = probe // 6, steps[probe % 6 // 2], probe % 2 == 1
-            x = positions[v]
-            moved = np.where(minus[:, None], x - step, x + step)
-            # every corner of each probe's vertex, probe by probe
-            count = offsets[v + 1] - offsets[v]
-            owner = np.repeat(np.arange(len(probe)), count)
-            corner = order[np.repeat(offsets[v] + count - np.cumsum(count), count)
-                           + np.arange(len(owner))]
-            face = corner // 3
-            p = positions[faces[face]]
-            p[np.arange(len(corner)), corner % 3] = moved[owner]
-            block = np.empty((len(probe), len(areas)))
-            block[:] = areas
-            block[owner, face] = triangle_areas(p[:, 0], p[:, 1], p[:, 2])
-            totals[probe] = block.sum(axis=1)
+        for start in range(0, mesh.n_vertices, rows):
+            stop = min(start + rows, mesh.n_vertices)
+            # every corner of the block's vertices, with its owner row and face
+            corner = order[offsets[start]:offsets[stop]]
+            owner, face = faces.ravel()[corner] - start, corner // 3
+            p, at = positions[faces[face]], (np.arange(len(corner)), corner % 3)
+            x = positions[start:stop]
+            for probe in range(6):
+                # the whole corner set to x +/- step, as a rebuilt mesh holds it
+                step = steps[probe // 2]
+                p[at] = (x - step if probe % 2 else x + step)[owner]
+                block = np.empty((stop - start, len(areas)))
+                block[:] = areas
+                block[owner, face] = triangle_areas(p[:, 0], p[:, 1], p[:, 2])
+                totals[6 * start + probe:6 * stop:6] = block.sum(axis=1)
     bad = ~np.isfinite(totals)
     if bad.any():
         first = int(np.argmax(bad))
@@ -173,20 +171,13 @@ def fd_area_gradient(mesh: TriMesh, h: float) -> np.ndarray:
 
 
 def laplacian(mesh: TriMesh, v: int, values) -> float:
-    """Surface Laplacian of a per-vertex scalar field at interior vertex v:
-    sum(a_i (g_i . n_i)) / sum(A_i) with g_i the constant gradient of the
-    piecewise-linear interpolant on triangle i, summed over v's incident
-    faces only; bitwise equal to entry v of laplacian_field.
-
-    Exact zero for fields that are affine in space over a flat star;
-    applied to a coordinate field it returns that component of B to
-    roundoff. Refuses v as vector_mean_curvature does.
+    """Entry v of laplacian_field, the surface Laplacian of a per-vertex
+    scalar field. Refuses the field, then v as vector_mean_curvature
+    does, then a Laplacian that is not finite (EvaluationError).
     """
     values = _validated_field(mesh, values)
     _refuse_vertex(mesh, v)
-    # v's faces add into v in ascending order, as in laplacian_field; the
-    # other entries are partial sums
-    out = float(_laplacian(mesh, mesh.faces[mesh.vertex_faces(v)], values)[v])
+    out = float(_laplacian(mesh, values)[v])
     if not np.isfinite(out):
         raise EvaluationError("Laplacian is not finite", where=f"vertex {v}")
     return out
@@ -247,18 +238,22 @@ def ring_areas(mesh: TriMesh) -> np.ndarray:
 
 
 def laplacian_field(mesh: TriMesh, values) -> np.ndarray:
-    """Surface Laplacian of a per-vertex field at every interior vertex;
-    boundary entries are nan. Entries are inf or nan, without a warning,
-    where the field's terms overflow and at an isolated vertex."""
-    out = _laplacian(mesh, mesh.faces, _validated_field(mesh, values))
+    """Surface Laplacian of a per-vertex scalar field at every interior
+    vertex v: sum(a_i (g_i . n_i)) / sum(A_i) over v's incident faces, with
+    g_i the constant gradient of the piecewise-linear interpolant on face
+    i. Exact zero for fields that are affine in space over a flat star;
+    applied to a coordinate field it gives that component of B to
+    roundoff. Boundary entries are nan. Entries are inf or nan, without a
+    warning, where the field's terms overflow and at an isolated vertex."""
+    out = _laplacian(mesh, _validated_field(mesh, values))
     out[mesh.boundary_vertices()] = np.nan
     return out
 
 
-def _laplacian(mesh: TriMesh, faces: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per vertex, the Laplacian's sum over the given faces divided by the
-    kernel's ring area; exact for a vertex whose faces are all given,
-    which by_slot adds in the same order."""
+def _laplacian(mesh: TriMesh, values: np.ndarray) -> np.ndarray:
+    """Per vertex, the Laplacian's sum over its faces divided by the
+    kernel's ring area."""
+    faces = mesh.faces
     m, norm_m, e, an = corner_terms(mesh.positions, faces)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # gradient of the linear interpolant: values times (mhat x e) / |m|

@@ -66,10 +66,5 @@ class BoundaryVertexError(CurvintError):
     one loop (no open edge, manifold, in three faces or more)."""
 
 
-class CollapseError(CurvintError):
-    """Flow step produced a degenerate triangle."""
-
-    def __init__(self, message: str, face=None, area=None):
-        super().__init__(message)
-        self.face = face
-        self.area = area
+class CollapseError(MeshValidationError):
+    """Flow step produced a degenerate triangle (`face`, its `area`)."""

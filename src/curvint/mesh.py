@@ -11,6 +11,7 @@ one sampler; the icosphere is a subdivided icosahedron."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -104,7 +105,13 @@ class MeshTopology:
 
     def vertex_corners(self, v: int) -> np.ndarray:
         """Corners (indices into faces.ravel()) at vertex v, in
-        incident-face order."""
+        incident-face order. v is an int or a numpy integer, in range."""
+        try:
+            if isinstance(v, (bool, np.bool_)):  # numpy reads a bool as a mask
+                raise TypeError
+            v = operator.index(v)
+        except TypeError:
+            raise MeshValidationError(f"vertex index must be an integer, got {v!r}") from None
         if not 0 <= v < self.n_vertices:
             raise MeshValidationError(f"vertex {v} out of range")
         order, offsets = self._corner_csr
@@ -550,14 +557,17 @@ def _infer_format(name: str | None, fmt: str | None) -> str:
 def load_mesh(source, fmt: str | None = None) -> TriMesh:
     """Read an OBJ or OFF mesh from a path, text, or file-like object.
 
-    The format is inferred from the file extension unless given. Each
+    A Path, or a non-empty str without a newline, is a path; any other
+    str is the text itself, so "" is an empty file and a one-line text
+    needs its newline. The format is inferred from the file extension
+    unless given. Each
     section (vertices, faces) is one np.loadtxt pass when numpy reads all
     of it, else converted record by record, with the same result. Parse
     errors, and validation errors of a face, carry its 1-based line
     number.
     """
     path, text = None, source
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
+    if isinstance(source, Path) or isinstance(source, str) and source and "\n" not in source:
         path, text = str(source), Path(source).read_bytes()
     elif hasattr(source, "read"):
         path, text = getattr(source, "name", None), source.read()

@@ -7,7 +7,7 @@ column and returns its vectors in that layout, broadcast to the shape of
 (u, v); `order=1` evaluates the first-order jet and stops at the normal
 and area element, all that the contour and area passes of
 `curvint.contour` read. Those passes call the unchecked, unbroadcast core
-`_geometry` after one domain check of their own.
+`_geometry`, each after one domain check (`_checked_geometry` or its own).
 
 Conventions, used consistently everywhere in this package:
 
@@ -126,21 +126,25 @@ class ParametricSurface:
         3-tuple of columns of shape np.broadcast(u, v).shape, some of them
         read-only views and a position column possibly u or v itself.
         order=1 evaluates the first-order jet and skips the fundamental
-        forms; H is then None. Over `_geometry` this adds the order and
-        domain checks, the broadcast to that shape, and an EvaluationError,
-        without numpy warnings, where a column is not finite (overflow)."""
+        forms; H is then None. Over `_checked_geometry` this adds the order
+        check, the broadcast to that shape, and an EvaluationError, without
+        numpy warnings, where a column is not finite (overflow)."""
         if order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {order}")
-        u, v = np.asarray(u, float), np.asarray(v, float)
         shape = np.broadcast(u, v).shape
-        self.require_inside(u, v)
         with np.errstate(all="ignore"):
-            *vectors, sqrt_g, mean = self._geometry(u, v, order)
+            *vectors, sqrt_g, mean = self._checked_geometry(u, v, order)
         scalars = (sqrt_g,) if mean is None else (sqrt_g, mean)
         if not all(np.isfinite(c).all() for c in (*scalars, *(c for x in vectors for c in x))):
             raise EvaluationError("surface geometry is not finite")
         # (..., sqrt_g, H) at order 2, (..., sqrt_g, None) at order 1
         return (*(_columns(x, shape) for x in vectors), *_columns(scalars, shape), None)[:6]
+
+    def _checked_geometry(self, u, v, order: int):
+        """The core `_geometry` on (u, v) as float arrays after one domain check."""
+        u, v = np.asarray(u, float), np.asarray(v, float)
+        self.require_inside(u, v)
+        return self._geometry(u, v, order)
 
     def _geometry(self, u, v, order: int):
         """geometry() on float arrays u, v without the domain check: each

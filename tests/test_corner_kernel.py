@@ -50,6 +50,10 @@ def bits(value):
     if isinstance(value, ci.CurvatureSample):
         return (bits(value.vector), bits(value.magnitude), bits(value.direction),
                 value.near_minimal)
+    if isinstance(value, ci.VertexStar):
+        return value.center, value.is_boundary, [
+            (e.face, bits(e.area), e.opposite, bits(e.edge_length), bits(e.normal))
+            for e in value.entries]
     if isinstance(value, list):
         return [bits(x) for x in value]
     return value
@@ -336,6 +340,27 @@ def test_vertex_out_of_range():
         assert outcome(ci.laplacian, mesh, v, values) == outcome(reference_laplacian, mesh, v, values)
 
 
+PER_VERTEX = {
+    "build_star": ci.build_star,
+    "star_sum": ci.star_sum,
+    "vector_mean_curvature": ci.vector_mean_curvature,
+    "area_gradient": ci.area_gradient,
+    "laplacian": lambda mesh, v: ci.laplacian(mesh, v, np.zeros(mesh.n_vertices)),
+    "vertex_faces": lambda mesh, v: mesh.vertex_faces(v),
+}
+
+
+@pytest.mark.parametrize("name", PER_VERTEX)
+def test_non_integer_vertex_is_refused_by_name(name):
+    fn, mesh = PER_VERTEX[name], ci.make_icosphere(1, 1.0)
+    # a bool is refused too: numpy would read it as a mask
+    for v in (1.5, 2.0, np.float64(2.0), None, "3", True, np.True_):
+        assert refusal(fn, mesh, v) == (
+            ci.MeshValidationError, f"vertex index must be an integer, got {v!r}", None)
+    for v in (np.int64(3), np.uint8(3), np.intp(41)):
+        assert outcome(fn, mesh, v) == outcome(fn, mesh, int(v))
+
+
 # ---------------------------------------------------------------------------
 # area_gradient and laplacian against their per-face loops: the arithmetic
 # changed, so values agree to a tolerance and refusals exactly
@@ -423,11 +448,9 @@ def test_laplacian_does_not_read_degenerate_face_elsewhere():
     checked = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        field = _laplacian(mesh, topology.faces, values)
+        field = _laplacian(mesh, values)
         for v in np.flatnonzero(~topology.boundary):
-            own = topology.faces[np.flatnonzero((topology.faces == v).any(axis=1))]
-            lap = _laplacian(mesh, own, values)[v]
-            assert bits(lap) == bits(field[v]), v
+            lap = field[v]
             refused = refusal(reference_laplacian, mesh, int(v), values)
             if refused is not None:  # incident to the zero-area faces
                 assert refused[0] is ci.MeshValidationError

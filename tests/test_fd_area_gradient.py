@@ -2,17 +2,22 @@
 equal to one central_gradient per vertex over rebuilt meshes (the loop
 gradcheck ran before), on closed, open and jiggled meshes, with an
 isolated vertex, at several steps and block sizes; blocks stay within
-FD_BLOCK floats; a bad or overflowing step is a typed error."""
+FD_BLOCK floats, also on drawn meshes with runs of isolated vertices; a
+bad or overflowing step is a typed error."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import curvint as ci
 from curvint import discrete
 
 from conftest import STOCK, isolated_vertex, jiggled_icosphere, reference_fd_area_gradient
+
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 def assert_bitwise(mesh, h=1e-5, vertices=None):
@@ -65,21 +70,50 @@ class BlockRecorder:
         return np.empty(shape, *args, **kwargs)
 
 
-@pytest.mark.parametrize("cap", [1, 500, 4096, discrete.FD_BLOCK])
-def test_blocks_stay_within_the_cap(cap, monkeypatch):
-    mesh = jiggled_icosphere(2, 2)
+def assert_blocks_within_the_cap(mesh, cap):
     expected = reference_fd_area_gradient(mesh, 1e-5)
     recorder = BlockRecorder()
-    monkeypatch.setattr(discrete, "FD_BLOCK", cap)
-    monkeypatch.setattr(discrete, "np", recorder)
-    got = ci.fd_area_gradient(mesh, 1e-5)
+    with mock.patch.object(discrete, "FD_BLOCK", cap), mock.patch.object(discrete, "np", recorder):
+        got = ci.fd_area_gradient(mesh, 1e-5)
     assert got.tobytes() == expected.tobytes()
     rows = [r for r, _ in recorder.blocks]
     assert {f for _, f in recorder.blocks} == {mesh.n_faces}
     assert sum(rows) == 6 * mesh.n_vertices
     # one row per block when a row alone is over the cap
-    assert max(rows) == max(1, cap // mesh.n_faces)
+    assert max(rows) == min(mesh.n_vertices, max(1, cap // mesh.n_faces))
     assert max(r * f for r, f in recorder.blocks) <= max(cap, mesh.n_faces)
+
+
+@pytest.mark.parametrize("cap", [1, 500, 4096, discrete.FD_BLOCK])
+def test_blocks_stay_within_the_cap(cap):
+    assert_blocks_within_the_cap(jiggled_icosphere(2, 2), cap)
+
+
+def with_isolated_runs(mesh, runs, seed):
+    """mesh with runs of isolated vertices inserted: (at, count) puts
+    count new vertices, at random positions, before old vertex at."""
+    at = [a for a, count in runs for _ in range(count)]
+    isolated = np.insert(np.zeros(mesh.n_vertices, dtype=bool), at, True)
+    positions = np.random.default_rng(seed).standard_normal((len(isolated), 3))
+    positions[~isolated] = mesh.positions
+    return ci.TriMesh(positions, np.flatnonzero(~isolated)[mesh.faces])
+
+
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+@given(st.sampled_from([lambda: ci.make_grid(3), lambda: ci.make_icosphere(1, 1.0),
+                        lambda: ci.make_tube(1.0, 2.0, 2, 6), lambda: ci.make_catenoid(1.0, 2, 6)]),
+       st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 50), st.integers(1, 40)), max_size=4),
+       st.integers(1, 1 << 16))
+@example(lambda: ci.make_grid(3), 0, [(5, 1), (16, 30)], 1)
+@example(lambda: ci.make_icosphere(1, 1.0), 1, [(0, 40), (42, 40)], 800)
+def test_blocks_stay_within_the_cap_on_drawn_meshes(make, seed, runs, cap):
+    # isolated vertices in runs leave some vertex blocks without corners
+    base = make()
+    rng = np.random.default_rng(seed)
+    jiggled = base.positions + 0.02 * rng.standard_normal(base.positions.shape)
+    runs = [(min(a, base.n_vertices), count) for a, count in runs]
+    assert_blocks_within_the_cap(with_isolated_runs(base.with_positions(jiggled), runs, seed), cap)
 
 
 @pytest.mark.parametrize("h,message", [

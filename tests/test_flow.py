@@ -128,6 +128,8 @@ def test_collapse_detected(tmp_path, capsys):
     with pytest.raises(CollapseError) as err:
         ci.mcf_step(tetra, dt_star)
     assert (str(err.value), err.value.face, err.value.area) == (message, 0, 0.0)
+    # a collapse is a degenerate-face refusal: `except MeshValidationError` catches it
+    assert isinstance(err.value, MeshValidationError)
 
     trace, _ = ci.run_flow(tetra, dt_star, 3)
     assert trace.stop_reason == f"collapse at step 1: {message}"

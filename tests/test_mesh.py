@@ -99,6 +99,28 @@ def test_undecodable_file_is_named_from_a_path_or_an_open_file(tmp_path):
     assert str(err.value) == f"{path}:1: not a text file"
 
 
+@pytest.mark.parametrize("fmt", ["off", "obj"])
+def test_empty_str_is_text_and_other_one_line_strs_are_paths(fmt, tmp_path, monkeypatch):
+    def outcome(source):
+        try:
+            mesh = ci.load_mesh(source, fmt=fmt)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return mesh.positions.tobytes(), mesh.faces.tobytes()
+
+    # "" reads as an empty file, not the working directory
+    assert outcome("") == outcome(io.StringIO(""))
+    if fmt == "off":
+        assert outcome("") == (ParseError, "line 1: empty file, expected OFF header")
+    # a Path, or a non-empty str without a newline, names a file
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError):
+        ci.load_mesh("OFF", fmt=fmt)
+    (tmp_path / "OFF").write_text(MINIMAL_OFF)
+    for source in ("OFF", tmp_path / "OFF"):
+        assert outcome(source) == outcome(io.StringIO(MINIMAL_OFF))
+
+
 def test_format_inference(tmp_path):
     def message(call):
         with pytest.raises(ValueError) as err:
