@@ -6,8 +6,11 @@ finite-difference oracle), laplacian (per-vertex field Laplacian), make
 (primitive generation) and flow (mean-curvature-flow trace).
 
 Exit codes: 0 success, 1 bad input or usage, 2 a requested check exceeded
-its tolerance. Every table is one %-format over whole-mesh (or whole-study)
-arrays; numbers are printed with 17 significant digits.
+its tolerance. Numbers print as "%.17g", indices as "%d". The per-vertex
+tables (curvature, gradcheck, laplacian) are written by the array kernel
+of `curvint._text`; the reports of a few rows (verify, limit, the flow
+trace) are one %-format each, microseconds against the kernel's fixed
+cost of about a hundred numpy calls.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import contour, discrete, flow as flow_mod, mesh as mesh_mod
+from ._text import render
 from .errors import CurvintError, EvaluationError
 from .numerics import check_nonnegative, gauss_legendre
 from .surfaces import surface_from_name
@@ -30,11 +34,12 @@ __all__ = ["build_parser", "run", "main"]
 _CAP_POLE_MARGIN = 1e-6
 
 
-def _emit(output: str | None, header: str, rows: str, values) -> None:
+def _emit(output: str | None, header: str, rows: str, values=None) -> None:
     """Write a CSV table to output (default stdout): the header line, then
-    rows, the template of every line, filled from values row-major by one
-    %-format ("%.17g" rounds as format(x, ".17g"))."""
-    text = header + "\n" + rows % tuple(np.ravel(values).tolist())
+    rows, the text of the rows; or given values, the template of every
+    line, filled from values row-major by one %-format ("%.17g" rounds as
+    format(x, ".17g"))."""
+    text = header + "\n" + (rows if values is None else rows % tuple(np.ravel(values).tolist()))
     if output:
         Path(output).write_text(text)
     else:
@@ -172,12 +177,11 @@ def _cmd_limit(args) -> int:
 def _cmd_curvature(args) -> int:
     m = mesh_mod.load_mesh(args.input)
     vec, magnitude, near_minimal, boundary = discrete.curvature_arrays(m, args.tol_direction)
-    values = np.column_stack([np.arange(m.n_vertices), vec, magnitude, near_minimal])
-    keep = np.ones(values.shape, dtype=bool)
-    keep[boundary, 1:] = False  # a boundary row prints its vertex index only
+    # a boundary row prints its vertex index and boundary flag only
+    blank = np.outer(boundary, [False] + [True] * 5 + [False])
     _emit(args.output, "vertex,Bx,By,Bz,magnitude,near_minimal,boundary",
-          "".join(np.where(boundary, "%d,,,,,,1\n", "%d" + ",%.17g" * 4 + ",%d,0\n")),
-          values[keep])
+          render([np.arange(m.n_vertices), *vec.T, magnitude, near_minimal, boundary],
+                 blank=blank))
     return 0
 
 
@@ -198,8 +202,7 @@ def _cmd_gradcheck(args) -> int:
         [norms(analytic), norms(fd), floor, np.full_like(floor, 1e-30)])
     worst = float(rel.max(initial=0.0))
     _emit(args.output, "vertex,analytic_x,analytic_y,analytic_z,fd_x,fd_y,fd_z,rel_err",
-          ("%d" + ",%.17g" * 7 + "\n") * m.n_vertices,
-          np.column_stack([np.arange(m.n_vertices), analytic, fd, rel]))
+          render([np.arange(m.n_vertices), *analytic.T, *fd.T, rel]))
     if args.max_rel_err is not None and worst > args.max_rel_err:
         print(f"gradient check failed: worst rel_err {worst:.3e} exceeds "
               f"{args.max_rel_err:.3e}", file=sys.stderr)
@@ -215,8 +218,7 @@ def _cmd_laplacian(args) -> int:
     bad = interior[~np.isfinite(lap[interior])]
     if len(bad):
         raise EvaluationError("Laplacian is not finite", where=f"vertex {bad[0]}")
-    _emit(args.output, "vertex,L", "%d,%.17g\n" * len(interior),
-          np.column_stack([interior, lap[interior]]))
+    _emit(args.output, "vertex,L", render([interior, lap[interior]]))
     return 0
 
 

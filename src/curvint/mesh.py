@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._text import render
 from .errors import (
     IsolatedVertexError,
     MeshValidationError,
@@ -388,16 +390,20 @@ def convert_rows(records, numbers, convert, dtype, width: int, finish=np.asarray
     `numbers`. One np.loadtxt pass converts the section when numpy reads
     every record and finish, which maps that block to rows, keeps one row
     of `width` values per record (a structured dtype's record is one
-    value). Otherwise convert(record) gives each record's rows in Python,
+    value; numpy 1.23 to 1.26 read an integer such as "3.0" through float
+    with a DeprecationWarning, which counts as a refusal here). Otherwise
+    convert(record) gives each record's rows in Python,
     or raises ValueError with a message that names its fault, the only
     code that does: rows then lists the rows before that record, and
     fault is (message, line), else None."""
     if any(records):  # numpy warns on a section without data
         try:
-            block = finish(np.loadtxt(records, dtype=dtype, comments=None, ndmin=2, **loadtxt))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                block = finish(np.loadtxt(records, dtype=dtype, comments=None, ndmin=2, **loadtxt))
             if block.shape == (len(records), width):
                 return block, numbers, None
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError, DeprecationWarning):
             pass  # numpy refused a record: each is converted in Python
     rows, row_lines = [], []
     for line, record in zip(numbers, records):
@@ -589,17 +595,15 @@ def load_mesh(source, fmt: str | None = None) -> TriMesh:
 
 
 def mesh_to_text(mesh: TriMesh, fmt: str) -> str:
-    """Serialize to OBJ or OFF text, one %-format per block of lines;
-    coordinates keep 17 significant digits ("%.17g" rounds as
-    format(x, ".17g")) so float64 values round-trip exactly."""
+    """Serialize to OBJ or OFF text, the vertex and the face lines each
+    one table of `curvint._text`: coordinates print as "%.17g" % x, 17
+    significant digits that round-trip every float64, indices as "%d"."""
     fmt = _infer_format(None, fmt)
-    coords = tuple(mesh.positions.ravel().tolist())
+    coords = list(mesh.positions.T)
     if fmt == "obj":
-        return (("v %.17g %.17g %.17g\n" * mesh.n_vertices) % coords
-                + ("f %d %d %d\n" * mesh.n_faces) % tuple((mesh.faces + 1).ravel().tolist()))
+        return render(coords, " ", "v ") + render(list((mesh.faces + 1).T), " ", "f ")
     return (f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n"
-            + ("%.17g %.17g %.17g\n" * mesh.n_vertices) % coords
-            + ("3 %d %d %d\n" * mesh.n_faces) % tuple(mesh.faces.ravel().tolist()))
+            + render(coords, " ") + render(list(mesh.faces.T), " ", "3 "))
 
 
 def save_mesh(mesh: TriMesh, dest, fmt: str | None = None) -> None:

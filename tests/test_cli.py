@@ -250,6 +250,31 @@ def test_mesh_tables_match_the_reference_writers(name, mesh, tmp_path):
         assert out.read_text() == expected, args
 
 
+def test_mesh_tables_with_zero_blank_and_exponential_cells(tmp_path):
+    # the flat grid's interior B is exactly zero and its boundary rows are
+    # blank; on a catenoid at 1e-5 scale the gradients print as "e-06"
+    small = jiggled_catenoid(5)
+    small = small.with_positions(small.positions * 1e-5)
+    out, field_path = tmp_path / "out.csv", tmp_path / "field.csv"
+    for mesh, h in ((ci.make_grid(6), "1e-5"), (small, "1e-10")):
+        mesh_path = tmp_path / "m.obj"
+        ci.save_mesh(mesh, mesh_path)
+        mesh = ci.load_mesh(mesh_path)
+        values = np.random.default_rng(2).standard_normal(mesh.n_vertices)
+        field_path.write_text("".join(f"{v},{float(x)!r}\n" for v, x in enumerate(values)))
+        cases = [(["curvature"], reference_curvature_csv(mesh)),
+                 (["gradcheck", "--h", h],
+                  reference_gradcheck_csv(mesh, ci.fd_area_gradient(mesh, float(h)))),
+                 (["laplacian", "--field", str(field_path)], reference_laplacian_csv(mesh, values))]
+        for args, expected in cases:
+            assert run([*args, "--input", str(mesh_path), "--output", str(out)]) == 0, args
+            assert out.read_text() == expected, args
+    grid_rows = reference_curvature_csv(ci.make_grid(6)).splitlines()
+    assert any(row.endswith(",,,,,,1") for row in grid_rows)
+    assert any(row.endswith(",0,0,0,0,1,0") for row in grid_rows)
+    assert "e-06," in reference_gradcheck_csv(small, ci.fd_area_gradient(small, 1e-10))
+
+
 def test_flow_stopping_early_matches_the_reference_writer(tmp_path, capsys):
     mesh_path = tmp_path / "ico2.off"
     ci.save_mesh(ci.make_icosphere(2, 1.0), mesh_path)

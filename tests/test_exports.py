@@ -15,8 +15,8 @@ import curvint
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(curvint.__path__))
-# the command line is no part of the library's API
-LIBRARY = sorted(set(SUBMODULES) - {"__main__", "cli"})
+# the command line and the private modules (a leading "_") are no part of the library's API
+LIBRARY = sorted(m for m in SUBMODULES if not m.startswith("_") and m != "cli")
 
 
 def traced_targets() -> list[tuple[str, str]]:

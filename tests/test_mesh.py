@@ -623,6 +623,19 @@ def test_block_never_accepts_what_python_refuses(token):
         assert np.array([expected], dtype=dtype).tobytes() == block[0, :1].tobytes()
 
 
+def test_block_refuses_what_numpy_reads_with_a_deprecation_warning(monkeypatch):
+    # numpy 1.23 to 1.26 read the int64 token "3.0" as 3 and only warn
+    def warning_loadtxt(records, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return np.ones((len(records), 3), np.int64)
+
+    monkeypatch.setattr(mesh_mod.np, "loadtxt", warning_loadtxt)
+    rows, _, fault = mesh_mod.convert_rows(["3.0 1 1"], range(1, 2), mesh_mod._obj_face,
+                                           np.int64, 3)
+    assert fault == ("face index '3.0' is not an integer", 1)
+
+
 def test_regular_bodies_skip_the_line_loop(monkeypatch, tmp_path):
     # a regular body is converted by numpy alone: no per-record conversion call
     def refuse(record):
@@ -645,6 +658,60 @@ def test_writer_is_the_reference_writer(fmt):
     extremes = ci.TriMesh(np.vstack([base.positions, np.reshape(EXTREMES, (-1, 3))]), base.faces)
     for name, mesh in STOCK + [("extremes", extremes)]:
         assert ci.mesh_to_text(mesh, fmt) == reference_mesh_to_text(mesh, fmt), name
+
+
+@pytest.mark.parametrize("fmt", ["obj", "off"])
+def test_writer_is_the_reference_writer_at_every_scale(fmt):
+    # one file with "e-05" and "e+17" cells, values near 1e5, exact zeros,
+    # and the coordinates of 2**52 and up that Python formats
+    faces = ci.make_icosphere(2, 1.0).faces
+    parts = [jiggled_icosphere(2, 11).positions * 1e-5, jiggled_icosphere(2, 12).positions * 1e18,
+             jiggled_icosphere(2, 13).positions + 1e5, ci.make_icosphere(2, 1.0).positions]
+    mesh = ci.TriMesh(np.vstack(parts), np.vstack([faces + k * len(parts[0]) for k in range(4)]))
+    text = ci.mesh_to_text(mesh, fmt)
+    assert text == reference_mesh_to_text(mesh, fmt)
+    cells = set(text.split())
+    assert {"0", "-0"} & cells
+    assert any(c.endswith("e-05") for c in cells) and any(c.endswith("e+17") for c in cells)
+    assert any(c.startswith("10000") and "." in c for c in cells)
+
+
+def suffixed(text: str, suffix: str) -> str:
+    """An OBJ text with `suffix` after every index of its `f` records."""
+    lines = [line.split() for line in text.splitlines()]
+    return "".join(" ".join(t[:1] + [i + suffix for i in t[1:]] if t[:1] == ["f"] else t) + "\n"
+                   for t in lines)
+
+
+def test_obj_suffixed_faces_load_as_the_plain_faces():
+    mesh = jiggled_icosphere(5, 2)
+    plain = ci.mesh_to_text(mesh, "obj")
+    for suffix in ("/1", "/1/1", "//7", "/"):
+        assert_same_mesh(ci.load_mesh(suffixed(plain, suffix), fmt="obj"), mesh)
+
+
+OBJ_FACE_ERRORS = [(f[0], f[2]) for f in FACE_ERROR_FIXTURES if f[1] == "obj"]
+
+
+@pytest.mark.parametrize("label,text", OBJ_FACE_ERRORS, ids=[f[0] for f in OBJ_FACE_ERRORS])
+def test_obj_face_errors_keep_their_suffixes(label, text):
+    for suffix in ("/1", "/2/3", "//4"):
+        assert load_outcome(suffixed(text, suffix), "obj") == load_outcome(text, "obj"), label
+        assert_paths_agree(text=suffixed(text, suffix), fmt="obj")
+
+
+@pytest.mark.parametrize("tokens,message", [
+    ("/2", "face index '/2' is not an integer"),
+    ("3/3 /2", "face index '/2' is not an integer"),  # no suffix without its index
+    ("1.5/2", "face index '1.5/2' is not an integer"),
+    ("x/1", "face index 'x/1' is not an integer"),
+    ("-1/2", "face indices must be positive (1-based)"),
+    ("0/1", "face indices must be positive (1-based)"),
+])
+def test_obj_suffixed_face_errors_name_the_record(tokens, message):
+    text = f"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1 2/2 3/3\nf 1/1 2/2 {tokens}\n"
+    assert load_outcome(text, "obj") == (ParseError, f"line 5: {message}")
+    assert_paths_agree(text=text, fmt="obj")
 
 
 PERTURBED_TOKENS = ["1_0", "\u0663", "+3", "3.0", "nan", "1e400", str(2 ** 63), "-1", "0"]
