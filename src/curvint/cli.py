@@ -6,11 +6,13 @@ finite-difference oracle), laplacian (per-vertex field Laplacian), make
 (primitive generation) and flow (mean-curvature-flow trace).
 
 Exit codes: 0 success, 1 bad input or usage, 2 a requested check exceeded
-its tolerance. Numbers print as "%.17g", indices as "%d". The per-vertex
-tables (curvature, gradcheck, laplacian) are written by the array kernel
-of `curvint._text`; the reports of a few rows (verify, limit, the flow
-trace) are one %-format each, microseconds against the kernel's fixed
-cost of about a hundred numpy calls.
+its tolerance: run, the one --max-rel-err check, refuses a bound that is
+not nonnegative first, then compares the relative error that the verify
+or gradcheck handler returns. Numbers print as "%.17g", indices as "%d".
+The per-vertex tables (curvature, gradcheck, laplacian) are written by
+the array kernel of `curvint._text`; the reports of a few rows (verify,
+limit, the flow trace) are one %-format each, microseconds against the
+kernel's fixed cost of about a hundred numpy calls.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -25,8 +28,8 @@ import numpy as np
 
 from . import contour, discrete, flow as flow_mod, mesh as mesh_mod
 from ._text import render
-from .errors import CurvintError, EvaluationError
-from .numerics import check_nonnegative, gauss_legendre
+from .errors import CurvintError
+from .numerics import check_nonnegative, default_rule, gauss_legendre
 from .surfaces import surface_from_name
 
 __all__ = ["build_parser", "run", "main"]
@@ -142,9 +145,7 @@ def _read_field(path: str, n_vertices: int) -> np.ndarray:
 # subcommand handlers
 
 
-def _cmd_verify(args) -> int:
-    if args.max_rel_err is not None:
-        check_nonnegative(args.max_rel_err, "--max-rel-err")
+def _cmd_verify(args) -> float:
     surface = _surface_from_args(args)
     region = _region_from_args(args, surface)
     report = contour.verify_identity(surface, region, _rule_from_args(args))
@@ -152,14 +153,10 @@ def _cmd_verify(args) -> int:
     _emit(args.output, "surface,region,lhs_x,lhs_y,lhs_z,rhs_x,rhs_y,rhs_z,abs_err,rel_err,area",
           literal + ",".join(["%.17g"] * 9) + "\n",
           [*report.lhs, *report.rhs, report.abs_err, report.rel_err, report.area])
-    if args.max_rel_err is not None and report.rel_err > args.max_rel_err:
-        print(f"verification failed: rel_err {report.rel_err:.3e} exceeds "
-              f"{args.max_rel_err:.3e}", file=sys.stderr)
-        return 2
-    return 0
+    return report.rel_err
 
 
-def _cmd_limit(args) -> int:
+def _cmd_limit(args) -> None:
     surface = _surface_from_args(args)
     center = _floats("--center", args.center.split(","))
     if len(center) != 2:
@@ -171,10 +168,9 @@ def _cmd_limit(args) -> int:
           (row + "\n") * (len(study.radii) - 1) + row + "%.17g\n",
           [*np.column_stack([study.radii, study.estimates, study.errors]).ravel(),
            study.observed_order])
-    return 0
 
 
-def _cmd_curvature(args) -> int:
+def _cmd_curvature(args) -> None:
     m = mesh_mod.load_mesh(args.input)
     vec, magnitude, near_minimal, boundary = discrete.curvature_arrays(m, args.tol_direction)
     # a boundary row prints its vertex index and boundary flag only
@@ -182,12 +178,9 @@ def _cmd_curvature(args) -> int:
     _emit(args.output, "vertex,Bx,By,Bz,magnitude,near_minimal,boundary",
           render([np.arange(m.n_vertices), *vec.T, magnitude, near_minimal, boundary],
                  blank=blank))
-    return 0
 
 
-def _cmd_gradcheck(args) -> int:
-    if args.max_rel_err is not None:
-        check_nonnegative(args.max_rel_err, "--max-rel-err")
+def _cmd_gradcheck(args) -> float:
     m = mesh_mod.load_mesh(args.input)
     fd = discrete.fd_area_gradient(m, args.h)
     kernel = m.corner_kernel()
@@ -200,36 +193,27 @@ def _cmd_gradcheck(args) -> int:
     norms = discrete.row_norms
     rel = norms(analytic - fd) / np.maximum.reduce(
         [norms(analytic), norms(fd), floor, np.full_like(floor, 1e-30)])
-    worst = float(rel.max(initial=0.0))
     _emit(args.output, "vertex,analytic_x,analytic_y,analytic_z,fd_x,fd_y,fd_z,rel_err",
           render([np.arange(m.n_vertices), *analytic.T, *fd.T, rel]))
-    if args.max_rel_err is not None and worst > args.max_rel_err:
-        print(f"gradient check failed: worst rel_err {worst:.3e} exceeds "
-              f"{args.max_rel_err:.3e}", file=sys.stderr)
-        return 2
-    return 0
+    return float(rel.max(initial=0.0))
 
 
-def _cmd_laplacian(args) -> int:
+def _cmd_laplacian(args) -> None:
     m = mesh_mod.load_mesh(args.input)
-    interior = np.flatnonzero(~discrete.refuse_isolated(m))
-    values = _read_field(args.field, m.n_vertices)
-    lap = discrete.laplacian_field(m, values)
-    bad = interior[~np.isfinite(lap[interior])]
-    if len(bad):
-        raise EvaluationError("Laplacian is not finite", where=f"vertex {bad[0]}")
-    _emit(args.output, "vertex,L", render([interior, lap[interior]]))
-    return 0
+    interior = np.flatnonzero(~m.topology.check())
+    lap = discrete.laplacian_field(m, _read_field(args.field, m.n_vertices))
+    _emit(args.output, "vertex,L", render([interior, discrete.finite_laplacian(lap, interior)]))
 
 
-def _cmd_make(args) -> int:
+def _cmd_make(args) -> None:
     m = mesh_mod.make_primitive(
         args.kind, **_given(args, ("n", "level", "R", "L", "c", "n_u", "n_v")))
     mesh_mod.save_mesh(m, args.output)
-    return 0
 
 
-def _cmd_flow(args) -> int:
+def _cmd_flow(args) -> None:
+    # a destination of unknown format is refused before any step runs
+    fmt = args.final_mesh and mesh_mod.infer_format(args.final_mesh, None)
     m = mesh_mod.load_mesh(args.input)
     trace, final = flow_mod.run_flow(m, args.dt, args.steps)
     _emit(args.output, "step,area,max_B,min_tri_area", "%d,%.17g,%.17g,%.17g\n" * len(trace.steps),
@@ -237,8 +221,7 @@ def _cmd_flow(args) -> int:
     if trace.stop_reason:
         print(f"stopped early: {trace.stop_reason}", file=sys.stderr)
     if args.final_mesh:
-        mesh_mod.save_mesh(final, args.final_mesh)
-    return 0
+        mesh_mod.save_mesh(final, args.final_mesh, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +237,10 @@ def _add_surface_flags(p: argparse.ArgumentParser):
 
 
 def _add_quad_flags(p: argparse.ArgumentParser):
-    p.add_argument("--quad-n", type=int, default=16, help="Gauss-Legendre nodes per panel")
-    p.add_argument("--quad-panels", type=int, default=8, help="panels per interval/edge")
+    rule = default_rule()
+    p.add_argument("--quad-n", type=int, default=len(rule.nodes),
+                   help="Gauss-Legendre nodes per panel")
+    p.add_argument("--quad-panels", type=int, default=rule.panels, help="panels per interval/edge")
 
 
 def _add_output_flag(p: argparse.ArgumentParser):
@@ -284,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rel-err", type=float,
                    help="exit 2 when rel_err exceeds this bound")
     _add_output_flag(p)
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_verify, failure="verification failed: rel_err")
 
     p = sub.add_parser("limit", help="shrinking-disk limit study at a point")
     _add_surface_flags(p)
@@ -309,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rel-err", type=float,
                    help="exit 2 when any vertex exceeds this bound")
     _add_output_flag(p)
-    p.set_defaults(handler=_cmd_gradcheck)
+    p.set_defaults(handler=_cmd_gradcheck, failure="gradient check failed: worst rel_err")
 
     p = sub.add_parser("laplacian", help="per-vertex surface Laplacian of a field")
     p.add_argument("--input", required=True, help="OBJ/OFF mesh path")
@@ -337,6 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flag(p)
     p.set_defaults(handler=_cmd_flow)
 
+    for p in sub.choices.values():
+        # a value such as -1e-3 or -0.5,0.3: argparse's private test takes
+        # only -1 and -0.5 for numbers, any other "-<digit>" for a flag
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 
@@ -349,11 +338,18 @@ def run(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 for --help, 2 for usage errors
         return 0 if exc.code == 0 else 1
+    bound = getattr(args, "max_rel_err", None)  # verify and gradcheck
     try:
-        return args.handler(args)
+        if bound is not None:
+            check_nonnegative(bound, "--max-rel-err")
+        err = args.handler(args)
     except (CurvintError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if bound is not None and err > bound:
+        print(f"{args.failure} {err:.3e} exceeds {bound:.3e}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def main() -> None:

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryVertexError, EvaluationError
-from .mesh import TriMesh, corner_terms, star_corners, triangle_areas
+from .errors import EvaluationError
+from .mesh import TriMesh, corner_terms, triangle_areas
 from .numerics import check_nonnegative, checked_positive, column_cross
 
 __all__ = [
@@ -86,14 +86,8 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 def star_sum(mesh: TriMesh, v: int) -> np.ndarray:
     """sum(a_i n_i) over the one-ring of v (no area division); defined for
     boundary vertices too."""
-    star_corners(mesh, v)
+    mesh.topology.check(v)
     return mesh.corner_kernel().star_sums[v].copy()
-
-
-def _refuse_vertex(mesh: TriMesh, v: int, allow_boundary: bool = False) -> None:
-    star_corners(mesh, v)
-    if not allow_boundary and mesh.topology.boundary[v]:
-        raise BoundaryVertexError(f"vertex {v} lies on the mesh boundary")
 
 
 def vector_mean_curvature(mesh: TriMesh, v: int, tol_direction: float = 1e-8,
@@ -104,7 +98,7 @@ def vector_mean_curvature(mesh: TriMesh, v: int, tol_direction: float = 1e-8,
     half-ring value is not meaningful as a curvature).
     """
     check_nonnegative(tol_direction, "tol_direction")
-    _refuse_vertex(mesh, v, allow_boundary)
+    mesh.topology.check(v, boundary=not allow_boundary)
     return _samples(*_curvature_rows(mesh, [v], tol_direction))[0]
 
 
@@ -115,7 +109,7 @@ def area_gradient(mesh: TriMesh, v: int) -> np.ndarray:
     -star_sum(mesh, v) / 2, read from the corner kernel. Boundary
     vertices are fine; an isolated vertex gives zeros.
     """
-    mesh.topology.vertex_corners(v)  # range check
+    mesh.topology.check(v, isolated=False)
     # 0.0 - x: a vanishing sum gives +0.0, never -0.0
     return 0.0 - 0.5 * mesh.corner_kernel().star_sums[v]
 
@@ -180,21 +174,16 @@ def laplacian(mesh: TriMesh, v: int, values) -> float:
     laplacian_field once instead.
     """
     values = _validated_field(mesh, values)
-    _refuse_vertex(mesh, v)
-    out = float(_laplacian(mesh, values)[v])
-    if not np.isfinite(out):
-        raise EvaluationError("Laplacian is not finite", where=f"vertex {v}")
-    return out
+    mesh.topology.check(v, boundary=True)
+    return float(finite_laplacian(_laplacian(mesh, values), [v])[0])
 
 
-def refuse_isolated(mesh: TriMesh) -> np.ndarray:
-    """The mesh's boundary mask, after raising IsolatedVertexError at the
-    first vertex without faces."""
-    boundary = mesh.boundary_vertices()
-    isolated = mesh.topology.face_counts == 0
-    if isolated.any():
-        star_corners(mesh, int(np.argmax(isolated)))  # raises
-    return boundary
+def finite_laplacian(lap: np.ndarray, vertices) -> np.ndarray:
+    """lap[vertices], refusing the first entry that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(lap[vertices]))
+    if len(bad):
+        raise EvaluationError("Laplacian is not finite", where=f"vertex {vertices[bad[0]]}")
+    return lap[vertices]
 
 
 def curvature_arrays(mesh: TriMesh, tol_direction: float = 1e-8):
@@ -204,7 +193,7 @@ def curvature_arrays(mesh: TriMesh, tol_direction: float = 1e-8):
     Raises IsolatedVertexError at the first isolated vertex, as
     vector_mean_curvature does."""
     check_nonnegative(tol_direction, "tol_direction")
-    boundary = refuse_isolated(mesh)
+    boundary = mesh.topology.check()
     return (*_curvature_rows(mesh, slice(None), tol_direction), boundary)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import refuse_isolated
 from .errors import BoundaryVertexError, CollapseError, MeshValidationError
 from .mesh import TriMesh
 from .numerics import column_norm
@@ -44,11 +43,10 @@ class FlowTrace:
 
 
 def _require_closed(mesh: TriMesh):
-    if not mesh.is_closed():
-        v = int(np.argmax(mesh.boundary_vertices()))
-        raise BoundaryVertexError(
-            f"mean curvature flow requires a closed mesh: vertex {v} lies on the mesh boundary")
-    refuse_isolated(mesh)
+    try:
+        mesh.topology.check(boundary=True)
+    except BoundaryVertexError as exc:
+        raise BoundaryVertexError(f"mean curvature flow requires a closed mesh: {exc}") from None
 
 
 def _advance(mesh: TriMesh, dt: float, curvature: np.ndarray) -> TriMesh:

@@ -22,6 +22,7 @@ import numpy as np
 
 from ._text import render
 from .errors import (
+    BoundaryVertexError,
     IsolatedVertexError,
     MeshValidationError,
     ParseError,
@@ -48,13 +49,15 @@ __all__ = [
 ]
 
 MIN_FACE_AREA = 1e-14
+_EVERY = object()  # MeshTopology.check's whole-mesh form: no caller's vertex is this
 
 
 class MeshTopology:
     """Connectivity of one validated face array (F, 3) over n_vertices
     vertices. Meshes that differ only in positions share one instance
     (see TriMesh.with_positions); the faces per vertex (face_counts) are
-    counted on construction, each other part on first use."""
+    counted on construction, each other part on first use. check is the
+    one gate where every mesh operator refuses a vertex."""
 
     def __init__(self, faces, n_vertices: int):
         try:
@@ -105,9 +108,20 @@ class MeshTopology:
         endpoints of the edge opposite it."""
         return self.faces[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
 
-    def vertex_corners(self, v: int) -> np.ndarray:
-        """Corners (indices into faces.ravel()) at vertex v, in
-        incident-face order. v is an int or a numpy integer, in range."""
+    def check(self, v=_EVERY, isolated: bool = True, boundary: bool = False) -> np.ndarray:
+        """v's corners (into faces.ravel()) in incident-face order, after
+        refusing a v that is no integer or out of range (MeshValidationError),
+        then unless isolated is False one without faces (IsolatedVertexError),
+        then if boundary is set one on the boundary (BoundaryVertexError).
+        With v omitted: the boundary mask, after refusing the first boundary
+        vertex if boundary is set, then the first vertex without faces."""
+        if v is _EVERY:
+            for refused, mask in ((boundary, self.boundary), (isolated, self.face_counts == 0)):
+                if refused and mask.any():
+                    v = int(np.argmax(mask))
+                    break
+            else:
+                return self.boundary
         try:
             if isinstance(v, (bool, np.bool_)):  # numpy reads a bool as a mask
                 raise TypeError
@@ -116,6 +130,10 @@ class MeshTopology:
             raise MeshValidationError(f"vertex index must be an integer, got {v!r}") from None
         if not 0 <= v < self.n_vertices:
             raise MeshValidationError(f"vertex {v} out of range")
+        if isolated and not self.face_counts[v]:
+            raise IsolatedVertexError(f"vertex {v} has no incident faces")
+        if boundary and self.boundary[v]:
+            raise BoundaryVertexError(f"vertex {v} lies on the mesh boundary")
         order, offsets = self._corner_csr
         return order[offsets[v]:offsets[v + 1]]
 
@@ -216,7 +234,7 @@ class TriMesh:
 
     def vertex_faces(self, v: int) -> np.ndarray:
         """Indices of the faces incident to vertex v, ascending."""
-        return self.topology.vertex_corners(v) // 3
+        return self.topology.check(v, isolated=False) // 3
 
     def boundary_vertices(self) -> np.ndarray:
         """Mask of the vertices with faces whose one-ring is not one closed loop."""
@@ -340,15 +358,6 @@ class VertexStar:
         return sum(e.edge_length for e in self.entries)
 
 
-def star_corners(mesh: TriMesh, v: int) -> np.ndarray:
-    """Corners of vertex v in incident-face order. Raises
-    IsolatedVertexError when no face contains v."""
-    corners = mesh.topology.vertex_corners(v)
-    if len(corners) == 0:
-        raise IsolatedVertexError(f"vertex {v} has no incident faces")
-    return corners
-
-
 def build_star(mesh: TriMesh, v: int) -> VertexStar:
     """Collect the one-ring of vertex v.
 
@@ -357,7 +366,7 @@ def build_star(mesh: TriMesh, v: int) -> VertexStar:
     and pointing from v toward it, as corner_terms computes them. Raises
     IsolatedVertexError when no face contains v.
     """
-    corners = star_corners(mesh, v)
+    corners = mesh.topology.check(v)
     faces, areas = corners // 3, mesh.face_areas()
     _, _, e, an = corner_terms(mesh.positions, mesh.faces[faces])
     pick = (slice(None), corners % 3, np.arange(len(corners)))
@@ -546,7 +555,7 @@ def _parse_obj(text: str, path) -> tuple:
     return _finite(rows, vertex_lines, path), faces, face_lines
 
 
-def _infer_format(name: str | None, fmt: str | None) -> str:
+def infer_format(name: str | None, fmt: str | None) -> str:
     if fmt:
         fmt = fmt.lower()
         if fmt not in ("obj", "off"):
@@ -581,7 +590,7 @@ def load_mesh(source, fmt: str | None = None) -> TriMesh:
         text = text.decode() if isinstance(text, bytes) else str(text)
     except UnicodeDecodeError:
         raise ParseError("not a text file", 1, path) from None
-    parse = _parse_obj if _infer_format(path, fmt) == "obj" else _parse_off
+    parse = _parse_obj if infer_format(path, fmt) == "obj" else _parse_off
     positions, faces, face_lines = parse(text, path)
     # validated once every vertex is known: OBJ `v` records may follow `f`
     try:
@@ -598,7 +607,7 @@ def mesh_to_text(mesh: TriMesh, fmt: str) -> str:
     """Serialize to OBJ or OFF text, the vertex and the face lines each
     one table of `curvint._text`: coordinates print as "%.17g" % x, 17
     significant digits that round-trip every float64, indices as "%d"."""
-    fmt = _infer_format(None, fmt)
+    fmt = infer_format(None, fmt)
     coords = list(mesh.positions.T)
     if fmt == "obj":
         return render(coords, " ", "v ") + render(list((mesh.faces + 1).T), " ", "f ")
@@ -610,7 +619,7 @@ def save_mesh(mesh: TriMesh, dest, fmt: str | None = None) -> None:
     """Write a mesh to a path or file-like object (format from the
     extension unless given)."""
     path = isinstance(dest, (str, Path))
-    text = mesh_to_text(mesh, _infer_format(str(dest) if path else getattr(dest, "name", None), fmt))
+    text = mesh_to_text(mesh, infer_format(str(dest) if path else getattr(dest, "name", None), fmt))
     if path:
         Path(dest).write_text(text)
     else:

@@ -35,7 +35,7 @@ from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 import curvint as ci
 from curvint import (BoundaryVertexError, CollapseError, ContourError, IsolatedVertexError,
@@ -48,6 +48,10 @@ from curvint.surfaces import _DEGENERATE_TOL
 # of the test (which also turns the example database off)
 settings.register_profile("curvint", derandomize=True, deadline=None)
 settings.load_profile("curvint")
+
+# the bitwise guards report their first failing example: shrinking it
+# reruns full-grid oracles for minutes
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 def interior_vertices(mesh: ci.TriMesh) -> np.ndarray:
@@ -93,6 +97,16 @@ def isolated_vertex() -> ci.TriMesh:
     """An icosphere of level 1 after an extra vertex 0 in no face."""
     base = ci.make_icosphere(1, 1.0)
     return ci.TriMesh(np.vstack([[5.0, 5.0, 5.0], base.positions]), base.faces + 1)
+
+
+def isolated_and_boundary(isolated_first: bool) -> tuple[ci.TriMesh, int, int]:
+    """(mesh, isolated, boundary): a 4 x 4 grid and one vertex in no face,
+    numbered before or after the grid's, with the indices of that vertex
+    and of the mesh's first boundary vertex."""
+    grid, extra = ci.make_grid(4), [[5.0, 5.0, 5.0]]
+    if isolated_first:
+        return ci.TriMesh(np.vstack([extra, grid.positions]), grid.faces + 1), 0, 1
+    return ci.TriMesh(np.vstack([grid.positions, extra]), grid.faces), grid.n_vertices, 0
 
 
 # (name, mesh): the bundled meshes, perturbed ones and a jiggled ico3

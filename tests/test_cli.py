@@ -17,7 +17,7 @@ from curvint import cli, discrete
 from curvint.cli import run
 
 from conftest import (FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, NON_FINITE_FIXTURES, STOCK,
-                      jiggled_icosphere, reference_curvature_csv, reference_fd_area_gradient,
+                      isolated_and_boundary, jiggled_icosphere, reference_curvature_csv, reference_fd_area_gradient,
                       reference_flow_csv, reference_gradcheck_csv, reference_laplacian_csv,
                       reference_limit_csv, reference_make_catenoid, reference_make_grid,
                       reference_make_tube, reference_read_field, reference_verify_csv)
@@ -543,6 +543,29 @@ def test_laplacian_refuses_isolated_vertex(tmp_path, capsys):
     assert captured.err == "error: vertex 0 has no incident faces\n"
 
 
+@pytest.mark.parametrize("isolated_first", [True, False])
+def test_commands_name_the_vertex_they_refuse(isolated_first, tmp_path, capsys):
+    # curvature and laplacian refuse the vertex in no face, not the
+    # boundary vertex; flow refuses the boundary vertex, wherever the
+    # other is numbered. laplacian refuses before it reads its field file,
+    # which does not exist here
+    mesh, isolated, boundary = isolated_and_boundary(isolated_first)
+    mesh_path = tmp_path / "mesh.off"
+    ci.save_mesh(mesh, mesh_path)
+    no_faces = f"vertex {isolated} has no incident faces"
+    open_mesh = ("mean curvature flow requires a closed mesh: "
+                 f"vertex {boundary} lies on the mesh boundary")
+    for args, message in [(["curvature"], no_faces),
+                          (["laplacian", "--field", str(tmp_path / "missing.csv")], no_faces),
+                          (["flow", "--dt", "1e-3", "--steps", "2"], open_mesh)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*args, "--input", str(mesh_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_non_manifold_vertex_is_a_boundary_row(tmp_path, capsys):
     # two tetrahedra sharing vertex 0: every edge has two faces, but the
     # one-ring of vertex 0 is two loops
@@ -908,3 +931,47 @@ def test_stdout_output(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("surface,region,")
+
+
+@pytest.mark.parametrize("args", [
+    ["limit", "--surface", "torus", "--center", "-0.5,0.3"],
+    ["limit", "--surface", "torus", "--center", "-5e-1,-3E-1", "--radii", "0.2,0.1"],
+    ["verify", "--surface", "plane", "--region", "rect",
+     "--u0", "-1e-3", "--u1", "1", "--v0", "0", "--v1", "1"],
+    ["verify", "--surface", "saddle", "--region", "rect",
+     "--u0", "-2e-1", "--u1", "-1e-1", "--v0", "-3e-1", "--v1", "-1.5e-1"],
+    ["verify", "--surface", "saddle", "--region", "disk",
+     "--uc", "-2e-1", "--vc", "-3e-1", "--rho", "0.1"],
+])
+def test_negative_values_in_exponent_or_list_form_are_values(args, capsys):
+    # argparse by itself reads a value such as -1e-3 or -0.5,0.3 after a
+    # flag as an unknown flag; the "--flag=value" spelling always worked
+    joined = []
+    for token in args:
+        if token[0] == "-" and not token.startswith("--"):  # a value: join it to its flag
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    assert len(joined) < len(args)
+    assert run(joined) == 0
+    expected = capsys.readouterr()
+    assert run(args) == 0
+    assert capsys.readouterr() == expected
+    assert expected.err == "" and expected.out.count("\n") > 1
+
+
+def test_flow_refuses_an_unknown_final_mesh_format_before_any_work(tmp_path, capsys):
+    # the destination's format is inferred before the input is read: no
+    # trace is written, neither to --output nor to stdout
+    mesh_path, missing = tmp_path / "ico1.off", tmp_path / "missing.off"
+    ci.save_mesh(ci.make_icosphere(1, 1.0), mesh_path)
+    final, trace = tmp_path / "final.txt", tmp_path / "trace.csv"
+    for source in (mesh_path, missing):
+        for output in ([], ["--output", str(trace)]):
+            assert run(["flow", "--input", str(source), "--dt", "1e-3", "--steps", "3", *output,
+                        "--final-mesh", str(final)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: cannot infer mesh format from '{final}'; "
+                                    "use a .obj or .off name\n")
+    assert not trace.exists() and not final.exists()

@@ -5,12 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import curvint as ci
 from curvint import ContourError, DiskRegion, DomainError, EvaluationError, RectRegion
 
 from conftest import (
+    NO_SHRINK,
     bundled_surfaces,
     frame,
     random_disk,
@@ -24,10 +25,6 @@ from conftest import (
     reference_verify_identity,
     stacked_geometry,
 )
-
-# the bitwise guards report their first failing example: shrinking it
-# reruns full-grid oracles for minutes
-NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 def cap_region(theta0: float) -> RectRegion:

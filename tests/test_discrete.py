@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import curvint as ci
 from curvint import BoundaryVertexError
 
-from conftest import (bundled_meshes, interior_vertices, isolated_vertex, jiggled_icosphere,
-                      perturbed_meshes, random_rotation)
+from conftest import (bundled_meshes, interior_vertices, isolated_and_boundary, isolated_vertex,
+                      jiggled_icosphere, perturbed_meshes, random_rotation)
 
 
 def rel_vec_err(a, b):
@@ -266,6 +266,26 @@ def test_laplacian_of_coordinates_reproduces_curvature():
             for k in range(3):
                 lk = ci.laplacian(mesh, int(v), mesh.positions[:, k])
                 assert abs(lk - b[k]) <= 1e-12 * max(1.0, abs(b[k]))
+
+
+@pytest.mark.parametrize("isolated_first", [True, False])
+def test_whole_mesh_curvature_refuses_the_isolated_vertex_only(isolated_first):
+    # the boundary vertex gives a boundary row; the vertex in no face is
+    # refused wherever it is numbered
+    mesh, isolated, boundary = isolated_and_boundary(isolated_first)
+    for curvature in (ci.discrete.curvature_arrays, ci.curvature_field):
+        with pytest.raises(ci.IsolatedVertexError,
+                           match=f"^vertex {isolated} has no incident faces$"):
+            curvature(mesh)
+    # every argument check comes before a vertex is refused
+    nan_field = np.full(mesh.n_vertices, np.nan)
+    with pytest.raises(ValueError, match="^tol_direction must be nonnegative, got -1.0$"):
+        ci.discrete.curvature_arrays(mesh, -1.0)
+    for v in (isolated, boundary):
+        with pytest.raises(ValueError, match="^tol_direction must be nonnegative, got -1.0$"):
+            ci.vector_mean_curvature(mesh, v, -1.0)
+        with pytest.raises(ValueError, match="^field values must be finite$"):
+            ci.laplacian(mesh, v, nan_field)
 
 
 def test_laplacian_boundary_refused():

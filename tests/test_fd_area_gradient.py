@@ -10,14 +10,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import curvint as ci
 from curvint import discrete
 
-from conftest import STOCK, isolated_vertex, jiggled_icosphere, reference_fd_area_gradient
-
-NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+from conftest import (NO_SHRINK, STOCK, isolated_vertex, jiggled_icosphere,
+                      reference_fd_area_gradient)
 
 
 def assert_bitwise(mesh, h=1e-5, vertices=None):

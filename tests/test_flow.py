@@ -12,7 +12,8 @@ import curvint.flow as flow_mod
 from curvint.flow import _advance
 from curvint.mesh import CornerKernel
 
-from conftest import _reference_step, jiggled_icosphere, reference_mcf_step, reference_run_flow
+from conftest import (_reference_step, isolated_and_boundary, jiggled_icosphere,
+                      reference_mcf_step, reference_run_flow)
 
 
 def test_open_mesh_refused():
@@ -267,6 +268,22 @@ def test_boundary_refused_before_an_isolated_vertex():
     for flow in (lambda: ci.mcf_step(mesh, 1e-3), lambda: ci.run_flow(mesh, 1e-3, 3)):
         with pytest.raises(BoundaryVertexError, match=f"^{message}$"):
             flow()
+
+
+def test_boundary_refused_when_an_isolated_vertex_comes_after_it():
+    # the isolated vertex is numbered last, after every boundary vertex;
+    # the time step and the step count are checked before either
+    mesh, _, boundary = isolated_and_boundary(isolated_first=False)
+    message = ("mean curvature flow requires a closed mesh: "
+               f"vertex {boundary} lies on the mesh boundary")
+    for flow in (lambda: ci.mcf_step(mesh, 1e-3), lambda: ci.run_flow(mesh, 1e-3, 3)):
+        with pytest.raises(BoundaryVertexError, match=f"^{message}$"):
+            flow()
+    for flow in (lambda: ci.mcf_step(mesh, -1e-3), lambda: ci.run_flow(mesh, -1e-3, 3)):
+        with pytest.raises(ValueError, match="^time step must be nonnegative$"):
+            flow()
+    with pytest.raises(ValueError, match="^step count must be nonnegative$"):
+        ci.run_flow(mesh, 1e-3, -1)
 
 
 def step_outcome(step, mesh, dt):
