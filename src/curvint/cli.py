@@ -2,7 +2,7 @@
 
 Subcommands: verify (patch/contour identity report), limit (shrinking-disk
 study), curvature (per-vertex B), gradcheck (area gradient against the
-finite-difference oracle), laplacian (per-vertex field Laplacian), make
+complex-step oracle), laplacian (per-vertex field Laplacian), make
 (primitive generation) and flow (mean-curvature-flow trace).
 
 Exit codes: 0 success, 1 bad input or usage, 2 a requested check exceeded
@@ -18,6 +18,7 @@ kernel's fixed cost of about a hundred numpy calls.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import re
@@ -37,16 +38,16 @@ __all__ = ["build_parser", "run", "main"]
 _CAP_POLE_MARGIN = 1e-6
 
 
-def _emit(output: str | None, header: str, rows: str, values=None) -> None:
-    """Write a CSV table to output (default stdout): the header line, then
-    rows, the text of the rows; or given values, the template of every
-    line, filled from values row-major by one %-format ("%.17g" rounds as
-    format(x, ".17g"))."""
+def _emit(output, header: str, rows: str, values=None) -> None:
+    """Write a CSV table to output, a path or an open file (default
+    stdout): the header line, then rows, the text of the rows; or given
+    values, the template of every line, filled from values row-major by
+    one %-format ("%.17g" rounds as format(x, ".17g"))."""
     text = header + "\n" + (rows if values is None else rows % tuple(np.ravel(values).tolist()))
-    if output:
+    if isinstance(output, str) and output:
         Path(output).write_text(text)
     else:
-        sys.stdout.write(text)
+        (output or sys.stdout).write(text)
 
 
 def _given(args, keys) -> dict:
@@ -182,7 +183,7 @@ def _cmd_curvature(args) -> None:
 
 def _cmd_gradcheck(args) -> float:
     m = mesh_mod.load_mesh(args.input)
-    fd = discrete.fd_area_gradient(m, args.h)
+    oracle = discrete.complex_step_area_gradient(m)
     kernel = m.corner_kernel()
     # area_gradient at every vertex; 0.0 - x: a vanishing sum gives +0.0
     analytic = 0.0 - 0.5 * kernel.star_sums
@@ -191,10 +192,10 @@ def _cmd_gradcheck(args) -> float:
     # star's terms, whose scale is sum(a_i) / 2
     floor = 1e-8 * 0.5 * kernel.edge_lengths
     norms = discrete.row_norms
-    rel = norms(analytic - fd) / np.maximum.reduce(
-        [norms(analytic), norms(fd), floor, np.full_like(floor, 1e-30)])
+    rel = norms(analytic - oracle) / np.maximum.reduce(
+        [norms(analytic), norms(oracle), floor, np.full_like(floor, 1e-30)])
     _emit(args.output, "vertex,analytic_x,analytic_y,analytic_z,fd_x,fd_y,fd_z,rel_err",
-          render([np.arange(m.n_vertices), *analytic.T, *fd.T, rel]))
+          render([np.arange(m.n_vertices), *analytic.T, *oracle.T, rel]))
     return float(rel.max(initial=0.0))
 
 
@@ -212,16 +213,22 @@ def _cmd_make(args) -> None:
 
 
 def _cmd_flow(args) -> None:
-    # a destination of unknown format is refused before any step runs
+    # a destination of unknown format, the input and the flow's arguments
+    # are refused before any file is opened; a destination that cannot be
+    # opened, before any step runs
     fmt = args.final_mesh and mesh_mod.infer_format(args.final_mesh, None)
     m = mesh_mod.load_mesh(args.input)
-    trace, final = flow_mod.run_flow(m, args.dt, args.steps)
-    _emit(args.output, "step,area,max_B,min_tri_area", "%d,%.17g,%.17g,%.17g\n" * len(trace.steps),
-          [(s.index, s.area, s.max_curvature, s.min_face_area) for s in trace.steps])
-    if trace.stop_reason:
-        print(f"stopped early: {trace.stop_reason}", file=sys.stderr)
-    if args.final_mesh:
-        mesh_mod.save_mesh(final, args.final_mesh, fmt)
+    flow_mod.check_flow(m, args.dt, args.steps)
+    with contextlib.ExitStack() as files:
+        final_file = args.final_mesh and files.enter_context(open(args.final_mesh, "w"))
+        out = args.output and files.enter_context(open(args.output, "w"))
+        trace, final = flow_mod.run_flow(m, args.dt, args.steps)
+        _emit(out, "step,area,max_B,min_tri_area", "%d,%.17g,%.17g,%.17g\n" * len(trace.steps),
+              [(s.index, s.area, s.max_curvature, s.min_face_area) for s in trace.steps])
+        if trace.stop_reason:
+            print(f"stopped early: {trace.stop_reason}", file=sys.stderr)
+        if final_file:
+            mesh_mod.save_mesh(final, final_file, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_curvature)
 
     p = sub.add_parser("gradcheck",
-                       help="area gradient vs central-difference oracle, per vertex")
+                       help="area gradient vs complex-step oracle, per vertex")
     p.add_argument("--input", required=True, help="OBJ/OFF mesh path")
-    p.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
     p.add_argument("--max-rel-err", type=float,
                    help="exit 2 when any vertex exceeds this bound")
     _add_output_flag(p)
@@ -326,6 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
         # a value such as -1e-3 or -0.5,0.3: argparse's private test takes
         # only -1 and -0.5 for numbers, any other "-<digit>" for a flag
         p._negative_number_matcher = re.compile(r"-\.?\d")
+        # options are spelled in full: argparse would otherwise read a
+        # prefix such as --h as --help
+        p.allow_abbrev = False
     return parser
 
 

@@ -29,11 +29,9 @@ that every TriMesh makes on construction (`curvint.mesh.CornerKernel`).
 curvature_arrays gives B at every vertex as arrays, which the command
 line prints whole; curvature_field is their list view.
 
-fd_area_gradient is the finite-difference oracle of that gradient for
-the whole mesh, walked in blocks of vertices: each probe moves one
-vertex, recomputes only the areas of its incident faces and sums all
-face areas as total_area does, so it equals a central difference over
-rebuilt meshes bit for bit.
+complex_step_area_gradient is the oracle of that gradient for the whole
+mesh: the complex-step derivative of the face-area formula, exact to
+round-off and independent of the corner pass it checks.
 """
 
 from __future__ import annotations
@@ -44,14 +42,14 @@ import numpy as np
 
 from .errors import EvaluationError
 from .mesh import TriMesh, corner_terms, triangle_areas
-from .numerics import check_nonnegative, checked_positive, column_cross
+from .numerics import check_nonnegative, column_cross
 
 __all__ = [
     "CurvatureSample",
     "star_sum",
     "vector_mean_curvature",
     "area_gradient",
-    "fd_area_gradient",
+    "complex_step_area_gradient",
     "laplacian",
     "curvature_field",
     "star_sums",
@@ -114,54 +112,31 @@ def area_gradient(mesh: TriMesh, v: int) -> np.ndarray:
     return 0.0 - 0.5 * mesh.corner_kernel().star_sums[v]
 
 
-# floats in one block of finite-difference probe rows (256 KB)
-FD_BLOCK = 1 << 15
+# no difference is taken, so the step may lie far below round-off; the
+# truncation, about (h / edge length)^2, is nil on any TriMesh, whose
+# faces have areas of 1e-14 or more
+_STEP = 1e-30
 
 
-def fd_area_gradient(mesh: TriMesh, h: float) -> np.ndarray:
-    """Central difference of the total area with respect to every vertex
-    position, (V, 3): entry (v, k) is (A(x + h e_k) - A(x - h e_k)) / 2h
-    with only vertex v moved, bitwise equal to central_gradient of
-    total_area over meshes rebuilt with v moved.
-
-    A probe (v, k, +/-) is a row of the mesh's face areas with those of
-    the faces incident to v recomputed by triangle_areas, as the rebuilt
-    mesh's face_areas would; rows are summed whole, as total_area sums.
-    The vertices are walked in blocks of at most FD_BLOCK // F (at least
-    one): one gather of the block's corners serves its six probes, each a
-    C-contiguous (rows, F) block. An isolated vertex gives zeros. Raises
-    EvaluationError at the first probe, in (v, k, +/-) order, whose total
-    area is not finite.
-    """
-    h = checked_positive(h, "step h")
-    positions, faces = mesh.positions, mesh.faces
-    order, offsets = mesh.topology._corner_csr
-    steps = h * np.eye(3)
-    rows = max(1, FD_BLOCK // max(len(faces), 1))
-    totals = np.empty(6 * mesh.n_vertices)
-    with np.errstate(over="ignore", invalid="ignore"):
-        areas = mesh.face_areas()
-        for start in range(0, mesh.n_vertices, rows):
-            stop = min(start + rows, mesh.n_vertices)
-            # every corner of the block's vertices, with its owner row and face
-            corner = order[offsets[start]:offsets[stop]]
-            owner, face = faces.ravel()[corner] - start, corner // 3
-            p, at = positions[faces[face]], (np.arange(len(corner)), corner % 3)
-            x = positions[start:stop]
-            for probe in range(6):
-                # the whole corner set to x +/- step, as a rebuilt mesh holds it
-                step = steps[probe // 2]
-                p[at] = (x - step if probe % 2 else x + step)[owner]
-                block = np.empty((stop - start, len(areas)))
-                block[:] = areas
-                block[owner, face] = triangle_areas(p[:, 0], p[:, 1], p[:, 2])
-                totals[6 * start + probe:6 * stop:6] = block.sum(axis=1)
-    bad = ~np.isfinite(totals)
-    if bad.any():
-        first = int(np.argmax(bad))
-        raise EvaluationError("total area is not finite", where=(
-            f"vertex {first // 6} moved by {'+-'[first % 2]}h along {'xyz'[first % 6 // 2]}"))
-    return (totals[0::2] - totals[1::2]).reshape(-1, 3) / (2.0 * h)
+def complex_step_area_gradient(mesh: TriMesh) -> np.ndarray:
+    """Gradient of the total area with respect to every vertex position,
+    (V, 3), by the complex-step derivative dA/dx = Im A(x + i h e) / h.
+    Each of 9 passes, one per corner slot and coordinate, moves that
+    coordinate of every face's corner in the slot by i h and adds the
+    imaginary parts of triangle_areas (whose unconjugated m . m continues
+    |m|^2 analytically) onto the corners' vertices: it differentiates
+    that formula, not the corner kernel's a n. An isolated vertex gives
+    zeros."""
+    faces = mesh.faces
+    corners = mesh.positions[faces].astype(complex)  # face, slot, coordinate
+    grad = np.zeros((mesh.n_vertices, 3))
+    for slot in range(3):
+        for k in range(3):
+            corners.imag[:, slot, k] = _STEP
+            area = triangle_areas(corners[:, 0], corners[:, 1], corners[:, 2])
+            corners.imag[:, slot, k] = 0.0
+            grad[:, k] += np.bincount(faces[:, slot], area.imag / _STEP, minlength=len(grad))
+    return grad
 
 
 def laplacian(mesh: TriMesh, v: int, values) -> float:

@@ -19,7 +19,7 @@ from .errors import BoundaryVertexError, CollapseError, MeshValidationError
 from .mesh import TriMesh
 from .numerics import column_norm
 
-__all__ = ["FlowStep", "FlowTrace", "mcf_step", "run_flow"]
+__all__ = ["FlowStep", "FlowTrace", "mcf_step", "check_flow", "run_flow"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,16 @@ def mcf_step(mesh: TriMesh, dt: float) -> TriMesh:
     return _advance(mesh, dt, mesh.corner_kernel().curvature)
 
 
+def check_flow(mesh: TriMesh, dt: float, n_steps: int) -> None:
+    """Refuse what run_flow refuses before its first step: dt as mcf_step
+    does, then a negative step count (ValueError), then the mesh as
+    mcf_step does."""
+    _check_dt(dt)
+    if n_steps < 0:
+        raise ValueError("step count must be nonnegative")
+    _require_closed(mesh)
+
+
 def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh]:
     """Run up to n_steps explicit steps, each one mcf_step call, recording
     area, max |B| and the smallest face area after each accepted step
@@ -92,12 +102,9 @@ def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh
     area (a sign that dt is too large); the offending step is not
     accepted. Each state is a TriMesh, whose one corner pass gives its B
     and face areas (`curvint.mesh.CornerKernel`) and refuses a collapsed
-    face. Refuses the mesh as mcf_step does.
+    face. Refuses its arguments as check_flow does.
     """
-    _check_dt(dt)
-    if n_steps < 0:
-        raise ValueError("step count must be nonnegative")
-    _require_closed(mesh)
+    check_flow(mesh, dt, n_steps)
 
     def record(index: int, m: TriMesh) -> FlowStep:
         # column_norm, not row_norms: the two round some rows' |B| differently

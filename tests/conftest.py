@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: a deterministic hypothesis profile,
-stock meshes, perturbed-mesh factories, parameter-domain sampling boxes,
+stock meshes, perturbed-mesh factories, meshes with runs of isolated
+vertices, closed meshes of random connectivity by edge flips,
+parameter-domain sampling boxes,
 malformed-file fixtures, the hand-built grid and surfaces of revolution
 kept as references for the surface sampler's primitives, the icosphere's
 dict of edge midpoints and the row-by-row mesh writer kept as references
@@ -35,7 +37,7 @@ from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
-from hypothesis import Phase, settings
+from hypothesis import Phase, settings, strategies as st
 
 import curvint as ci
 from curvint import (BoundaryVertexError, CollapseError, ContourError, IsolatedVertexError,
@@ -107,6 +109,49 @@ def isolated_and_boundary(isolated_first: bool) -> tuple[ci.TriMesh, int, int]:
     if isolated_first:
         return ci.TriMesh(np.vstack([extra, grid.positions]), grid.faces + 1), 0, 1
     return ci.TriMesh(np.vstack([grid.positions, extra]), grid.faces), grid.n_vertices, 0
+
+
+def with_isolated_runs(mesh: ci.TriMesh, runs, seed: int) -> ci.TriMesh:
+    """mesh with runs of isolated vertices inserted: (at, count) puts
+    count new vertices, at random positions, before old vertex at."""
+    at = [a for a, count in runs for _ in range(count)]
+    isolated = np.insert(np.zeros(mesh.n_vertices, dtype=bool), at, True)
+    positions = np.random.default_rng(seed).standard_normal((len(isolated), 3))
+    positions[~isolated] = mesh.positions
+    return ci.TriMesh(positions, np.flatnonzero(~isolated)[mesh.faces])
+
+
+def edge_flipped(mesh: ci.TriMesh, tries: int, seed: int) -> ci.TriMesh:
+    """A closed mesh after `tries` draws of a random edge flip: the edge
+    (a, b) of faces (a, b, c) and (b, a, d) becomes (c, d), in faces
+    (a, d, c) and (d, b, c), unless c and d share an edge already or a or
+    b would keep fewer than 3 faces. The mesh stays closed and oriented;
+    on a flat grid flips would make collinear faces, so flip curved
+    meshes."""
+    faces = mesh.faces.tolist()
+    owner = {(f[i], f[i - 2]): n for n, f in enumerate(faces) for i in range(3)}
+    valence = np.bincount(mesh.faces.ravel(), minlength=mesh.n_vertices)
+    rng = np.random.default_rng(seed)
+    for n, i in zip(rng.integers(len(faces), size=tries), rng.integers(3, size=tries)):
+        a, b, c = faces[n][i], faces[n][i - 2], faces[n][i - 1]
+        m = owner[b, a]
+        d = sum(faces[m]) - a - b
+        if (c, d) in owner or min(valence[a], valence[b]) <= 3:
+            continue
+        for edge in [(a, b), (b, c), (c, a), (b, a), (a, d), (d, b)]:
+            del owner[edge]
+        faces[n], faces[m] = [a, d, c], [d, b, c]
+        owner.update({(f[i], f[i - 2]): k for k, f in [(n, faces[n]), (m, faces[m])]
+                      for i in range(3)})
+        valence[[a, b]] -= 1
+        valence[[c, d]] += 1
+    return ci.TriMesh(mesh.positions, faces)
+
+
+# closed meshes of random connectivity: up to 600 flip draws on an
+# icosphere of level 1 or 2, whose vertices then have 3 to about 20 faces
+flipped_meshes = st.builds(edge_flipped, st.builds(ci.make_icosphere, st.integers(1, 2)),
+                           st.integers(0, 600), st.integers(0, 2 ** 32 - 1))
 
 
 # (name, mesh): the bundled meshes, perturbed ones and a jiggled ico3
@@ -508,7 +553,7 @@ def reference_laplacian(mesh: ci.TriMesh, v: int, values) -> float:
 def reference_fd_area_gradient(mesh: ci.TriMesh, h: float, vertices=None) -> np.ndarray:
     """Rows `vertices` (default all) of the central difference of the
     total area, one central_gradient per vertex over meshes rebuilt with
-    that vertex moved, as gradcheck computed it before fd_area_gradient."""
+    that vertex moved: gradcheck's oracle before the complex step."""
     base = mesh.positions
     vertices = range(mesh.n_vertices) if vertices is None else vertices
     out = np.empty((len(vertices), 3))
@@ -949,7 +994,7 @@ def reference_curvature_csv(mesh: ci.TriMesh, tol_direction: float = 1e-8) -> st
 
 def reference_gradcheck_csv(mesh: ci.TriMesh, fd: np.ndarray) -> str:
     """gradcheck's CSV from area_gradient, vertex by vertex, against the
-    finite-difference rows fd."""
+    oracle rows fd."""
     floor = 1e-8 * 0.5 * mesh.corner_kernel().edge_lengths
     lines = ["vertex,analytic_x,analytic_y,analytic_z,fd_x,fd_y,fd_z,rel_err"]
     for v in range(mesh.n_vertices):

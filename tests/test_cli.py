@@ -17,7 +17,7 @@ from curvint import cli, discrete
 from curvint.cli import run
 
 from conftest import (FACE_ERROR_FIXTURES, MALFORMED_FIXTURES, NON_FINITE_FIXTURES, STOCK,
-                      isolated_and_boundary, jiggled_icosphere, reference_curvature_csv, reference_fd_area_gradient,
+                      isolated_and_boundary, jiggled_icosphere, reference_curvature_csv,
                       reference_flow_csv, reference_gradcheck_csv, reference_laplacian_csv,
                       reference_limit_csv, reference_make_catenoid, reference_make_grid,
                       reference_make_tube, reference_read_field, reference_verify_csv)
@@ -181,8 +181,8 @@ def test_gradcheck_gate(tmp_path):
     assert header == ["vertex", "analytic_x", "analytic_y", "analytic_z",
                       "fd_x", "fd_y", "fd_z", "rel_err"]
     assert len(rows) == 42
-    # an impossible tolerance trips the gate
-    assert run(["gradcheck", "--input", str(mesh_path), "--max-rel-err", "1e-15",
+    # the oracle's round-off (a worst rel_err of 3.1e-16 here) trips a bound of 0
+    assert run(["gradcheck", "--input", str(mesh_path), "--max-rel-err", "0",
                 "--output", str(tmp_path / "g2.csv")]) == 2
 
 
@@ -195,27 +195,26 @@ def test_gradcheck_area_critical_vertices(tmp_path, monkeypatch):
             "--output", str(tmp_path / "g.csv")]
     assert run(args) == 0
     # a wrong gradient at exactly those vertices still trips the gate; the
-    # gate is symmetric in its two columns, so the error goes into the FD one
-    exact = discrete.fd_area_gradient
+    # gate is symmetric in its two columns, so the error goes into the oracle's
+    exact = discrete.complex_step_area_gradient
 
-    def wrong(mesh, h):
-        return exact(mesh, h) + np.where(mesh.boundary_vertices(), 0.0, 1e-7)[:, None]
+    def wrong(mesh):
+        return exact(mesh) + np.where(mesh.boundary_vertices(), 0.0, 1e-7)[:, None]
 
-    monkeypatch.setattr(discrete, "fd_area_gradient", wrong)
+    monkeypatch.setattr(discrete, "complex_step_area_gradient", wrong)
     assert run(args) == 2
 
 
-@pytest.mark.parametrize("mesh,h", [(jiggled_icosphere(2, 2), "1e-5"),
-                                    (ci.make_catenoid(1.0, 4, 12), "0.001")],
+@pytest.mark.parametrize("mesh", [jiggled_icosphere(2, 2), ci.make_catenoid(1.0, 4, 12)],
                          ids=["jiggled_ico2", "catenoid"])
-def test_gradcheck_csv_matches_reference_oracle(mesh, h, tmp_path):
+def test_gradcheck_csv_matches_reference_oracle(mesh, tmp_path):
     mesh_path = tmp_path / "m.off"
     ci.save_mesh(mesh, mesh_path)
     out = tmp_path / "grad.csv"
-    assert run(["gradcheck", "--input", str(mesh_path), "--h", h, "--output", str(out)]) == 0
+    assert run(["gradcheck", "--input", str(mesh_path), "--output", str(out)]) == 0
     loaded = ci.load_mesh(mesh_path)
     assert out.read_text() == reference_gradcheck_csv(
-        loaded, reference_fd_area_gradient(loaded, float(h)))
+        loaded, ci.complex_step_area_gradient(loaded))
 
 
 def jiggled_catenoid(seed: int) -> ci.TriMesh:
@@ -239,7 +238,7 @@ def test_mesh_tables_match_the_reference_writers(name, mesh, tmp_path):
     field_path.write_text("".join(f"{v},{float(x)!r}\n" for v, x in enumerate(values)))
     cases = [(["curvature"], reference_curvature_csv(mesh)),
              (["curvature", "--tol-direction", "0.5"], reference_curvature_csv(mesh, 0.5)),
-             (["gradcheck"], reference_gradcheck_csv(mesh, ci.fd_area_gradient(mesh, 1e-5))),
+             (["gradcheck"], reference_gradcheck_csv(mesh, ci.complex_step_area_gradient(mesh))),
              (["laplacian", "--field", str(field_path)], reference_laplacian_csv(mesh, values))]
     if mesh.is_closed():
         cases.append((["flow", "--dt", "1e-3", "--steps", "3"],
@@ -256,15 +255,14 @@ def test_mesh_tables_with_zero_blank_and_exponential_cells(tmp_path):
     small = jiggled_catenoid(5)
     small = small.with_positions(small.positions * 1e-5)
     out, field_path = tmp_path / "out.csv", tmp_path / "field.csv"
-    for mesh, h in ((ci.make_grid(6), "1e-5"), (small, "1e-10")):
+    for mesh in (ci.make_grid(6), small):
         mesh_path = tmp_path / "m.obj"
         ci.save_mesh(mesh, mesh_path)
         mesh = ci.load_mesh(mesh_path)
         values = np.random.default_rng(2).standard_normal(mesh.n_vertices)
         field_path.write_text("".join(f"{v},{float(x)!r}\n" for v, x in enumerate(values)))
         cases = [(["curvature"], reference_curvature_csv(mesh)),
-                 (["gradcheck", "--h", h],
-                  reference_gradcheck_csv(mesh, ci.fd_area_gradient(mesh, float(h)))),
+                 (["gradcheck"], reference_gradcheck_csv(mesh, ci.complex_step_area_gradient(mesh))),
                  (["laplacian", "--field", str(field_path)], reference_laplacian_csv(mesh, values))]
         for args, expected in cases:
             assert run([*args, "--input", str(mesh_path), "--output", str(out)]) == 0, args
@@ -272,7 +270,7 @@ def test_mesh_tables_with_zero_blank_and_exponential_cells(tmp_path):
     grid_rows = reference_curvature_csv(ci.make_grid(6)).splitlines()
     assert any(row.endswith(",,,,,,1") for row in grid_rows)
     assert any(row.endswith(",0,0,0,0,1,0") for row in grid_rows)
-    assert "e-06," in reference_gradcheck_csv(small, ci.fd_area_gradient(small, 1e-10))
+    assert "e-06," in reference_gradcheck_csv(small, ci.complex_step_area_gradient(small))
 
 
 def test_flow_stopping_early_matches_the_reference_writer(tmp_path, capsys):
@@ -437,12 +435,16 @@ def test_bad_max_rel_err_exits_1(command, bound, tmp_path, capsys):
 def test_bad_numeric_parameter_exits_1_naming_it(args, message, tmp_path, capsys):
     mesh_path = tmp_path / "ico1.off"
     ci.save_mesh(ci.make_icosphere(1, 1.0), mesh_path)
+    out = tmp_path / "out.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run([*args, "--input", str(mesh_path)]) == 1
+        assert run([*args, "--input", str(mesh_path), "--output", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {message}\n" * 2
+    # flow refuses its arguments before it opens --output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args,message", [
@@ -479,7 +481,7 @@ def test_gradcheck_builds_no_mesh_per_probe(tmp_path, monkeypatch):
 def test_each_mesh_makes_one_corner_pass(tmp_path, monkeypatch):
     # every TriMesh makes one corner_terms pass and holds its face areas;
     # laplacian adds its own pass, and triangle_areas serves only the
-    # finite-difference probes of gradcheck
+    # complex-step passes of gradcheck's oracle
     mesh_path, field_path = tmp_path / "ico.off", tmp_path / "field.csv"
     ci.save_mesh(jiggled_icosphere(2, 2), mesh_path)
     field_path.write_text("".join(f"{v},{v % 5}\n" for v in range(162)))
@@ -509,22 +511,17 @@ def test_each_mesh_makes_one_corner_pass(tmp_path, monkeypatch):
     assert len(read_rows(tmp_path / "out.csv")[1]) == 5  # the flow ran all 4 steps
 
 
-@pytest.mark.parametrize("h,message", [
-    ("nan", "step h must be finite, got nan"),
-    ("inf", "step h must be finite, got inf"),
-    ("0", "step h must be positive"),
-    ("1e308", "total area is not finite at vertex 0 moved by +h along x"),
-])
-def test_gradcheck_bad_or_overflowing_step_exits_1(h, message, tmp_path, capsys):
-    mesh_path = tmp_path / "ico2.off"
-    ci.save_mesh(ci.make_icosphere(2, 1.0), mesh_path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = run(["gradcheck", "--input", str(mesh_path), "--h", h])
-    assert rc == 1
+def test_gradcheck_has_no_step_option(tmp_path, capsys):
+    # the complex-step oracle needs no step: a script passing --h is a
+    # usage error, not a prefix of --help, as a prefix of any option is
+    mesh_path = tmp_path / "ico1.off"
+    ci.save_mesh(ci.make_icosphere(1, 1.0), mesh_path)
+    assert run(["gradcheck", "--input", str(mesh_path), "--h", "1e-5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert "unrecognized arguments: --h 1e-5" in captured.err
+    assert run(["curvature", "--input", str(mesh_path), "--tol", "0.5"]) == 1
+    assert "unrecognized arguments: --tol 0.5" in capsys.readouterr().err
 
 
 def test_laplacian_refuses_isolated_vertex(tmp_path, capsys):
@@ -975,3 +972,40 @@ def test_flow_refuses_an_unknown_final_mesh_format_before_any_work(tmp_path, cap
             assert captured.err == (f"error: cannot infer mesh format from '{final}'; "
                                     "use a .obj or .off name\n")
     assert not trace.exists() and not final.exists()
+
+
+@pytest.mark.parametrize("missing,trace_file", [("--final-mesh", True), ("--final-mesh", False),
+                                                ("--output", True)],
+                         ids=["final-mesh", "final-mesh-trace-to-stdout", "output"])
+def test_flow_refuses_a_destination_it_cannot_open_before_any_step(missing, trace_file, tmp_path,
+                                                                   capsys, monkeypatch):
+    # both destinations are opened, --final-mesh first, before the first
+    # step: a path in a missing directory runs no step and writes no trace
+    mesh_path = tmp_path / "ico1.off"
+    ci.save_mesh(ci.make_icosphere(1, 1.0), mesh_path)
+    steps = []
+    monkeypatch.setattr(ci.flow, "mcf_step", lambda *args: steps.append(args))
+    trace, final = tmp_path / "t.csv", tmp_path / "out.off"
+    dest = {"--final-mesh": final, **({"--output": trace} if trace_file else {})}
+    dest[missing] = tmp_path / "nodir" / dest[missing].name
+    args = [part for flag, path in dest.items() for part in (flag, str(path))]
+    assert run(["flow", "--input", str(mesh_path), "--dt", "1e-3", "--steps", "3", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{dest[missing]}'\n"
+    assert steps == []
+    assert not trace.exists()
+    # the final mesh's file, opened before --output failed, is left empty
+    assert final.read_text() == "" if missing == "--output" else not final.exists()
+
+
+def test_flow_that_fails_mid_way_leaves_its_destinations_empty(tmp_path, capsys):
+    # positions that overflow in the first step: the opened files keep no
+    # partial trace and no earlier content
+    mesh_path, trace, final = tmp_path / "ico1.off", tmp_path / "t.csv", tmp_path / "out.off"
+    ci.save_mesh(ci.make_icosphere(1, 1.0), mesh_path)
+    trace.write_text("old\n")
+    assert run(["flow", "--input", str(mesh_path), "--dt", "1e308", "--steps", "3",
+                "--output", str(trace), "--final-mesh", str(final)]) == 1
+    assert capsys.readouterr().err == "error: face 0 has a non-finite area (nan)\n"
+    assert trace.read_text() == "" and final.read_text() == ""

@@ -525,7 +525,7 @@ def test_column_pass_is_bitwise_the_reference(make, jiggle, k, seed, merged):
         worst = int(np.argmin(areas))
         assert areas[worst] < MIN_FACE_AREA
         assert (exc.face, bits(exc.area)) == (worst, bits(float(areas[worst])))
-    # on row inputs, as fd_area_gradient calls it
+    # on row inputs, as complex_step_area_gradient calls it (on complex corners)
     p = positions[base.faces[rng.permutation(base.n_faces)]]
     assert bits(triangle_areas(p[:, 0], p[:, 1], p[:, 2])) == bits(
         0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1))

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import curvint as ci
 from curvint import BoundaryVertexError
 
-from conftest import (bundled_meshes, interior_vertices, isolated_and_boundary, isolated_vertex,
-                      jiggled_icosphere, perturbed_meshes, random_rotation)
+from conftest import (bundled_meshes, flipped_meshes, interior_vertices, isolated_and_boundary,
+                      isolated_vertex, jiggled_icosphere, perturbed_meshes, random_rotation)
 
 
 def rel_vec_err(a, b):
@@ -140,14 +140,16 @@ def test_scale_covariance():
         assert rel_vec_err(bs, b / s) <= 1e-10
 
 
-# invariances on random jiggled meshes: B at every vertex (the half-ring
-# value on the boundary), to 1e-12 of the star scale sum(a) / sum(A)
+# invariances on random jiggled meshes, of stock connectivity or closed
+# with random edge flips: B at every vertex (the half-ring value on the
+# boundary), to 1e-12 of the star scale sum(a) / sum(A)
 
 BASES = st.one_of(
     st.builds(ci.make_grid, st.integers(2, 6)),
     st.builds(ci.make_icosphere, st.integers(0, 2)),
     st.builds(ci.make_tube, st.just(1.0), st.just(2.0), st.integers(1, 4), st.integers(3, 10)),
     st.builds(ci.make_catenoid, st.just(1.0), st.integers(1, 4), st.integers(3, 10)),
+    flipped_meshes,
 )
 
 

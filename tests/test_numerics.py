@@ -158,6 +158,18 @@ def test_central_gradient_random_quadratics():
         np.testing.assert_allclose(got, exact, atol=1e-8)
 
 
+@pytest.mark.parametrize("h,message", [
+    (0.0, "step h must be positive"),
+    (-1e-5, "step h must be positive"),
+    (float("nan"), "step h must be finite, got nan"),
+    (float("inf"), "step h must be finite, got inf"),
+    (float("-inf"), "step h must be finite, got -inf"),
+])
+def test_central_gradient_bad_step_is_named(h, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        central_gradient(lambda x: 0.0, np.zeros(3), h)
+
+
 def test_central_gradient_rejects_bad_input():
     with pytest.raises(ValueError):
         central_gradient(lambda x: 0.0, np.zeros(3), 0.0)
