@@ -1,38 +1,111 @@
 """Text tables whose cells print as "%.17g" % x or "%d" % i, byte for
-byte, without a format call per value. A float 2**-36 <= |x| < 2**52 is
-rounded to 17 digits in uint64 arithmetic: its 53-bit mantissa times
-5**s (s <= 27, so 5**s < 2**63) is an exact two-limb product, shifted
-right and rounded half to even; the decimal exponent comes from the
-truncated quotient. Python formats what is neither such a float, a zero
-nor an integer 0 <= i < 10**8. A cell fills fixed slots, 0 in the unused
-ones, and the 0 bytes of a block of rows are deleted at once."""
+byte, without a format call per value.
+
+A float 2**-80 <= |x| < 2**52 is rounded to 17 digits in uint64
+arithmetic. Its sign, binary exponent E and decade pick a row of tables
+built at import. The decade is e0 = floor(E log10 2), or e0 + 1 once |x|
+reaches the least float that "%.17g" prints in that decade, so that no
+rounding carries into the next one. The row holds 5**(16 - e), e the
+decade, in three 32-bit limbs (5**41 < 2**96), shifted so that the
+mantissa, itself shifted by the row, times it is an exact product whose
+top word is floor(2 |x| 10**(16 - e)); the last bit of that word and the
+mantissa's bits below it round half to even. The 17 digits are the
+leading one and four groups of four from one divmod by 10**4, each group
+four bytes of a 10 000-entry ASCII table, spread to the odd bytes of a
+word. One AND with a word mask, picked by the digits "%g" prints and the
+place of its ".", keeps those digits and writes the ".". An integer
+0 <= i < 10**8 is two groups of the same table. Python formats what is
+neither such a float, a zero nor such an integer. A cell fills fixed
+slots, 0 in the unused ones, and the 0 bytes of a block of rows are
+deleted at once."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 _U = np.uint64
 _BLOCK = 16384  # values per block, which bounds the slot arrays
-_LOW, _HIGH = -36, 51  # the binary exponents of the uint64 path
+_LOW, _HIGH = -80, 51  # the binary exponents of the uint64 path
+_M32 = _U(0xFFFFFFFF)
 
-_TRAILING = np.zeros(10_000, np.uint8)  # the trailing zeros of "%04d" % n
-for _k in (10, 100, 1000, 10_000):
-    _TRAILING[::_k] += 1
-# by k, a mask of the last k + 1 of 8 slots: the digits of "%08d" % i, 10**k <= i < 10**(k + 1)
-_KEEP = np.frombuffer(b"".join((b"\xff" * k).rjust(8, b"\0") for k in range(1, 9)), _U)
-_TENS = 10 ** np.arange(1, 8, dtype=np.uint32)
-# by E - _LOW for x in [2**E, 2**(E+1)): e0 = floor(E log10 2) <= floor(log10 x) <= e0 + 1,
-# 5**(16 - e0) in 32-bit halves, and the shift that takes 2m * 5**(16 - e0) to the quotient
-_E = range(_LOW, _HIGH + 1)
-_E0 = np.array([len(str(2 ** e)) - 1 if e >= 0 else len(str(5 ** -e)) - 1 + e for e in _E])
-_POW_HI, _POW_LO = (np.array([f(5 ** (16 - e0)) for e0 in _E0.tolist()], dtype=_U)
-                    for f in (lambda p: p >> 32, lambda p: p & 0xFFFFFFFF))
-_SHIFT = np.array([37 - e + e0 for e, e0 in zip(_E, _E0)], dtype=_U)
-# the first 8 slots of a float by (sign, z, leading digit): "-", then "0." and z - 1 zeros
+# The tables are built from bytes, and with no numpy loop that rendering
+# does not use itself: each other loop run at import pages in more of
+# numpy's code, which the resident set of every process would carry.
+
+
+def _place(k: int, symbols: bytes) -> bytes:
+    """symbols[d] for d the digit k (0 the thousands) of each of 0 to 9999."""
+    return b"".join(bytes([c]) * 10 ** (3 - k) for c in symbols) * 10 ** k
+
+
+_ASCII = np.frombuffer(b"".join(_place(k, b"0123456789") for k in range(4)), np.uint8)
+_ASCII = _ASCII.reshape(4, -1).T.copy().view(np.uint32).ravel()  # by g: "%04d" % g
+# by g: the place of its last nonzero digit, 1 to 4, and -16 for 0000, so
+# that 4 k + it, at most over the k-th groups behind the leading digit, is
+# sig, how many of those 16 digits end at their last nonzero one (-4 for none)
+_SIG = [np.frombuffer(_place(k, bytes([240] + [k + 1] * 9)), np.int8) for k in range(4)]
+_SIG = np.maximum(np.maximum(_SIG[0], _SIG[1]), np.maximum(_SIG[2], _SIG[3]))
+# by 21 (point + 4) + sig + 4, the four group words' masks: "%g" prints
+# max(point, sig) digits behind the leading one, and a "." behind digit
+# `point` when a digit follows it (point is 0 in exponent form)
+_MASKS = np.frombuffer(b"".join(
+    (b"\0\xff" * point + b".\xff" + b"\0\xff" * (sig - point - 1) if 0 <= point < sig
+     else b"\0\xff" * max(point, sig)).ljust(32, b"\0")
+    for point in range(-4, 17) for sig in range(-4, 17)), _U).reshape(-1, 4)
+# by the digits of 0 <= i < 10**8 less 1: the last of the 8 digits of two groups
+_KEEP = np.frombuffer(b"".join((b"\xff" * k).rjust(8, b"\0") for k in range(1, 9)),
+                      np.uint32).reshape(-1, 2)
+_TENS = np.array([10 ** k for k in range(1, 8)])
+# the first 8 slots of a float by 10 (5 sign + z) + leading digit: "-", then "0." and z - 1 zeros
 _HEAD = np.frombuffer(b"".join(b"-"[:sign].ljust(1, b"\0") + b"0.000"[:z + 1 if z else 0]
                                .ljust(6, b"\0") + b"%d" % digit
                                for sign in (0, 1) for z in range(5) for digit in range(10)), _U)
-_EXPONENT = np.frombuffer(b"\0" * 40 + b"".join(b"e-%02d\0\0\0\0" % k for k in range(5, 13)), _U)
+
+
+def _row_tables() -> tuple:
+    """(slots, least, columns) of the uint64 path.
+
+    slots, by the sign and exponent bits of a float: 2 + sign + 2 (E - _LOW)
+    for a binary exponent E of the path, else the sign. least, by slot:
+    the bits of the least float that "%.17g" prints in the decade above
+    10**e0, e0 = floor(E log10 2) (inf when the binade holds none, and the
+    least positive float for slots 0 and 1). columns, of the rows by
+    2 slot + (|x| reaches least), for the decade e of the leading digit:
+    the three limbs of 5**(16 - e) 2**c; the right shift that takes the
+    mantissa times 2**11 to it times 2**b, where b + c + j = 96 and
+    2 |x| 10**(16 - e) = mantissa 5**(16 - e) / 2**j; a mask of the
+    shifted mantissa's bits below 2**j; 10 (5 sign + z) of the head;
+    21 (point + 4) + 4 of the masks; the exponent word "e-XX". Rows 0 to 3
+    are +0, the values left to Python, -0 and those again."""
+    least = [5e-324] * 2
+    rows = [(0, 0, 0, 0, 0, 50 * sign, 88, 0) for sign in (0, 1) for _ in (0, 1)]
+    slots = [0] * 2048 + [1] * 2048
+    floors = [len(str(2 ** E)) - 1 if E >= 0 else len(str(5 ** -E)) - 1 + E  # floor(E log10 2)
+              for E in range(_LOW, _HIGH + 2)]
+    for E, e0, above in zip(range(_LOW, _HIGH + 1), floors, floors[1:]):
+        near = float(f"1e{e0 + 1}")  # no float of the binade reaches it unless above > e0
+        least += 2 * [next(y for y in (math.nextafter(near, 0), near, math.nextafter(near, math.inf))
+                           if int(("%.16e" % y).split("e")[1]) > e0) if above > e0 else math.inf]
+        pair = []
+        for e in (e0, e0 + 1):
+            p, j = 5 ** (16 - e), 35 - E + e
+            b = max(0, p.bit_length() - j)
+            p <<= 96 - j - b
+            pair.append((p & 0xFFFFFFFF, p >> 32 & 0xFFFFFFFF, p >> 64, 11 - b,
+                         ((1 << max(j, 0)) - 1) << b & 2 ** 64 - 1, 10 * (-e if -4 <= e < 0 else 0),
+                         21 * ((e if e >= -4 else 0) + 4) + 4,
+                         int.from_bytes(b"e-%02d" % -e if e < -4 else b"", "little")))
+        for sign in (0, 1):
+            slots[2048 * sign + 1023 + E] = len(rows) // 2
+            rows += [row[:5] + (row[5] + 50 * sign,) + row[6:] for row in pair]
+    types = [np.uint32] * 3 + [np.uint8, _U, np.int16, np.int16, _U]
+    return (np.array(slots, np.uint16), np.array(least).view(_U),
+            [np.array(column, t) for column, t in zip(zip(*rows), types)])
+
+
+_SLOT, _LEAST, (*_POWER, _RIGHT, _STICKY, _HEAD_AT, _POINT_AT, _EXPONENT) = _row_tables()
 
 
 def _fallback(field: np.ndarray, values: np.ndarray, where, form: str) -> np.ndarray:
@@ -45,68 +118,56 @@ def _fallback(field: np.ndarray, values: np.ndarray, where, form: str) -> np.nda
     return out
 
 
-def _digits(q: np.ndarray) -> tuple:
-    """The 4-digit groups and the 8k ASCII digits, most significant first,
-    of the (n, k) uint32 values q < 10**8."""
-    fours = np.stack(np.divmod(q, np.uint32(10_000)), axis=-1).reshape(len(q), -1)
-    twos = np.stack(np.divmod(fours.astype(np.uint16), np.uint16(100)), axis=-1).astype(np.uint8)
-    ones = np.stack(np.divmod(twos, np.uint8(10)), axis=-1).reshape(len(q), -1)
-    return fours, ones + np.uint8(ord("0"))
-
-
 def _ints(values: np.ndarray) -> np.ndarray:
     """(n, w) slots of "%d" % values[k]."""
     fast = (values >= 0) & (values < 10 ** 8)
-    u = np.where(fast, values, 0).astype(np.uint32)
-    words = _digits(u[:, None])[1].view(_U).ravel()
-    keep = _KEEP.take(np.searchsorted(_TENS, u, side="right"))
-    field = (words & keep).view(np.uint8).reshape(len(u), 8)
+    u = np.where(fast, values, 0)
+    high = u // 10_000
+    words = _ASCII.take(np.stack([high, u - high * 10_000], axis=1))
+    words &= _KEEP.take(np.searchsorted(_TENS, u, side="right"), axis=0)
+    field = words.view(np.uint8)
     return field if fast.all() else _fallback(field, values, ~fast, "%d")
+
+
+def _decimal(x: np.ndarray) -> tuple:
+    """(row, d): the table row of each x, and d = round(|x| 10**(16 - e))
+    with 10**16 <= d < 10**17, or 0 for a zero or a value left to Python."""
+    bits = x.view(_U)
+    slot = _SLOT.take((bits >> _U(52)).view(np.int64)).astype(np.intp)
+    row = slot + slot + ((bits & _U(2 ** 63 - 1)) >= _LEAST.take(slot))
+    m = ((bits << _U(11)) | _U(2 ** 63)) >> _RIGHT.take(row)  # the mantissa times 2**b
+    mh, ml = m >> _U(32), m & _M32
+    p0, p1, p2 = (limb.take(row) for limb in _POWER)
+    x1 = ml * p1 + (ml * p0 >> _U(32))
+    x2 = ml * p2 + (x1 >> _U(32))
+    y2 = mh * p1 + (x2 & _M32) + ((mh * p0 + (x1 & _M32)) >> _U(32))
+    top = mh * p2 + (x2 >> _U(32)) + (y2 >> _U(32))  # floor(2 |x| 10**(16 - e))
+    t = top >> _U(1)
+    return row, t + (top & (t | np.minimum(m & _STICKY.take(row), _U(1))) & _U(1))
 
 
 def _floats(x: np.ndarray) -> np.ndarray:
     """(n, 48) slots of "%.17g" % x[k]: sign, "0.000", the leading digit,
     16 digits each behind a slot for the ".", then "e-XX"."""
-    bits = x.view(_U)
-    index = ((bits >> _U(52)) & _U(0x7FF)) - _U(1023 + _LOW)
-    fast = index <= _U(_HIGH - _LOW)
-    index = np.where(fast, index, _U(0))
-    m = ((bits & _U(2 ** 52 - 1)) | _U(2 ** 52)) << _U(1)
-    mh, ml, ph, pl = m >> _U(32), m & _U(0xFFFFFFFF), _POW_HI[index], _POW_LO[index]
-    low, mid = ml * pl, ml * ph + mh * pl
-    lo = low + (mid << _U(32))
-    hi = mh * ph + (mid >> _U(32)) + (lo < low)
-    k = _SHIFT[index]
-    t = (hi << (_U(64) - k)) | (lo >> k)  # trunc(|x| 10**(16 - e0)): 17 or 18 digits
-    rest, half = lo & ((_U(1) << k) - _U(1)), _U(1) << (k - _U(1))
-    wide = t >= _U(10 ** 17)
-    q, r = np.divmod(t, _U(10))
-    d = np.where(wide, q + ((r > _U(5)) | (r == _U(5)) & ((rest > _U(0)) | (q & _U(1) == _U(1)))),
-                 t + ((rest > half) | (rest == half) & (t & _U(1) == _U(1))))
-    # d < 10**17: no float of the uint64 path lies within 5e-18 (relative)
-    # below a power of ten, so none rounds up to the next decade
-    zero = x == 0
-    d = np.where(zero, _U(0), d)
-    e = np.where(zero, 0, _E0[index] + wide)  # the exponent of the leading digit
-    lead, low8 = np.divmod(d, _U(10 ** 8))
-    lead, high8 = np.divmod(lead, _U(10 ** 8))
-    fours, chars = _digits(np.stack([high8, low8], axis=1).astype(np.uint32))
-    tz = _TRAILING.take(fours)  # 4 for a group 0000
-    zeros = tz[:, 3] + (tz[:, 3] == 4) * (tz[:, 2] + (tz[:, 2] == 4) * (
-        tz[:, 1] + (tz[:, 1] == 4) * tz[:, 0]))
-    # "%g": fixed for -4 <= e < 17, the "." behind digit `point`; else "d.ddde-XX"
-    point = np.where(e < -4, 0, e)
-    digits = np.maximum(17 - zeros, point + 1)  # the digits printed
-    cell = np.zeros((len(x), 6), _U)
-    cell[:, 0] = _HEAD.take((np.signbit(x) * 5 + np.where(point < 0, -point, 0)) * 10
-                            + lead.astype(np.intp))
-    cell[:, 5] = _EXPONENT.take(np.where(e < -4, -e, 0))
-    cell = cell.view(np.uint8)
-    cell[:, 9:40:2] = chars
-    cell[:, 8:40] *= np.arange(32, dtype=np.uint8) < (2 * digits - 2).astype(np.uint8)[:, None]
-    dot = np.flatnonzero((point >= 0) & (digits > point + 1))
-    cell.ravel()[dot * 48 + 8 + 2 * point[dot]] = ord(".")
-    return cell if (fast | zero).all() else _fallback(cell, x, ~(fast | zero), "%.17g")
+    row, d = _decimal(x)
+    lead = d // _U(10 ** 16)
+    rest = d - lead * _U(10 ** 16)
+    high = rest // _U(10 ** 8)
+    halves = np.stack([high, rest - high * _U(10 ** 8)], axis=1).view(np.int64)
+    fours = halves // 10_000
+    groups = np.stack([fours, halves - fours * 10_000], axis=2).reshape(-1, 4)
+    last = [_SIG.take(groups[:, k]) for k in range(4)]
+    sig = np.maximum(np.maximum(last[0], last[1] + 4), np.maximum(last[2] + 8, last[3] + 12))
+    # the digits in odd bytes, all ones in the even ones, so that an AND
+    # with a mask clears a slot or writes "." into it
+    words = np.full((len(x), 32), 0xFF, np.uint8)
+    words[:, 1::2] = _ASCII.take(groups).view(np.uint8)
+    words = words.view(_U)
+    words &= _MASKS.take(_POINT_AT.take(row) + sig, axis=0)
+    cell = np.concatenate([_HEAD.take(_HEAD_AT.take(row) + lead.view(np.int64))[:, None], words,
+                           _EXPONENT.take(row)[:, None]], axis=1).view(np.uint8)
+    python = (row | 2) == 3
+    return _fallback(cell, x, python, "%.17g") if python.any() else cell
 
 
 def render(columns, sep: str = ",", prefix: str = "", blank=None) -> str:
@@ -133,9 +194,12 @@ def render(columns, sep: str = ",", prefix: str = "", blank=None) -> str:
             if blank is not None:
                 cells = cells * ~empty[..., None]
             fields.update(zip(picked, cells.transpose(1, 0, 2)))
-        n = len(fields[0])
-        parts = [np.broadcast_to(lead, (n, len(lead)))]
+        line = np.empty((len(fields[0]), len(lead) + sum(f.shape[1] + 1 for f in fields.values())),
+                        np.uint8)
+        line[:, :len(lead)], at = lead, len(lead)
         for j, end in enumerate(ends):
-            parts += [fields[j], np.broadcast_to(end, (n, 1))]
-        chunks.append(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode())
+            line[:, at:at + fields[j].shape[1]] = fields[j]
+            at += fields[j].shape[1] + 1
+            line[:, at - 1] = end
+        chunks.append(line.tobytes().translate(None, b"\0").decode())
     return "".join(chunks)

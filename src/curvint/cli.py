@@ -12,7 +12,8 @@ or gradcheck handler returns. Numbers print as "%.17g", indices as "%d".
 The per-vertex tables (curvature, gradcheck, laplacian) are written by
 the array kernel of `curvint._text`; the reports of a few rows (verify,
 limit, the flow trace) are one %-format each, microseconds against the
-kernel's fixed cost of about a hundred numpy calls.
+kernel's fixed cost of about a hundred numpy calls per block of rows,
+some 0.3 ms for gradcheck's 162-row table of a level-2 icosphere.
 """
 
 from __future__ import annotations

@@ -647,6 +647,11 @@ def test_regular_bodies_skip_the_line_loop(monkeypatch, tmp_path):
                        ("cat.obj", ci.make_catenoid(1.0, 19, 32))]:
         ci.save_mesh(mesh, tmp_path / name)
         assert_same_mesh(ci.load_mesh(tmp_path / name), mesh)
+    # face tokens with /vt/vn suffixes lose them in one pass, then numpy reads the block
+    for suffix in ("/1", "/1/1", "//7"):
+        path = tmp_path / "suffixed.obj"
+        path.write_text(suffixed(ci.mesh_to_text(ci.make_catenoid(1.0, 19, 32), "obj"), suffix))
+        assert_same_mesh(ci.load_mesh(path), ci.make_catenoid(1.0, 19, 32))
 
 
 EXTREMES = [-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308]
@@ -712,6 +717,18 @@ def test_obj_suffixed_face_errors_name_the_record(tokens, message):
     text = f"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1 2/2 3/3\nf 1/1 2/2 {tokens}\n"
     assert load_outcome(text, "obj") == (ParseError, f"line 5: {message}")
     assert_paths_agree(text=text, fmt="obj")
+
+
+def test_obj_suffixed_faces_after_a_refused_record_keep_the_line_loop():
+    # numpy refuses the block after its suffixes are cut: each record is read
+    # as written, so a fault names its token with the suffix, and polygons fan
+    head = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1/1 2/2 3/3\n"
+    assert load_outcome(head + "f 1/1 x/2 3/3\n", "obj") == (
+        ParseError, "line 6: face index 'x/2' is not an integer")
+    assert load_outcome(head + "f 0/1 2/2 3/3\n", "obj") == (
+        ParseError, "line 6: face indices must be positive (1-based)")
+    quad = ci.load_mesh(head + "f 1/1/1 2/2/2 4/4/4 3/3/3\n", fmt="obj")
+    np.testing.assert_array_equal(quad.faces, [[0, 1, 2], [0, 1, 3], [0, 3, 2]])
 
 
 PERTURBED_TOKENS = ["1_0", "\u0663", "+3", "3.0", "nan", "1e400", str(2 ** 63), "-1", "0"]
