@@ -9,11 +9,9 @@ Exit codes: 0 success, 1 bad input or usage, 2 a requested check exceeded
 its tolerance: run, the one --max-rel-err check, refuses a bound that is
 not nonnegative first, then compares the relative error that the verify
 or gradcheck handler returns. Numbers print as "%.17g", indices as "%d".
-The per-vertex tables (curvature, gradcheck, laplacian) are written by
-the array kernel of `curvint._text`; the reports of a few rows (verify,
-limit, the flow trace) are one %-format each, microseconds against the
-kernel's fixed cost of about a hundred numpy calls per block of rows,
-some 0.3 ms for gradcheck's 162-row table of a level-2 icosphere.
+Every table is written by the array kernel of `curvint._text` but
+verify's one-row report, one %-format: microseconds against the kernel's
+fixed cost of about a hundred numpy calls per block of rows, some 0.1 ms.
 """
 
 from __future__ import annotations
@@ -39,12 +37,10 @@ __all__ = ["build_parser", "run", "main"]
 _CAP_POLE_MARGIN = 1e-6
 
 
-def _emit(output, header: str, rows: str, values=None) -> None:
+def _emit(output, header: str, text: str) -> None:
     """Write a CSV table to output, a path or an open file (default
-    stdout): the header line, then rows, the text of the rows; or given
-    values, the template of every line, filled from values row-major by
-    one %-format ("%.17g" rounds as format(x, ".17g"))."""
-    text = header + "\n" + (rows if values is None else rows % tuple(np.ravel(values).tolist()))
+    stdout): the header line, then text, the lines of the rows."""
+    text = header + "\n" + text
     if isinstance(output, str) and output:
         Path(output).write_text(text)
     else:
@@ -53,10 +49,6 @@ def _emit(output, header: str, rows: str, values=None) -> None:
 
 def _given(args, keys) -> dict:
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-
-
-def _surface_from_args(args) -> object:
-    return surface_from_name(args.surface, **_given(args, ("R", "r", "c")))
 
 
 def _region_from_args(args, surface) -> object:
@@ -85,10 +77,6 @@ def _floats(flag: str, tokens) -> list[float]:
         return [float(t) for t in tokens]
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
-
-
-def _rule_from_args(args):
-    return gauss_legendre(args.quad_n, panels=args.quad_panels)
 
 
 _FIELD_ROW = [("v", np.int64), ("x", float)]
@@ -148,28 +136,30 @@ def _read_field(path: str, n_vertices: int) -> np.ndarray:
 
 
 def _cmd_verify(args) -> float:
-    surface = _surface_from_args(args)
+    surface = surface_from_name(args.surface, **_given(args, ("R", "r", "c")))
     region = _region_from_args(args, surface)
-    report = contour.verify_identity(surface, region, _rule_from_args(args))
-    literal = f"{surface.name},{region.label},".replace("%", "%%")
+    report = contour.verify_identity(surface, region,
+                                     gauss_legendre(args.quad_n, panels=args.quad_panels))
     _emit(args.output, "surface,region,lhs_x,lhs_y,lhs_z,rhs_x,rhs_y,rhs_z,abs_err,rel_err,area",
-          literal + ",".join(["%.17g"] * 9) + "\n",
-          [*report.lhs, *report.rhs, report.abs_err, report.rel_err, report.area])
+          ("%s,%s" + ",%.17g" * 9 + "\n") % (surface.name, region.label, *report.lhs, *report.rhs,
+                                             report.abs_err, report.rel_err, report.area))
     return report.rel_err
 
 
 def _cmd_limit(args) -> None:
-    surface = _surface_from_args(args)
+    surface = surface_from_name(args.surface, **_given(args, ("R", "r", "c")))
     center = _floats("--center", args.center.split(","))
     if len(center) != 2:
         raise ValueError("--center must be 'u,v'")
     radii = _floats("--radii", args.radii.split(","))
-    study = contour.shrinking_limit(surface, center, radii, _rule_from_args(args))
-    row = "%.17g," * 5
+    study = contour.shrinking_limit(surface, center, radii,
+                                    gauss_legendre(args.quad_n, panels=args.quad_panels))
+    rows = len(study.radii)
+    # the observed order prints on the last row only
+    blank = np.outer(np.arange(rows) < rows - 1, [False] * 5 + [True])
     _emit(args.output, "radius,est_x,est_y,est_z,err,observed_order",
-          (row + "\n") * (len(study.radii) - 1) + row + "%.17g\n",
-          [*np.column_stack([study.radii, study.estimates, study.errors]).ravel(),
-           study.observed_order])
+          render([study.radii, *study.estimates.T, study.errors,
+                  np.full(rows, study.observed_order)], blank=blank))
 
 
 def _cmd_curvature(args) -> None:
@@ -224,8 +214,8 @@ def _cmd_flow(args) -> None:
         final_file = args.final_mesh and files.enter_context(open(args.final_mesh, "w"))
         out = args.output and files.enter_context(open(args.output, "w"))
         trace, final = flow_mod.run_flow(m, args.dt, args.steps)
-        _emit(out, "step,area,max_B,min_tri_area", "%d,%.17g,%.17g,%.17g\n" * len(trace.steps),
-              [(s.index, s.area, s.max_curvature, s.min_face_area) for s in trace.steps])
+        columns = zip(*[(s.index, s.area, s.max_curvature, s.min_face_area) for s in trace.steps])
+        _emit(out, "step,area,max_B,min_tri_area", render([np.array(c) for c in columns]))
         if trace.stop_reason:
             print(f"stopped early: {trace.stop_reason}", file=sys.stderr)
         if final_file:

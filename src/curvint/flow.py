@@ -42,13 +42,6 @@ class FlowTrace:
     stop_reason: str | None = None
 
 
-def _require_closed(mesh: TriMesh):
-    try:
-        mesh.topology.check(boundary=True)
-    except BoundaryVertexError as exc:
-        raise BoundaryVertexError(f"mean curvature flow requires a closed mesh: {exc}") from None
-
-
 def _advance(mesh: TriMesh, dt: float, curvature: np.ndarray) -> TriMesh:
     if dt == 0:
         return mesh
@@ -61,35 +54,35 @@ def _advance(mesh: TriMesh, dt: float, curvature: np.ndarray) -> TriMesh:
                             face=exc.face, area=exc.area) from None
 
 
-def _check_dt(dt: float) -> None:
-    if not math.isfinite(dt):
-        raise ValueError(f"time step dt must be finite, got {dt}")
-    if dt < 0:
-        raise ValueError("time step must be nonnegative")
-
-
 def mcf_step(mesh: TriMesh, dt: float) -> TriMesh:
     """Displace every vertex by dt * B and revalidate the mesh.
 
-    Raises ValueError unless dt is finite and nonnegative; CollapseError
-    if the step produces a face below the minimum area;
-    MeshValidationError if its positions or a face area overflow;
-    BoundaryVertexError or IsolatedVertexError, naming the vertex, unless
-    every one-ring closes into one loop.
+    Refuses dt and the mesh as check_flow does; raises CollapseError if
+    the step produces a face below the minimum area, and
+    MeshValidationError if its positions or a face area overflow.
     """
-    _check_dt(dt)
-    _require_closed(mesh)
+    check_flow(mesh, dt, 1)
     return _advance(mesh, dt, mesh.corner_kernel().curvature)
 
 
 def check_flow(mesh: TriMesh, dt: float, n_steps: int) -> None:
-    """Refuse what run_flow refuses before its first step: dt as mcf_step
-    does, then a negative step count (ValueError), then the mesh as
-    mcf_step does."""
-    _check_dt(dt)
+    """The one gate of a flow, which run_flow and mcf_step pass before
+    their first step. Raises ValueError unless dt is finite and
+    nonnegative, then unless n_steps is nonnegative; BoundaryVertexError
+    or IsolatedVertexError, naming the vertex, unless every one-ring
+    closes into one loop; MeshValidationError for a mesh without faces."""
+    if not math.isfinite(dt):
+        raise ValueError(f"time step dt must be finite, got {dt}")
+    if dt < 0:
+        raise ValueError("time step must be nonnegative")
     if n_steps < 0:
         raise ValueError("step count must be nonnegative")
-    _require_closed(mesh)
+    try:
+        mesh.topology.check(boundary=True)
+    except BoundaryVertexError as exc:
+        raise BoundaryVertexError(f"mean curvature flow requires a closed mesh: {exc}") from None
+    if not mesh.n_faces:
+        raise MeshValidationError("mean curvature flow requires a mesh with faces")
 
 
 def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh]:

@@ -62,16 +62,25 @@ class MeshTopology:
 
     def __init__(self, faces, n_vertices: int):
         try:
-            faces = np.array(faces, dtype=np.int64)
-        except OverflowError:
-            # an index beyond int64 names no vertex: mark it missing (on
-            # this path only) for the check below to name its face
-            faces = np.array([[i if 0 <= i < n_vertices else -1 for i in f] for f in faces],
-                             dtype=np.int64)
+            faces = np.asarray(faces)
+        except ValueError:  # a ragged nesting
+            raise MeshValidationError("faces must have shape (F, 3)") from None
         if faces.size == 0:
             faces = faces.reshape(0, 3)
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise MeshValidationError("faces must have shape (F, 3)")
+        if faces.dtype.kind in "biu" or not faces.size:
+            faces = faces.astype(np.int64)  # a copy; beyond int64 a uint64 wraps negative
+        else:
+            # floats or Python numbers, compared as they are: an integer naming
+            # no vertex (beyond int64 too) is marked missing (-1) for the check below
+            rows = faces.tolist()
+            whole = [all(map(_integral, f)) for f in rows]
+            if not all(whole):
+                bad = whole.index(False)
+                raise MeshValidationError(f"face {bad} has an index that is not an integer", face=bad)
+            faces = np.array([[i if 0 <= i < n_vertices else -1 for i in f] for f in rows],
+                             dtype=np.int64)
         if faces.size:
             if faces.min() < 0 or faces.max() >= n_vertices:
                 bad = int(np.argmax((faces < 0).any(axis=1) | (faces >= n_vertices).any(axis=1)))
@@ -253,6 +262,13 @@ class TriMesh:
         """Same connectivity (and topology) with replaced coordinates,
         which are revalidated."""
         return TriMesh(positions, self.topology)
+
+
+def _integral(i) -> bool:
+    try:
+        return i == math.floor(i)
+    except (TypeError, ValueError, OverflowError):  # no number, nan, inf
+        return False
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: a deterministic hypothesis profile,
 stock meshes, perturbed-mesh factories, meshes with runs of isolated
-vertices, closed meshes of random connectivity by edge flips,
+vertices, closed meshes of random connectivity by edge flips and their
+open (one face deleted) and bowtie (two joined at one vertex) variants,
 parameter-domain sampling boxes,
 malformed-file fixtures, the hand-built grid and surfaces of revolution
 kept as references for the surface sampler's primitives, the icosphere's
@@ -152,6 +153,32 @@ def edge_flipped(mesh: ci.TriMesh, tries: int, seed: int) -> ci.TriMesh:
 # icosphere of level 1 or 2, whose vertices then have 3 to about 20 faces
 flipped_meshes = st.builds(edge_flipped, st.builds(ci.make_icosphere, st.integers(1, 2)),
                            st.integers(0, 600), st.integers(0, 2 ** 32 - 1))
+
+
+# (mesh, its boundary vertices in order): a flipped mesh less one face,
+# whose three vertices are left on an open edge, and two flipped meshes
+# joined at one vertex
+@st.composite
+def opened_meshes(draw) -> tuple[ci.TriMesh, np.ndarray]:
+    mesh = draw(flipped_meshes)
+    face = draw(st.integers(0, mesh.n_faces - 1))
+    return (ci.TriMesh(mesh.positions, np.delete(mesh.faces, face, axis=0)),
+            np.sort(mesh.faces[face]))
+
+
+@st.composite
+def bowtie_meshes(draw) -> tuple[ci.TriMesh, np.ndarray]:
+    """Flipped meshes a and b joined at one vertex: b, moved so that its
+    vertex j lies on a's vertex i, shares that vertex, whose star is then
+    two closed fans; b's other vertices follow a's in b's order."""
+    a, b = draw(flipped_meshes), draw(flipped_meshes)
+    i, j = draw(st.integers(0, a.n_vertices - 1)), draw(st.integers(0, b.n_vertices - 1))
+    keep = np.arange(b.n_vertices) != j
+    label = np.full(b.n_vertices, i)
+    label[keep] = a.n_vertices + np.arange(b.n_vertices - 1)
+    moved = b.positions[keep] + (a.positions[i] - b.positions[j])
+    return (ci.TriMesh(np.vstack([a.positions, moved]), np.vstack([a.faces, label[b.faces]])),
+            np.array([i]))
 
 
 # (name, mesh): the bundled meshes, perturbed ones and a jiggled ico3

@@ -273,27 +273,40 @@ def test_mesh_tables_with_zero_blank_and_exponential_cells(tmp_path):
     assert "e-06," in reference_gradcheck_csv(small, ci.complex_step_area_gradient(small))
 
 
-def test_flow_stopping_early_matches_the_reference_writer(tmp_path, capsys):
-    mesh_path = tmp_path / "ico2.off"
-    ci.save_mesh(ci.make_icosphere(2, 1.0), mesh_path)
-    trace, _ = ci.run_flow(ci.load_mesh(mesh_path), 10.0, 5)
-    assert trace.stop_reason is not None
-    assert run(["flow", "--input", str(mesh_path), "--dt", "10", "--steps", "5"]) == 0
+@pytest.mark.parametrize("level,dt,steps,rows", [
+    (2, "10", 5, None),  # stops early
+    (0, "1e-6", 5000, 5001),  # more rows than one block of the table writer holds
+    (1, "1e-3", 0, 1),  # the initial state only
+])
+def test_flow_stopping_early_matches_the_reference_writer(level, dt, steps, rows, tmp_path,
+                                                          capsys):
+    mesh_path = tmp_path / "ico.off"
+    ci.save_mesh(ci.make_icosphere(level, 1.0), mesh_path)
+    trace, _ = ci.run_flow(ci.load_mesh(mesh_path), float(dt), steps)
+    assert (trace.stop_reason is None) == (rows is not None)
+    assert run(["flow", "--input", str(mesh_path), "--dt", dt, "--steps", str(steps)]) == 0
     captured = capsys.readouterr()
     assert captured.out == reference_flow_csv(trace)
-    assert captured.err == f"stopped early: {trace.stop_reason}\n"
+    if rows is None:
+        assert captured.err == f"stopped early: {trace.stop_reason}\n"
+    else:
+        assert (captured.err, len(trace.steps)) == ("", rows)
 
 
-@pytest.mark.parametrize("surface,center", [
-    ("plane", (0.1, 0.2)),  # every error is zero: a nan observed order
-    ("sphere", (math.pi / 3, math.pi / 4)),
-    ("torus", (1.0, 1.0)),
-    ("catenoid", (0.1, -0.4)),
-    ("cylinder", (0.4, 1.0)),
+@pytest.mark.parametrize("surface,center,radii", [
+    ("plane", (0.1, 0.2), None),  # every error is zero: a nan observed order
+    ("sphere", (math.pi / 3, math.pi / 4), None),
+    ("torus", (1.0, 1.0), None),
+    ("catenoid", (0.1, -0.4), None),
+    ("cylinder", (0.4, 1.0), None),
+    ("torus", (1.0, 1.0), [0.3, 0.01]),  # the fewest radii: one blank order cell
 ])
-def test_limit_table_matches_the_reference_writer(surface, center, capsys):
-    study = ci.shrinking_limit(ci.surface_from_name(surface), center, [0.2, 0.1, 0.05, 0.025])
-    assert run(["limit", "--surface", surface, "--center", f"{center[0]!r},{center[1]!r}"]) == 0
+def test_limit_table_matches_the_reference_writer(surface, center, radii, capsys):
+    args = ["--radii", ",".join(map(repr, radii))] if radii else []
+    study = ci.shrinking_limit(ci.surface_from_name(surface), center,
+                               radii or [0.2, 0.1, 0.05, 0.025])
+    assert run(["limit", "--surface", surface, "--center", f"{center[0]!r},{center[1]!r}",
+                *args]) == 0
     assert capsys.readouterr().out == reference_limit_csv(study)
 
 
@@ -1009,3 +1022,15 @@ def test_flow_that_fails_mid_way_leaves_its_destinations_empty(tmp_path, capsys)
                 "--output", str(trace), "--final-mesh", str(final)]) == 1
     assert capsys.readouterr().err == "error: face 0 has a non-finite area (nan)\n"
     assert trace.read_text() == "" and final.read_text() == ""
+
+
+def test_flow_of_a_mesh_without_faces_exits_1_before_opening_its_destinations(tmp_path, capsys):
+    # the flow gate refuses it: no numpy message, no trace, no final mesh
+    mesh_path, trace, final = tmp_path / "empty.off", tmp_path / "t.csv", tmp_path / "out.off"
+    mesh_path.write_text("OFF\n0 0 0\n")
+    for args in ([], ["--output", str(trace), "--final-mesh", str(final)]):
+        assert run(["flow", "--input", str(mesh_path), "--dt", "1e-3", "--steps", "2", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: mean curvature flow requires a mesh with faces\n"
+    assert not trace.exists() and not final.exists()

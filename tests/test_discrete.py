@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import curvint as ci
-from curvint import BoundaryVertexError
+from curvint import BoundaryVertexError, discrete
 
-from conftest import (bundled_meshes, flipped_meshes, interior_vertices, isolated_and_boundary,
-                      isolated_vertex, jiggled_icosphere, perturbed_meshes, random_rotation)
+from conftest import (bowtie_meshes, bundled_meshes, flipped_meshes, interior_vertices,
+                      isolated_and_boundary, isolated_vertex, jiggled_icosphere, opened_meshes,
+                      perturbed_meshes, random_rotation)
 
 
 def rel_vec_err(a, b):
@@ -215,6 +216,24 @@ def test_boundary_vertex_refused_unless_allowed():
         ci.vector_mean_curvature(g, 0)
     sample = ci.vector_mean_curvature(g, 0, allow_boundary=True)
     assert np.all(np.isfinite(sample.vector))
+
+
+@pytest.mark.parametrize("meshes", [opened_meshes(), bowtie_meshes()], ids=["opened", "bowtie"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_open_and_bowtie_meshes_refuse_exactly_their_boundary(meshes, data):
+    # a flipped mesh less one face: that face's three vertices; two joined
+    # at one vertex: that vertex
+    mesh, refused = data.draw(meshes)
+    assert np.array_equal(np.flatnonzero(mesh.topology.boundary), refused)
+    for v in refused:
+        with pytest.raises(BoundaryVertexError, match=f"^vertex {v} lies on the mesh boundary$"):
+            ci.vector_mean_curvature(mesh, v)
+    *_, boundary = discrete.curvature_arrays(mesh)
+    assert np.array_equal(np.flatnonzero(boundary), refused)
+    lap = ci.laplacian_field(mesh, mesh.positions[:, 0] ** 2)
+    assert np.array_equal(np.flatnonzero(np.isnan(lap)), refused)
+    assert np.isfinite(lap[~boundary]).all()
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import curvint as ci
 from curvint import BoundaryVertexError, CollapseError, IsolatedVertexError, MeshValidationError
@@ -12,8 +13,8 @@ import curvint.flow as flow_mod
 from curvint.flow import _advance
 from curvint.mesh import CornerKernel
 
-from conftest import (_reference_step, isolated_and_boundary, jiggled_icosphere,
-                      reference_mcf_step, reference_run_flow)
+from conftest import (_reference_step, bowtie_meshes, isolated_and_boundary, jiggled_icosphere,
+                      opened_meshes, reference_mcf_step, reference_run_flow)
 
 
 def test_open_mesh_refused():
@@ -23,6 +24,38 @@ def test_open_mesh_refused():
         ci.mcf_step(g, 1e-3)
     with pytest.raises(BoundaryVertexError, match=f"^{message}$"):
         ci.run_flow(g, 1e-3, 3)
+
+
+@pytest.mark.parametrize("meshes", [opened_meshes(), bowtie_meshes()], ids=["opened", "bowtie"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_open_and_bowtie_meshes_refused_naming_their_lowest_boundary_vertex(meshes, data):
+    mesh, refused = data.draw(meshes)
+    message = ("^mean curvature flow requires a closed mesh: "
+               f"vertex {refused.min()} lies on the mesh boundary$")
+    for flow in (lambda: ci.check_flow(mesh, 1e-3, 3), lambda: ci.run_flow(mesh, 1e-3, 3),
+                 lambda: ci.mcf_step(mesh, 1e-3)):
+        with pytest.raises(BoundaryVertexError, match=message):
+            flow()
+
+
+def test_mesh_without_faces_refused():
+    # no vertex: refused by the flow gate, before numpy meets an empty
+    # array; vertices without faces: the first is named, as before
+    empty = ci.load_mesh("OFF\n0 0 0\n", fmt="off")
+    message = "^mean curvature flow requires a mesh with faces$"
+    for flow in (lambda: ci.check_flow(empty, 1e-3, 2), lambda: ci.run_flow(empty, 1e-3, 2),
+                 lambda: ci.run_flow(empty, 0.0, 0), lambda: ci.mcf_step(empty, 1e-3)):
+        with pytest.raises(MeshValidationError, match=message):
+            flow()
+    # the arguments are refused first
+    with pytest.raises(ValueError, match="^time step must be nonnegative$"):
+        ci.run_flow(empty, -1.0, 2)
+    with pytest.raises(ValueError, match="^step count must be nonnegative$"):
+        ci.check_flow(empty, 1e-3, -1)
+    bare = ci.TriMesh(np.eye(3), np.zeros((0, 3), dtype=int))
+    with pytest.raises(IsolatedVertexError, match="^vertex 0 has no incident faces$"):
+        ci.run_flow(bare, 1e-3, 2)
 
 
 def test_isolated_vertex_refused():

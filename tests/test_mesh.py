@@ -188,7 +188,7 @@ def test_non_finite_coordinate_names_its_line(label, fmt, text, line, vertex, tm
 
 def test_face_index_beyond_int64():
     positions = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
-    for huge in (2 ** 63, 10 ** 23, -10 ** 23):
+    for huge in (2 ** 63, 10 ** 23, -10 ** 23, 1e30):  # an integral float misses one too
         with pytest.raises(MeshValidationError) as err:
             ci.TriMesh(positions, [[0, 1, 2], [0, 1, huge]])
         assert (str(err.value), err.value.face) == ("face 1 references a missing vertex", 1)
@@ -196,6 +196,35 @@ def test_face_index_beyond_int64():
     with pytest.raises(MeshValidationError) as err:
         ci.TriMesh(positions, [[0, 1, 2], [0, 1, 3], [0, 1, 10 ** 23]])
     assert err.value.face == 1
+
+
+@pytest.mark.parametrize("faces,face", [
+    (np.array([[0.0, 1.0, 2.5]]), 0),  # not truncated to [0, 1, 2]
+    ([[0, 1, 2], [0, 1, math.nan]], 1),
+    ([[0, 1, 2], [2, 1, 0], [0, math.inf, 2]], 2),
+    ([[0, 1, 2], [0, 1, -math.inf]], 1),
+    ([[0, 1, 2], [0, 1, 10 ** 23], [0.5, 1, 2]], 2),  # the float makes the row object
+])
+def test_face_index_that_is_not_an_integer_is_refused_naming_its_face(faces, face):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshValidationError) as err:
+            ci.TriMesh(np.eye(3), faces)
+    assert (str(err.value), err.value.face) == (
+        f"face {face} has an index that is not an integer", face)
+
+
+def test_ragged_faces_are_refused_as_a_shape():
+    with pytest.raises(MeshValidationError, match=r"^faces must have shape \(F, 3\)$"):
+        ci.TriMesh(np.eye(3), [[0, 1, 2], [0, 1]])
+
+
+@pytest.mark.parametrize("faces", [np.array([[0.0, 1.0, 2.0]]), [[0.0, 1, 2.0]],
+                                   np.array([[0, 1, 2]], dtype=np.uint8), [[False, True, 2]]])
+def test_integral_face_values_give_the_int_mesh(faces):
+    mesh, expected = ci.TriMesh(np.eye(3), faces), ci.TriMesh(np.eye(3), [[0, 1, 2]])
+    assert mesh.faces.dtype == np.int64
+    assert mesh.faces.tobytes() == expected.faces.tobytes()
 
 
 def test_face_index_out_of_range_is_validation_error():
