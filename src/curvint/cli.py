@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import functools
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -204,9 +205,12 @@ def _cmd_make(args) -> None:
 
 
 def _cmd_flow(args) -> None:
-    # a destination of unknown format, the input and the flow's arguments
-    # are refused before any file is opened; a destination that cannot be
-    # opened, before any step runs
+    # two destinations that are one file, a destination of unknown format,
+    # the input and the flow's arguments are refused before any file is
+    # opened; a destination that cannot be opened, before any step runs
+    if args.output and args.final_mesh and (
+            os.path.realpath(args.output) == os.path.realpath(args.final_mesh)):
+        raise ValueError(f"--output and --final-mesh name the same file: '{args.final_mesh}'")
     fmt = args.final_mesh and mesh_mod.infer_format(args.final_mesh, None)
     m = mesh_mod.load_mesh(args.input)
     flow_mod.check_flow(m, args.dt, args.steps)
@@ -226,97 +230,74 @@ def _cmd_flow(args) -> None:
 # parser
 
 
-def _add_surface_flags(p: argparse.ArgumentParser):
-    p.add_argument("--surface", required=True,
-                   help="plane, sphere, cylinder, torus, catenoid, enneper or saddle")
-    p.add_argument("--R", type=float, help="radius (sphere/cylinder/torus major)")
-    p.add_argument("--r", type=float, help="torus minor radius")
-    p.add_argument("--c", type=float, help="catenoid waist")
-
-
-def _add_quad_flags(p: argparse.ArgumentParser):
-    rule = default_rule()
-    p.add_argument("--quad-n", type=int, default=len(rule.nodes),
-                   help="Gauss-Legendre nodes per panel")
-    p.add_argument("--quad-panels", type=int, default=rule.panels, help="panels per interval/edge")
-
-
-def _add_output_flag(p: argparse.ArgumentParser):
-    p.add_argument("--output", help="CSV destination (default: stdout)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvint",
         description="Contour-integral mean curvature: analytic verification "
                     "and discrete mesh operators.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags that several subcommands share, each defined once
+    sizes, surface, quad, mesh_in, csv_out, bound = (argparse.ArgumentParser(add_help=False)
+                                                     for _ in range(6))
+    sizes.add_argument("--R", type=float, help="radius (sphere/cylinder/torus major/icosphere/tube)")
+    sizes.add_argument("--c", type=float, help="catenoid waist")
+    surface.add_argument("--surface", required=True,
+                         help="plane, sphere, cylinder, torus, catenoid, enneper or saddle")
+    surface.add_argument("--r", type=float, help="torus minor radius")
+    rule = default_rule()
+    quad.add_argument("--quad-n", type=int, default=len(rule.nodes),
+                      help="Gauss-Legendre nodes per panel")
+    quad.add_argument("--quad-panels", type=int, default=rule.panels, help="panels per interval/edge")
+    mesh_in.add_argument("--input", required=True, help="OBJ/OFF mesh path")
+    csv_out.add_argument("--output", help="CSV destination (default: stdout)")
+    bound.add_argument("--max-rel-err", type=float,
+                       help="exit 2 when rel_err (gradcheck: any vertex's) exceeds this bound")
 
-    p = sub.add_parser("verify", help="evaluate both sides of the patch/contour identity")
-    _add_surface_flags(p)
+    p = sub.add_parser("verify", parents=[surface, sizes, quad, bound, csv_out],
+                       help="evaluate both sides of the patch/contour identity")
     p.add_argument("--region", required=True, choices=["rect", "disk", "cap"])
-    p.add_argument("--u0", type=float)
-    p.add_argument("--u1", type=float)
-    p.add_argument("--v0", type=float)
-    p.add_argument("--v1", type=float)
-    p.add_argument("--uc", type=float)
-    p.add_argument("--vc", type=float)
-    p.add_argument("--rho", type=float)
+    for flag in ("--u0", "--u1", "--v0", "--v1", "--uc", "--vc", "--rho"):
+        p.add_argument(flag, type=float)
     p.add_argument("--theta0", type=float, help="cap colatitude (sphere)")
-    _add_quad_flags(p)
-    p.add_argument("--max-rel-err", type=float,
-                   help="exit 2 when rel_err exceeds this bound")
-    _add_output_flag(p)
     p.set_defaults(handler=_cmd_verify, failure="verification failed: rel_err")
 
-    p = sub.add_parser("limit", help="shrinking-disk limit study at a point")
-    _add_surface_flags(p)
+    p = sub.add_parser("limit", parents=[surface, sizes, quad, csv_out],
+                       help="shrinking-disk limit study at a point")
     p.add_argument("--center", required=True, help="'u,v' disk center")
     p.add_argument("--radii", default="0.2,0.1,0.05,0.025",
                    help="comma-separated decreasing radii")
-    _add_quad_flags(p)
-    _add_output_flag(p)
     p.set_defaults(handler=_cmd_limit)
 
-    p = sub.add_parser("curvature", help="per-vertex discrete vector mean curvature")
-    p.add_argument("--input", required=True, help="OBJ/OFF mesh path")
+    p = sub.add_parser("curvature", parents=[mesh_in, csv_out],
+                       help="per-vertex discrete vector mean curvature")
     p.add_argument("--tol-direction", type=float, default=1e-8,
                    help="relative threshold at or below which the direction is withheld")
-    _add_output_flag(p)
     p.set_defaults(handler=_cmd_curvature)
 
-    p = sub.add_parser("gradcheck",
+    p = sub.add_parser("gradcheck", parents=[mesh_in, bound, csv_out],
                        help="area gradient vs complex-step oracle, per vertex")
-    p.add_argument("--input", required=True, help="OBJ/OFF mesh path")
-    p.add_argument("--max-rel-err", type=float,
-                   help="exit 2 when any vertex exceeds this bound")
-    _add_output_flag(p)
     p.set_defaults(handler=_cmd_gradcheck, failure="gradient check failed: worst rel_err")
 
-    p = sub.add_parser("laplacian", help="per-vertex surface Laplacian of a field")
-    p.add_argument("--input", required=True, help="OBJ/OFF mesh path")
+    p = sub.add_parser("laplacian", parents=[mesh_in, csv_out],
+                       help="per-vertex surface Laplacian of a field")
     p.add_argument("--field", required=True, help="CSV 'vertex,value' field file")
-    _add_output_flag(p)
     p.set_defaults(handler=_cmd_laplacian)
 
-    p = sub.add_parser("make", help="generate a mesh primitive")
+    p = sub.add_parser("make", parents=[sizes], help="generate a mesh primitive")
     p.add_argument("--kind", required=True, choices=["grid", "icosphere", "tube", "catenoid"])
     p.add_argument("--n", type=int, help="grid resolution")
     p.add_argument("--level", type=int, help="icosphere subdivision level")
-    p.add_argument("--R", type=float, help="radius")
     p.add_argument("--L", type=float, help="tube length")
-    p.add_argument("--c", type=float, help="catenoid waist")
     p.add_argument("--n-u", dest="n_u", type=int, help="segments along the axis")
     p.add_argument("--n-v", dest="n_v", type=int, help="segments around the axis")
     p.add_argument("--output", required=True, help="OBJ/OFF destination path")
     p.set_defaults(handler=_cmd_make)
 
-    p = sub.add_parser("flow", help="explicit mean-curvature-flow trace")
+    p = sub.add_parser("flow", parents=[csv_out], help="explicit mean-curvature-flow trace")
     p.add_argument("--input", required=True, help="closed OBJ/OFF mesh path")
     p.add_argument("--dt", type=float, required=True, help="time step")
     p.add_argument("--steps", type=int, required=True, help="maximum step count")
     p.add_argument("--final-mesh", help="optional path for the final mesh")
-    _add_output_flag(p)
     p.set_defaults(handler=_cmd_flow)
 
     for p in sub.choices.values():

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BoundaryVertexError, CollapseError, MeshValidationError
 from .mesh import TriMesh
-from .numerics import column_norm
+from .numerics import checked_count, column_norm
 
 __all__ = ["FlowStep", "FlowTrace", "mcf_step", "check_flow", "run_flow"]
 
@@ -68,15 +68,15 @@ def mcf_step(mesh: TriMesh, dt: float) -> TriMesh:
 def check_flow(mesh: TriMesh, dt: float, n_steps: int) -> None:
     """The one gate of a flow, which run_flow and mcf_step pass before
     their first step. Raises ValueError unless dt is finite and
-    nonnegative, then unless n_steps is nonnegative; BoundaryVertexError
+    nonnegative, then unless n_steps is an integer >= 0 (operator.index
+    decides, and a bool is refused); BoundaryVertexError
     or IsolatedVertexError, naming the vertex, unless every one-ring
     closes into one loop; MeshValidationError for a mesh without faces."""
     if not math.isfinite(dt):
         raise ValueError(f"time step dt must be finite, got {dt}")
     if dt < 0:
         raise ValueError("time step must be nonnegative")
-    if n_steps < 0:
-        raise ValueError("step count must be nonnegative")
+    checked_count(n_steps, "step count n_steps", 0)
     try:
         mesh.topology.check(boundary=True)
     except BoundaryVertexError as exc:

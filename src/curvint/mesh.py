@@ -28,7 +28,7 @@ from .errors import (
     MeshValidationError,
     ParseError,
 )
-from .numerics import checked_positive, column_cross, column_norm
+from .numerics import checked_count, checked_positive, column_cross, column_norm
 from .surfaces import Catenoid, Cylinder, Plane
 
 __all__ = [
@@ -688,8 +688,7 @@ def make_grid(n: int) -> TriMesh:
     """The plane z = 0 sampled on the unit square [0, 1]^2: (n+1)^2
     vertices, vertex j * (n+1) + i at (i/n, j/n), each cell split along
     the (i, j) -> (i+1, j+1) diagonal."""
-    if n < 1:
-        raise ValueError("grid resolution must be >= 1")
+    n = checked_count(n, "grid resolution n", 1)
     coords = np.linspace(0.0, 1.0, n + 1)
     positions, faces = _sample_surface(Plane(), coords, coords)
     return TriMesh(positions[:, [1, 0, 2]], faces)
@@ -716,8 +715,7 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
 def make_icosphere(level: int, radius: float = 1.0) -> TriMesh:
     """Icosahedron subdivided `level` times (edge midpoints), every vertex
     projected onto the sphere of the given radius. 20 * 4^level faces."""
-    if not 0 <= level <= 6:
-        raise ValueError("subdivision level must be between 0 and 6")
+    level = checked_count(level, "subdivision level", 0, 6)
     radius = checked_positive(radius, "radius")
     verts, faces = _icosahedron()
     for _ in range(level):
@@ -738,16 +736,19 @@ def make_icosphere(level: int, radius: float = 1.0) -> TriMesh:
     return TriMesh(positions, faces)
 
 
+def _sample_revolution(surface, u0: float, u1: float, n_u: int, n_v: int) -> TriMesh:
+    """surface sampled on u in [u0, u1] (n_u segments) times n_v angles
+    from 0; a ValueError unless n_u is an integer >= 1 and n_v one >= 3."""
+    n_u, n_v = checked_count(n_u, "n_u", 1), checked_count(n_v, "n_v", 3)
+    return TriMesh(*_sample_surface(surface, np.linspace(u0, u1, n_u + 1),
+                                    np.linspace(0.0, 2.0 * math.pi, n_v, endpoint=False)))
+
+
 def make_tube(radius: float, length: float, n_u: int, n_v: int) -> TriMesh:
     """The cylinder of the given radius along z sampled on z in [0,
     length] (n_u segments) times n_v angles from 0: an open tube whose
     two rims are boundary."""
-    cylinder = Cylinder(radius)
-    length = checked_positive(length, "length")
-    if n_u < 1 or n_v < 3:
-        raise ValueError("need n_u >= 1 and n_v >= 3")
-    return TriMesh(*_sample_surface(cylinder, np.linspace(0.0, length, n_u + 1),
-                                    np.linspace(0.0, 2.0 * math.pi, n_v, endpoint=False)))
+    return _sample_revolution(Cylinder(radius), 0.0, checked_positive(length, "length"), n_u, n_v)
 
 
 def make_catenoid(waist: float, n_u: int, n_v: int) -> TriMesh:
@@ -755,24 +756,29 @@ def make_catenoid(waist: float, n_u: int, n_v: int) -> TriMesh:
     segments) times n_v angles from 0; a near-minimal fixture (vertices
     lie on a minimal surface). Sampled beyond Catenoid.u_range when c > 2."""
     catenoid = Catenoid(waist)
-    if n_u < 1 or n_v < 3:
-        raise ValueError("need n_u >= 1 and n_v >= 3")
-    c = catenoid.waist
-    return TriMesh(*_sample_surface(catenoid, np.linspace(-c, c, n_u + 1),
-                                    np.linspace(0.0, 2.0 * math.pi, n_v, endpoint=False)))
+    return _sample_revolution(catenoid, -catenoid.waist, catenoid.waist, n_u, n_v)
+
+
+# kind -> its builder and the builder's parameters, in order, with defaults
+_PRIMITIVES = {
+    "grid": (make_grid, {"n": 8}),
+    "icosphere": (make_icosphere, {"level": 2, "R": 1.0}),
+    "tube": (make_tube, {"R": 1.0, "L": 2.0, "n_u": 8, "n_v": 16}),
+    "catenoid": (make_catenoid, {"c": 1.0, "n_u": 8, "n_v": 16}),
+}
 
 
 def make_primitive(kind: str, **params) -> TriMesh:
-    """Name-based primitive dispatch used by the command line."""
+    """Name-based primitive dispatch used by the command line: the kind's
+    builder on its parameters in _PRIMITIVES, each given in params or
+    else its default, uncast, so only the builder refuses a value. Raises
+    ValueError for an unknown kind, then for a parameter that the kind
+    does not take (`primitive 'grid' takes no level`)."""
     key = kind.strip().lower()
-    if key == "grid":
-        return make_grid(int(params.get("n", 8)))
-    if key == "icosphere":
-        return make_icosphere(int(params.get("level", 2)), float(params.get("R", 1.0)))
-    if key == "tube":
-        return make_tube(float(params.get("R", 1.0)), float(params.get("L", 2.0)),
-                         int(params.get("n_u", 8)), int(params.get("n_v", 16)))
-    if key == "catenoid":
-        return make_catenoid(float(params.get("c", 1.0)),
-                             int(params.get("n_u", 8)), int(params.get("n_v", 16)))
-    raise ValueError(f"unknown primitive '{kind}'")
+    if key not in _PRIMITIVES:
+        raise ValueError(f"unknown primitive '{kind}'")
+    make, defaults = _PRIMITIVES[key]
+    for name in params:
+        if name not in defaults:
+            raise ValueError(f"primitive '{key}' takes no {name}")
+    return make(*{**defaults, **params}.values())

@@ -6,7 +6,9 @@ All quantities are 64-bit floats; 3-vectors are (3,) arrays or 3-tuples of colum
 
 from __future__ import annotations
 
+import contextlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -29,7 +31,9 @@ class QuadratureRule:
     """Composite Gauss-Legendre rule.
 
     nodes/weights live on the reference interval [-1, 1]; `panels` equal
-    subintervals are used when integrating.
+    subintervals are used when integrating. Raises ValueError for nodes
+    or weights that do not make such a rule, then for panels that is no
+    integer >= 1 (checked_count).
     """
 
     nodes: np.ndarray
@@ -49,8 +53,7 @@ class QuadratureRule:
             raise ValueError("weights must be positive")
         if abs(weights.sum() - 2.0) > 1e-12:
             raise ValueError("weights must sum to 2")
-        if self.panels < 1:
-            raise ValueError("panels must be a positive integer")
+        object.__setattr__(self, "panels", checked_count(self.panels, "panels", 1))
         nodes.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -66,16 +69,20 @@ def _legendre(n: int, x: float) -> tuple[float, float]:
     return p, dp
 
 
-@lru_cache(maxsize=None)
 def gauss_legendre(n: int, panels: int = 1) -> QuadratureRule:
     """Build an n-point Gauss-Legendre rule by Newton iteration on the
-    Legendre recurrence (no stored tables).
+    Legendre recurrence (no stored tables), with `panels` panels.
 
     Roots are polished to a 1e-15 update tolerance and mirrored so the
-    rule is exactly symmetric.
+    rule is exactly symmetric; they are computed once for each n. Raises
+    ValueError unless n is an integer >= 1 (checked_count), then as
+    QuadratureRule does for panels.
     """
-    if n < 1:
-        raise ValueError("need at least one node")
+    return QuadratureRule(*_gauss_nodes(checked_count(n, "node count n", 1)), panels)
+
+
+@lru_cache(maxsize=None)
+def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = np.empty(n)
     weights = np.empty(n)
     for i in range((n + 1) // 2):
@@ -92,7 +99,7 @@ def gauss_legendre(n: int, panels: int = 1) -> QuadratureRule:
         nodes[n - 1 - i], weights[n - 1 - i] = abs(x), w
     if n % 2 == 1:
         nodes[n // 2] = 0.0
-    return QuadratureRule(nodes, weights, panels)
+    return nodes, weights
 
 
 def default_rule() -> QuadratureRule:
@@ -120,6 +127,16 @@ def checked_positive(x: float, name: str) -> float:
     if x <= 0:
         raise ValueError(f"{name} must be positive")
     return x
+
+
+def checked_count(n, name: str, low: int, high: float = math.inf) -> int:
+    """n as an int, or a ValueError naming it unless it is an integer
+    (operator.index decides, and a bool is refused) from low to high."""
+    with contextlib.suppress(TypeError):
+        if not isinstance(n, (bool, np.bool_)) and low <= operator.index(n) <= high:
+            return operator.index(n)
+    bound = f">= {low}" if high == math.inf else f"from {low} to {high}"
+    raise ValueError(f"{name} must be an integer {bound}, got {n!r}")
 
 
 def check_nonnegative(x: float, name: str) -> None:

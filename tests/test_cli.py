@@ -99,6 +99,19 @@ def test_limit_csv_schema(tmp_path):
     assert errs == sorted(errs, reverse=True)
 
 
+@pytest.mark.parametrize("args,name", [
+    (["--kind", "grid", "--level", "4"], "level"), (["--kind", "grid", "--R", "3"], "R"),
+    (["--kind", "icosphere", "--n", "5"], "n"), (["--kind", "tube", "--c", "1"], "c"),
+])
+def test_make_refuses_a_flag_its_kind_does_not_take(args, name, tmp_path, capsys):
+    out = tmp_path / "mesh.off"
+    assert run(["make", *args, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: primitive '{args[1]}' takes no {name}\n"
+    assert not out.exists()
+
+
 def test_make_and_curvature_roundtrip(tmp_path):
     mesh_path = tmp_path / "ico.off"
     assert run(["make", "--kind", "icosphere", "--level", "2", "--R", "1",
@@ -443,7 +456,7 @@ def test_bad_max_rel_err_exits_1(command, bound, tmp_path, capsys):
     (["flow", "--dt", "inf", "--steps", "2"], "time step dt must be finite, got inf"),
     (["curvature", "--tol-direction", "nan"], "tol_direction must be nonnegative, got nan"),
     (["curvature", "--tol-direction=-1"], "tol_direction must be nonnegative, got -1.0"),
-    (["flow", "--dt", "1e-3", "--steps=-1"], "step count must be nonnegative"),
+    (["flow", "--dt", "1e-3", "--steps=-1"], "step count n_steps must be an integer >= 0, got -1"),
 ])
 def test_bad_numeric_parameter_exits_1_naming_it(args, message, tmp_path, capsys):
     mesh_path = tmp_path / "ico1.off"
@@ -783,18 +796,21 @@ def readme_commands():
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # the block makes every mesh it reads; field.csv, which it reads too,
+    # holds x^2 + y^2 at each vertex of its grid.off
     monkeypatch.chdir(tmp_path)
-    grid = ci.make_grid(8)
-    ci.save_mesh(grid, "grid.off")
-    x, y, _ = grid.positions.T
+    x, y, _ = ci.make_grid(8).positions.T
     Path("field.csv").write_text("vertex,value\n" + "".join(
         f"{v},{float(a * a + b * b)!r}\n" for v, (a, b) in enumerate(zip(x, y))))
     commands = readme_commands()
     assert [args[0] for args in commands] == [
-        "verify", "verify", "limit", "make", "curvature", "gradcheck", "laplacian", "flow"]
+        "verify", "verify", "limit", "make", "curvature", "gradcheck", "make", "laplacian",
+        "flow"]
     for args in commands:
         assert run(args) == 0, (args, capsys.readouterr().err)
     capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "curv.csv", "field.csv", "grid.off", "ico4.off", "lap.csv", "trace.csv"]
 
 
 def test_flow_subcommand(tmp_path):
@@ -1010,6 +1026,25 @@ def test_flow_refuses_a_destination_it_cannot_open_before_any_step(missing, trac
     assert not trace.exists()
     # the final mesh's file, opened before --output failed, is left empty
     assert final.read_text() == "" if missing == "--output" else not final.exists()
+
+
+@pytest.mark.parametrize("final", ["same.off", "./same.off", "sub/../same.off", "link.off"])
+def test_flow_refuses_one_file_as_both_destinations_before_any_work(final, tmp_path, capsys,
+                                                                    monkeypatch):
+    # two handles on one file would interleave the mesh and the trace; a
+    # missing input shows that nothing is read either
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    Path("same.off").write_text("old\n")
+    Path("link.off").symlink_to("same.off")
+    ci.save_mesh(ci.make_icosphere(0), "ico0.off")
+    for source in ("missing.off", "ico0.off"):
+        assert run(["flow", "--input", source, "--dt", "1e-4", "--steps", "100",
+                    "--output", "same.off", "--final-mesh", final]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --output and --final-mesh name the same file: '{final}'\n"
+    assert Path("same.off").read_text() == "old\n"
 
 
 def test_flow_that_fails_mid_way_leaves_its_destinations_empty(tmp_path, capsys):

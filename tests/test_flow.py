@@ -51,7 +51,7 @@ def test_mesh_without_faces_refused():
     # the arguments are refused first
     with pytest.raises(ValueError, match="^time step must be nonnegative$"):
         ci.run_flow(empty, -1.0, 2)
-    with pytest.raises(ValueError, match="^step count must be nonnegative$"):
+    with pytest.raises(ValueError, match="^step count n_steps must be an integer >= 0, got -1$"):
         ci.check_flow(empty, 1e-3, -1)
     bare = ci.TriMesh(np.eye(3), np.zeros((0, 3), dtype=int))
     with pytest.raises(IsolatedVertexError, match="^vertex 0 has no incident faces$"):
@@ -315,7 +315,7 @@ def test_boundary_refused_when_an_isolated_vertex_comes_after_it():
     for flow in (lambda: ci.mcf_step(mesh, -1e-3), lambda: ci.run_flow(mesh, -1e-3, 3)):
         with pytest.raises(ValueError, match="^time step must be nonnegative$"):
             flow()
-    with pytest.raises(ValueError, match="^step count must be nonnegative$"):
+    with pytest.raises(ValueError, match="^step count n_steps must be an integer >= 0, got -1$"):
         ci.run_flow(mesh, 1e-3, -1)
 
 

@@ -317,6 +317,29 @@ def test_tube_and_catenoid_boundaries():
     assert not ci.make_icosphere(1, 1.0).boundary_vertices().any()
 
 
+@pytest.mark.parametrize("kind,params,expected", [
+    ("grid", {}, ci.make_grid(8)),
+    ("Icosphere ", {}, ci.make_icosphere(2, 1.0)),
+    ("tube", {"R": 0.5, "n_v": 5}, ci.make_tube(0.5, 2.0, 8, 5)),
+    ("catenoid", {"c": 2, "n_u": 3}, ci.make_catenoid(2.0, 3, 16)),
+])
+def test_primitive_defaults(kind, params, expected):
+    mesh = ci.make_primitive(kind, **params)
+    assert mesh.positions.tobytes() == expected.positions.tobytes()
+    assert mesh.faces.tobytes() == expected.faces.tobytes()
+
+
+@pytest.mark.parametrize("kind,params,name", [
+    ("grid", {"level": 4}, "level"), ("grid", {"n": 4, "R": 3.0}, "R"),
+    ("icosphere", {"n": 5}, "n"), ("icosphere", {"level": 1, "n_u": 4}, "n_u"),
+    ("tube", {"c": 1.0}, "c"), ("catenoid", {"n_v": 8, "L": 2.0, "level": 1}, "L"),
+])
+def test_primitive_refuses_a_parameter_its_kind_does_not_take(kind, params, name):
+    # named before any value is checked: the first such parameter given
+    with pytest.raises(ValueError, match=f"^primitive '{kind}' takes no {name}$"):
+        ci.make_primitive(kind, **params)
+
+
 def test_primitive_parameter_validation():
     with pytest.raises(ValueError):
         ci.make_grid(0)
@@ -324,8 +347,9 @@ def test_primitive_parameter_validation():
         ci.make_icosphere(7, 1.0)
     for make in (lambda n_u, n_v: ci.make_tube(1.0, 2.0, n_u, n_v),
                  lambda n_u, n_v: ci.make_catenoid(1.0, n_u, n_v)):
-        for n_u, n_v in ((1, 2), (0, 8)):
-            with pytest.raises(ValueError, match="^need n_u >= 1 and n_v >= 3$"):
+        for n_u, n_v, message in ((1, 2, "n_v must be an integer >= 3, got 2"),
+                                  (0, 8, "n_u must be an integer >= 1, got 0")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 make(n_u, n_v)
     with pytest.raises(ValueError):
         ci.make_primitive("moebius")

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+import curvint as ci
 from curvint import (
     EvaluationError,
     QuadratureRule,
@@ -62,7 +64,7 @@ def test_rule_validation():
             ([-0.5, 1.0], [1.0, 1.0], r"nodes must lie strictly inside \[-1, 1\]")]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             QuadratureRule(np.array(nodes), np.array(weights))
-    with pytest.raises(ValueError, match="^need at least one node$"):
+    with pytest.raises(ValueError, match="^node count n must be an integer >= 1, got 0$"):
         gauss_legendre(0)
 
 
@@ -181,3 +183,62 @@ def test_default_rule_shape():
     rule = default_rule()
     assert len(rule.nodes) == 16
     assert rule.panels == 8
+
+
+_ICO1 = ci.make_icosphere(1)
+_RULE2 = gauss_legendre(2)
+
+# entry point -> (a call on one count, the count's name, its least and
+# greatest values); every count goes through numerics.checked_count
+COUNTED = {
+    "make_grid": (ci.make_grid, "grid resolution n", 1, None),
+    "make_icosphere": (ci.make_icosphere, "subdivision level", 0, 6),
+    "make_tube-n_u": (lambda n: ci.make_tube(1.0, 2.0, n, 8), "n_u", 1, None),
+    "make_tube-n_v": (lambda n: ci.make_tube(1.0, 2.0, 4, n), "n_v", 3, None),
+    "make_catenoid-n_u": (lambda n: ci.make_catenoid(1.0, n, 8), "n_u", 1, None),
+    "make_catenoid-n_v": (lambda n: ci.make_catenoid(1.0, 4, n), "n_v", 3, None),
+    "make_primitive-n": (lambda n: ci.make_primitive("grid", n=n), "grid resolution n", 1, None),
+    "make_primitive-level": (lambda n: ci.make_primitive("icosphere", level=n),
+                             "subdivision level", 0, 6),
+    "check_flow": (lambda n: ci.check_flow(_ICO1, 1e-3, n), "step count n_steps", 0, None),
+    "run_flow": (lambda n: ci.run_flow(_ICO1, 1e-3, n), "step count n_steps", 0, None),
+    "gauss_legendre-n": (gauss_legendre, "node count n", 1, None),
+    "gauss_legendre-panels": (lambda n: gauss_legendre(2, panels=n), "panels", 1, None),
+    "QuadratureRule": (lambda n: QuadratureRule(_RULE2.nodes, _RULE2.weights, n), "panels", 1,
+                       None),
+}
+
+
+def _outcome(result):
+    """What two calls must agree on: bytes of a mesh, a rule's arrays and
+    panel count, a flow's trace and final mesh."""
+    if isinstance(result, ci.TriMesh):
+        return result.positions.tobytes(), result.faces.tobytes()
+    if isinstance(result, QuadratureRule):
+        assert type(result.panels) is int
+        return result.nodes.tobytes(), result.weights.tobytes(), result.panels
+    if isinstance(result, tuple):
+        return result[0], _outcome(result[1])
+    return result
+
+
+@pytest.mark.parametrize("site", COUNTED)
+def test_count_gate_refuses_before_any_work_and_takes_any_integer(site, monkeypatch):
+    call, name, low, high = COUNTED[site]
+    bound = f">= {low}" if high is None else f"from {low} to {high}"
+    work = []  # meshes built and corner kernels read
+    init, kernel = ci.TriMesh.__init__, ci.TriMesh.corner_kernel
+    monkeypatch.setattr(ci.TriMesh, "__init__", lambda m, *args: work.append(m) or init(m, *args))
+    monkeypatch.setattr(ci.TriMesh, "corner_kernel", lambda m: work.append(m) or kernel(m))
+    bad_values = [2.5, math.nan, math.inf, True, np.True_, "3", None, low - 1]
+    for bad in bad_values + ([] if high is None else [high + 1]):
+        message = f"{name} must be an integer {bound}, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(bad)
+    # no mesh was built and no flow state read: the gate comes first
+    assert work == []
+    good = max(low, 2)
+    expected = _outcome(call(good))
+    assert work or site.startswith(("gauss", "Quad", "check"))
+    for same in (np.int64(good), np.array(good)):
+        assert _outcome(call(same)) == expected
