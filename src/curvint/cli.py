@@ -6,8 +6,8 @@ complex-step oracle), laplacian (per-vertex field Laplacian), make
 (primitive generation) and flow (mean-curvature-flow trace).
 
 Exit codes: 0 success, 1 bad input or usage, 2 a requested check exceeded
-its tolerance: run, the one --max-rel-err check, refuses a bound that is
-not nonnegative first, then compares the relative error that the verify
+its tolerance: run, the one --max-rel-err check, refuses a bound below 0
+or not finite first, then compares the relative error that the verify
 or gradcheck handler returns. Numbers print as "%.17g", indices as "%d".
 Every table is written by the array kernel of `curvint._text` but
 verify's one-row report, one %-format: microseconds against the kernel's
@@ -30,7 +30,7 @@ import numpy as np
 from . import contour, discrete, flow as flow_mod, mesh as mesh_mod
 from ._text import render
 from .errors import CurvintError
-from .numerics import check_nonnegative, default_rule, gauss_legendre
+from .numerics import checked_real, default_rule, gauss_legendre
 from .surfaces import surface_from_name
 
 __all__ = ["build_parser", "run", "main"]
@@ -66,11 +66,8 @@ def _region_from_args(args, surface) -> object:
         raise ValueError("cap region needs --theta0")
     if surface.name != "sphere":
         raise ValueError("cap regions are defined on the sphere only")
-    if not math.isfinite(args.theta0):
-        raise ValueError("cap colatitude must be finite")
-    if args.theta0 <= _CAP_POLE_MARGIN:
-        raise ValueError(f"cap colatitude must exceed {_CAP_POLE_MARGIN:g}")
-    return contour.RectRegion(_CAP_POLE_MARGIN, args.theta0, 0.0, 2.0 * math.pi)
+    theta0 = checked_real(args.theta0, "cap colatitude", _CAP_POLE_MARGIN, strict=True)
+    return contour.RectRegion(_CAP_POLE_MARGIN, theta0, 0.0, 2.0 * math.pi)
 
 
 def _floats(flag: str, tokens) -> list[float]:
@@ -150,8 +147,6 @@ def _cmd_verify(args) -> float:
 def _cmd_limit(args) -> None:
     surface = surface_from_name(args.surface, **_given(args, ("R", "r", "c")))
     center = _floats("--center", args.center.split(","))
-    if len(center) != 2:
-        raise ValueError("--center must be 'u,v'")
     radii = _floats("--radii", args.radii.split(","))
     study = contour.shrinking_limit(surface, center, radii,
                                     gauss_legendre(args.quad_n, panels=args.quad_panels))
@@ -322,7 +317,7 @@ def run(argv=None) -> int:
     bound = getattr(args, "max_rel_err", None)  # verify and gradcheck
     try:
         if bound is not None:
-            check_nonnegative(bound, "--max-rel-err")
+            checked_real(bound, "--max-rel-err", 0.0)
         err = args.handler(args)
     except (CurvintError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContourError, DomainError, EvaluationError
-from .numerics import QuadratureRule, column_cross, column_norm, default_rule, panel_nodes
+from .numerics import (QuadratureRule, checked_real, column_cross, column_norm, default_rule,
+                       panel_nodes)
 from .surfaces import ParametricSurface
 
 __all__ = [
@@ -59,10 +60,14 @@ _TANGENT_TOL = 1e-12
 class _Region:
     """The boundary parameterization shared by the region types."""
 
+    def _gate(self, field: str, name: str, **bound):
+        # a frozen dataclass field replaced by checked_real's float
+        object.__setattr__(self, field, checked_real(getattr(self, field), name, **bound))
+
     def boundary_param(self, s: float):
         """Point, velocity d(u, v)/ds and outward normal at s in [0, 1);
         piece k covers s in [k, k + 1) / pieces."""
-        s = float(s) % 1.0
+        s = checked_real(s, "boundary parameter s") % 1.0
         k = min(int(s * self.pieces), self.pieces - 1)
         point, (du, dv), outward = self.piece(k, s * self.pieces - k)
         return point, (self.pieces * du, self.pieces * dv), outward
@@ -84,8 +89,8 @@ class RectRegion(_Region):
     pieces = 4  # bottom, right, top, left
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.u0, self.u1, self.v0, self.v1))):
-            raise ValueError("rectangle corners must be finite")
+        for corner in ("u0", "u1", "v0", "v1"):
+            self._gate(corner, f"rectangle corner {corner}")
         if not (self.u1 > self.u0 and self.v1 > self.v0):
             raise ValueError("rectangle must have positive extent")
 
@@ -128,12 +133,9 @@ class DiskRegion(_Region):
     pieces = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.uc) and math.isfinite(self.vc)):
-            raise ValueError("disk center must be finite")
-        if not self.rho > 0:
-            raise ValueError("disk radius must be positive")
-        if not math.isfinite(self.rho):
-            raise ValueError("disk radius must be finite")
+        self._gate("uc", "disk center uc")
+        self._gate("vc", "disk center vc")
+        self._gate("rho", "disk radius", low=0.0, strict=True)
 
     @property
     def label(self) -> str:
@@ -326,19 +328,23 @@ def shrinking_limit(surface: ParametricSurface, center: tuple[float, float],
 
     observed_order is the least-squares slope of log error against log
     radius (nan when an error underflows the meaningful range, e.g. on a
-    plane where every estimate is exactly zero).
+    plane where every estimate is exactly zero). Before any evaluation,
+    refuses a center that is not two numbers, radii that are no 1-d
+    sequence of two or more, each disk as DiskRegion does, and then
+    radii that do not strictly decrease, each with a ValueError.
     """
     rule = rule or default_rule()
-    radii = np.asarray(radii, dtype=float)
-    if len(radii) < 2:
-        raise ValueError("need at least two radii")
-    if np.any(radii <= 0) or not np.all(np.diff(radii) < 0):
-        raise ValueError("radii must be positive and strictly decreasing")
-    uc, vc = float(center[0]), float(center[1])
-    # built before the center is evaluated: a non-finite center is refused by name
-    disks = [DiskRegion(uc, vc, float(rho)) for rho in radii]
+    # object arrays: a ragged sequence has a shape too
+    if np.asarray(center, dtype=object).shape != (2,):
+        raise ValueError(f"center must be two numbers (u, v), got {center!r}")
+    if np.asarray(radii, dtype=object).ndim != 1 or len(radii) < 2:
+        raise ValueError(f"radii must be a 1-d sequence of two or more, got {radii!r}")
+    disks = [DiskRegion(*center, rho) for rho in radii]
+    radii = np.array([disk.rho for disk in disks])
+    if not np.all(np.diff(radii) < 0):
+        raise ValueError("radii must be strictly decreasing")
     with np.errstate(all="ignore"):
-        _, _, _, normal, _, mean = surface._checked_geometry(uc, vc, 2)
+        _, _, _, normal, _, mean = surface._checked_geometry(disks[0].uc, disks[0].vc, 2)
     target = _finite("N * H at the center", np.stack(normal) * mean)
     estimates = np.empty((len(radii), 3))
     for i, disk in enumerate(disks):

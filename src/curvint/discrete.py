@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import EvaluationError
 from .mesh import TriMesh, corner_terms, triangle_areas
-from .numerics import check_nonnegative, column_cross
+from .numerics import checked_real, column_cross
 
 __all__ = [
     "CurvatureSample",
@@ -95,7 +95,7 @@ def vector_mean_curvature(mesh: TriMesh, v: int, tol_direction: float = 1e-8,
     Boundary vertices are refused unless allow_boundary is set (the
     half-ring value is not meaningful as a curvature).
     """
-    check_nonnegative(tol_direction, "tol_direction")
+    tol_direction = checked_real(tol_direction, "tol_direction", 0.0)
     mesh.topology.check(v, boundary=not allow_boundary)
     return _samples(*_curvature_rows(mesh, [v], tol_direction))[0]
 
@@ -167,7 +167,7 @@ def curvature_arrays(mesh: TriMesh, tol_direction: float = 1e-8):
 
     Raises IsolatedVertexError at the first isolated vertex, as
     vector_mean_curvature does."""
-    check_nonnegative(tol_direction, "tol_direction")
+    tol_direction = checked_real(tol_direction, "tol_direction", 0.0)
     boundary = mesh.topology.check()
     return (*_curvature_rows(mesh, slice(None), tol_direction), boundary)
 

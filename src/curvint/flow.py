@@ -10,14 +10,13 @@ stepping, no singularity handling); each state costs one corner pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundaryVertexError, CollapseError, MeshValidationError
 from .mesh import TriMesh
-from .numerics import checked_count, column_norm
+from .numerics import checked_count, checked_real, column_norm
 
 __all__ = ["FlowStep", "FlowTrace", "mcf_step", "check_flow", "run_flow"]
 
@@ -61,21 +60,17 @@ def mcf_step(mesh: TriMesh, dt: float) -> TriMesh:
     the step produces a face below the minimum area, and
     MeshValidationError if its positions or a face area overflow.
     """
-    check_flow(mesh, dt, 1)
-    return _advance(mesh, dt, mesh.corner_kernel().curvature)
+    return _advance(mesh, check_flow(mesh, dt, 1), mesh.corner_kernel().curvature)
 
 
-def check_flow(mesh: TriMesh, dt: float, n_steps: int) -> None:
+def check_flow(mesh: TriMesh, dt: float, n_steps: int) -> float:
     """The one gate of a flow, which run_flow and mcf_step pass before
-    their first step. Raises ValueError unless dt is finite and
-    nonnegative, then unless n_steps is an integer >= 0 (operator.index
-    decides, and a bool is refused); BoundaryVertexError
+    their first step; returns dt as a float. Raises ValueError unless dt
+    is a finite, nonnegative real number (checked_real), then unless
+    n_steps is an integer >= 0 (checked_count); BoundaryVertexError
     or IsolatedVertexError, naming the vertex, unless every one-ring
     closes into one loop; MeshValidationError for a mesh without faces."""
-    if not math.isfinite(dt):
-        raise ValueError(f"time step dt must be finite, got {dt}")
-    if dt < 0:
-        raise ValueError("time step must be nonnegative")
+    dt = checked_real(dt, "time step dt", 0.0)
     checked_count(n_steps, "step count n_steps", 0)
     try:
         mesh.topology.check(boundary=True)
@@ -83,6 +78,7 @@ def check_flow(mesh: TriMesh, dt: float, n_steps: int) -> None:
         raise BoundaryVertexError(f"mean curvature flow requires a closed mesh: {exc}") from None
     if not mesh.n_faces:
         raise MeshValidationError("mean curvature flow requires a mesh with faces")
+    return dt
 
 
 def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh]:
@@ -95,9 +91,9 @@ def run_flow(mesh: TriMesh, dt: float, n_steps: int) -> tuple[FlowTrace, TriMesh
     area (a sign that dt is too large); the offending step is not
     accepted. Each state is a TriMesh, whose one corner pass gives its B
     and face areas (`curvint.mesh.CornerKernel`) and refuses a collapsed
-    face. Refuses its arguments as check_flow does.
+    face. Refuses its arguments, and records dt, as check_flow returns it.
     """
-    check_flow(mesh, dt, n_steps)
+    dt = check_flow(mesh, dt, n_steps)
 
     def record(index: int, m: TriMesh) -> FlowStep:
         # column_norm, not row_norms: the two round some rows' |B| differently

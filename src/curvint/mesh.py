@@ -28,7 +28,7 @@ from .errors import (
     MeshValidationError,
     ParseError,
 )
-from .numerics import checked_count, checked_positive, column_cross, column_norm
+from .numerics import checked_count, checked_real, column_cross, column_norm
 from .surfaces import Catenoid, Cylinder, Plane
 
 __all__ = [
@@ -716,7 +716,7 @@ def make_icosphere(level: int, radius: float = 1.0) -> TriMesh:
     """Icosahedron subdivided `level` times (edge midpoints), every vertex
     projected onto the sphere of the given radius. 20 * 4^level faces."""
     level = checked_count(level, "subdivision level", 0, 6)
-    radius = checked_positive(radius, "radius")
+    radius = checked_real(radius, "radius", 0.0, strict=True)
     verts, faces = _icosahedron()
     for _ in range(level):
         # edges ab, bc, ca of each face in turn; each edge's midpoint is
@@ -748,7 +748,8 @@ def make_tube(radius: float, length: float, n_u: int, n_v: int) -> TriMesh:
     """The cylinder of the given radius along z sampled on z in [0,
     length] (n_u segments) times n_v angles from 0: an open tube whose
     two rims are boundary."""
-    return _sample_revolution(Cylinder(radius), 0.0, checked_positive(length, "length"), n_u, n_v)
+    return _sample_revolution(Cylinder(radius), 0.0,
+                              checked_real(length, "length", 0.0, strict=True), n_u, n_v)
 
 
 def make_catenoid(waist: float, n_u: int, n_v: int) -> TriMesh:

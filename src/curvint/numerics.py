@@ -1,5 +1,6 @@
 """Scalar/vector numerics: composite Gauss-Legendre quadrature, central
-differences, argument checks, and the column cross product and norm.
+differences, the column cross product and norm, and the two argument
+gates of every entry point, checked_count and checked_real.
 
 All quantities are 64-bit floats; 3-vectors are (3,) arrays or 3-tuples of columns.
 """
@@ -118,17 +119,6 @@ def panel_nodes(a: float, b: float, rule: QuadratureRule) -> tuple[np.ndarray, n
     return x, w
 
 
-def checked_positive(x: float, name: str) -> float:
-    """x as a float, or a ValueError naming it unless it is finite and
-    positive."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x}")
-    if x <= 0:
-        raise ValueError(f"{name} must be positive")
-    return x
-
-
 def checked_count(n, name: str, low: int, high: float = math.inf) -> int:
     """n as an int, or a ValueError naming it unless it is an integer
     (operator.index decides, and a bool is refused) from low to high."""
@@ -139,10 +129,21 @@ def checked_count(n, name: str, low: int, high: float = math.inf) -> int:
     raise ValueError(f"{name} must be an integer {bound}, got {n!r}")
 
 
-def check_nonnegative(x: float, name: str) -> None:
-    """ValueError naming x unless x >= 0 (nan is refused too)."""
-    if not x >= 0:
-        raise ValueError(f"{name} must be nonnegative, got {x}")
+def checked_real(x, name: str, low: float = -math.inf, strict: bool = False) -> float:
+    """x as a float, or a ValueError naming it unless it is a real number
+    (an int, float, or numpy integer or floating scalar or 0-d array, but
+    no bool), then unless finite, then unless >= low (> low if strict)."""
+    a = np.asarray(x)
+    if a.ndim or a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    value = float(x)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value < low or strict and value == low:
+        rule = (f"exceed {low:g}" if strict else f"be at least {low:g}") if low else (
+            "be positive" if strict else "be nonnegative")
+        raise ValueError(f"{name} must {rule}, got {value}")
+    return value
 
 
 def column_cross(a, b) -> list:
@@ -157,7 +158,7 @@ def column_norm(x) -> np.ndarray:  # in np.linalg.norm(axis=1)'s order: bitwise 
 def central_gradient(f: Callable[[np.ndarray], float], x, h: float) -> np.ndarray:
     """Component-wise central difference (f(x + h e) - f(x - h e)) / 2h
     of a scalar function of a 3-vector."""
-    h = checked_positive(h, "step h")
+    h = checked_real(h, "step h", 0.0, strict=True)
     x = np.asarray(x, dtype=float)
     out = np.empty(3)
     for k in range(3):

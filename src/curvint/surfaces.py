@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .numerics import checked_positive, column_cross, column_norm
+from .numerics import checked_real, column_cross, column_norm
 
 __all__ = [
     "ParametricSurface",
@@ -184,7 +184,7 @@ class Sphere(ParametricSurface):
     margin = 1e-9
 
     def __init__(self, radius: float):
-        self.radius = checked_positive(radius, "radius")
+        self.radius = checked_real(radius, "radius", 0.0, strict=True)
 
     def jet(self, u, v, order=2):
         rs, rc = self.radius * np.sin(u), self.radius * np.cos(u)
@@ -205,7 +205,7 @@ class Cylinder(ParametricSurface):
     v_periodic = True
 
     def __init__(self, radius: float):
-        self.radius = checked_positive(radius, "radius")
+        self.radius = checked_real(radius, "radius", 0.0, strict=True)
 
     def jet(self, u, v, order=2):
         rs, rc = self.radius * np.sin(v), self.radius * np.cos(v)
@@ -221,11 +221,10 @@ class Torus(ParametricSurface):
     v_periodic = True
 
     def __init__(self, major: float, minor: float):
-        major, minor = checked_positive(major, "R"), checked_positive(minor, "r")
-        if not 0 < minor < major:
+        self.major = checked_real(major, "R", 0.0, strict=True)
+        self.minor = checked_real(minor, "r", 0.0, strict=True)
+        if not self.minor < self.major:
             raise ValueError("require 0 < minor < major radius")
-        self.major = major
-        self.minor = minor
 
     def jet(self, u, v, order=2):
         rs, rc = self.minor * np.sin(u), self.minor * np.cos(u)
@@ -248,7 +247,7 @@ class Catenoid(ParametricSurface):
     v_periodic = True
 
     def __init__(self, waist: float = 1.0):
-        self.waist = checked_positive(waist, "waist")
+        self.waist = checked_real(waist, "waist", 0.0, strict=True)
 
     def jet(self, u, v, order=2):
         c = self.waist
@@ -313,6 +312,7 @@ class MongeGraph(ParametricSurface):
 
 def saddle(extent: float = 2.0) -> MongeGraph:
     """The saddle graph z = x^2 - y^2 on [-extent, extent]^2."""
+    extent = checked_real(extent, "extent", 0.0, strict=True)
     return MongeGraph(
         f=lambda x, y: x * x - y * y,
         fx=lambda x, y: 2.0 * x,

@@ -75,7 +75,8 @@ def test_verify_rect_and_disk_regions(tmp_path):
     # the cap starts at the pole margin, 1e-6: a colatitude at or below it
     # is refused by name, not as a rectangle without extent
     *((["--surface=sphere", "--region=cap", f"--theta0={theta0}"],
-       "cap colatitude must exceed 1e-06") for theta0 in ("1e-7", "1e-6", "0", "-1")),
+       f"cap colatitude must exceed 1e-06, got {float(theta0)}")
+      for theta0 in ("1e-7", "1e-6", "0", "-1")),
 ])
 def test_verify_missing_region_params_exits_1(args, message, capsys):
     rc = run(["verify", *args])
@@ -341,27 +342,30 @@ def test_verify_table_matches_the_reference_writer(surface, args, region, capsys
     assert capsys.readouterr().out == reference_verify_csv(s, region, report)
 
 
-def test_nan_disk_radius_is_refused_as_not_positive(capsys):
+def test_nan_disk_radius_is_refused_as_not_finite(capsys):
     # every finite point is inside a torus: the radius itself is at fault
     rc = run(["verify", "--surface", "torus", "--region", "disk", "--uc", "1", "--vc", "1",
               "--rho", "nan"])
     assert rc == 1
-    assert capsys.readouterr().err == "error: disk radius must be positive\n"
+    assert capsys.readouterr().err == "error: disk radius must be finite, got nan\n"
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv,message", [
     *(pytest.param(["verify", "--surface", "torus", "--region", "disk", f"--uc={uc}",
-                    f"--vc={vc}", "--rho", "0.3"], id=f"{uc}-{vc}")
-      for uc, vc in [("nan", "1"), ("1", "inf"), ("-inf", "nan")]),
-    *(pytest.param(["limit", "--surface", surface, "--center", center],
+                    f"--vc={vc}", "--rho", "0.3"], message, id=f"{uc}-{vc}")
+      for uc, vc, message in [("nan", "1", "uc must be finite, got nan"),
+                              ("1", "inf", "vc must be finite, got inf"),
+                              ("-inf", "nan", "uc must be finite, got -inf")]),
+    *(pytest.param(["limit", "--surface", surface, "--center", center], message,
                    id=f"limit-{surface}-{center}")
-      for surface, center in [("torus", "inf,1"), ("plane", "nan,0")]),
+      for surface, center, message in [("torus", "inf,1", "uc must be finite, got inf"),
+                                       ("plane", "nan,0", "uc must be finite, got nan")]),
 ])
-def test_non_finite_disk_center_is_refused_by_name(argv, capsys):
+def test_non_finite_disk_center_is_refused_by_name(argv, message, capsys):
     # every finite point is inside a torus or a plane: the center itself is at fault
     rc = run(argv)
     assert rc == 1
-    assert capsys.readouterr().err == "error: disk center must be finite\n"
+    assert capsys.readouterr().err == f"error: disk center {message}\n"
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -369,7 +373,8 @@ def test_non_finite_disk_center_is_refused_by_name(argv, capsys):
     (["--center", "1,1", "--radii", "0.2,x"], "--radii: could not convert string to float: 'x'"),
     (["--center", "1,1", "--radii", "0.2,,0.1"],
      "--radii: could not convert string to float: ''"),
-    (["--center", "1"], "--center must be 'u,v'"),
+    (["--center", "1"], "center must be two numbers (u, v), got [1.0]"),
+    (["--center", "1,1,5"], "center must be two numbers (u, v), got [1.0, 1.0, 5.0]"),
 ])
 def test_limit_number_that_does_not_parse_names_its_flag(flags, message, capsys):
     assert run(["limit", "--surface", "torus", *flags]) == 1
@@ -380,19 +385,19 @@ def test_limit_number_that_does_not_parse_names_its_flag(flags, message, capsys)
 
 @pytest.mark.parametrize("args,message", [
     (["verify", "--surface", "plane", "--region", "disk", "--uc", "0", "--vc", "0", "--rho", "inf"],
-     "disk radius must be finite"),
+     "disk radius must be finite, got inf"),
     (["limit", "--surface", "torus", "--center", "1,1", "--radii", "inf,0.1"],
-     "disk radius must be finite"),
+     "disk radius must be finite, got inf"),
     (["verify", "--surface", "sphere", "--region", "cap", "--theta0", "inf"],
-     "cap colatitude must be finite"),
+     "cap colatitude must be finite, got inf"),
     (["verify", "--surface", "sphere", "--region", "cap", "--theta0=-inf"],
-     "cap colatitude must be finite"),
+     "cap colatitude must be finite, got -inf"),
     (["verify", "--surface", "sphere", "--region", "cap", "--theta0", "nan"],
-     "cap colatitude must be finite"),
+     "cap colatitude must be finite, got nan"),
 ])
 def test_non_finite_region_size_is_refused_by_name(args, message, capsys):
     # not "region not inside the domain", "disk wider than one period" or
-    # "rectangle corners must be finite": the size itself is at fault
+    # a rectangle corner that is not finite: the size itself is at fault
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(args) == 1
@@ -406,11 +411,13 @@ def test_non_finite_region_size_is_refused_by_name(args, message, capsys):
 def test_non_finite_rect_corner_is_refused_by_name(surface, corner, capsys):
     # every finite point is inside a plane or a torus: the corner itself is at fault
     flags = {"--u0": "0", "--u1": "1", "--v0": "0", "--v1": "1"}
-    flags[corner.split("=")[0]] = corner.split("=")[1]
+    flag, value = corner.split("=")
+    flags[flag] = value
     rc = run(["verify", "--surface", surface, "--region", "rect",
               *(f"{k}={v}" for k, v in flags.items())])
     assert rc == 1
-    assert capsys.readouterr().err == "error: rectangle corners must be finite\n"
+    assert capsys.readouterr().err == (
+        f"error: rectangle corner {flag[2:]} must be finite, got {float(value)}\n")
 
 
 def test_mesh_subcommands_call_no_per_vertex_function(tmp_path, monkeypatch):
@@ -437,7 +444,7 @@ def test_mesh_subcommands_call_no_per_vertex_function(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["verify", "gradcheck"])
-@pytest.mark.parametrize("bound", ["nan", "-1", "-inf"])
+@pytest.mark.parametrize("bound", ["nan", "-1", "-inf", "inf"])
 def test_bad_max_rel_err_exits_1(command, bound, tmp_path, capsys):
     mesh_path = tmp_path / "ico1.off"
     ci.save_mesh(ci.make_icosphere(1, 1.0), mesh_path)
@@ -448,15 +455,17 @@ def test_bad_max_rel_err_exits_1(command, bound, tmp_path, capsys):
         assert run([command, *args, f"--max-rel-err={bound}"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --max-rel-err must be nonnegative, got {float(bound)}\n"
+    rule = "nonnegative" if math.isfinite(float(bound)) else "finite"
+    assert captured.err == f"error: --max-rel-err must be {rule}, got {float(bound)}\n"
 
 
 @pytest.mark.parametrize("args,message", [
     (["flow", "--dt", "nan", "--steps", "2"], "time step dt must be finite, got nan"),
     (["flow", "--dt", "inf", "--steps", "2"], "time step dt must be finite, got inf"),
-    (["curvature", "--tol-direction", "nan"], "tol_direction must be nonnegative, got nan"),
+    (["curvature", "--tol-direction", "nan"], "tol_direction must be finite, got nan"),
     (["curvature", "--tol-direction=-1"], "tol_direction must be nonnegative, got -1.0"),
     (["flow", "--dt", "1e-3", "--steps=-1"], "step count n_steps must be an integer >= 0, got -1"),
+    (["curvature", "--tol-direction", "inf"], "tol_direction must be finite, got inf"),
 ])
 def test_bad_numeric_parameter_exits_1_naming_it(args, message, tmp_path, capsys):
     mesh_path = tmp_path / "ico1.off"

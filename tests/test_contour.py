@@ -192,16 +192,21 @@ def test_region_validation():
     with pytest.raises(ValueError):
         DiskRegion(0.0, 0.0, -0.1)
     for rho in (math.nan, -math.inf):
-        with pytest.raises(ValueError, match="^disk radius must be positive$"):
+        with pytest.raises(ValueError, match=f"^disk radius must be finite, got {rho}$"):
             DiskRegion(1.0, 1.0, rho)
-    with pytest.raises(ValueError, match="^disk radius must be finite$"):
+    with pytest.raises(ValueError, match="^disk radius must be finite, got inf$"):
         DiskRegion(1.0, 1.0, math.inf)
-    for uc, vc in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)):
-        with pytest.raises(ValueError, match="^disk center must be finite$"):
+    for uc, vc, message in ((math.nan, 1.0, "uc must be finite, got nan"),
+                            (1.0, math.nan, "vc must be finite, got nan"),
+                            (math.inf, 1.0, "uc must be finite, got inf"),
+                            (1.0, -math.inf, "vc must be finite, got -inf")):
+        with pytest.raises(ValueError, match=f"^disk center {message}$"):
             DiskRegion(uc, vc, 0.3)
-    for corners in ((-math.inf, 1.0, 0.0, 1.0), (0.0, math.inf, 0.0, 1.0),
-                    (0.0, 1.0, math.nan, 1.0), (0.0, 1.0, 0.0, math.nan)):
-        with pytest.raises(ValueError, match="^rectangle corners must be finite$"):
+    for corners, message in (((-math.inf, 1.0, 0.0, 1.0), "u0 must be finite, got -inf"),
+                             ((0.0, math.inf, 0.0, 1.0), "u1 must be finite, got inf"),
+                             ((0.0, 1.0, math.nan, 1.0), "v0 must be finite, got nan"),
+                             ((0.0, 1.0, 0.0, math.nan), "v1 must be finite, got nan")):
+        with pytest.raises(ValueError, match=f"^rectangle corner {message}$"):
             RectRegion(*corners)
     with pytest.raises(DomainError):
         ci.lhs_integral(ci.Catenoid(1.0), RectRegion(1.0, 3.0, 0.0, 1.0))
@@ -210,7 +215,8 @@ def test_region_validation():
         ci.rhs_integral(ci.Sphere(1.0), DiskRegion(0.05, 1.0, 0.2))
     with pytest.raises(ValueError):
         ci.shrinking_limit(ci.Sphere(1.0), (1.0, 1.0), [0.1, 0.2])  # not decreasing
-    with pytest.raises(ValueError, match="^need at least two radii$"):
+    message = "radii must be a 1-d sequence of two or more, got [0.1]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ci.shrinking_limit(ci.Sphere(1.0), (1.0, 1.0), [0.1])
     # a periodic coordinate: a patch may not wrap onto itself
     with pytest.raises(DomainError, match="^region spans more than one period$"):
@@ -221,8 +227,21 @@ def test_region_validation():
         ci.rhs_integral(ci.Torus(2.0, 0.5), DiskRegion(1.0, 1.0, 3.2))
     # every finite point is inside a torus or a plane: the center itself is at fault
     for surface, center in ((ci.Torus(2.0, 0.5), (math.inf, 1.0)), (ci.Plane(), (math.nan, 0.0))):
-        with pytest.raises(ValueError, match="^disk center must be finite$"):
+        with pytest.raises(ValueError, match=f"^disk center uc must be finite, got {center[0]}$"):
             ci.shrinking_limit(surface, center, [0.2, 0.1])
+
+
+@pytest.mark.parametrize("center,radii,message", [
+    ((1.0, 1.0), 0.2, "radii must be a 1-d sequence of two or more, got 0.2"),
+    ((1.0, 1.0), [[0.2, 0.1]], "radii must be a 1-d sequence of two or more, got [[0.2, 0.1]]"),
+    ((1.0, 1.0, 5.0), [0.2, 0.1], "center must be two numbers (u, v), got (1.0, 1.0, 5.0)"),
+    (1.0, [0.2, 0.1], "center must be two numbers (u, v), got 1.0"),
+    ((1.0, "1"), [0.2, 0.1], "disk center vc must be a real number, got '1'"),
+    ((1.0, 1.0), [0.2, None], "disk radius must be a real number, got None"),
+])
+def test_shrinking_limit_refuses_a_malformed_center_or_radii_by_name(center, radii, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ci.shrinking_limit(ci.Torus(2.0, 0.5), center, radii)
 
 
 @pytest.mark.parametrize("fn,args,message", [

@@ -241,7 +241,8 @@ def test_bad_tol_direction_rejected_naming_it(tol):
     mesh = ci.make_icosphere(1, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        message = f"^tol_direction must be nonnegative, got {tol}$"
+        rule = "nonnegative" if math.isfinite(tol) else "finite"
+        message = f"^tol_direction must be {rule}, got {tol}$"
         for curvature in (lambda: ci.curvature_field(mesh, tol),
                           lambda: ci.vector_mean_curvature(mesh, 0, tol),
                           lambda: ci.vector_mean_curvature(mesh, 0, tol, True)):

@@ -49,7 +49,7 @@ def test_mesh_without_faces_refused():
         with pytest.raises(MeshValidationError, match=message):
             flow()
     # the arguments are refused first
-    with pytest.raises(ValueError, match="^time step must be nonnegative$"):
+    with pytest.raises(ValueError, match="^time step dt must be nonnegative, got -1.0$"):
         ci.run_flow(empty, -1.0, 2)
     with pytest.raises(ValueError, match="^step count n_steps must be an integer >= 0, got -1$"):
         ci.check_flow(empty, 1e-3, -1)
@@ -313,7 +313,7 @@ def test_boundary_refused_when_an_isolated_vertex_comes_after_it():
         with pytest.raises(BoundaryVertexError, match=f"^{message}$"):
             flow()
     for flow in (lambda: ci.mcf_step(mesh, -1e-3), lambda: ci.run_flow(mesh, -1e-3, 3)):
-        with pytest.raises(ValueError, match="^time step must be nonnegative$"):
+        with pytest.raises(ValueError, match="^time step dt must be nonnegative, got -0.001$"):
             flow()
     with pytest.raises(ValueError, match="^step count n_steps must be an integer >= 0, got -1$"):
         ci.run_flow(mesh, 1e-3, -1)

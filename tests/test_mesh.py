@@ -361,11 +361,11 @@ def test_primitive_parameter_validation():
                            (lambda x: ci.make_icosphere(1, x), "radius")]:
             with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
                 make(bad)
-    for make, name in [(lambda: ci.make_tube(0.0, 2.0, 4, 8), "radius"),
-                       (lambda: ci.make_tube(1.0, -1.0, 4, 8), "length"),
-                       (lambda: ci.make_catenoid(0.0, 4, 8), "waist"),
-                       (lambda: ci.make_icosphere(1, -2.0), "radius")]:
-        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+    for make, name, bad in [(lambda: ci.make_tube(0.0, 2.0, 4, 8), "radius", 0.0),
+                            (lambda: ci.make_tube(1.0, -1.0, 4, 8), "length", -1.0),
+                            (lambda: ci.make_catenoid(0.0, 4, 8), "waist", 0.0),
+                            (lambda: ci.make_icosphere(1, -2.0), "radius", -2.0)]:
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got {bad}$"):
             make()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -161,8 +162,8 @@ def test_central_gradient_random_quadratics():
 
 
 @pytest.mark.parametrize("h,message", [
-    (0.0, "step h must be positive"),
-    (-1e-5, "step h must be positive"),
+    (0.0, "step h must be positive, got 0.0"),
+    (-1e-5, "step h must be positive, got -1e-05"),
     (float("nan"), "step h must be finite, got nan"),
     (float("inf"), "step h must be finite, got inf"),
     (float("-inf"), "step h must be finite, got -inf"),
@@ -210,16 +211,22 @@ COUNTED = {
 
 
 def _outcome(result):
-    """What two calls must agree on: bytes of a mesh, a rule's arrays and
-    panel count, a flow's trace and final mesh."""
+    """What two calls must agree on, each number with its type: the bytes
+    of a mesh or an array, a surface's geometry at one point and the
+    numbers it stores, and each field of a rule, region, flow trace,
+    curvature sample or limit study."""
     if isinstance(result, ci.TriMesh):
         return result.positions.tobytes(), result.faces.tobytes()
-    if isinstance(result, QuadratureRule):
-        assert type(result.panels) is int
-        return result.nodes.tobytes(), result.weights.tobytes(), result.panels
-    if isinstance(result, tuple):
-        return result[0], _outcome(result[1])
-    return result
+    if isinstance(result, ci.ParametricSurface):
+        numbers = sorted((k, v) for k, v in vars(result).items() if not callable(v))
+        return _outcome(result.geometry(0.5, 0.5)), _outcome(numbers)
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.shape, result.tobytes()
+    if dataclasses.is_dataclass(result):
+        return type(result), _outcome([getattr(result, f.name) for f in dataclasses.fields(result)])
+    if isinstance(result, (tuple, list)):
+        return tuple(map(_outcome, result))
+    return type(result), result
 
 
 @pytest.mark.parametrize("site", COUNTED)
@@ -242,3 +249,77 @@ def test_count_gate_refuses_before_any_work_and_takes_any_integer(site, monkeypa
     assert work or site.startswith(("gauss", "Quad", "check"))
     for same in (np.int64(good), np.array(good)):
         assert _outcome(call(same)) == expected
+
+
+_BIG = ci.make_icosphere(1, 100.0)  # a dt of 2 shrinks it a little
+_TORUS = ci.Torus(2.0, 0.5)
+
+# entry point -> (a call on one real number, the number's name, its
+# bound, and whether the bound itself is refused); every real number goes
+# through numerics.checked_real. Among the calls are make_icosphere(1, "2"),
+# make_tube(True, 2.0, 2, 4), run_flow(m, True, 1) and run_flow(m, "1e-3", 1),
+# which built or stepped, and run_flow(m, np.array(2.0), 1), whose trace
+# kept the 0-d array as its dt.
+REAL = {
+    "Sphere": (ci.Sphere, "radius", 0.0, True),
+    "Cylinder": (ci.Cylinder, "radius", 0.0, True),
+    "Torus-R": (lambda x: ci.Torus(x, 0.5), "R", 0.0, True),
+    "Torus-r": (lambda x: ci.Torus(3.0, x), "r", 0.0, True),
+    "Catenoid": (ci.Catenoid, "waist", 0.0, True),
+    "saddle": (ci.saddle, "extent", 0.0, True),
+    "make_icosphere": (lambda x: ci.make_icosphere(1, x), "radius", 0.0, True),
+    "make_tube-radius": (lambda x: ci.make_tube(x, 2.0, 2, 4), "radius", 0.0, True),
+    "make_tube-length": (lambda x: ci.make_tube(1.0, x, 2, 4), "length", 0.0, True),
+    "make_catenoid": (lambda x: ci.make_catenoid(x, 2, 4), "waist", 0.0, True),
+    "check_flow": (lambda x: ci.check_flow(_BIG, x, 1), "time step dt", 0.0, False),
+    "run_flow": (lambda x: ci.run_flow(_BIG, x, 1), "time step dt", 0.0, False),
+    "mcf_step": (lambda x: ci.mcf_step(_BIG, x), "time step dt", 0.0, False),
+    "vector_mean_curvature": (lambda x: ci.vector_mean_curvature(_ICO1, 0, x), "tol_direction",
+                              0.0, False),
+    "curvature_arrays": (lambda x: ci.discrete.curvature_arrays(_ICO1, x), "tol_direction", 0.0,
+                         False),
+    "RectRegion-u0": (lambda x: ci.RectRegion(x, 3, 0, 1), "rectangle corner u0", None, False),
+    "RectRegion-u1": (lambda x: ci.RectRegion(0, x, 0, 1), "rectangle corner u1", None, False),
+    "RectRegion-v0": (lambda x: ci.RectRegion(0, 1, x, 3), "rectangle corner v0", None, False),
+    "RectRegion-v1": (lambda x: ci.RectRegion(0, 1, 0, x), "rectangle corner v1", None, False),
+    "DiskRegion-uc": (lambda x: ci.DiskRegion(x, 0.0, 1.0), "disk center uc", None, False),
+    "DiskRegion-vc": (lambda x: ci.DiskRegion(0.0, x, 1.0), "disk center vc", None, False),
+    "DiskRegion-rho": (lambda x: ci.DiskRegion(0.0, 0.0, x), "disk radius", 0.0, True),
+    "shrinking_limit-center": (lambda x: ci.shrinking_limit(_TORUS, (x, 1.0), [0.2, 0.1], _RULE2),
+                               "disk center uc", None, False),
+    "shrinking_limit-radii": (lambda x: ci.shrinking_limit(_TORUS, (1.0, 1.0), [x, 0.1], _RULE2),
+                              "disk radius", 0.0, True),
+    "boundary_point": (lambda x: ci.boundary_point(ci.Plane(), ci.RectRegion(0.0, 1.0, 0.0, 1.0),
+                                                   x), "boundary parameter s", None, False),
+    "central_gradient": (lambda x: central_gradient(lambda p: p @ p, np.ones(3), x), "step h",
+                         0.0, True),
+}
+
+
+@pytest.mark.parametrize("site", REAL)
+def test_real_gate_refuses_before_any_work_and_takes_any_real(site, monkeypatch):
+    call, name, low, strict = REAL[site]
+    work = []  # meshes built, corner kernels read and surface geometry evaluated
+    init, kernel = ci.TriMesh.__init__, ci.TriMesh.corner_kernel
+    geometry = ci.ParametricSurface._geometry
+    monkeypatch.setattr(ci.TriMesh, "__init__", lambda m, *args: work.append(m) or init(m, *args))
+    monkeypatch.setattr(ci.TriMesh, "corner_kernel", lambda m: work.append(m) or kernel(m))
+    monkeypatch.setattr(ci.ParametricSurface, "_geometry",
+                        lambda s, *args: work.append(s) or geometry(s, *args))
+    refusals = [(bad, f"must be a real number, got {bad!r}")
+                for bad in (True, np.True_, "2", "1e-3", b"2", None, 1 + 0j, np.array([2.0]))]
+    refusals += [(bad, f"must be finite, got {bad}") for bad in (math.nan, math.inf, -math.inf)]
+    if low is not None:  # the bound itself when it is refused, else a value below it
+        refusals.append((0, "must be positive, got 0.0") if strict else
+                        (-1e-3, "must be nonnegative, got -0.001"))
+    for bad, rule in refusals:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {rule}')}$"):
+            call(bad)
+    # no mesh was built and no geometry evaluated: the gate comes first
+    assert work == []
+    if low is not None and not strict:
+        call(low)
+    expected = _outcome(call(2))
+    for same in (2.0, np.float64(2), np.int64(2), np.array(2.0)):
+        assert _outcome(call(same)) == expected
+
