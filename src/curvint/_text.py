@@ -3,7 +3,7 @@ byte, without a format call per value.
 
 A float 2**-80 <= |x| < 2**52 is rounded to 17 digits in uint64
 arithmetic. Its sign, binary exponent E and decade pick a row of tables
-built at import. The decade is e0 = floor(E log10 2), or e0 + 1 once |x|
+built lazily. The decade is e0 = floor(E log10 2), or e0 + 1 once |x|
 reaches the least float that "%.17g" prints in that decade, so that no
 rounding carries into the next one. The row holds 5**(16 - e), e the
 decade, in three 32-bit limbs (5**41 < 2**96), shifted so that the
@@ -22,6 +22,8 @@ deleted at once."""
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,38 +32,10 @@ _BLOCK = 16384  # values per block, which bounds the slot arrays
 _LOW, _HIGH = -80, 51  # the binary exponents of the uint64 path
 _M32 = _U(0xFFFFFFFF)
 
-# The tables are built from bytes, and with no numpy loop that rendering
-# does not use itself: each other loop run at import pages in more of
-# numpy's code, which the resident set of every process would carry.
-
 
 def _place(k: int, symbols: bytes) -> bytes:
     """symbols[d] for d the digit k (0 the thousands) of each of 0 to 9999."""
     return b"".join(bytes([c]) * 10 ** (3 - k) for c in symbols) * 10 ** k
-
-
-_ASCII = np.frombuffer(b"".join(_place(k, b"0123456789") for k in range(4)), np.uint8)
-_ASCII = _ASCII.reshape(4, -1).T.copy().view(np.uint32).ravel()  # by g: "%04d" % g
-# by g: the place of its last nonzero digit, 1 to 4, and -16 for 0000, so
-# that 4 k + it, at most over the k-th groups behind the leading digit, is
-# sig, how many of those 16 digits end at their last nonzero one (-4 for none)
-_SIG = [np.frombuffer(_place(k, bytes([240] + [k + 1] * 9)), np.int8) for k in range(4)]
-_SIG = np.maximum(np.maximum(_SIG[0], _SIG[1]), np.maximum(_SIG[2], _SIG[3]))
-# by 21 (point + 4) + sig + 4, the four group words' masks: "%g" prints
-# max(point, sig) digits behind the leading one, and a "." behind digit
-# `point` when a digit follows it (point is 0 in exponent form)
-_MASKS = np.frombuffer(b"".join(
-    (b"\0\xff" * point + b".\xff" + b"\0\xff" * (sig - point - 1) if 0 <= point < sig
-     else b"\0\xff" * max(point, sig)).ljust(32, b"\0")
-    for point in range(-4, 17) for sig in range(-4, 17)), _U).reshape(-1, 4)
-# by the digits of 0 <= i < 10**8 less 1: the last of the 8 digits of two groups
-_KEEP = np.frombuffer(b"".join((b"\xff" * k).rjust(8, b"\0") for k in range(1, 9)),
-                      np.uint32).reshape(-1, 2)
-_TENS = np.array([10 ** k for k in range(1, 8)])
-# the first 8 slots of a float by 10 (5 sign + z) + leading digit: "-", then "0." and z - 1 zeros
-_HEAD = np.frombuffer(b"".join(b"-"[:sign].ljust(1, b"\0") + b"0.000"[:z + 1 if z else 0]
-                               .ljust(6, b"\0") + b"%d" % digit
-                               for sign in (0, 1) for z in range(5) for digit in range(10)), _U)
 
 
 def _row_tables() -> tuple:
@@ -105,7 +79,41 @@ def _row_tables() -> tuple:
             [np.array(column, t) for column, t in zip(zip(*rows), types)])
 
 
-_SLOT, _LEAST, (*_POWER, _RIGHT, _STICKY, _HEAD_AT, _POINT_AT, _EXPONENT) = _row_tables()
+@lru_cache(maxsize=None)
+def _tables() -> SimpleNamespace:
+    """The kernel's tables, built on the first render, not at import, so
+    that a process that writes no table does not build them.
+
+    They are built from bytes, and with no numpy loop that rendering does
+    not use itself: each other loop pages in more of numpy's code, which
+    the resident set of the process would carry."""
+    t = SimpleNamespace()
+    t.ascii = np.frombuffer(b"".join(_place(k, b"0123456789") for k in range(4)), np.uint8)
+    t.ascii = t.ascii.reshape(4, -1).T.copy().view(np.uint32).ravel()  # by g: "%04d" % g
+    # by g: the place of its last nonzero digit, 1 to 4, and -16 for 0000, so
+    # that 4 k + it, at most over the k-th groups behind the leading digit, is
+    # sig, how many of those 16 digits end at their last nonzero one (-4 for none)
+    last = [np.frombuffer(_place(k, bytes([240] + [k + 1] * 9)), np.int8) for k in range(4)]
+    t.sig = np.maximum(np.maximum(last[0], last[1]), np.maximum(last[2], last[3]))
+    # by 21 (point + 4) + sig + 4, the four group words' masks: "%g" prints
+    # max(point, sig) digits behind the leading one, and a "." behind digit
+    # `point` when a digit follows it (point is 0 in exponent form)
+    t.masks = np.frombuffer(b"".join(
+        (b"\0\xff" * point + b".\xff" + b"\0\xff" * (sig - point - 1) if 0 <= point < sig
+         else b"\0\xff" * max(point, sig)).ljust(32, b"\0")
+        for point in range(-4, 17) for sig in range(-4, 17)), _U).reshape(-1, 4)
+    # by the digits of 0 <= i < 10**8 less 1: the last of the 8 digits of two groups
+    t.keep = np.frombuffer(b"".join((b"\xff" * k).rjust(8, b"\0") for k in range(1, 9)),
+                           np.uint32).reshape(-1, 2)
+    t.tens = np.array([10 ** k for k in range(1, 8)])
+    # the first 8 slots of a float by 10 (5 sign + z) + leading digit: "-",
+    # then "0." and z - 1 zeros
+    t.head = np.frombuffer(b"".join(
+        b"-"[:sign].ljust(1, b"\0") + b"0.000"[:z + 1 if z else 0].ljust(6, b"\0") + b"%d" % digit
+        for sign in (0, 1) for z in range(5) for digit in range(10)), _U)
+    t.slot, t.least, columns = _row_tables()
+    *t.power, t.right, t.sticky, t.head_at, t.point_at, t.exponent = columns
+    return t
 
 
 def _fallback(field: np.ndarray, values: np.ndarray, where, form: str) -> np.ndarray:
@@ -120,11 +128,12 @@ def _fallback(field: np.ndarray, values: np.ndarray, where, form: str) -> np.nda
 
 def _ints(values: np.ndarray) -> np.ndarray:
     """(n, w) slots of "%d" % values[k]."""
+    t = _tables()
     fast = (values >= 0) & (values < 10 ** 8)
     u = np.where(fast, values, 0)
     high = u // 10_000
-    words = _ASCII.take(np.stack([high, u - high * 10_000], axis=1))
-    words &= _KEEP.take(np.searchsorted(_TENS, u, side="right"), axis=0)
+    words = t.ascii.take(np.stack([high, u - high * 10_000], axis=1))
+    words &= t.keep.take(np.searchsorted(t.tens, u, side="right"), axis=0)
     field = words.view(np.uint8)
     return field if fast.all() else _fallback(field, values, ~fast, "%d")
 
@@ -132,23 +141,25 @@ def _ints(values: np.ndarray) -> np.ndarray:
 def _decimal(x: np.ndarray) -> tuple:
     """(row, d): the table row of each x, and d = round(|x| 10**(16 - e))
     with 10**16 <= d < 10**17, or 0 for a zero or a value left to Python."""
+    t = _tables()
     bits = x.view(_U)
-    slot = _SLOT.take((bits >> _U(52)).view(np.int64)).astype(np.intp)
-    row = slot + slot + ((bits & _U(2 ** 63 - 1)) >= _LEAST.take(slot))
-    m = ((bits << _U(11)) | _U(2 ** 63)) >> _RIGHT.take(row)  # the mantissa times 2**b
+    slot = t.slot.take((bits >> _U(52)).view(np.int64)).astype(np.intp)
+    row = slot + slot + ((bits & _U(2 ** 63 - 1)) >= t.least.take(slot))
+    m = ((bits << _U(11)) | _U(2 ** 63)) >> t.right.take(row)  # the mantissa times 2**b
     mh, ml = m >> _U(32), m & _M32
-    p0, p1, p2 = (limb.take(row) for limb in _POWER)
+    p0, p1, p2 = (limb.take(row) for limb in t.power)
     x1 = ml * p1 + (ml * p0 >> _U(32))
     x2 = ml * p2 + (x1 >> _U(32))
     y2 = mh * p1 + (x2 & _M32) + ((mh * p0 + (x1 & _M32)) >> _U(32))
     top = mh * p2 + (x2 >> _U(32)) + (y2 >> _U(32))  # floor(2 |x| 10**(16 - e))
-    t = top >> _U(1)
-    return row, t + (top & (t | np.minimum(m & _STICKY.take(row), _U(1))) & _U(1))
+    half = top >> _U(1)
+    return row, half + (top & (half | np.minimum(m & t.sticky.take(row), _U(1))) & _U(1))
 
 
 def _floats(x: np.ndarray) -> np.ndarray:
     """(n, 48) slots of "%.17g" % x[k]: sign, "0.000", the leading digit,
     16 digits each behind a slot for the ".", then "e-XX"."""
+    t = _tables()
     row, d = _decimal(x)
     lead = d // _U(10 ** 16)
     rest = d - lead * _U(10 ** 16)
@@ -156,16 +167,16 @@ def _floats(x: np.ndarray) -> np.ndarray:
     halves = np.stack([high, rest - high * _U(10 ** 8)], axis=1).view(np.int64)
     fours = halves // 10_000
     groups = np.stack([fours, halves - fours * 10_000], axis=2).reshape(-1, 4)
-    last = [_SIG.take(groups[:, k]) for k in range(4)]
+    last = [t.sig.take(groups[:, k]) for k in range(4)]
     sig = np.maximum(np.maximum(last[0], last[1] + 4), np.maximum(last[2] + 8, last[3] + 12))
     # the digits in odd bytes, all ones in the even ones, so that an AND
     # with a mask clears a slot or writes "." into it
     words = np.full((len(x), 32), 0xFF, np.uint8)
-    words[:, 1::2] = _ASCII.take(groups).view(np.uint8)
+    words[:, 1::2] = t.ascii.take(groups).view(np.uint8)
     words = words.view(_U)
-    words &= _MASKS.take(_POINT_AT.take(row) + sig, axis=0)
-    cell = np.concatenate([_HEAD.take(_HEAD_AT.take(row) + lead.view(np.int64))[:, None], words,
-                           _EXPONENT.take(row)[:, None]], axis=1).view(np.uint8)
+    words &= t.masks.take(t.point_at.take(row) + sig, axis=0)
+    cell = np.concatenate([t.head.take(t.head_at.take(row) + lead.view(np.int64))[:, None], words,
+                           t.exponent.take(row)[:, None]], axis=1).view(np.uint8)
     python = (row | 2) == 3
     return _fallback(cell, x, python, "%.17g") if python.any() else cell
 

@@ -29,7 +29,8 @@ counterclockwise parameter traversal this always points out of the patch
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,9 +61,8 @@ _TANGENT_TOL = 1e-12
 class _Region:
     """The boundary parameterization shared by the region types."""
 
-    def _gate(self, field: str, name: str, **bound):
-        # a frozen dataclass field replaced by checked_real's float
-        object.__setattr__(self, field, checked_real(getattr(self, field), name, **bound))
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace is gated too
 
     def boundary_param(self, s: float):
         """Point, velocity d(u, v)/ds and outward normal at s in [0, 1);
@@ -76,23 +76,19 @@ class _Region:
 _RECT_OUTWARD = ((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
 
 
-@dataclass(frozen=True)
-class RectRegion(_Region):
+class RectRegion(_Region, namedtuple("RectRegion", "u0 u1 v0 v1")):
     """Axis-aligned rectangle [u0, u1] x [v0, v1] in parameter space,
     boundary traversed counterclockwise."""
 
-    u0: float
-    u1: float
-    v0: float
-    v1: float
-
+    __slots__ = ()
     pieces = 4  # bottom, right, top, left
 
-    def __post_init__(self):
-        for corner in ("u0", "u1", "v0", "v1"):
-            self._gate(corner, f"rectangle corner {corner}")
-        if not (self.u1 > self.u0 and self.v1 > self.v0):
+    def __new__(cls, u0: float, u1: float, v0: float, v1: float):
+        u0, u1, v0, v1 = (checked_real(x, f"rectangle corner {corner}")
+                          for x, corner in zip((u0, u1, v0, v1), cls._fields))
+        if not (u1 > u0 and v1 > v0):
             raise ValueError("rectangle must have positive extent")
+        return super().__new__(cls, u0, u1, v0, v1)
 
     @property
     def label(self) -> str:
@@ -121,21 +117,17 @@ class RectRegion(_Region):
             raise DomainError(f"region not inside the domain of {surface.name}")
 
 
-@dataclass(frozen=True)
-class DiskRegion(_Region):
+class DiskRegion(_Region, namedtuple("DiskRegion", "uc vc rho")):
     """Disk of radius rho around (uc, vc) in parameter space, boundary
     traversed counterclockwise."""
 
-    uc: float
-    vc: float
-    rho: float
-
+    __slots__ = ()
     pieces = 1
 
-    def __post_init__(self):
-        self._gate("uc", "disk center uc")
-        self._gate("vc", "disk center vc")
-        self._gate("rho", "disk radius", low=0.0, strict=True)
+    def __new__(cls, uc: float, vc: float, rho: float):
+        return super().__new__(cls, checked_real(uc, "disk center uc"),
+                               checked_real(vc, "disk center vc"),
+                               checked_real(rho, "disk radius", 0.0, strict=True))
 
     @property
     def label(self) -> str:
@@ -162,8 +154,7 @@ class DiskRegion(_Region):
             raise DomainError(f"region not inside the domain of {surface.name}")
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     """Contour sample: image position, unit curve tangent, unit exterior
     in-surface normal, and |d(image)/ds| for the s in [0, 1) boundary
     parameter."""
@@ -174,8 +165,7 @@ class BoundaryPoint:
     speed: float
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Both sides of the patch/contour identity plus error metrics and
     the patch area."""
 
@@ -186,8 +176,7 @@ class IdentityReport:
     area: float
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
+class LimitEstimate(NamedTuple):
     """Shrinking-disk study: per-radius contour averages against the
     pointwise target N * H at the disk center."""
 

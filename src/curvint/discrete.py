@@ -36,7 +36,7 @@ round-off and independent of the corner pass it checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
+class CurvatureSample(NamedTuple):
     """Discrete vector mean curvature at a vertex.
 
     `direction` is None (and near_minimal set) when |B| is at most

@@ -10,7 +10,7 @@ stepping, no singularity handling); each state costs one corner pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .numerics import checked_count, checked_real, column_norm
 __all__ = ["FlowStep", "FlowTrace", "mcf_step", "check_flow", "run_flow"]
 
 
-@dataclass(frozen=True)
-class FlowStep:
+class FlowStep(NamedTuple):
     """Per-step statistics: state after `index` accepted steps."""
 
     index: int
@@ -31,8 +30,7 @@ class FlowStep:
     min_face_area: float
 
 
-@dataclass(frozen=True)
-class FlowTrace:
+class FlowTrace(NamedTuple):
     """Flow history; stop_reason is None for a full run, otherwise names
     the stop condition that fired."""
 

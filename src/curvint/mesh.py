@@ -14,10 +14,10 @@ import math
 import operator
 import re
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -344,8 +344,7 @@ class CornerKernel:
         return _frozen(self._sums(np.sqrt(squares)))
 
 
-@dataclass(frozen=True)
-class StarEntry:
+class StarEntry(NamedTuple):
     """One triangle of a one-ring: its index, area, the edge opposite the
     center vertex (endpoint indices and length), and the unit in-plane
     normal of that edge pointing away from the center."""
@@ -357,8 +356,7 @@ class StarEntry:
     normal: np.ndarray
 
 
-@dataclass(frozen=True)
-class VertexStar:
+class VertexStar(NamedTuple):
     """All triangles incident to a vertex; is_boundary is set when their
     opposite edges do not close into a single loop around it."""
 

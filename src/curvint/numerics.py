@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Callable
 
@@ -27,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(namedtuple("QuadratureRule", "nodes weights panels")):
     """Composite Gauss-Legendre rule.
 
     nodes/weights live on the reference interval [-1, 1]; `panels` equal
@@ -37,13 +36,11 @@ class QuadratureRule:
     integer >= 1 (checked_count).
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    panels: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+    def __new__(cls, nodes: np.ndarray, weights: np.ndarray, panels: int = 1):
+        nodes = np.asarray(nodes, dtype=float)
+        weights = np.asarray(weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         if not np.all(np.diff(nodes) > 0):
@@ -54,11 +51,12 @@ class QuadratureRule:
             raise ValueError("weights must be positive")
         if abs(weights.sum() - 2.0) > 1e-12:
             raise ValueError("weights must sum to 2")
-        object.__setattr__(self, "panels", checked_count(self.panels, "panels", 1))
+        panels = checked_count(panels, "panels", 1)
         nodes.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        return super().__new__(cls, nodes, weights, panels)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace is gated too
 
 
 def _legendre(n: int, x: float) -> tuple[float, float]:
@@ -129,16 +127,18 @@ def checked_count(n, name: str, low: int, high: float = math.inf) -> int:
     raise ValueError(f"{name} must be an integer {bound}, got {n!r}")
 
 
-def checked_real(x, name: str, low: float = -math.inf, strict: bool = False) -> float:
+def checked_real(x, name: str, low: float = -math.inf, strict: bool = False,
+                 finite: bool = True) -> float:
     """x as a float, or a ValueError naming it unless it is a real number
     (an int, float, or numpy integer or floating scalar or 0-d array, but
-    no bool), then unless finite, then unless >= low (> low if strict)."""
+    no bool), then if it is nan, or infinite while `finite` is set, then
+    unless >= low (> low if strict)."""
     a = np.asarray(x)
     if a.ndim or a.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be a real number, got {x!r}")
     value = float(x)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+    if math.isnan(value) or finite and math.isinf(value):
+        raise ValueError(f"{name} must be {'finite' if finite else 'a number'}, got {value}")
     if value < low or strict and value == low:
         rule = (f"exceed {low:g}" if strict else f"be at least {low:g}") if low else (
             "be positive" if strict else "be nonnegative")

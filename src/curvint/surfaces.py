@@ -284,7 +284,9 @@ class Enneper(ParametricSurface):
 class MongeGraph(ParametricSurface):
     """Graph surface z = f(x, y) over a rectangle; the caller supplies f
     and its first and second partials analytically (all must broadcast
-    over numpy arrays; a constant partial may return a scalar)."""
+    over numpy arrays; a constant partial may return a scalar). Raises
+    ValueError for a range end that is no real number or is nan
+    (checked_real; an end may be infinite), then for an empty rectangle."""
 
     name = "monge"
 
@@ -292,12 +294,13 @@ class MongeGraph(ParametricSurface):
                  fxx: Callable, fxy: Callable, fyy: Callable,
                  x_range: tuple[float, float], y_range: tuple[float, float],
                  name: str = "monge"):
-        if not (x_range[0] < x_range[1] and y_range[0] < y_range[1]):
+        x0, x1, y0, y1 = (checked_real(ends[k], f"{axis}_range[{k}]", finite=False)
+                          for axis, ends in (("x", x_range), ("y", y_range)) for k in (0, 1))
+        if not (x0 < x1 and y0 < y1):
             raise ValueError("empty domain rectangle")
         self.f, self.fx, self.fy = f, fx, fy
         self.fxx, self.fxy, self.fyy = fxx, fxy, fyy
-        self.u_range = (float(x_range[0]), float(x_range[1]))
-        self.v_range = (float(y_range[0]), float(y_range[1]))
+        self.u_range, self.v_range = (x0, x1), (y0, y1)
         self.name = name
 
     def jet(self, u, v, order=2):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -222,8 +221,8 @@ def _outcome(result):
         return _outcome(result.geometry(0.5, 0.5)), _outcome(numbers)
     if isinstance(result, np.ndarray):
         return result.dtype, result.shape, result.tobytes()
-    if dataclasses.is_dataclass(result):
-        return type(result), _outcome([getattr(result, f.name) for f in dataclasses.fields(result)])
+    if hasattr(result, "_fields"):  # a record: a named tuple
+        return type(result), _outcome(list(result))
     if isinstance(result, (tuple, list)):
         return tuple(map(_outcome, result))
     return type(result), result

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -301,6 +302,23 @@ def test_parameter_validation():
     for x_range, y_range in [((1.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (2.0, -2.0))]:
         with pytest.raises(ValueError, match="^empty domain rectangle$"):
             ci.MongeGraph(*[np.sin] * 6, x_range=x_range, y_range=y_range)
+
+
+def test_monge_range_ends_are_gated_before_the_rectangle_check():
+    # ("0", "1") and (True, 2) once built a graph over [0, 1] x [1, 2]
+    refusals = [(bad, f"must be a real number, got {bad!r}") for bad in ("0", True, None)]
+    refusals.append((math.nan, "must be a number, got nan"))
+    for bad, rule in refusals:
+        for axis, k in [("x", 0), ("x", 1), ("y", 0), ("y", 1)]:
+            ranges = {"x_range": [0.0, 1.0], "y_range": [0.0, 1.0]}
+            ranges[f"{axis}_range"][k] = bad
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{axis}_range[{k}] {rule}')}$"):
+                ci.MongeGraph(*[np.sin] * 6, **ranges)
+    # an unbounded graph is valid, and a numpy or integer end is cast to float
+    g = ci.MongeGraph(*[np.sin] * 6, x_range=(-math.inf, math.inf), y_range=(np.int64(-1), 2))
+    assert g.u_range == (-math.inf, math.inf) and g.v_range == (-1.0, 2.0)
+    assert all(type(end) is float for end in g.u_range + g.v_range)
+    assert g.contains(1e300, 0.5) and not g.contains(0.0, 3.0)
 
 
 def test_torus_refuses_non_finite_radii():

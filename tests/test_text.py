@@ -2,8 +2,12 @@
 every float cell must equal "%.17g" % x and every integer cell "%d" % i,
 byte for byte, on the uint64 path and on the fallback alike."""
 
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,3 +167,19 @@ def test_gradcheck_tables_never_reach_python_formatting(seed, tmp_path, monkeypa
     assert out.read_text() == reference_gradcheck_csv(mesh, ci.complex_step_area_gradient(mesh))
     rel = np.array([float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()[1:]])
     assert ((rel > 0) & (rel < 2.0 ** -36)).sum() > len(rel) // 2
+
+
+def test_tables_are_built_on_the_first_render_not_at_import():
+    # a fresh interpreter: this process has rendered already
+    code = ("import numpy as np, curvint.cli\n"
+            "from curvint import _text\n"
+            "before = _text._tables.cache_info().currsize\n"
+            "text = _text.render([np.array([0.1, 2.0]), np.array([3, 4])])\n"
+            "print(before, _text._tables.cache_info().currsize, repr(text))\n")
+    src = str(Path(ci.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 1 '0.10000000000000001,3\\n2,4\\n'\n"
