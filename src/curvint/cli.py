@@ -30,7 +30,7 @@ import numpy as np
 from . import contour, discrete, flow as flow_mod, mesh as mesh_mod
 from ._text import render
 from .errors import CurvintError
-from .numerics import checked_real, default_rule, gauss_legendre
+from .numerics import checked_kind, checked_real, default_rule, gauss_legendre
 from .surfaces import surface_from_name
 
 __all__ = ["build_parser", "run", "main"]
@@ -52,22 +52,26 @@ def _given(args, keys) -> dict:
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
-def _region_from_args(args, surface) -> object:
-    if args.region == "rect":
-        if None in (args.u0, args.u1, args.v0, args.v1):
-            raise ValueError("rect region needs --u0 --u1 --v0 --v1")
-        return contour.RectRegion(args.u0, args.u1, args.v0, args.v1)
-    if args.region == "disk":
-        if None in (args.uc, args.vc, args.rho):
-            raise ValueError("disk region needs --uc --vc --rho")
-        return contour.DiskRegion(args.uc, args.vc, args.rho)
-    # a cap: argparse's choices admit no other region
-    if args.theta0 is None:
-        raise ValueError("cap region needs --theta0")
-    if surface.name != "sphere":
-        raise ValueError("cap regions are defined on the sphere only")
-    theta0 = checked_real(args.theta0, "cap colatitude", _CAP_POLE_MARGIN, strict=True)
+def _cap(theta0) -> contour.RectRegion:
+    theta0 = checked_real(theta0, "cap colatitude", _CAP_POLE_MARGIN, strict=True)
     return contour.RectRegion(_CAP_POLE_MARGIN, theta0, 0.0, 2.0 * math.pi)
+
+
+# --region -> its builder and the flags it needs, in order
+_REGIONS = {"rect": (contour.RectRegion, dict.fromkeys(("u0", "u1", "v0", "v1"))),
+            "disk": (contour.DiskRegion, dict.fromkeys(("uc", "vc", "rho"))),
+            "cap": (_cap, {"theta0": None})}
+
+
+def _region_from_args(args, surface) -> object:
+    """Refuses a flag the region does not take, one it lacks, a cap off the sphere, a value."""
+    given = _given(args, [flag for _, flags in _REGIONS.values() for flag in flags])
+    make, arguments = checked_kind(_REGIONS, "region", args.region, given)
+    if None in arguments.values():
+        raise ValueError(f"{args.region} region needs {' '.join('--' + f for f in arguments)}")
+    if make is _cap and surface.name != "sphere":
+        raise ValueError("cap regions are defined on the sphere only")
+    return make(*arguments.values())
 
 
 def _floats(flag: str, tokens) -> list[float]:

@@ -11,15 +11,17 @@ by patch area, which recovers N * H pointwise.
 
 Each region describes itself once. Its boundary is `pieces` curves (a
 rectangle's four edges, a disk's circle): piece(k, t) gives the points
-(u, v), velocities d(u, v)/dt and parameter-space outward normal at t in
-[0, 1]. interior(rule) gives nodes U, V that broadcast together, the
-weights along each node axis and the Jacobian of the map onto the region
-(1 on a rectangle's two axes, r on a disk's polar grid). Both sides work
-on the columns of the surface's geometry core, each pass after one domain
-check of all its nodes: one first-order core call on the nodes of all the
-pieces, and one core call per panel row of the interior (a panel of the
-first node axis), whose results fill the full-grid integrands. A
-non-finite side (an overflowing surface) raises EvaluationError.
+(u, v) and velocities d(u, v)/dt at t in [0, 1]. interior(rule) gives
+nodes U, V that broadcast together, the weights along each node axis and
+the Jacobian of the map onto the region (1 on a rectangle's two axes, r
+on a disk's polar grid). validate_on, one for all regions, checks its box
+(u0, u1, v0, v1), a rectangle's corners or a disk's bounding box, against
+a surface's domain. Both sides work on the columns of the surface's
+geometry core, each pass after one domain check of all its nodes: one
+first-order core call on the nodes of all the pieces, and one core call
+per panel row of the interior (a panel of the first node axis), whose
+results fill the full-grid integrands. A non-finite side (an
+overflowing surface) raises EvaluationError.
 
 The exterior normal is computed as t x N from the curve tangent t; with
 counterclockwise parameter traversal this always points out of the patch
@@ -65,15 +67,22 @@ class _Region:
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace is gated too
 
     def boundary_param(self, s: float):
-        """Point, velocity d(u, v)/ds and outward normal at s in [0, 1);
-        piece k covers s in [k, k + 1) / pieces."""
+        """Point and velocity d(u, v)/ds at s in [0, 1); piece k covers s
+        in [k, k + 1) / pieces."""
         s = checked_real(s, "boundary parameter s") % 1.0
         k = min(int(s * self.pieces), self.pieces - 1)
-        point, (du, dv), outward = self.piece(k, s * self.pieces - k)
-        return point, (self.pieces * du, self.pieces * dv), outward
+        point, (du, dv) = self.piece(k, s * self.pieces - k)
+        return point, (self.pieces * du, self.pieces * dv)
 
-
-_RECT_OUTWARD = ((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
+    def validate_on(self, surface: ParametricSurface):
+        """DomainError if the box spans more than one period of a periodic
+        coordinate, then unless its corners lie in the surface's domain."""
+        u0, u1, v0, v1 = self.box
+        for lo, hi, periodic in ((u0, u1, surface.u_periodic), (v0, v1, surface.v_periodic)):
+            if periodic and hi - lo > _PERIOD + 1e-12:
+                raise DomainError("region spans more than one period")
+        if not surface.contains([u0, u1], [v0, v1]):
+            raise DomainError(f"region not inside the domain of {surface.name}")
 
 
 class RectRegion(_Region, namedtuple("RectRegion", "u0 u1 v0 v1")):
@@ -82,6 +91,7 @@ class RectRegion(_Region, namedtuple("RectRegion", "u0 u1 v0 v1")):
 
     __slots__ = ()
     pieces = 4  # bottom, right, top, left
+    box = property(tuple)  # the fields are the corners
 
     def __new__(cls, u0: float, u1: float, v0: float, v1: float):
         u0, u1, v0, v1 = (checked_real(x, f"rectangle corner {corner}")
@@ -100,7 +110,7 @@ class RectRegion(_Region, namedtuple("RectRegion", "u0 u1 v0 v1")):
         (a0, a1), (b0, b1) = c[k], c[(k + 1) % 4]
         du, dv = b0 - a0, b1 - a1
         one = np.ones_like(t)
-        return (a0 + t * du, a1 + t * dv), (du * one, dv * one), _RECT_OUTWARD[k]
+        return (a0 + t * du, a1 + t * dv), (du * one, dv * one)
 
     def interior(self, rule: QuadratureRule):
         """Tensor-product grid, Jacobian 1."""
@@ -108,18 +118,10 @@ class RectRegion(_Region, namedtuple("RectRegion", "u0 u1 v0 v1")):
         xv, wv = panel_nodes(self.v0, self.v1, rule)
         return xu[:, None], xv[None, :], wu, wv, 1.0
 
-    def validate_on(self, surface: ParametricSurface):
-        for (lo, hi), periodic in (((self.u0, self.u1), surface.u_periodic),
-                                   ((self.v0, self.v1), surface.v_periodic)):
-            if periodic and hi - lo > _PERIOD + 1e-12:
-                raise DomainError("region spans more than one period")
-        if not (surface.contains(self.u0, self.v0) and surface.contains(self.u1, self.v1)):
-            raise DomainError(f"region not inside the domain of {surface.name}")
-
 
 class DiskRegion(_Region, namedtuple("DiskRegion", "uc vc rho")):
     """Disk of radius rho around (uc, vc) in parameter space, boundary
-    traversed counterclockwise."""
+    traversed counterclockwise; its box is its bounding box."""
 
     __slots__ = ()
     pieces = 1
@@ -133,11 +135,13 @@ class DiskRegion(_Region, namedtuple("DiskRegion", "uc vc rho")):
     def label(self) -> str:
         return f"disk({self.uc:g}:{self.vc:g};{self.rho:g})"
 
+    box = property(lambda d: (d.uc - d.rho, d.uc + d.rho, d.vc - d.rho, d.vc + d.rho))
+
     def piece(self, k: int, t):
         a = 2.0 * np.pi * t
         cos, sin = np.cos(a), np.sin(a)
         w = 2.0 * np.pi * self.rho
-        return (self.uc + self.rho * cos, self.vc + self.rho * sin), (-w * sin, w * cos), (cos, sin)
+        return (self.uc + self.rho * cos, self.vc + self.rho * sin), (-w * sin, w * cos)
 
     def interior(self, rule: QuadratureRule):
         """Polar grid (radius, angle), Jacobian r."""
@@ -145,13 +149,6 @@ class DiskRegion(_Region, namedtuple("DiskRegion", "uc vc rho")):
         xt, wt = panel_nodes(0.0, 2.0 * math.pi, rule)
         r = xr[:, None]
         return self.uc + r * np.cos(xt), self.vc + r * np.sin(xt), wr, wt, r
-
-    def validate_on(self, surface: ParametricSurface):
-        if (surface.u_periodic or surface.v_periodic) and self.rho > _PERIOD / 2:
-            raise DomainError("disk wider than one period")
-        u, v, r = self.uc, self.vc, self.rho
-        if not surface.contains([u - r, u + r], [v - r, v + r]):  # the bounding box's corners
-            raise DomainError(f"region not inside the domain of {surface.name}")
 
 
 class BoundaryPoint(NamedTuple):
@@ -206,7 +203,7 @@ def boundary_point(surface: ParametricSurface, region, s: float) -> BoundaryPoin
     """Evaluate the oriented boundary of `region` at parameter s in [0, 1);
     EvaluationError where the surface overflows there."""
     region.validate_on(surface)
-    (u, v), (du, dv), _ = region.boundary_param(s)
+    (u, v), (du, dv) = region.boundary_param(s)
     with np.errstate(all="ignore"):
         *vectors, speed = _frame(surface, u, v, du, dv)
     pos, tangent, n = map(np.stack, vectors)
@@ -225,10 +222,10 @@ def _contour(surface, region, rule):
     composite rule per boundary piece, all pieces framed by one geometry
     call on their concatenated nodes."""
     region.validate_on(surface)
-    t, w = panel_nodes(0.0, 1.0, rule)
+    t, w = panel_nodes(0.0, 1.0, rule or default_rule())
     pieces = [region.piece(k, t) for k in range(region.pieces)]
     # u, v, du, dv, each concatenated over the pieces
-    nodes = [np.concatenate(c) for c in zip(*((*x, *dx) for x, dx, _ in pieces))]
+    nodes = [np.concatenate(c) for c in zip(*((*x, *dx) for x, dx in pieces))]
     rhs, length = None, 0.0
     with np.errstate(all="ignore"):
         _, _, n, speed = _frame(surface, *nodes)
@@ -252,6 +249,7 @@ def _patch(surface, region, rule, order=2):
     full-grid arrays that one einsum each reduces. The block's values are
     elementwise, so the integrals do not depend on the block size, and
     its temporaries stay a panel row in size."""
+    rule = rule or default_rule()
     U, V, w1, w2, jac = region.interior(rule)
     surface.require_inside(U, V)
     shape = np.broadcast(U, V).shape
@@ -274,24 +272,24 @@ def _patch(surface, region, rule, order=2):
 
 def rhs_integral(surface: ParametricSurface, region, rule: QuadratureRule | None = None) -> np.ndarray:
     """Contour integral of the exterior in-surface normal."""
-    return _finite("contour integral", _contour(surface, region, rule or default_rule())[0])
+    return _finite("contour integral", _contour(surface, region, rule)[0])
 
 
 def contour_length(surface: ParametricSurface, region, rule: QuadratureRule | None = None) -> float:
     """Arc length of the region boundary."""
-    return _finite("contour length", _contour(surface, region, rule or default_rule())[1])
+    return _finite("contour length", _contour(surface, region, rule)[1])
 
 
 def lhs_integral(surface: ParametricSurface, region, rule: QuadratureRule | None = None) -> np.ndarray:
     """Patch integral of N * H over the region."""
     region.validate_on(surface)
-    return _finite("patch integral", _patch(surface, region, rule or default_rule())[0])
+    return _finite("patch integral", _patch(surface, region, rule)[0])
 
 
 def region_area(surface: ParametricSurface, region, rule: QuadratureRule | None = None) -> float:
     """Surface area of the region (quadrature of the area element)."""
     region.validate_on(surface)
-    return _finite("patch area", _patch(surface, region, rule or default_rule(), order=1)[1])
+    return _finite("patch area", _patch(surface, region, rule, order=1)[1])
 
 
 def verify_identity(surface: ParametricSurface, region,
@@ -302,7 +300,6 @@ def verify_identity(surface: ParametricSurface, region,
     when the shared true value is away from zero (on minimal surfaces use
     the contour integral against the contour length instead).
     """
-    rule = rule or default_rule()
     rhs = rhs_integral(surface, region, rule)  # validates the region
     lhs, area = map(_finite, ("patch integral", "patch area"), _patch(surface, region, rule))
     abs_err = float(np.linalg.norm(lhs - rhs))
@@ -322,7 +319,6 @@ def shrinking_limit(surface: ParametricSurface, center: tuple[float, float],
     sequence of two or more, each disk as DiskRegion does, and then
     radii that do not strictly decrease, each with a ValueError.
     """
-    rule = rule or default_rule()
     # object arrays: a ragged sequence has a shape too
     if np.asarray(center, dtype=object).shape != (2,):
         raise ValueError(f"center must be two numbers (u, v), got {center!r}")

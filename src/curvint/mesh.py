@@ -28,7 +28,7 @@ from .errors import (
     MeshValidationError,
     ParseError,
 )
-from .numerics import checked_count, checked_real, column_cross, column_norm
+from .numerics import checked_count, checked_kind, checked_real, column_cross, column_norm
 from .surfaces import Catenoid, Cylinder, Plane
 
 __all__ = [
@@ -769,15 +769,8 @@ _PRIMITIVES = {
 
 def make_primitive(kind: str, **params) -> TriMesh:
     """Name-based primitive dispatch used by the command line: the kind's
-    builder on its parameters in _PRIMITIVES, each given in params or
-    else its default, uncast, so only the builder refuses a value. Raises
-    ValueError for an unknown kind, then for a parameter that the kind
-    does not take (`primitive 'grid' takes no level`)."""
-    key = kind.strip().lower()
-    if key not in _PRIMITIVES:
-        raise ValueError(f"unknown primitive '{kind}'")
-    make, defaults = _PRIMITIVES[key]
-    for name in params:
-        if name not in defaults:
-            raise ValueError(f"primitive '{key}' takes no {name}")
-    return make(*{**defaults, **params}.values())
+    builder in _PRIMITIVES on its arguments (checked_kind refuses an
+    unknown kind, then a parameter it does not take: `primitive 'grid'
+    takes no level`)."""
+    make, arguments = checked_kind(_PRIMITIVES, "primitive", kind, params)
+    return make(*arguments.values())

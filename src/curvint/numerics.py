@@ -1,6 +1,6 @@
 """Scalar/vector numerics: composite Gauss-Legendre quadrature, central
-differences, the column cross product and norm, and the two argument
-gates of every entry point, checked_count and checked_real.
+differences, the column cross product and norm, and the three argument
+gates of every entry point: checked_count, checked_real and checked_kind.
 
 All quantities are 64-bit floats; 3-vectors are (3,) arrays or 3-tuples of columns.
 """
@@ -33,14 +33,14 @@ class QuadratureRule(namedtuple("QuadratureRule", "nodes weights panels")):
     nodes/weights live on the reference interval [-1, 1]; `panels` equal
     subintervals are used when integrating. Raises ValueError for nodes
     or weights that do not make such a rule, then for panels that is no
-    integer >= 1 (checked_count).
+    integer >= 1 (checked_count). It keeps read-only copies of both arrays.
     """
 
     __slots__ = ()
 
     def __new__(cls, nodes: np.ndarray, weights: np.ndarray, panels: int = 1):
-        nodes = np.asarray(nodes, dtype=float)
-        weights = np.asarray(weights, dtype=float)
+        nodes = np.array(nodes, dtype=float)  # copies: the caller's arrays stay writable
+        weights = np.array(weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         if not np.all(np.diff(nodes) > 0):
@@ -144,6 +144,21 @@ def checked_real(x, name: str, low: float = -math.inf, strict: bool = False,
             "be positive" if strict else "be nonnegative")
         raise ValueError(f"{name} must {rule}, got {value}")
     return value
+
+
+def checked_kind(kinds: dict, family: str, kind: str, params: dict):
+    """(builder, arguments) of `kind` in the table kinds of each kind's
+    builder and its parameters, in order, with defaults: those defaults
+    with params laid over them, uncast. Raises ValueError for an unknown
+    kind, then for the first parameter that it does not take."""
+    key = kind.strip().lower()
+    if key not in kinds:
+        raise ValueError(f"unknown {family} '{kind}'")
+    make, defaults = kinds[key]
+    for name in params:
+        if name not in defaults:
+            raise ValueError(f"{family} '{key}' takes no {name}")
+    return make, {**defaults, **params}
 
 
 def column_cross(a, b) -> list:

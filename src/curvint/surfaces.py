@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .numerics import checked_real, column_cross, column_norm
+from .numerics import checked_kind, checked_real, column_cross, column_norm
 
 __all__ = [
     "ParametricSurface",
@@ -329,26 +329,17 @@ def saddle(extent: float = 2.0) -> MongeGraph:
     )
 
 
+# name -> its builder and the builder's parameters, in order, with defaults
+_SURFACES = {"plane": (Plane, {}), "sphere": (Sphere, {"R": 1.0}), "cylinder": (Cylinder, {"R": 1.0}),
+             "torus": (Torus, {"R": 2.0, "r": 0.5}), "catenoid": (Catenoid, {"c": 1.0}),
+             "enneper": (Enneper, {}), "saddle": (saddle, {})}
+
+
 def surface_from_name(name: str, **params) -> ParametricSurface:
-    """CLI/test factory: build a surface from its name and keyword
-    parameters (R, r, c as applicable)."""
-    key = name.strip().lower()
+    """CLI/test factory: the surface's builder in _SURFACES on its arguments
+    (checked_kind); `bad parameters for surface '<name>': ...` for a value."""
+    make, arguments = checked_kind(_SURFACES, "surface", name, params)
     try:
-        if key == "plane":
-            return Plane()
-        if key == "sphere":
-            return Sphere(radius=params.get("R", 1.0))
-        if key == "cylinder":
-            return Cylinder(radius=params.get("R", 1.0))
-        if key == "torus":
-            return Torus(major=params.get("R", 2.0), minor=params.get("r", 0.5))
-        if key == "catenoid":
-            return Catenoid(waist=params.get("c", 1.0))
-        if key == "enneper":
-            return Enneper()
-        if key == "saddle":
-            return saddle()
+        return make(*arguments.values())
     except ValueError as exc:
         raise ValueError(f"bad parameters for surface '{name}': {exc}") from exc
-    raise ValueError(f"unknown surface '{name}'")
-

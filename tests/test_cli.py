@@ -77,6 +77,14 @@ def test_verify_rect_and_disk_regions(tmp_path):
     *((["--surface=sphere", "--region=cap", f"--theta0={theta0}"],
        f"cap colatitude must exceed 1e-06, got {float(theta0)}")
       for theta0 in ("1e-7", "1e-6", "0", "-1")),
+    # a flag that the region does not take is refused before the others
+    (["--surface", "plane", "--region", "rect", "--u0", "0", "--u1", "1", "--v0", "0",
+      "--v1", "1", "--rho", "0.3"], "region 'rect' takes no rho"),
+    (["--surface", "plane", "--region", "rect", "--theta0", "1"], "region 'rect' takes no theta0"),
+    (["--surface", "sphere", "--region", "disk", "--uc", "1", "--vc", "1", "--rho", "0.2",
+      "--v0", "0"], "region 'disk' takes no v0"),
+    (["--surface", "torus", "--region", "cap", "--theta0", "inf", "--uc", "1"],
+     "region 'cap' takes no uc"),
 ])
 def test_verify_missing_region_params_exits_1(args, message, capsys):
     rc = run(["verify", *args])
@@ -84,6 +92,23 @@ def test_verify_missing_region_params_exits_1(args, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args,name", [
+    (["verify", "--surface", "sphere", "--r", "2", "--region", "disk", "--uc", "1", "--vc", "1",
+      "--rho", "0.2"], "r"),
+    (["verify", "--surface", "sphere", "--R", "inf", "--r", "2", "--region", "rect"], "r"),
+    (["verify", "--surface", "plane", "--R", "2", "--region", "rect", "--u0", "0", "--u1", "1",
+      "--v0", "0", "--v1", "1"], "R"),
+    (["limit", "--surface", "sphere", "--r", "2", "--center", "1,1"], "r"),
+    (["limit", "--surface", "torus", "--c", "-1", "--r", "inf", "--center", "1,1"], "c"),
+])
+def test_a_parameter_the_surface_does_not_take_exits_1(args, name, capsys):
+    # named before any value, region or center is checked
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: surface '{args[2]}' takes no {name}\n"
 
 
 def test_limit_csv_schema(tmp_path):

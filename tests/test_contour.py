@@ -81,10 +81,12 @@ def test_sphere_cap_boundary_closed_form():
     (ci.saddle(), RectRegion(-0.9, 0.4, -0.2, 1.0)),
 ], ids=lambda x: getattr(x, "name", None) or x.label)
 def test_exterior_normal_points_outward(surface, region):
-    # n . (S_a nu^a) > 0 with nu the parameter-space outward normal
+    # n . (S_a nu^a) > 0 with nu the parameter-space outward normal, which
+    # the region does not give: the reference parameterization's own
     for s in np.linspace(0.0, 1.0, 64, endpoint=False):
         bp = ci.boundary_point(surface, region, s)
-        (u, v), _, outward = region.boundary_param(s)
+        (u, v), _ = region.boundary_param(s)
+        outward = reference_boundary_param(region, s)[2]
         _, s1, s2, _, _, _ = stacked_geometry(surface, u, v)
         image_outward = outward[0] * s1 + outward[1] * s2
         assert bp.normal @ image_outward > 0.0
@@ -223,12 +225,48 @@ def test_region_validation():
         ci.lhs_integral(ci.Torus(2.0, 0.5), RectRegion(0.0, 7.0, 0.0, 1.0))
     with pytest.raises(DomainError, match="^region spans more than one period$"):
         ci.rhs_integral(ci.Cylinder(1.0), RectRegion(0.0, 1.0, -1.0, 6.0))
-    with pytest.raises(DomainError, match="^disk wider than one period$"):
+    with pytest.raises(DomainError, match="^region spans more than one period$"):
         ci.rhs_integral(ci.Torus(2.0, 0.5), DiskRegion(1.0, 1.0, 3.2))
     # every finite point is inside a torus or a plane: the center itself is at fault
     for surface, center in ((ci.Torus(2.0, 0.5), (math.inf, 1.0)), (ci.Plane(), (math.nan, 0.0))):
         with pytest.raises(ValueError, match=f"^disk center uc must be finite, got {center[0]}$"):
             ci.shrinking_limit(surface, center, [0.2, 0.1])
+
+
+_PASSES = [ci.lhs_integral, ci.rhs_integral, ci.region_area, ci.contour_length,
+           ci.verify_identity, lambda surface, region: ci.boundary_point(surface, region, 0.3)]
+
+
+@pytest.mark.parametrize("surface,region,message", [
+    # the disk's box starts at u0 = 5e-10, within the sphere's pole margin of 1e-9
+    (ci.Sphere(1.0), DiskRegion(0.3, 1.0, 0.3 - 5e-10), "region not inside the domain of sphere"),
+    (ci.Torus(2.0, 0.5), DiskRegion(1.0, 1.0, math.pi + 1e-11), "region spans more than one period"),
+    (ci.Cylinder(1.0), RectRegion(0.0, 1.0, 0.0, 2.0 * math.pi + 1e-11),
+     "region spans more than one period"),
+    (ci.Catenoid(1.0), RectRegion(-1.0, 2.5, 0.0, 1.0), "region not inside the domain of catenoid"),
+], ids=["sphere-disk-pole", "torus-disk-period", "cylinder-rect-period", "catenoid-rect-domain"])
+def test_every_pass_refuses_a_region_by_its_box(surface, region, message):
+    # one gate, on the box (u0, u1, v0, v1): a rectangle's corners, a disk's bounding box
+    assert RectRegion.validate_on is DiskRegion.validate_on
+    for evaluate in _PASSES:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            evaluate(surface, region)
+    if "period" in message:  # exactly one period is admitted
+        span = {"rho": math.pi} if isinstance(region, DiskRegion) else {"v1": 2.0 * math.pi}
+        region._replace(**span).validate_on(surface)
+
+
+@pytest.mark.parametrize("surface,region", [
+    (ci.Sphere(1.0), DiskRegion(1.2, 0.7, 0.4)), (ci.Torus(2.0, 0.5), RectRegion(0.3, 1.1, 0.2, 0.9)),
+], ids=["sphere-disk", "torus-rect"])
+def test_no_rule_is_the_default_rule_bitwise(surface, region):
+    def limit(surface, region, rule):
+        return ci.shrinking_limit(surface, (1.2, 0.7), [0.2, 0.1], rule)
+
+    for evaluate in _PASSES[:5] + [limit]:
+        got, ref = evaluate(surface, region, None), evaluate(surface, region, ci.default_rule())
+        got, ref = ((x,) if isinstance(x, (float, np.ndarray)) else x for x in (got, ref))
+        assert [*map(_bits, got)] == [*map(_bits, ref)], evaluate.__name__
 
 
 @pytest.mark.parametrize("center,radii,message", [
@@ -318,7 +356,9 @@ def test_boundary_matches_reference(surface, region):
 
     params = np.r_[np.linspace(0.0, 1.0, 41, endpoint=False), 0.25, 0.5, 0.75, 1.0 - 1e-12]
     for s in params:
-        for got, ref in zip(region.boundary_param(s), reference_boundary_param(region, s)):
+        # point and velocity; the reference's outward normal is its own
+        for got, ref in zip(region.boundary_param(s), reference_boundary_param(region, s)[:2],
+                            strict=True):
             close(got, ref)
         got, ref = ci.boundary_point(surface, region, s), reference_boundary_point(surface, region, s)
         for field in ("position", "tangent", "normal", "speed"):
@@ -329,7 +369,7 @@ def _stacked_boundary_point(surface, region, s) -> ci.BoundaryPoint:
     """boundary_point as the contour oracle frames a one-node contour:
     stacked_geometry on the region's own boundary_param, np.cross and
     np.linalg.norm along the trailing axis."""
-    (u, v), (du, dv), _ = region.boundary_param(s)
+    (u, v), (du, dv) = region.boundary_param(s)
     pos, s1, s2, normal, _, _ = stacked_geometry(surface, np.array([u]), np.array([v]), order=1)
     d = du * s1 + dv * s2
     speed = np.linalg.norm(d, axis=1)
@@ -532,7 +572,7 @@ def _moment_sides(surface, region, rule):
     t, w = ci.panel_nodes(0.0, 1.0, rule)
     rhs, length, reach = np.zeros(3), 0.0, 0.0
     for k in range(region.pieces):
-        (u, v), (du, dv), _ = region.piece(k, t)
+        (u, v), (du, dv) = region.piece(k, t)
         pos, s1, s2, normal, _, _ = stacked_geometry(surface, u, v, order=1)
         d = du[:, None] * s1 + dv[:, None] * s2
         speed = np.linalg.norm(d, axis=1)

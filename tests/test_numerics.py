@@ -13,6 +13,7 @@ from curvint import (
     gauss_legendre,
     panel_nodes,
 )
+from curvint.numerics import _gauss_nodes
 
 
 def integrate(f, a, b, rule):
@@ -66,6 +67,24 @@ def test_rule_validation():
             QuadratureRule(np.array(nodes), np.array(weights))
     with pytest.raises(ValueError, match="^node count n must be an integer >= 1, got 0$"):
         gauss_legendre(0)
+
+
+def test_rule_freezes_copies_of_its_arrays():
+    nodes, weights = np.array([-0.5, 0.5]), np.ones(2)
+    rule = QuadratureRule(nodes, weights)
+    nodes[0], weights[:] = -0.25, 3.0  # the caller's arrays stay writable, the rule's unchanged
+    assert rule.nodes.tolist() == [-0.5, 0.5] and rule.weights.tolist() == [1.0, 1.0]
+    for array in (rule.nodes, rule.weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # gauss_legendre's rule holds its cached roots bitwise: the copy changes no value
+    rule = gauss_legendre(16, 8)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert [a.tobytes() for a in rule[:2]] == [a.tobytes() for a in _gauss_nodes(16)]
+    np.testing.assert_allclose(rule.nodes, nodes, atol=1e-14)
+    np.testing.assert_allclose(rule.weights, weights, atol=1e-14)
+    assert not rule.nodes.flags.writeable and rule.panels == 8
 
 
 def test_constant_interval():

@@ -332,14 +332,41 @@ def test_torus_refuses_non_finite_radii():
             ci.Torus(1.0, 1.5)
 
 
+@pytest.mark.parametrize("name,expected", [
+    ("plane", ci.Plane()), ("sphere", ci.Sphere(1.0)), ("cylinder", ci.Cylinder(1.0)),
+    ("torus", ci.Torus(2.0, 0.5)), ("catenoid", ci.Catenoid(1.0)), ("enneper", ci.Enneper()),
+    ("saddle", ci.saddle()),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_surface_factory_defaults(name, expected):
+    # the same class on the same parameters as direct construction
+    got = ci.surface_from_name(f" {name.upper()} ")
+    assert type(got) is type(expected)
+    assert {k: v for k, v in vars(got).items() if not callable(v)} == \
+        {k: v for k, v in vars(expected).items() if not callable(v)}
+    u, v = np.meshgrid(np.linspace(0.2, 1.2, 4), np.linspace(-0.5, 0.5, 3))
+    assert got.position(u, v).tobytes() == expected.position(u, v).tobytes()
+
+
 def test_surface_factory():
     assert ci.surface_from_name("sphere", R=3.0).radius == 3.0
     assert ci.surface_from_name("torus").major == 2.0
     assert ci.surface_from_name("saddle").name == "saddle"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown surface 'helicoid'$"):
         ci.surface_from_name("helicoid")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "bad parameters for surface 'torus': require 0 < minor < major radius")):
         ci.surface_from_name("torus", R=1.0, r=2.0)
+
+
+@pytest.mark.parametrize("name,params,refused", [
+    ("sphere", {"r": 2.0}, "r"), ("plane", {"R": 2.0}, "R"),
+    # named before any value is checked: the first such parameter given
+    ("sphere", {"R": math.inf, "r": 2.0}, "r"), ("torus", {"r": -1.0, "c": 1.0}, "c"),
+    ("saddle", {"extent": 1.0, "R": 1.0}, "extent"),
+])
+def test_surface_factory_refuses_a_parameter_the_surface_does_not_take(name, params, refused):
+    with pytest.raises(ValueError, match=f"^surface '{name}' takes no {refused}$"):
+        ci.surface_from_name(name, **params)
 
 
 def test_monge_graph_uses_supplied_partials():
