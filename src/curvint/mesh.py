@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 import warnings
 from functools import cached_property
 from itertools import compress
@@ -69,10 +68,10 @@ class MeshTopology:
             faces = faces.reshape(0, 3)
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise MeshValidationError("faces must have shape (F, 3)")
-        if faces.dtype.kind in "biu" or not faces.size:
+        if faces.dtype.kind in "iu" or not faces.size:
             faces = faces.astype(np.int64)  # a copy; beyond int64 a uint64 wraps negative
         else:
-            # floats or Python numbers, compared as they are: an integer naming
+            # bools, floats or Python numbers, compared as they are: an integer naming
             # no vertex (beyond int64 too) is marked missing (-1) for the check below
             rows = faces.tolist()
             whole = [all(map(_integral, f)) for f in rows]
@@ -265,8 +264,8 @@ class TriMesh:
 
 
 def _integral(i) -> bool:
-    try:
-        return i == math.floor(i)
+    try:  # a bool is no index, as in MeshTopology.check
+        return not isinstance(i, (bool, np.bool_)) and i == math.floor(i)
     except (TypeError, ValueError, OverflowError):  # no number, nan, inf
         return False
 
@@ -409,38 +408,26 @@ def significant_lines(text: str, comment: str | None = None) -> tuple:
     return [n for n, record in enumerate(records, start=1) if record], list(filter(None, records))
 
 
-def _block(records, dtype, width: int, finish, loadtxt: dict):
-    """finish(np.loadtxt(records)) when numpy reads every record and that
-    keeps one row of `width` values per record, else None."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            block = finish(np.loadtxt(records, dtype=dtype, comments=None, ndmin=2, **loadtxt))
-    except (ValueError, OverflowError, DeprecationWarning):
-        return None  # numpy refused a record
-    return block if block.shape == (len(records), width) else None
-
-
-def convert_rows(records, numbers, convert, dtype, width: int, finish=np.asarray, rewrite=None,
-                 **loadtxt):
+def convert_rows(records, numbers, convert, dtype, width: int, finish=np.asarray, **loadtxt):
     """(rows, row_lines, fault) of one section's records, found on lines
     `numbers`. One np.loadtxt pass converts the section when numpy reads
     every record and finish, which maps that block to rows, keeps one row
     of `width` values per record (a structured dtype's record is one
     value; numpy 1.23 to 1.26 read an integer such as "3.0" through float
-    with a DeprecationWarning, which counts as a refusal here). When numpy
-    refuses, rewrite(records), if given and not None, is the records as
-    convert reads them, for one more such pass. Otherwise convert(record)
-    gives each record's rows in Python,
+    with a DeprecationWarning, which counts as a refusal here). Otherwise
+    convert(record) gives each record's rows in Python,
     or raises ValueError with a message that names its fault, the only
     code that does: rows then lists the rows before that record, and
     fault is (message, line), else None."""
     if any(records):  # numpy warns on a section without data
-        block = _block(records, dtype, width, finish, loadtxt)
-        if block is None and rewrite is not None and (plain := rewrite(records)) is not None:
-            block = _block(plain, dtype, width, finish, loadtxt)
-        if block is not None:
-            return block, numbers, None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                block = finish(np.loadtxt(records, dtype=dtype, comments=None, ndmin=2, **loadtxt))
+            if block.shape == (len(records), width):
+                return block, numbers, None
+        except (ValueError, OverflowError, DeprecationWarning):
+            pass  # numpy refused a record
     rows, row_lines = [], []
     for line, record in zip(numbers, records):
         try:
@@ -560,16 +547,6 @@ def _obj_face(record: str) -> list:
     return _fan(polygon)
 
 
-_SUFFIX = re.compile(r"/(?<=\S/)\S*")  # a face token's suffix behind its index
-
-
-def _obj_indices(records: list):
-    """The `f` records with each token cut at its first "/" when an index
-    precedes it, as _obj_face reads them; None when no record has a "/"."""
-    text = "\n".join(records)
-    return _SUFFIX.sub("", text).split("\n") if "/" in text else None
-
-
 def _parse_obj(text: str, path) -> tuple:
     """(positions, faces, face_lines) of an OBJ text. Its records (lines
     without `#` comments, blank lines skipped) are kept by their first
@@ -585,7 +562,7 @@ def _parse_obj(text: str, path) -> tuple:
         _obj_vertex, float, 3, usecols=(1, 2, 3))
     faces, face_lines, face_fault = convert_rows(
         [record[1:] for record in compress(records, is_face)], list(compress(numbers, is_face)),
-        _obj_face, np.int64, 3, lambda block: block[(block > 0).all(axis=1)] - 1, _obj_indices)
+        _obj_face, np.int64, 3, lambda block: block[(block > 0).all(axis=1)] - 1)
     faults = [fault for fault in (vertex_fault, face_fault) if fault]
     if faults:
         raise ParseError(*min(faults, key=lambda fault: fault[1]), path)
@@ -614,8 +591,7 @@ def load_mesh(source, fmt: str | None = None) -> TriMesh:
     needs its newline. The format is inferred from the file extension
     unless given. Each
     section (vertices, faces) is one np.loadtxt pass when numpy reads all
-    of it (OBJ face tokens after one pass that cuts their `/` suffixes),
-    else converted record by record, with the same result. Parse
+    of it, else converted record by record, with the same result. Parse
     errors, and validation errors of a face, carry its 1-based line
     number.
     """

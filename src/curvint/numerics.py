@@ -182,6 +182,6 @@ def central_gradient(f: Callable[[np.ndarray], float], x, h: float) -> np.ndarra
         fp = f(x + step)
         fm = f(x - step)
         if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise EvaluationError("function is not finite near", where=tuple(x))
+            raise EvaluationError("function is not finite", where=tuple(x.tolist()))
         out[k] = (fp - fm) / (2.0 * h)
     return out

@@ -3,9 +3,9 @@ stock meshes, perturbed-mesh factories, meshes with runs of isolated
 vertices, closed meshes of random connectivity by edge flips and their
 open (one face deleted) and bowtie (two joined at one vertex) variants,
 parameter-domain sampling boxes,
-malformed-file fixtures, the hand-built grid and surfaces of revolution
-kept as references for the surface sampler's primitives, the icosphere's
-dict of edge midpoints and the row-by-row mesh writer kept as references
+malformed-file fixtures and OBJ texts with face-index suffixes, the
+hand-built grid and surfaces of revolution kept as references for the
+surface sampler's primitives, the icosphere's dict of edge midpoints and the row-by-row mesh writer kept as references
 for their numpy replacements, the
 face-by-face vertex classification (one-ring
 loop, and the open-edge set it contains), the per-vertex loops
@@ -292,6 +292,14 @@ FACE_ERROR_FIXTURES = [
      "OFF\n3 1 0\n0 0 0\n1e200 1e200 0\n1e200 2e200 0\n3 0 1 2\n", 6, 0,
      "has a non-finite area (nan)"),
 ]
+
+
+def suffixed(text: str, suffix: str) -> str:
+    """An OBJ text with `suffix` after every index of its `f` records."""
+    lines = [line.split() for line in text.splitlines()]
+    return "".join(" ".join(t[:1] + [i + suffix for i in t[1:]] if t[:1] == ["f"] else t) + "\n"
+                   for t in lines)
+
 
 # ---------------------------------------------------------------------------
 # reference primitives: the face loops that built the grid, tube and

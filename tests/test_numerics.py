@@ -194,7 +194,7 @@ def test_central_gradient_bad_step_is_named(h, message):
 def test_central_gradient_rejects_bad_input():
     with pytest.raises(ValueError):
         central_gradient(lambda x: 0.0, np.zeros(3), 0.0)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError, match=r"^function is not finite at \(0\.0, 0\.0, 0\.0\)$"):
         central_gradient(lambda x: float("nan"), np.zeros(3), 1e-5)
 
 
