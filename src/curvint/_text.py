@@ -28,7 +28,10 @@ from types import SimpleNamespace
 import numpy as np
 
 _U = np.uint64
-_BLOCK = 16384  # values per block, which bounds the slot arrays
+# values per block, which bounds the slot arrays: a block's uint64 temporaries
+# (64 KiB) stay below glibc's default 128 KiB mmap threshold, so that a call
+# reuses heap pages rather than mapping and faulting fresh ones
+_BLOCK = 8192
 _LOW, _HIGH = -80, 51  # the binary exponents of the uint64 path
 _M32 = _U(0xFFFFFFFF)
 

@@ -27,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import contour, discrete, flow as flow_mod, mesh as mesh_mod
-from ._text import render
+from . import _text, contour, discrete, flow as flow_mod, mesh as mesh_mod
 from .errors import CurvintError
 from .numerics import checked_kind, checked_real, default_rule, gauss_legendre
 from .surfaces import surface_from_name
@@ -158,8 +157,8 @@ def _cmd_limit(args) -> None:
     # the observed order prints on the last row only
     blank = np.outer(np.arange(rows) < rows - 1, [False] * 5 + [True])
     _emit(args.output, "radius,est_x,est_y,est_z,err,observed_order",
-          render([study.radii, *study.estimates.T, study.errors,
-                  np.full(rows, study.observed_order)], blank=blank))
+          _text.render([study.radii, *study.estimates.T, study.errors,
+                        np.full(rows, study.observed_order)], blank=blank))
 
 
 def _cmd_curvature(args) -> None:
@@ -168,8 +167,8 @@ def _cmd_curvature(args) -> None:
     # a boundary row prints its vertex index and boundary flag only
     blank = np.outer(boundary, [False] + [True] * 5 + [False])
     _emit(args.output, "vertex,Bx,By,Bz,magnitude,near_minimal,boundary",
-          render([np.arange(m.n_vertices), *vec.T, magnitude, near_minimal, boundary],
-                 blank=blank))
+          _text.render([np.arange(m.n_vertices), *vec.T, magnitude, near_minimal, boundary],
+                       blank=blank))
 
 
 def _cmd_gradcheck(args) -> float:
@@ -186,7 +185,7 @@ def _cmd_gradcheck(args) -> float:
     rel = norms(analytic - oracle) / np.maximum.reduce(
         [norms(analytic), norms(oracle), floor, np.full_like(floor, 1e-30)])
     _emit(args.output, "vertex,analytic_x,analytic_y,analytic_z,fd_x,fd_y,fd_z,rel_err",
-          render([np.arange(m.n_vertices), *analytic.T, *oracle.T, rel]))
+          _text.render([np.arange(m.n_vertices), *analytic.T, *oracle.T, rel]))
     return float(rel.max(initial=0.0))
 
 
@@ -194,7 +193,8 @@ def _cmd_laplacian(args) -> None:
     m = mesh_mod.load_mesh(args.input)
     interior = np.flatnonzero(~m.topology.check())
     lap = discrete.laplacian_field(m, _read_field(args.field, m.n_vertices))
-    _emit(args.output, "vertex,L", render([interior, discrete.finite_laplacian(lap, interior)]))
+    _emit(args.output, "vertex,L",
+          _text.render([interior, discrete.finite_laplacian(lap, interior)]))
 
 
 def _cmd_make(args) -> None:
@@ -218,7 +218,7 @@ def _cmd_flow(args) -> None:
         out = args.output and files.enter_context(open(args.output, "w"))
         trace, final = flow_mod.run_flow(m, args.dt, args.steps)
         columns = zip(*[(s.index, s.area, s.max_curvature, s.min_face_area) for s in trace.steps])
-        _emit(out, "step,area,max_B,min_tri_area", render([np.array(c) for c in columns]))
+        _emit(out, "step,area,max_B,min_tri_area", _text.render([np.array(c) for c in columns]))
         if trace.stop_reason:
             print(f"stopped early: {trace.stop_reason}", file=sys.stderr)
         if final_file:

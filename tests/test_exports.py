@@ -2,11 +2,18 @@
 submodule's __all__, and every (module, attribute) that the benchmark's
 `perfbench/tracing.py` wraps for `--trace 1`, so that deleting one fails
 here rather than in a traced benchmark run. The package's public names
-are its library modules' __all__, listed nowhere else."""
+are its library modules' __all__, listed nowhere else. Each submodule is
+in sys.modules from the package's import on, where the tracer looks it
+up, but runs on first use; the fresh interpreters that check this write
+no bytecode, as on a host where every module compiles from source."""
 
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +65,58 @@ def test_traced_target_resolves(module, attr):
     # the tracer replaces a method in its class's own namespace
     assert name in vars(owner)
     assert callable(getattr(owner, name))
+
+
+def run_cold(code: str) -> dict:
+    """The JSON that code prints, run in a fresh interpreter that writes no bytecode."""
+    src = str(Path(curvint.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_submodules_are_in_sys_modules_at_import_and_run_on_first_use(tmp_path):
+    # type(), not an attribute: reading any attribute of a module runs it
+    code = f"""if True:
+        import json, sys, types
+        import curvint, curvint.cli
+        def ran():
+            return sorted(n for n, m in sys.modules.items()
+                          if n.startswith("curvint") and type(m) is types.ModuleType)
+        seen = {{"present": sorted(n for n in sys.modules if n.startswith("curvint.")),
+                 "import": ran()}}
+        verify = ["verify", "--surface", "sphere", "--region", "disk", "--uc", "1", "--vc", "1",
+                  "--rho", "0.2", "--output", {str(tmp_path / "verify.csv")!r}]
+        seen["verify"] = (curvint.cli.run(verify), ran())
+        make = ["make", "--kind", "icosphere", "--level", "1",
+                "--output", {str(tmp_path / "ico1.off")!r}]
+        seen["make"] = (curvint.cli.run(make), ran())
+        print(json.dumps(seen))
+    """
+    seen = run_cold(code)
+    assert {f"curvint.{module}" for module, _ in traced_targets()} <= set(seen["present"])
+    analytic = ["curvint", "curvint.cli", "curvint.contour", "curvint.errors",
+                "curvint.numerics", "curvint.surfaces"]
+    assert seen["import"] == analytic
+    assert seen["verify"] == [0, analytic]
+    status, after_make = seen["make"]
+    assert status == 0 and "curvint.mesh" in after_make
+    assert "curvint.discrete" not in after_make and "curvint.flow" not in after_make
+
+
+def test_star_import_and_dir_give_every_public_name():
+    exported = {name for module in LIBRARY
+                for name in importlib.import_module(f"curvint.{module}").__all__}
+    code = """if True:
+        import json
+        import curvint
+        namespace = {}
+        exec("from curvint import *", namespace)
+        print(json.dumps([sorted(set(namespace) - {"__builtins__"}), dir(curvint)]))
+    """
+    star, listed = run_cold(code)
+    assert set(star) == exported | set(LIBRARY)
+    assert set(star) <= set(listed)
